@@ -206,9 +206,9 @@ cargo test -q --workspace
 # warmth, so a filtered subset would not reproduce the baseline numbers),
 # write a fresh report under target/, and fail on a >20% drop in any gated
 # record (see rr_bench::harness::REGRESSION_TOLERANCE). Only the derived
-# wheel-vs-heap speedup ratios are gated: absolute events/sec drifts
-# 20-40% with machine load, while both sides of an in-run ratio drift
-# together and cancel.
+# speedup ratios are gated (wheel vs heap, streamed codec vs its tree-path
+# twin): absolute events/sec drifts 20-40% with machine load, while both
+# sides of an in-run ratio drift together and cancel.
 # Paths are absolute because cargo runs bench binaries from the package dir.
 cargo bench -q -p rr-bench --bench micro -- micro/ \
     --json "$PWD/target/BENCH_micro.json" --baseline "$PWD/BENCH_micro.json"
@@ -221,6 +221,14 @@ cargo bench -q -p rr-bench --bench micro -- micro/ \
 #   cargo bench -p rr-bench --bench model -- model/ --json BENCH_model.json
 cargo bench -q -p rr-bench --bench model -- model/ \
     --json "$PWD/target/BENCH_model.json" --baseline "$PWD/BENCH_model.json"
+
+# The benchmark the pipeline runs after every PR (BENCHMARK.json, benchmark/)
+# is a package of its own that calls only the crates' `pub` items, so a
+# signature change there breaks it without breaking the workspace. The smoke
+# run builds it, checks BENCHMARK.json against `rr-benchmark --describe`, and
+# runs all five workloads plain and traced at 1/50 size with every output
+# check on.
+bash benchmark/run.sh --smoke
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings

@@ -8,7 +8,7 @@
 //! `-- --baseline BENCH_micro.json` to apply the CI regression gate (see
 //! `rr_bench::harness`).
 
-use mercury_msg::{Envelope, Message};
+use mercury_msg::{ElementRef, Envelope, Message};
 use rr_bench::harness::Runner;
 use rr_sim::{Actor, Context, Event, Sim, SimDuration, SimRng, SimTime, TimerWheel};
 use std::cmp::Reverse;
@@ -221,9 +221,30 @@ fn bench_msg_codec(r: &mut Runner) {
     r.bench("micro/msg/encode_envelope", || {
         black_box(env.to_xml_string())
     });
+    // The tree-path twins do the same work through a document tree: the
+    // `Element` sink and its serializer, and the fallback reader every
+    // envelope off the recognised shape takes. As with the queue pairs, only
+    // the in-process ratios are gated.
+    r.bench("micro/msg/encode_envelope_tree", || {
+        black_box(env.to_element().to_xml_string())
+    });
+    r.record_speedup(
+        "micro/msg/speedup_encode",
+        "micro/msg/encode_envelope",
+        "micro/msg/encode_envelope_tree",
+    );
     r.bench("micro/msg/parse_envelope", || {
         black_box(Envelope::parse(&wire).unwrap())
     });
+    r.bench("micro/msg/parse_envelope_tree", || {
+        let el = ElementRef::parse(&wire).unwrap();
+        black_box(Envelope::decode(&el).unwrap())
+    });
+    r.record_speedup(
+        "micro/msg/speedup_parse",
+        "micro/msg/parse_envelope",
+        "micro/msg/parse_envelope_tree",
+    );
 }
 
 fn bench_rng_and_dist(r: &mut Runner) {

@@ -13,7 +13,7 @@
 //! * `-- --json PATH` — also write the results as JSON (the
 //!   `BENCH_micro.json` schema: see the README "Benchmarks" section);
 //! * `-- --baseline PATH` — after the run, compare the **gated** records
-//!   (the derived wheel-vs-heap speedups from [`Runner::record_speedup`])
+//!   (the derived in-run speedups from [`Runner::record_speedup`])
 //!   against a previously written JSON file and **exit nonzero** if any
 //!   regressed by more than [`REGRESSION_TOLERANCE`] (the CI bench-smoke
 //!   gate). Absolute events/sec is reported but never gated: it drifts

@@ -19,7 +19,7 @@
 use std::fmt;
 
 use crate::error::MsgError;
-use crate::xml::{Element, XmlRead};
+use crate::xml::{self, Element, XmlRead, XmlWrite};
 
 /// Component self-reported status carried in pongs and beacons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -305,91 +305,118 @@ fn req_f64<E: XmlRead>(el: &E, key: &str) -> Result<f64, MsgError> {
     }
 }
 
-/// Formats an `f64` so that it round-trips exactly through `parse`.
-fn fmt_f64(v: f64) -> String {
-    // `{:?}` on f64 prints the shortest representation that parses back to
-    // the same value.
-    format!("{v:?}")
+/// Displays an `f64` so that it round-trips exactly through `parse`: `{:?}`
+/// prints the shortest representation that parses back to the same value.
+struct RoundTrip(f64);
+
+impl fmt::Display for RoundTrip {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.0)
+    }
 }
 
 impl Message {
     /// Encodes the message as an XML element.
     pub fn to_element(&self) -> Element {
+        xml::build_element(|w| self.write_xml(w))
+    }
+
+    /// Writes the message's one attribute-only element to `w`: the encode
+    /// side of the vocabulary, whatever the sink produces.
+    pub(crate) fn write_xml<W: XmlWrite>(&self, w: &mut W) {
         match self {
-            Message::Ping { seq } => Element::new("ping").with_attr("seq", seq.to_string()),
-            Message::Pong { seq, status } => Element::new("pong")
-                .with_attr("seq", seq.to_string())
-                .with_attr("status", status.as_str()),
+            Message::Ping { seq } => w.start("ping").attr_display("seq", seq).end("ping"),
+            Message::Pong { seq, status } => w
+                .start("pong")
+                .attr_display("seq", seq)
+                .attr("status", status.as_str())
+                .end("pong"),
             Message::TrackRequest { satellite } => {
-                Element::new("track").with_attr("sat", satellite.clone())
+                w.start("track").attr("sat", satellite).end("track")
             }
             Message::PointAntenna {
                 azimuth_deg,
                 elevation_deg,
-            } => Element::new("point")
-                .with_attr("az", fmt_f64(*azimuth_deg))
-                .with_attr("el", fmt_f64(*elevation_deg)),
+            } => w
+                .start("point")
+                .attr_display("az", RoundTrip(*azimuth_deg))
+                .attr_display("el", RoundTrip(*elevation_deg))
+                .end("point"),
             Message::EstimateRequest {
                 satellite,
                 at_epoch_s,
-            } => Element::new("estimate")
-                .with_attr("sat", satellite.clone())
-                .with_attr("at", fmt_f64(*at_epoch_s)),
+            } => w
+                .start("estimate")
+                .attr("sat", satellite)
+                .attr_display("at", RoundTrip(*at_epoch_s))
+                .end("estimate"),
             Message::EstimateReply {
                 azimuth_deg,
                 elevation_deg,
                 range_km,
                 doppler_hz,
-            } => Element::new("state")
-                .with_attr("az", fmt_f64(*azimuth_deg))
-                .with_attr("el", fmt_f64(*elevation_deg))
-                .with_attr("range", fmt_f64(*range_km))
-                .with_attr("doppler", fmt_f64(*doppler_hz)),
-            Message::TuneRadio { frequency_hz, band } => Element::new("tune")
-                .with_attr("freq", fmt_f64(*frequency_hz))
-                .with_attr("band", band.as_str()),
-            Message::RadioCommand { verb, arg } => Element::new("radio")
-                .with_attr("verb", verb.clone())
-                .with_attr("arg", arg.clone()),
-            Message::SerialFrame { hex } => Element::new("serial").with_attr("hex", hex.clone()),
+            } => w
+                .start("state")
+                .attr_display("az", RoundTrip(*azimuth_deg))
+                .attr_display("el", RoundTrip(*elevation_deg))
+                .attr_display("range", RoundTrip(*range_km))
+                .attr_display("doppler", RoundTrip(*doppler_hz))
+                .end("state"),
+            Message::TuneRadio { frequency_hz, band } => w
+                .start("tune")
+                .attr_display("freq", RoundTrip(*frequency_hz))
+                .attr("band", band.as_str())
+                .end("tune"),
+            Message::RadioCommand { verb, arg } => w
+                .start("radio")
+                .attr("verb", verb)
+                .attr("arg", arg)
+                .end("radio"),
+            Message::SerialFrame { hex } => w.start("serial").attr("hex", hex).end("serial"),
             Message::Telemetry {
                 satellite,
                 frame,
                 hex,
-            } => Element::new("telemetry")
-                .with_attr("sat", satellite.clone())
-                .with_attr("frame", frame.to_string())
-                .with_attr("hex", hex.clone()),
+            } => w
+                .start("telemetry")
+                .attr("sat", satellite)
+                .attr_display("frame", frame)
+                .attr("hex", hex)
+                .end("telemetry"),
             Message::SyncRequest { incarnation } => {
-                Element::new("sync").with_attr("inc", incarnation.to_string())
+                w.start("sync").attr_display("inc", incarnation).end("sync")
             }
-            Message::SyncAck { incarnation } => {
-                Element::new("sync-ack").with_attr("inc", incarnation.to_string())
-            }
+            Message::SyncAck { incarnation } => w
+                .start("sync-ack")
+                .attr_display("inc", incarnation)
+                .end("sync-ack"),
             Message::Beacon {
                 component,
                 status,
                 uptime_s,
                 aging,
                 handled,
-            } => Element::new("beacon")
-                .with_attr("component", component.clone())
-                .with_attr("status", status.as_str())
-                .with_attr("uptime", fmt_f64(*uptime_s))
-                .with_attr("aging", fmt_f64(*aging))
-                .with_attr("handled", handled.to_string()),
-            Message::Ack { of } => Element::new("ack").with_attr("of", of.to_string()),
+            } => w
+                .start("beacon")
+                .attr("component", component)
+                .attr("status", status.as_str())
+                .attr_display("uptime", RoundTrip(*uptime_s))
+                .attr_display("aging", RoundTrip(*aging))
+                .attr_display("handled", handled)
+                .end("beacon"),
+            Message::Ack { of } => w.start("ack").attr_display("of", of).end("ack"),
             Message::Failed { component } => {
-                Element::new("failed").with_attr("component", component.clone())
+                w.start("failed").attr("component", component).end("failed")
             }
-            Message::FailedBatch { components } => {
-                Element::new("failed-batch").with_attr("components", components.join("+"))
-            }
+            Message::FailedBatch { components } => w
+                .start("failed-batch")
+                .attr("components", &components.join("+"))
+                .end("failed-batch"),
             Message::Alive { component } => {
-                Element::new("alive").with_attr("component", component.clone())
+                w.start("alive").attr("component", component).end("alive")
             }
             Message::TestHook { action } => {
-                Element::new("test-hook").with_attr("action", action.clone())
+                w.start("test-hook").attr("action", action).end("test-hook")
             }
         }
     }
@@ -505,7 +532,7 @@ impl Message {
 
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_element().to_xml_string())
+        f.write_str(&xml::wire_string(|w| self.write_xml(w)))
     }
 }
 

@@ -9,7 +9,7 @@ use std::fmt;
 
 use crate::command::Message;
 use crate::error::MsgError;
-use crate::xml::{Element, ElementRef, XmlRead};
+use crate::xml::{self, Element, ElementRef, XmlRead, XmlWrite};
 
 /// An addressed command-language message.
 ///
@@ -57,16 +57,21 @@ impl Envelope {
 
     /// Encodes as an XML element.
     pub fn to_element(&self) -> Element {
-        Element::new("msg")
-            .with_attr("src", self.src.clone())
-            .with_attr("dst", self.dst.clone())
-            .with_attr("id", self.id.to_string())
-            .with_child(self.body.to_element())
+        xml::build_element(|w| self.write_xml(w))
     }
 
     /// Serializes to the single-line wire form.
     pub fn to_xml_string(&self) -> String {
-        self.to_element().to_xml_string()
+        xml::wire_string(|w| self.write_xml(w))
+    }
+
+    fn write_xml<W: XmlWrite>(&self, w: &mut W) {
+        w.start("msg")
+            .attr("src", &self.src)
+            .attr("dst", &self.dst)
+            .attr_display("id", self.id);
+        self.body.write_xml(w);
+        w.end("msg");
     }
 
     /// Decodes an envelope from an owned XML element. Equivalent to
@@ -133,10 +138,13 @@ impl Envelope {
                 limit: Envelope::MAX_WIRE_BYTES,
             });
         }
-        // Zero-copy path: the borrowed tree is decoded and dropped without
-        // ever materializing an owned document.
-        let el = ElementRef::parse(wire)?;
-        Envelope::decode(&el)
+        // What our own encoder emits is read in place, without a tree; the
+        // input alone decides, and everything else (and every XML error)
+        // goes through the tree parser.
+        match xml::with_flat_document(wire, |el| Envelope::decode(el)) {
+            Some(decoded) => decoded,
+            None => Envelope::decode(&ElementRef::parse(wire)?),
+        }
     }
 
     /// A reply envelope: src/dst swapped, given id and body.

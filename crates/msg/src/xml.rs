@@ -19,6 +19,14 @@
 //! the same inputs with exactly the same errors by construction. Decoders
 //! that only *read* the tree (message and envelope decoding) are generic
 //! over [`XmlRead`] and run on either representation.
+//!
+//! The envelope wire path builds no tree in either direction. Encoders drive
+//! the crate-private `XmlWrite` sink (the write-side mirror of [`XmlRead`]),
+//! which either appends to the wire string or builds an [`Element`]. Decoding
+//! first tries `with_flat_document`, which recognises the exact two-level,
+//! attribute-only shape the encoder emits into borrowed slices on the stack;
+//! any other byte makes it decline, and the tree parser above remains the
+//! only reader of everything else and the only source of error text.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -186,11 +194,7 @@ impl Element {
         out.push('<');
         out.push_str(&self.name);
         for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(v, out);
-            out.push('"');
+            push_attr(out, k, v);
         }
         if self.children.is_empty() {
             out.push_str("/>\n");
@@ -230,11 +234,7 @@ impl Element {
         out.push('<');
         out.push_str(&self.name);
         for (k, v) in &self.attrs {
-            out.push(' ');
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(v, out);
-            out.push('"');
+            push_attr(out, k, v);
         }
         if self.children.is_empty() {
             out.push_str("/>");
@@ -286,9 +286,9 @@ impl NodeRef<'_> {
 ///
 /// Element and attribute names are slices of the parse input; attribute
 /// values and text runs are [`Cow`]s that borrow unless entity-unescaping
-/// forced an owned copy. This is the representation the wire-decode hot
-/// path uses — an envelope is parsed, decoded and dropped without copying
-/// the document tree.
+/// forced an owned copy. Envelope decoding runs on this representation for
+/// every wire that is not in the encoder's own flat shape — parsed, decoded
+/// and dropped without copying the document tree.
 ///
 /// ```
 /// use mercury_msg::ElementRef;
@@ -423,6 +423,194 @@ impl XmlRead for ElementRef<'_> {
     }
 }
 
+/// Most attributes an element of a flat document may carry before
+/// [`with_flat_document`] declines; the widest message in the vocabulary
+/// (`beacon`) has five.
+const FLAT_MAX_ATTRS: usize = 8;
+
+/// One element of a flat document: a name and attributes that are all
+/// slices of the wire, held in a fixed array so reading allocates nothing.
+pub(crate) struct FlatElement<'a> {
+    name: &'a str,
+    attrs: [(&'a str, &'a str); FLAT_MAX_ATTRS],
+    len: usize,
+    child: Option<&'a FlatElement<'a>>,
+}
+
+impl XmlRead for FlatElement<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn attr(&self, key: &str) -> Option<&str> {
+        self.attrs[..self.len]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+    }
+    fn child_elements(&self) -> impl Iterator<Item = &Self> {
+        self.child.into_iter()
+    }
+}
+
+/// Splits the valid name `rest` starts with off its front.
+fn take_name<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let (name, tail) = rest.split_at(name_len(rest.as_bytes()));
+    *rest = tail;
+    (!name.is_empty()).then_some(name)
+}
+
+/// Reads `<name k="v" k="v"` off the front of `rest`, stopping at the byte
+/// that ends the tag. `None` on anything but single spaces, valid names,
+/// distinct keys and double-quoted values free of `&`, `<` and `"` (so every
+/// value is its own unescaped form).
+fn flat_open<'a>(rest: &mut &'a str) -> Option<FlatElement<'a>> {
+    *rest = rest.strip_prefix('<')?;
+    let mut el = FlatElement {
+        name: take_name(rest)?,
+        attrs: [("", ""); FLAT_MAX_ATTRS],
+        len: 0,
+        child: None,
+    };
+    while let Some(attr) = rest.strip_prefix(' ') {
+        *rest = attr;
+        let key = take_name(rest)?;
+        let quoted = rest.strip_prefix("=\"")?;
+        let len = quoted
+            .bytes()
+            .position(|b| matches!(b, b'"' | b'&' | b'<'))?;
+        let (value, tail) = quoted.split_at(len);
+        *rest = tail.strip_prefix('"')?;
+        if el.len == FLAT_MAX_ATTRS || el.attr(key).is_some() {
+            return None;
+        }
+        el.attrs[el.len] = (key, value);
+        el.len += 1;
+    }
+    Some(el)
+}
+
+/// Runs `read` on `wire` if it is exactly `<a …><b …/></a>`, the shape of
+/// every encoded envelope, without building a tree. Returns `None` for every
+/// other input (entities, single quotes, other whitespace, comments, a
+/// prolog, text, deeper or wider nesting, anything malformed), which the
+/// caller hands to [`ElementRef::parse`]; whatever is recognised here that
+/// parser reads identically.
+pub(crate) fn with_flat_document<R>(
+    wire: &str,
+    read: impl FnOnce(&FlatElement<'_>) -> R,
+) -> Option<R> {
+    let mut rest = wire;
+    let mut root = flat_open(&mut rest)?;
+    rest = rest.strip_prefix('>')?;
+    let child = flat_open(&mut rest)?;
+    if rest.strip_prefix("/></")?.strip_suffix('>')? != root.name {
+        return None;
+    }
+    root.child = Some(&child);
+    Some(read(&root))
+}
+
+/// Write-side mirror of [`XmlRead`]: encoders (messages, envelopes) are
+/// written once against this sink and produce either the wire string
+/// ([`wire_string`]) or an owned tree ([`build_element`]).
+///
+/// Names and keys must be valid XML names and distinct within an element,
+/// which `&'static str` keeps to what the vocabulary spells out.
+pub(crate) trait XmlWrite {
+    /// Opens `<name`, as a child of the element still open, if any.
+    fn start(&mut self, name: &'static str) -> &mut Self;
+    /// Adds an attribute to the element opened last.
+    fn attr(&mut self, key: &'static str, value: &str) -> &mut Self;
+    /// [`attr`](Self::attr) for a value written through its `Display`.
+    fn attr_display(&mut self, key: &'static str, value: impl fmt::Display) -> &mut Self;
+    /// Closes the innermost open element, which must be `name`.
+    fn end(&mut self, name: &'static str);
+}
+
+/// Appends to the wire string; `tag_open` is whether the last start tag
+/// still lacks its `>` or `/>`.
+pub(crate) struct WireWriter {
+    out: String,
+    tag_open: bool,
+}
+
+impl XmlWrite for WireWriter {
+    fn start(&mut self, name: &'static str) -> &mut Self {
+        if self.tag_open {
+            self.out.push('>');
+        }
+        self.out.push('<');
+        self.out.push_str(name);
+        self.tag_open = true;
+        self
+    }
+    fn attr(&mut self, key: &'static str, value: &str) -> &mut Self {
+        push_attr(&mut self.out, key, value);
+        self
+    }
+    fn attr_display(&mut self, key: &'static str, value: impl fmt::Display) -> &mut Self {
+        use fmt::Write as _;
+        open_attr(&mut self.out, key);
+        // `Escaped` never fails, nor do the number impls this is given.
+        let _ = write!(Escaped(&mut self.out), "{value}");
+        self.out.push('"');
+        self
+    }
+    fn end(&mut self, name: &'static str) {
+        if std::mem::take(&mut self.tag_open) {
+            self.out.push_str("/>");
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(name);
+            self.out.push('>');
+        }
+    }
+}
+
+/// The stack of elements still open, outermost first; once the root has
+/// ended it is the only entry left.
+impl XmlWrite for Vec<Element> {
+    fn start(&mut self, name: &'static str) -> &mut Self {
+        self.push(Element::new(name));
+        self
+    }
+    fn attr(&mut self, key: &'static str, value: &str) -> &mut Self {
+        self.attr_display(key, value)
+    }
+    fn attr_display(&mut self, key: &'static str, value: impl fmt::Display) -> &mut Self {
+        if let Some(open) = self.last_mut() {
+            open.set_attr(key, value.to_string());
+        }
+        self
+    }
+    fn end(&mut self, _name: &'static str) {
+        if let Some(ended) = self.pop() {
+            match self.last_mut() {
+                Some(parent) => parent.push_child(ended),
+                None => self.push(ended), // the root, left for `build_element`
+            }
+        }
+    }
+}
+
+/// The single-line wire form of whatever `write` emits.
+pub(crate) fn wire_string(write: impl FnOnce(&mut WireWriter)) -> String {
+    let mut w = WireWriter {
+        // One allocation covers every envelope except long hex frames.
+        out: String::with_capacity(128),
+        tag_open: false,
+    };
+    write(&mut w);
+    w.out
+}
+
+/// The owned tree of the one element `write` emits.
+pub(crate) fn build_element(write: impl FnOnce(&mut Vec<Element>)) -> Element {
+    let mut open = Vec::new();
+    write(&mut open);
+    open.pop().unwrap_or_default()
+}
+
 impl fmt::Display for Element {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_xml_string())
@@ -439,12 +627,20 @@ impl std::str::FromStr for Element {
 /// `true` if `name` is a valid element/attribute name in our subset:
 /// `[A-Za-z_][A-Za-z0-9_.-]*`.
 pub fn is_valid_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
+    !name.is_empty() && name_len(name.as_bytes()) == name.len()
+}
+
+/// Length of the longest valid name `bytes` starts with; 0 if none. Names
+/// are ASCII, so the result is always a char boundary of the source string.
+fn name_len(bytes: &[u8]) -> usize {
+    match bytes.first() {
+        Some(b) if b.is_ascii_alphabetic() || *b == b'_' => {}
+        _ => return 0,
     }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
+    bytes
+        .iter()
+        .position(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-')))
+        .unwrap_or(bytes.len())
 }
 
 /// Escapes text for inclusion in XML content or attribute values.
@@ -455,16 +651,44 @@ pub fn escape(text: &str) -> String {
 }
 
 fn escape_into(text: &str, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
+    let mut copied = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&text[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
     }
+    out.push_str(&text[copied..]);
+}
+
+/// Escapes everything written through it into the wrapped string.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
+fn open_attr(out: &mut String, key: &str) {
+    out.push(' ');
+    out.push_str(key);
+    out.push_str("=\"");
+}
+
+/// Appends ` key="value"` with the value escaped.
+fn push_attr(out: &mut String, key: &str, value: &str) {
+    open_attr(out, key);
+    escape_into(value, out);
+    out.push('"');
 }
 
 /// Error produced when parsing malformed XML.
@@ -592,15 +816,9 @@ impl<'a> Parser<'a> {
 
     fn parse_name(&mut self) -> Result<&'a str, ParseXmlError> {
         let start = self.pos;
-        match self.peek() {
-            Some(c) if c.is_ascii_alphabetic() || c == '_' => {
-                self.bump();
-            }
-            _ => return Err(self.error("expected name")),
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-        {
-            self.bump();
+        self.pos += name_len(self.rest().as_bytes());
+        if self.pos == start {
+            return Err(self.error("expected name"));
         }
         Ok(&self.input[start..self.pos])
     }
@@ -913,6 +1131,70 @@ mod tests {
         assert!(pretty.contains("<note>hi</note>"));
         // Pretty output reparses to the same tree.
         assert_eq!(Element::parse(&pretty).unwrap(), el);
+    }
+
+    #[test]
+    fn both_sinks_write_the_same_nested_document() {
+        fn write<W: XmlWrite>(w: &mut W) {
+            w.start("a").attr("k", "<&>").attr_display("n", 7);
+            w.start("b");
+            w.start("c").end("c");
+            w.end("b");
+            w.start("d").attr("e", "").end("d");
+            w.end("a");
+        }
+        let wire = wire_string(write);
+        assert_eq!(
+            wire,
+            r#"<a k="&lt;&amp;&gt;" n="7"><b><c/></b><d e=""/></a>"#
+        );
+        assert_eq!(build_element(write).to_xml_string(), wire);
+        assert_eq!(Element::parse(&wire), Ok(build_element(write)));
+    }
+
+    #[test]
+    fn flat_reader_takes_the_encoders_shape_and_declines_the_rest() {
+        // (root name, root x, child name, child k) of what was read in place.
+        let read = |wire: &str| {
+            with_flat_document(wire, |el| {
+                let child = el.child_elements().next();
+                [
+                    Some(el.name()),
+                    el.attr("x"),
+                    child.map(XmlRead::name),
+                    child.and_then(|c| c.attr("k")),
+                ]
+                .map(|s| s.map(str::to_string))
+            })
+        };
+        let owned = |fields: [Option<&str>; 4]| Some(fields.map(|s| s.map(str::to_string)));
+        assert_eq!(
+            read(r#"<a x="1 > 'é'"><b j="" k="v"/></a>"#),
+            owned([Some("a"), Some("1 > 'é'"), Some("b"), Some("v")])
+        );
+        assert_eq!(
+            read("<a><b/></a>"),
+            owned([Some("a"), None, Some("b"), None])
+        );
+        for declined in [
+            r#"<a x="&amp;"><b/></a>"#,
+            r#"<a x='1'><b/></a>"#,
+            r#"<a  x="1"><b/></a>"#,
+            r#"<a x="1" ><b/></a>"#,
+            r#"<a x="1" x="2"><b/></a>"#,
+            r#"<a x = "1"><b/></a>"#,
+            "<a><b/></a> ",
+            "<a><b/></c>",
+            "<a><b></b></a>",
+            "<a><b/><c/></a>",
+            "<a><!-- c --><b/></a>",
+            "<a>text<b/></a>",
+            "<a/>",
+            "<a><b/>",
+            "",
+        ] {
+            assert!(read(declined).is_none(), "{declined:?} was read in place");
+        }
     }
 
     #[test]

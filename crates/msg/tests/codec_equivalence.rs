@@ -11,11 +11,20 @@
 //! same error messages, same byte offsets). It also re-checks the two
 //! hardening properties the rewrite must not lose: the
 //! [`Envelope::MAX_WIRE_BYTES`] ceiling and non-ASCII hex rejection.
+//!
+//! The streamed envelope codec is locked the same way. `Envelope::parse`
+//! (which reads the encoder's own shape in place and falls back to the tree
+//! parser) must equal tree-parse-then-decode on generated envelopes of every
+//! variant and on every single-edit neighbour of the canonical wires; and
+//! those wires, committed as `tests/golden/wire-corpus.txt`, pin the bytes
+//! both encoders emit independently of either.
 
 use mercury_msg::frame::{FrameError, TelemetryFrame};
 use mercury_msg::xml::{Element, ElementRef, ParseXmlError, MAX_NESTING_DEPTH};
-use mercury_msg::{Envelope, Message, MsgError};
+use mercury_msg::{ComponentStatus, Envelope, Message, MsgError, RadioBand};
 use rr_sim::{check, SimRng};
+
+mod common;
 
 // ------------------------------------------------- reference parser (old) --
 // A faithful copy of the pre-rewrite owned parser, adapted only to build
@@ -440,23 +449,8 @@ fn random_valid_documents_match_reference() {
 fn envelope_parse_matches_reference_two_step() {
     check::run("envelope decode differential", 256, |rng| {
         let wire = if rng.chance(0.5) {
-            let body = match rng.next_below(3) {
-                0 => Message::Ping {
-                    seq: rng.next_u64(),
-                },
-                1 => Message::Ack { of: rng.next_u64() },
-                _ => Message::RadioCommand {
-                    verb: check::ident(rng, 6),
-                    arg: check::printable(rng, 12),
-                },
-            };
-            Envelope::new(
-                check::ident(rng, 6),
-                check::ident(rng, 6),
-                rng.next_u64(),
-                body,
-            )
-            .to_xml_string()
+            let variant = rng.next_below(common::VARIANTS);
+            common::arb_envelope_of(rng, variant).to_xml_string()
         } else {
             arb_garbage(rng)
         };
@@ -465,6 +459,314 @@ fn envelope_parse_matches_reference_two_step() {
             .and_then(|el| Envelope::from_element(&el));
         assert_eq!(Envelope::parse(&wire), want, "on {wire:?}");
     });
+}
+
+// ------------------------------------------- streamed envelope codec --
+
+/// `Envelope::parse` against the tree parser followed by the generic decode:
+/// equal values, which for errors means equal variant, text and byte offset.
+fn assert_readers_agree(wire: &str) {
+    let got = Envelope::parse(wire);
+    let want = ElementRef::parse(wire)
+        .map_err(MsgError::Xml)
+        .and_then(|el| Envelope::decode(&el));
+    assert_eq!(got, want, "on {wire:?}");
+    if let (Err(got), Err(want)) = (got, want) {
+        assert_eq!(got.to_string(), want.to_string(), "on {wire:?}");
+    }
+}
+
+#[test]
+fn readers_agree_on_generated_envelopes_of_every_variant() {
+    for variant in 0..common::VARIANTS {
+        check::run("streamed reader differential", 64, |rng| {
+            let env = common::arb_envelope_of(rng, variant);
+            assert_eq!(common::variant_index(&env.body), variant);
+            let wire = env.to_xml_string();
+            assert_readers_agree(&wire);
+            assert_eq!(Envelope::parse(&wire), Ok(env), "on {wire:?}");
+        });
+    }
+}
+
+/// The envelopes behind `tests/golden/wire-corpus.txt`, one per line: every
+/// `Message` variant once, then strings that need all five escapes, are
+/// empty, and are non-ASCII.
+fn corpus_envelopes() -> Vec<Envelope> {
+    let hostile = || r#"a<b&"c'd>"#.to_string();
+    vec![
+        Envelope::new("fd", "mbus", 1, Message::Ping { seq: 9 }),
+        Envelope::new(
+            "ses",
+            "fd",
+            u64::MAX,
+            Message::Pong {
+                seq: u64::MAX,
+                status: ComponentStatus::Degraded,
+            },
+        ),
+        Envelope::new(
+            "operator",
+            "str",
+            3,
+            Message::TrackRequest {
+                satellite: "opal".into(),
+            },
+        ),
+        Envelope::new(
+            "str",
+            "ant",
+            4,
+            Message::PointAntenna {
+                azimuth_deg: 359.999,
+                elevation_deg: -0.25,
+            },
+        ),
+        Envelope::new(
+            "str",
+            "ses",
+            5,
+            Message::EstimateRequest {
+                satellite: "sapphire".into(),
+                at_epoch_s: 1234.5,
+            },
+        ),
+        Envelope::new(
+            "ses",
+            "str",
+            6,
+            Message::EstimateReply {
+                azimuth_deg: std::f64::consts::PI,
+                elevation_deg: 1.0 / 3.0,
+                range_km: 1e-17,
+                doppler_hz: -0.0,
+            },
+        ),
+        Envelope::new(
+            "rtu",
+            "fedr",
+            123456,
+            Message::TuneRadio {
+                frequency_hz: 437_104_283.25,
+                band: RadioBand::Uhf,
+            },
+        ),
+        Envelope::new(
+            "rtu",
+            "fedr",
+            8,
+            Message::RadioCommand {
+                verb: "FREQ".into(),
+                arg: "437100000".into(),
+            },
+        ),
+        Envelope::new(
+            "fedr",
+            "pbcom",
+            9,
+            Message::SerialFrame {
+                hex: "deadbeef".into(),
+            },
+        ),
+        Envelope::new(
+            "pbcom",
+            "str",
+            10,
+            Message::Telemetry {
+                satellite: "opal".into(),
+                frame: 17,
+                hex: "00ff".into(),
+            },
+        ),
+        Envelope::new("ses", "str", 11, Message::SyncRequest { incarnation: 3 }),
+        Envelope::new("str", "ses", 12, Message::SyncAck { incarnation: 3 }),
+        Envelope::new(
+            "fedr",
+            "rec",
+            13,
+            Message::Beacon {
+                component: "fedr".into(),
+                status: ComponentStatus::Ok,
+                uptime_s: 12.5,
+                aging: 0.875,
+                handled: 42,
+            },
+        ),
+        Envelope::new("fedr", "rtu", 14, Message::Ack { of: 99 }),
+        Envelope::new(
+            "fd",
+            "rec",
+            15,
+            Message::Failed {
+                component: "pbcom".into(),
+            },
+        ),
+        Envelope::new(
+            "fd",
+            "rec",
+            16,
+            Message::FailedBatch {
+                components: vec!["fedr".into(), "pbcom".into()],
+            },
+        ),
+        Envelope::new(
+            "fd",
+            "rec",
+            17,
+            Message::Alive {
+                component: "pbcom".into(),
+            },
+        ),
+        Envelope::new(
+            "harness",
+            "fedr",
+            18,
+            Message::TestHook {
+                action: "poison".into(),
+            },
+        ),
+        Envelope::new(
+            hostile(),
+            hostile(),
+            19,
+            Message::RadioCommand {
+                verb: hostile(),
+                arg: "&&<<>>\"\"''".into(),
+            },
+        ),
+        Envelope::new(
+            "",
+            "",
+            0,
+            Message::TrackRequest {
+                satellite: "".into(),
+            },
+        ),
+        Envelope::new(
+            "地上局",
+            "µbus",
+            21,
+            Message::TestHook {
+                action: "naïve → \u{1F6F0}".into(),
+            },
+        ),
+    ]
+}
+
+const WIRE_CORPUS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/wire-corpus.txt"
+);
+
+fn corpus_lines() -> Vec<String> {
+    std::fs::read_to_string(WIRE_CORPUS)
+        .unwrap_or_else(|e| panic!("wire corpus missing ({e}); run GOLDEN_RECORD=1"))
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The committed corpus, not an encoder, says what the wire is: both
+/// encoders and `Display` must produce each line from its envelope and the
+/// reader must produce the envelope from the line. Re-record after an
+/// intentional wire change with
+/// `GOLDEN_RECORD=1 cargo test -p mercury-msg --test codec_equivalence`.
+#[test]
+fn wire_corpus_pins_both_encoders_and_the_reader() {
+    let envelopes = corpus_envelopes();
+    for variant in 0..common::VARIANTS {
+        assert_eq!(
+            common::variant_index(&envelopes[variant as usize].body),
+            variant
+        );
+    }
+    if std::env::var_os("GOLDEN_RECORD").is_some() {
+        let text: String = envelopes
+            .iter()
+            .map(|env| env.to_xml_string() + "\n")
+            .collect();
+        std::fs::write(WIRE_CORPUS, text).expect("record wire corpus");
+        return;
+    }
+    let lines = corpus_lines();
+    assert_eq!(lines.len(), envelopes.len(), "one line per corpus envelope");
+    for (env, line) in envelopes.iter().zip(&lines) {
+        assert_eq!(&env.to_xml_string(), line);
+        assert_eq!(&env.to_element().to_xml_string(), line);
+        assert_eq!(&env.to_string(), line);
+        assert_eq!(Envelope::parse(line).as_ref(), Ok(env), "on {line:?}");
+        assert_eq!(Element::parse(line), Ok(env.to_element()), "on {line:?}");
+        let body = env.body.to_element();
+        assert_eq!(env.body.to_string(), body.to_xml_string());
+        assert_eq!(env.to_element().child_elements().next(), Some(&body));
+    }
+}
+
+/// Every single-edit neighbour of every corpus line reads the same through
+/// both readers, so the in-place reader accepts nothing the tree parser
+/// rejects or reads differently, and each error keeps its text and offset.
+#[test]
+fn readers_agree_on_every_single_edit_neighbour_of_the_corpus() {
+    const REPLACEMENTS: [&str; 10] = [" ", "\t", "\"", "'", "<", ">", "&", "/", "=", "é"];
+    const INSERTIONS: [&str; 3] = ["&amp;", "<!-- c -->", " "];
+    for wire in corpus_lines() {
+        assert_readers_agree(&wire);
+        let cuts: Vec<usize> = wire
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([wire.len()])
+            .collect();
+        for span in cuts.windows(2) {
+            let (head, tail) = (&wire[..span[0]], &wire[span[1]..]);
+            assert_readers_agree(head); // truncated
+            assert_readers_agree(&format!("{head}{tail}")); // one char deleted
+            for with in REPLACEMENTS {
+                assert_readers_agree(&format!("{head}{with}{tail}"));
+            }
+            for with in INSERTIONS {
+                assert_readers_agree(&format!("{head}{with}{}", &wire[span[0]..]));
+            }
+        }
+
+        let (msg_tag, rest) = wire.split_once("><").expect("canonical shape");
+        let (body_tag, _) = rest.split_once("/>").expect("canonical shape");
+        let body_key = body_tag
+            .split_once(' ')
+            .and_then(|(_, attrs)| attrs.split_once('='))
+            .expect("every message has an attribute")
+            .0;
+        let extra = |n: usize| -> String { (0..n).map(|i| format!(" x{i}=\"{i}\"")).collect() };
+        let body_attrs = body_tag.matches("=\"").count();
+        for edited in [
+            // Eight attributes are still read in place; the ninth is not.
+            format!("{msg_tag}{}><{rest}", extra(5)),
+            format!("{msg_tag}{}><{rest}", extra(6)),
+            format!("{msg_tag}><{body_tag}{}/></msg>", extra(8 - body_attrs)),
+            format!("{msg_tag}><{body_tag}{}/></msg>", extra(9 - body_attrs)),
+            // A duplicated attribute on either element.
+            format!("{msg_tag} id=\"7\"><{rest}"),
+            format!("{msg_tag}><{body_tag} {body_key}=\"7\"/></msg>"),
+            // Trailing bytes, a prolog, a body-less envelope, other quoting.
+            format!("{wire} "),
+            format!("{wire}\n<!-- c -->"),
+            format!("{wire}x"),
+            format!("{wire}{wire}"),
+            format!("<?xml version=\"1.0\"?>{wire}"),
+            format!(" {wire}"),
+            format!("{msg_tag}/>"),
+            format!("{msg_tag}></msg>"),
+            format!(
+                "{msg_tag}><{body_tag}></{}></msg>",
+                body_tag.split(' ').next().unwrap()
+            ),
+            format!("{msg_tag}><{body_tag}/><{body_tag}/></msg>"),
+            format!("{msg_tag}><{body_tag}/></msg >"),
+            format!("{msg_tag}><{body_tag}/></mzg>"),
+            wire.replace('"', "'"),
+        ] {
+            assert_readers_agree(&edited);
+        }
+    }
 }
 
 // ------------------------------------------------------ hardening checks --

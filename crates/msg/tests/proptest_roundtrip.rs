@@ -3,121 +3,11 @@
 //! serialize → parse round trip, and the XML layer round-trips arbitrary
 //! attribute/text content (including characters that need escaping).
 
-use mercury_msg::{ComponentStatus, Element, Envelope, Message, RadioBand};
-use rr_sim::{check, SimRng};
+use mercury_msg::{Element, Envelope, Message};
+use rr_sim::check;
 
-fn arb_status(rng: &mut SimRng) -> ComponentStatus {
-    *rng.choose(&[
-        ComponentStatus::Ok,
-        ComponentStatus::Starting,
-        ComponentStatus::Degraded,
-    ])
-    .unwrap()
-}
-
-fn arb_band(rng: &mut SimRng) -> RadioBand {
-    *rng.choose(&[RadioBand::Vhf, RadioBand::Uhf]).unwrap()
-}
-
-/// Any finite double, including negatives, zero and subnormals.
-fn arb_finite(rng: &mut SimRng) -> f64 {
-    loop {
-        let x = f64::from_bits(rng.next_u64());
-        if x.is_finite() {
-            return x;
-        }
-    }
-}
-
-fn arb_name(rng: &mut SimRng) -> String {
-    check::ident(rng, 13)
-}
-
-/// Printable ASCII, including XML-hostile characters.
-fn arb_text(rng: &mut SimRng) -> String {
-    check::printable(rng, 24)
-}
-
-fn arb_hex(rng: &mut SimRng, max_len: usize) -> String {
-    const HEX: &[u8] = b"0123456789abcdef";
-    let len = rng.next_below(max_len as u64 + 1) as usize;
-    (0..len)
-        .map(|_| HEX[rng.next_below(16) as usize] as char)
-        .collect()
-}
-
-/// Arbitrary non-control characters (ASCII and beyond).
-fn arb_unicode(rng: &mut SimRng, max_len: usize) -> String {
-    let len = rng.next_below(max_len as u64 + 1) as usize;
-    let mut s = String::new();
-    while s.chars().count() < len {
-        let c = match char::from_u32(rng.next_below(0x11_0000) as u32) {
-            Some(c) if !c.is_control() => c,
-            _ => continue,
-        };
-        s.push(c);
-    }
-    s
-}
-
-fn arb_message(rng: &mut SimRng) -> Message {
-    match rng.next_below(14) {
-        0 => Message::Ping {
-            seq: rng.next_u64(),
-        },
-        1 => Message::Pong {
-            seq: rng.next_u64(),
-            status: arb_status(rng),
-        },
-        2 => Message::TrackRequest {
-            satellite: arb_name(rng),
-        },
-        3 => Message::PointAntenna {
-            azimuth_deg: arb_finite(rng),
-            elevation_deg: arb_finite(rng),
-        },
-        4 => Message::EstimateRequest {
-            satellite: arb_name(rng),
-            at_epoch_s: arb_finite(rng),
-        },
-        5 => Message::EstimateReply {
-            azimuth_deg: arb_finite(rng),
-            elevation_deg: arb_finite(rng),
-            range_km: arb_finite(rng),
-            doppler_hz: arb_finite(rng),
-        },
-        6 => Message::TuneRadio {
-            frequency_hz: arb_finite(rng),
-            band: arb_band(rng),
-        },
-        7 => Message::RadioCommand {
-            verb: arb_text(rng),
-            arg: arb_text(rng),
-        },
-        8 => Message::SerialFrame {
-            hex: arb_hex(rng, 32),
-        },
-        9 => Message::Telemetry {
-            satellite: arb_name(rng),
-            frame: rng.next_u64(),
-            hex: arb_hex(rng, 32),
-        },
-        10 => Message::SyncRequest {
-            incarnation: rng.next_u64(),
-        },
-        11 => Message::SyncAck {
-            incarnation: rng.next_u64(),
-        },
-        12 => Message::Beacon {
-            component: arb_name(rng),
-            status: arb_status(rng),
-            uptime_s: arb_finite(rng),
-            aging: arb_finite(rng),
-            handled: rng.next_u64(),
-        },
-        _ => Message::Ack { of: rng.next_u64() },
-    }
-}
+mod common;
+use common::{arb_message, arb_name, arb_text, arb_unicode};
 
 #[test]
 fn message_round_trips() {
