@@ -13,19 +13,9 @@
 
 use mercury::station::TreeVariant;
 use rr_bench::harness::Runner;
-use rr_model::{check, scenario, CheckConfig, Model, DEFAULT_DEPTH, DEFAULT_STATE_BUDGET};
+use rr_harness::flow::{max_feasible_depth, pair_model, probe_model, PROBE_BUDGET};
+use rr_model::{check, CheckConfig, DEFAULT_DEPTH, DEFAULT_STATE_BUDGET};
 use std::hint::black_box;
-
-/// The uniform pair-fault audit scenario: rtu and ses exist on every tree
-/// variant, so the same fault set measures all five trees apples-to-apples.
-fn pair_model(variant: TreeVariant) -> Model {
-    let text = format!("tree {variant}\noracle perfect\nfault rtu\nfault ses\n");
-    Model::new(
-        variant.tree().expect("paper tree builds"),
-        &scenario::parse(&text).expect("scenario parses"),
-    )
-    .expect("model builds")
-}
 
 fn cfg(por: bool) -> CheckConfig {
     CheckConfig {
@@ -72,48 +62,13 @@ fn bench_reduction(r: &mut Runner) {
     }
 }
 
-/// State budget for the depth probe: small enough that both searches
-/// exhaust it in a couple of seconds, large enough that the iterative
-/// deepening gets several bounds in before it trips.
-const PROBE_BUDGET: u64 = 50_000;
-/// Depth ceiling for the probe — far beyond what the budget admits.
-const PROBE_DEPTH: usize = 64;
-
-/// Deepest completed iteration within `budget`. On budget exhaustion the
-/// checker's error names the bound that tripped (`"depth N: state budget
-/// ..."`); the deepest *completed* bound is the one before it.
-fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
-    let probe = CheckConfig {
-        max_depth: PROBE_DEPTH,
-        state_budget: budget,
-        por,
-    };
-    match check(model, &probe) {
-        Ok(outcome) => outcome.depth as u64,
-        Err(e) => {
-            let exhausted: u64 = e
-                .message
-                .strip_prefix("depth ")
-                .and_then(|rest| rest.split(':').next())
-                .and_then(|n| n.parse().ok())
-                .expect("budget error names its depth bound");
-            exhausted.saturating_sub(1)
-        }
-    }
-}
-
 /// Depth-vs-budget probe: a three-fault overload scenario (admission
 /// controller in the loop) on tree IV, asking how deep a fixed 50k-state
 /// budget reaches with the reduction off and on. This is the measurement
 /// behind raising `DEFAULT_DEPTH` from 13 to 16: the reduced search pays
 /// for the extra depth out of the states the ample sets no longer visit.
 fn bench_depth_probe(r: &mut Runner) {
-    let text = "tree IV\noracle perfect\nadmission\nfault rtu\nfault ses\nfault mbus\n";
-    let model = Model::new(
-        TreeVariant::IV.tree().expect("paper tree builds"),
-        &scenario::parse(text).expect("scenario parses"),
-    )
-    .expect("model builds");
+    let model = probe_model();
     let full_depth = max_feasible_depth(&model, false, PROBE_BUDGET);
     let reduced_depth = max_feasible_depth(&model, true, PROBE_BUDGET);
     r.record_count("model/tree-IV/overload3/depth_at_50k_full", full_depth);

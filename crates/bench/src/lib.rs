@@ -2,162 +2,18 @@
 //!
 //! The benches live in `benches/` (plain `fn main` binaries timed by the
 //! in-tree [`harness`] — the build must resolve offline, so Criterion is
-//! not available):
+//! not available). Both have a committed baseline that `ci.sh` gates:
 //!
-//! * `tables` — one group per measured table (Table 1, Table 2, Table 4):
-//!   each iteration is a full station trial; the group prints the reproduced
-//!   rows (paper vs measured) before timing.
-//! * `figures` — tree construction, the paper's transformation pipeline and
-//!   the ASCII figure renders.
-//! * `ablations` — contention sweep, oracle error sweep, optimizer search,
-//!   learning-oracle episodes.
-//! * `micro` — kernel throughput: simulator events, XML codec, RNG, tree
-//!   queries.
-//! * `parallel` — sequential vs parallel recovery of correlated faults
-//!   (the dependency-aware scheduler's headline table).
+//! * `micro` (`BENCH_micro.json`) — kernel throughput: event queue,
+//!   simulator events, XML codec, RNG, tree queries.
+//! * `model` (`BENCH_model.json`) — the distinct-state reduction rr-flow's
+//!   ample sets buy on every tree, and the depth a fixed budget reaches.
 //!
-//! This library crate hosts shared helpers and the timing harness.
+//! The paper's tables and figures are reproduced by `repro`, and what a user
+//! waits for end to end is timed by the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod harness;
-
-use mercury::config::StationConfig;
-use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
-use rr_core::oracle::Oracle;
-use rr_core::{FaultyOracle, PerfectOracle};
-use rr_sim::{SimDuration, SimRng};
-
-/// Which oracle to use for a bench trial.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BenchOracle {
-    /// The minimal restart policy.
-    Perfect,
-    /// §4.4 faulty oracle with the given error rate.
-    Faulty(f64),
-}
-
-impl BenchOracle {
-    fn build(self, seed: u64) -> Box<dyn Oracle> {
-        match self {
-            BenchOracle::Perfect => Box::new(PerfectOracle::new()),
-            BenchOracle::Faulty(p) => Box::new(FaultyOracle::new(p, SimRng::new(seed))),
-        }
-    }
-}
-
-/// Runs one complete recovery trial (cold start → settle → inject → measure)
-/// and returns the recovery time in seconds. This is the unit of work the
-/// table benches time.
-pub fn recovery_trial(
-    variant: TreeVariant,
-    oracle: BenchOracle,
-    component: &str,
-    correlated_pbcom: bool,
-    seed: u64,
-) -> f64 {
-    let mut station = Station::new(
-        StationConfig::paper(),
-        variant,
-        oracle.build(seed ^ 0xBEEF),
-        seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    let mut phase = SimRng::new(seed ^ 0xA5A5);
-    station.randomize_injection_phase(&mut phase);
-    let injected = if correlated_pbcom {
-        station
-            .inject_correlated_pbcom()
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-    } else {
-        station
-            .inject_kill(component)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-    };
-    station.run_for(SimDuration::from_secs(150));
-    measure_recovery(station.trace(), component, injected)
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "trial recovers"))
-        .recovery_s()
-}
-
-/// Runs one correlated-fault trial: kills `a` and `b` at the same instant
-/// and returns the group recovery time in seconds — the time until every
-/// injected component is functionally ready for good. `serial` selects the
-/// sequential baseline scheduler instead of the parallel one.
-pub fn correlated_group_recovery(
-    variant: TreeVariant,
-    a: &str,
-    b: &str,
-    serial: bool,
-    seed: u64,
-) -> f64 {
-    let mut cfg = StationConfig::paper();
-    cfg.serial_recovery = serial;
-    let mut station = Station::new(
-        cfg,
-        variant,
-        BenchOracle::Perfect.build(seed ^ 0xBEEF),
-        seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    let mut phase = SimRng::new(seed ^ 0xA5A5);
-    station.randomize_injection_phase(&mut phase);
-    let injected = station
-        .inject_kill(a)
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-    station
-        .inject_kill(b)
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-    station.run_for(SimDuration::from_secs(200));
-    let mut group = 0.0f64;
-    for comp in [a, b] {
-        let ready = station
-            .trace()
-            .mark_times(&format!("ready:{comp}"))
-            .filter(|&t| t >= injected)
-            .last()
-            .unwrap_or_else(|| panic!("injected component became ready again"));
-        group = group.max(ready.saturating_since(injected).as_secs_f64());
-    }
-    group
-}
-
-/// Mean recovery over `n` trials (used to print reproduced rows in benches).
-pub fn mean_recovery(
-    variant: TreeVariant,
-    oracle: BenchOracle,
-    component: &str,
-    correlated_pbcom: bool,
-    n: usize,
-    seed: u64,
-) -> f64 {
-    (0..n)
-        .map(|i| {
-            recovery_trial(
-                variant,
-                oracle,
-                component,
-                correlated_pbcom,
-                seed + i as u64,
-            )
-        })
-        .sum::<f64>()
-        / n as f64
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mercury::config::names;
-
-    #[test]
-    fn recovery_trial_runs_end_to_end() {
-        let r = recovery_trial(TreeVariant::II, BenchOracle::Perfect, names::RTU, false, 7);
-        assert!((3.0..10.0).contains(&r), "{r}");
-    }
-}

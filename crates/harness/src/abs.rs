@@ -1,6 +1,6 @@
 //! Bridge between rr-abs profitability certification and rr-lint's `RRL97x`
-//! checks — plus the committed decision-table artifact the `rr-abs` binary
-//! regenerates for CI.
+//! checks — plus the committed decision-table artifact `rr-audit abs --json`
+//! writes and the golden suite compares.
 //!
 //! The paper commits to three tree transformations (§4.2–§4.4) on the
 //! strength of *point* estimates measured on one afternoon's Mercury. rr-abs

@@ -6,23 +6,26 @@
 //! repro [EXPERIMENT]... [--trials N] [--seed S] [--report PATH] [--dot-dir DIR]
 //! ```
 //!
-//! `EXPERIMENT` is one of `table1`, `table2`, `figures`, `table4`,
-//! `headline`, `pass`, `ablation-oracle`, `ablation-ping`,
-//! `ablation-learning`, `ablation-optimizer`, `chaos`, `overload`,
-//! `checkpoint`, `por`, `abs`, or `all` (default).
+//! `EXPERIMENT` is a name from [`rr_harness::experiments::EXPERIMENTS`] (the
+//! usage line lists them; `table3` and `availability` are accepted as
+//! aliases of `figures` and `headline`) or `all` (default).
 
 use std::process::ExitCode;
 
-use rr_harness::experiments::{self, Experiment, RunConfig};
+use rr_harness::experiments::{self, Experiment, RunConfig, EXPERIMENTS};
 use rr_harness::report;
 
-fn usage() -> ! {
-    eprintln!(
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    format!(
         "usage: repro [EXPERIMENT]... [--trials N] [--seed S] [--report PATH] [--dot-dir DIR]\n\
-         experiments: table1 table2 figures table4 correlated headline endurance pass \
-         ablation-oracle ablation-ping ablation-learning ablation-optimizer \
-         ablation-rejuvenation chaos overload checkpoint por abs all"
-    );
+         experiments: {} all",
+        names.join(" ")
+    )
+}
+
+fn usage_error() -> ! {
+    eprintln!("{}", usage());
     std::process::exit(2);
 }
 
@@ -36,21 +39,24 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trials" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                run.trials = v.parse().unwrap_or_else(|_| usage());
+                let v = args.next().unwrap_or_else(|| usage_error());
+                run.trials = v.parse().unwrap_or_else(|_| usage_error());
             }
             "--seed" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                run.seed = v.parse().unwrap_or_else(|_| usage());
+                let v = args.next().unwrap_or_else(|| usage_error());
+                run.seed = v.parse().unwrap_or_else(|_| usage_error());
             }
             "--report" => {
-                report_path = Some(args.next().unwrap_or_else(|| usage()));
+                report_path = Some(args.next().unwrap_or_else(|| usage_error()));
             }
             "--dot-dir" => {
-                dot_dir = Some(args.next().unwrap_or_else(|| usage()));
+                dot_dir = Some(args.next().unwrap_or_else(|| usage_error()));
             }
-            "--help" | "-h" => usage(),
-            other if other.starts_with('-') => usage(),
+            "--help" | "-h" => {
+                println!("{}", usage());
+                return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') => usage_error(),
             other => selected.push(other.to_string()),
         }
     }
@@ -60,27 +66,15 @@ fn main() -> ExitCode {
 
     let mut results: Vec<Experiment> = Vec::new();
     for name in &selected {
-        match name.as_str() {
-            "table1" => results.push(experiments::table1(run)),
-            "table2" => results.push(experiments::table2(run)),
-            "figures" | "table3" => results.push(experiments::figures(run)),
-            "table4" => results.push(experiments::table4(run)),
-            "correlated" => results.push(experiments::correlated_faults(run)),
-            "headline" | "availability" => results.push(experiments::headline(run)),
-            "endurance" => results.push(experiments::endurance(run)),
-            "pass" => results.push(experiments::pass_data_loss(run)),
-            "ablation-oracle" => results.push(experiments::ablation_oracle_sweep(run)),
-            "ablation-ping" => results.push(experiments::ablation_ping_period(run)),
-            "ablation-learning" => results.push(experiments::ablation_learning(run)),
-            "ablation-optimizer" => results.push(experiments::ablation_optimizer(run)),
-            "ablation-rejuvenation" => results.push(experiments::ablation_rejuvenation(run)),
-            "chaos" => results.push(rr_harness::chaos::experiment(run)),
-            "overload" => results.push(rr_harness::overload::experiment(run)),
-            "checkpoint" => results.push(rr_harness::checkpoint::experiment(run)),
-            "por" => results.push(rr_harness::flow::experiment(run)),
-            "abs" => results.push(rr_harness::abs::experiment(run)),
-            "all" => results.extend(experiments::all(run)),
-            _ => usage(),
+        let id = match name.as_str() {
+            "table3" => "figures",
+            "availability" => "headline",
+            other => other,
+        };
+        match EXPERIMENTS.iter().find(|(known, _)| *known == id) {
+            Some((_, experiment)) => results.push(experiment(run)),
+            None if id == "all" => results.extend(experiments::all(run)),
+            None => usage_error(),
         }
     }
 

@@ -1360,25 +1360,33 @@ pub fn ablation_rejuvenation(run: RunConfig) -> Experiment {
     exp
 }
 
-/// Runs every experiment.
+/// Every experiment, in report order: the name `repro` takes on the command
+/// line (also the experiment's [`Experiment::id`] and its `## name` section
+/// in EXPERIMENTS.md) and the function that runs it. [`all`], `repro`'s
+/// dispatch and its usage line are all derived from this one table.
+#[allow(clippy::type_complexity)]
+pub const EXPERIMENTS: &[(&str, fn(RunConfig) -> Experiment)] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("figures", figures),
+    ("table4", table4),
+    ("correlated", correlated_faults),
+    ("headline", headline),
+    ("endurance", endurance),
+    ("pass", pass_data_loss),
+    ("ablation-oracle", ablation_oracle_sweep),
+    ("ablation-ping", ablation_ping_period),
+    ("ablation-learning", ablation_learning),
+    ("ablation-optimizer", ablation_optimizer),
+    ("ablation-rejuvenation", ablation_rejuvenation),
+    ("chaos", crate::chaos::experiment),
+    ("overload", crate::overload::experiment),
+    ("checkpoint", crate::checkpoint::experiment),
+    ("por", crate::flow::experiment),
+    ("abs", crate::abs::experiment),
+];
+
+/// Runs every experiment in [`EXPERIMENTS`].
 pub fn all(run: RunConfig) -> Vec<Experiment> {
-    vec![
-        table1(run),
-        table2(run),
-        figures(run),
-        table4(run),
-        correlated_faults(run),
-        headline(run),
-        endurance(run),
-        pass_data_loss(run),
-        ablation_oracle_sweep(run),
-        ablation_ping_period(run),
-        ablation_learning(run),
-        ablation_optimizer(run),
-        ablation_rejuvenation(run),
-        crate::chaos::experiment(run),
-        crate::overload::experiment(run),
-        crate::checkpoint::experiment(run),
-        crate::flow::experiment(run),
-    ]
+    EXPERIMENTS.iter().map(|(_, f)| f(run)).collect()
 }

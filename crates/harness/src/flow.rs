@@ -1,17 +1,19 @@
-//! Bridge between rr-model's flow analysis and rr-lint's `RRL95x` checks.
+//! Bridge between rr-model's flow analysis and rr-lint's `RRL95x` checks,
+//! and the one home of the built-in audit scenarios.
 //!
 //! `rr_model::FlowAnalysis` and `rr_lint::FlowParams` describe the same
 //! report — fault chains, the action-dependence table, the fault
 //! interference graph — but the linter deliberately knows nothing about the
 //! model checker (it stays dependency-free so configuration surfaces can be
 //! linted without pulling in exploration machinery). The harness sits above
-//! both, so the one-way conversion lives here, used by the `rr-flow` audit
-//! binary and by `rr-lint`'s default audit.
+//! both, so the one-way conversion lives here, used by `rr-audit flow` and
+//! by `rr-audit lint`'s default audit.
 
 use mercury::station::TreeVariant;
 use rr_lint::{FlowFault, FlowParams};
 use rr_model::{
-    check, scenario, CheckConfig, FlowAnalysis, Model, DEFAULT_DEPTH, DEFAULT_STATE_BUDGET,
+    check, scenario, CheckConfig, FlowAnalysis, Model, Scenario, DEFAULT_DEPTH,
+    DEFAULT_STATE_BUDGET,
 };
 
 /// Converts a flow-analysis report into the linter's decoupled input.
@@ -33,29 +35,76 @@ pub fn flow_params(analysis: &FlowAnalysis) -> FlowParams {
     }
 }
 
-/// Builds the uniform pair-fault audit model (rtu and ses exist on every
-/// tree variant, so the same fault set measures all five apples-to-apples).
-fn pair_model(variant: TreeVariant) -> Model {
-    let text = format!("tree {variant}\noracle perfect\nfault rtu\nfault ses\n");
+/// The built-in audit matrix `rr-audit model` explores and `rr-audit flow`
+/// analyzes: trees I–V × both oracles × four flavours, named
+/// `tree-{variant}/{oracle}/{solo,pair,admit,rehydrate}`. `solo` is one rtu
+/// fault; `pair` is the correlated pair (joint cure on split variants, two
+/// independent kills on unsplit ones); `admit` re-explores the pair with the
+/// admission controller in the loop (any report may be deferred and later
+/// admitted); `rehydrate` lets every in-flight restart complete either cold
+/// or by checkpoint replay. Built from scenario text so the parser is
+/// exercised too.
+pub fn builtin_scenarios() -> Vec<(String, Scenario)> {
+    let mut out = Vec::new();
+    for variant in TreeVariant::ALL {
+        let pair = if variant.is_split() {
+            "fault pbcom\nfault fedr cures fedr pbcom\n"
+        } else {
+            "fault rtu\nfault ses\n"
+        };
+        for oracle in ["perfect", "naive"] {
+            for (flavour, body) in [
+                ("solo", "fault rtu\n".to_string()),
+                ("pair", pair.to_string()),
+                ("admit", format!("admission\n{pair}")),
+                ("rehydrate", format!("rehydrate\n{pair}")),
+            ] {
+                let text = format!("tree {variant}\noracle {oracle}\n{body}");
+                let sc = scenario::parse(&text)
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", "built-in scenario parses"));
+                out.push((format!("tree-{variant}/{oracle}/{flavour}"), sc));
+            }
+        }
+    }
+    out
+}
+
+/// Builds a model of literal scenario text on one of the paper's trees.
+fn model_of(variant: TreeVariant, text: &str) -> Model {
     Model::new(
         variant
             .tree()
             .unwrap_or_else(|e| panic!("{}: {e:?}", "paper tree builds")),
-        &scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e:?}", "scenario parses")),
+        &scenario::parse(text).unwrap_or_else(|e| panic!("{}: {e:?}", "scenario parses")),
     )
     .unwrap_or_else(|e| panic!("{}: {e:?}", "model builds"))
 }
 
+/// Builds the uniform pair-fault audit model (rtu and ses exist on every
+/// tree variant, so the same fault set measures all five apples-to-apples).
+pub fn pair_model(variant: TreeVariant) -> Model {
+    let text = format!("tree {variant}\noracle perfect\nfault rtu\nfault ses\n");
+    model_of(variant, &text)
+}
+
+/// Builds the depth-probe model: three faults on tree IV with the admission
+/// controller in the loop, so deferral and batching interleavings are in
+/// play — the worst case for depth.
+pub fn probe_model() -> Model {
+    let text = "tree IV\noracle perfect\nadmission\nfault rtu\nfault ses\nfault mbus\n";
+    model_of(TreeVariant::IV, text)
+}
+
 /// State budget for the depth probe: small enough that both searches exhaust
 /// it quickly, large enough for several iterative-deepening bounds.
-const PROBE_BUDGET: u64 = 50_000;
+pub const PROBE_BUDGET: u64 = 50_000;
 /// Depth ceiling for the probe — far beyond what the budget admits.
 const PROBE_DEPTH: usize = 64;
 
 /// Deepest completed iteration within `budget`. On budget exhaustion the
 /// checker's error names the bound that tripped (`"depth N: state budget
 /// ..."`); the deepest *completed* bound is the one before it.
-fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
+pub fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
     let probe = CheckConfig {
         max_depth: PROBE_DEPTH,
         state_budget: budget,
@@ -149,16 +198,7 @@ pub fn experiment(_run: crate::RunConfig) -> crate::Experiment {
         f64::from(u8::from(min_ratio >= 5.0)),
     ));
 
-    // The probe scenario leans on the admission controller so deferral and
-    // batching interleavings are in play — the worst case for depth.
-    let probe_text = "tree IV\noracle perfect\nadmission\nfault rtu\nfault ses\nfault mbus\n";
-    let model = Model::new(
-        TreeVariant::IV
-            .tree()
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "paper tree builds")),
-        &scenario::parse(probe_text).unwrap_or_else(|e| panic!("{}: {e:?}", "scenario parses")),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "model builds"));
+    let model = probe_model();
     let full_depth = max_feasible_depth(&model, false, PROBE_BUDGET);
     let reduced_depth = max_feasible_depth(&model, true, PROBE_BUDGET);
     let mut probe = crate::tables::Table::new(
@@ -186,15 +226,12 @@ pub fn experiment(_run: crate::RunConfig) -> crate::Experiment {
 mod tests {
     use super::*;
     use mercury::station::TreeVariant;
-    use rr_model::{analyze, scenario, Model};
+    use rr_model::analyze;
 
     #[test]
     fn bridged_builtin_scenarios_lint_clean() {
         for variant in TreeVariant::ALL {
-            let text = format!("tree {variant}\nfault rtu\nfault ses\n");
-            let model =
-                Model::new(variant.tree().unwrap(), &scenario::parse(&text).unwrap()).unwrap();
-            let params = flow_params(&analyze(&model));
+            let params = flow_params(&analyze(&pair_model(variant)));
             assert_eq!(params.faults.len(), 2);
             assert!(
                 rr_lint::lint_flow(&params).is_clean(),
@@ -207,11 +244,7 @@ mod tests {
     fn bridged_por_assume_override_is_denied() {
         let text = "tree IV\nadmission\nfault rtu\nfault ses\n\
                     por-assume suspects-independent\n";
-        let model = Model::new(
-            TreeVariant::IV.tree().unwrap(),
-            &scenario::parse(text).unwrap(),
-        )
-        .unwrap();
+        let model = model_of(TreeVariant::IV, text);
         let report = rr_lint::lint_flow(&flow_params(&analyze(&model)));
         assert!(report.fired("RRL953"));
         assert!(report.has_deny());

@@ -75,10 +75,11 @@ pub fn normalize(trace: &Trace, from: SimTime) -> String {
     out
 }
 
-/// Compares an actual normalized trace against the expected golden. Returns
-/// `None` on a byte-exact match, otherwise a human-readable line diff
-/// suitable for a CI artifact: every divergent line is shown as
-/// `-expected` / `+actual` with its line number.
+/// Compares an actual text (a normalized trace, a rendered table, a JSON
+/// artifact) against the expected golden. Returns `None` on a byte-exact
+/// match, otherwise a human-readable line diff suitable for a CI artifact:
+/// every divergent line is shown as `-expected` / `+actual` with its line
+/// number.
 pub fn diff(expected: &str, actual: &str) -> Option<String> {
     if expected == actual {
         return None;
@@ -87,7 +88,7 @@ pub fn diff(expected: &str, actual: &str) -> Option<String> {
     let act: Vec<&str> = actual.lines().collect();
     let mut out = String::new();
     out.push_str(&format!(
-        "normalized traces differ: {} expected lines, {} actual lines\n",
+        "golden and actual differ: {} expected lines, {} actual lines\n",
         exp.len(),
         act.len()
     ));
@@ -485,6 +486,45 @@ fn run_scenario_with_config(
 /// The repository-level directory holding the recorded golden traces.
 pub fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+}
+
+/// Compares `actual` byte-for-byte against the recording
+/// `tests/golden/<file>`, or records it when `GOLDEN_RECORD` is set (how a
+/// golden is re-recorded after an intentional change). Returns `None` on a
+/// match or after recording. On drift the actual text is written next to the
+/// golden as `<stem>.actual.<ext>` and the line [`diff`] is returned, ready
+/// to be a test's panic message; a missing recording is reported the same
+/// way.
+///
+/// # Panics
+///
+/// If the recording or the drift artifact cannot be written.
+pub fn compare_or_record(file: &str, actual: &str) -> Option<String> {
+    let dir = golden_dir();
+    let path = dir.join(file);
+    if std::env::var_os("GOLDEN_RECORD").is_some() {
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, actual))
+            .unwrap_or_else(|e| panic!("cannot record {}: {e}", path.display()));
+        return None;
+    }
+    let expected = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(e) => return Some(format!("{file}: golden missing ({e}); run GOLDEN_RECORD=1")),
+    };
+    let (stem, ext) = file.rsplit_once('.').unwrap_or((file, "txt"));
+    let actual_path = dir.join(format!("{stem}.actual.{ext}"));
+    let Some(d) = diff(&expected, actual) else {
+        // Drop any stale drift artifact from a previous failing run.
+        let _ = std::fs::remove_file(&actual_path);
+        return None;
+    };
+    std::fs::write(&actual_path, actual)
+        .unwrap_or_else(|e| panic!("cannot write {}: {e}", actual_path.display()));
+    Some(format!(
+        "{file} drifted (actual written to {}; re-record with GOLDEN_RECORD=1):\n{d}",
+        actual_path.display()
+    ))
 }
 
 #[cfg(test)]

@@ -2,31 +2,20 @@
 //!
 //! Regenerates every table and figure of *Reducing Recovery Time in a Small
 //! Recursively Restartable System* (DSN 2002) against the simulated Mercury
-//! ground station:
+//! ground station.
+//! [`experiments::EXPERIMENTS`] is the one list of them — the paper's Tables
+//! 1, 2 and 4, Table 3 with Figures 2–6, the "factor of four" headline, the
+//! §5.2 pass, the §2.2/§4.4/§7 ablations, and the beyond-the-paper campaigns
+//! (correlated faults, endurance, chaos, overload, checkpoint, por, abs);
+//! each function's own doc names the artifact it regenerates.
 //!
-//! | Experiment | Paper artifact |
-//! |---|---|
-//! | [`experiments::table1`] | Table 1 — per-component MTTFs |
-//! | [`experiments::table2`] | Table 2 — trees I/II recovery times |
-//! | [`experiments::figures`] | Table 3 + Figures 2–6 — the tree evolution |
-//! | [`experiments::table4`] | Table 4 — full MTTR matrix, trees I–V |
-//! | [`experiments::correlated_faults`] | beyond the paper — sequential vs parallel recovery of concurrent faults |
-//! | [`experiments::headline`] | the "factor of four" claim + availability |
-//! | [`experiments::pass_data_loss`] | §5.2 — science-data loss during a pass |
-//! | [`experiments::ablation_oracle_sweep`] | §4.4 error-rate sweep |
-//! | [`experiments::ablation_ping_period`] | §2.2 detection-period trade-off |
-//! | [`experiments::ablation_learning`] | §7 learning oracle |
-//! | [`experiments::ablation_optimizer`] | §7 automatic tree transformation |
-//! | [`chaos::experiment`] | beyond the paper — chaos campaign under degraded links |
-//! | [`overload::experiment`] | beyond the paper — admission control vs pass-window misses under overload |
-//! | [`checkpoint::experiment`] | beyond the paper — cold restart vs rehydration from the crash-safe store |
-//! | [`abs::experiment`] | beyond the paper — interval certification of the §4 transformation decisions |
-//!
-//! The `repro` binary drives the suite:
+//! The `repro` binary drives the suite, and `rr-audit` the four audits
+//! (`lint`, `model`, `flow`, `abs`):
 //!
 //! ```text
 //! repro all --trials 100 --report EXPERIMENTS.md
 //! repro table4 --trials 20
+//! rr-audit model tests/model-fixtures/clean.scenario
 //! ```
 
 #![forbid(unsafe_code)]

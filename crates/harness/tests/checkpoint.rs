@@ -15,10 +15,8 @@
 //! GOLDEN_RECORD=1 cargo test -p rr-harness --test checkpoint
 //! ```
 
-use std::fs;
-
 use rr_harness::checkpoint::{crossover_table, mttr_table, CheckpointConfig};
-use rr_harness::golden::{diff, golden_dir};
+use rr_harness::golden::compare_or_record;
 
 #[test]
 fn checkpoint_mttr_table_matches_golden() {
@@ -49,21 +47,6 @@ fn checkpoint_mttr_table_matches_golden() {
     let sweep = crossover_table(&calibrated.0, &calibrated.1);
     let actual = format!("{}\n{}", table.render(), sweep.render());
 
-    let dir = golden_dir();
-    let path = dir.join("checkpoint-mttr.txt");
-    if std::env::var_os("GOLDEN_RECORD").is_some() {
-        fs::create_dir_all(&dir).expect("create golden dir");
-        fs::write(&path, &actual).expect("record golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("checkpoint golden missing ({e}); run GOLDEN_RECORD=1"));
-    if let Some(d) = diff(&expected, &actual) {
-        let actual_path = dir.join("checkpoint-mttr.actual.txt");
-        fs::write(&actual_path, &actual).expect("write actual table");
-        panic!(
-            "checkpoint MTTR table drifted (actual written to {}):\n{d}",
-            actual_path.display()
-        );
-    }
+    let drift = compare_or_record("checkpoint-mttr.txt", &actual);
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
 }

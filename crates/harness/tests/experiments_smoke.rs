@@ -95,3 +95,20 @@ fn optimizer_ablation_rederives_consolidation() {
         assert_eq!(want, got, "optimizer must find the [ses,str] group");
     }
 }
+
+/// `repro all --report` regenerates EXPERIMENTS.md section by section, so an
+/// experiment missing from `all` silently deletes its section: `all` must
+/// run exactly the experiments in the table, each under its table name.
+#[test]
+fn all_runs_exactly_the_experiments_table() {
+    let ran: Vec<String> = experiments::all(RunConfig { trials: 1, seed: 7 })
+        .into_iter()
+        .map(|exp| exp.id)
+        .collect();
+    let table: Vec<&str> = experiments::EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(ran, table);
+    assert!(table.contains(&"abs"), "abs fell out of `all` once before");
+}

@@ -1,14 +1,16 @@
 #![allow(clippy::disallowed_methods)]
-//! Golden-trace regression suite.
+//! Golden regression suite.
 //!
 //! Runs the canonical scenario set ([`rr_harness::golden::golden_scenarios`])
 //! on every tree variant under `StationConfig::paper()` with fixed seeds,
 //! normalizes the resulting traces ([`rr_harness::golden::normalize`]) and
 //! compares them byte-for-byte against the recordings under the
-//! repository-level `tests/golden/`. Any drift in recovery ordering, episode
-//! boundaries, or cure attribution fails the build with a line diff; the
-//! actual trace is written next to the golden as `<name>.actual.txt` so CI
-//! can upload it.
+//! repository-level `tests/golden/`
+//! ([`rr_harness::golden::compare_or_record`]). Any drift in recovery
+//! ordering, episode boundaries, or cure attribution fails the build with a
+//! line diff; the actual trace is written next to the golden as
+//! `<name>.actual.txt`. The telemetry snapshot and the rr-abs decision table
+//! are pinned the same way.
 //!
 //! Every scenario is statically verified by `rr-lint` before it runs
 //! ([`rr_harness::golden::run_golden_scenario`] refuses deny diagnostics).
@@ -19,51 +21,19 @@
 //! GOLDEN_RECORD=1 cargo test -p rr-harness --test golden
 //! ```
 
-use std::fs;
-
-use mercury::config::names;
-use mercury::config::StationConfig;
-use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
-use rr_harness::golden::{diff, golden_dir, golden_scenarios, run_golden_scenario};
+use rr_abs::refine::RefineConfig;
+use rr_harness::abs::{abs_params, certify_decisions, decision_table_json};
+use rr_harness::golden::{
+    compare_or_record, golden_scenarios, run_golden_scenario, run_golden_scenario_telemetry,
+};
 use rr_harness::report::render_timeline;
-use rr_sim::SimDuration;
 
 #[test]
 fn golden_traces_match() {
-    let dir = golden_dir();
-    let record = std::env::var_os("GOLDEN_RECORD").is_some();
-    if record {
-        fs::create_dir_all(&dir).expect("create golden dir");
-    }
-    let mut failures = Vec::new();
-    for sc in golden_scenarios() {
-        let actual = run_golden_scenario(&sc);
-        let path = dir.join(format!("{}.txt", sc.name));
-        if record {
-            fs::write(&path, &actual).expect("record golden");
-            continue;
-        }
-        let expected = match fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(format!("{}: golden file missing ({e})", sc.name));
-                continue;
-            }
-        };
-        let actual_path = dir.join(format!("{}.actual.txt", sc.name));
-        if let Some(d) = diff(&expected, &actual) {
-            fs::write(&actual_path, &actual).expect("write actual trace");
-            failures.push(format!(
-                "{}: trace drifted (actual written to {}):\n{d}",
-                sc.name,
-                actual_path.display()
-            ));
-        } else {
-            // Drop any stale drift artifact from a previous failing run.
-            let _ = fs::remove_file(&actual_path);
-        }
-    }
+    let failures: Vec<String> = golden_scenarios()
+        .iter()
+        .filter_map(|sc| compare_or_record(&format!("{}.txt", sc.name), &run_golden_scenario(sc)))
+        .collect();
     assert!(
         failures.is_empty(),
         "golden-trace drift in {} scenario(s):\n{}",
@@ -72,24 +42,16 @@ fn golden_traces_match() {
     );
 }
 
-/// Runs the tree-III pbcom kill with telemetry enabled and renders the
-/// full snapshot: timeline, JSON export, and Prometheus export. Everything
-/// in it is deterministic (virtual time, sorted metric keys), so the
-/// snapshot is golden-recordable like the traces.
+/// Runs the tree-III pbcom kill golden scenario with telemetry enabled and
+/// renders the full snapshot: timeline, JSON export, and Prometheus export.
+/// Everything in it is deterministic (virtual time, sorted metric keys), so
+/// the snapshot is golden-recordable like the traces.
 fn run_telemetry_scenario() -> String {
-    let mut cfg = StationConfig::paper();
-    cfg.telemetry_enabled = true;
-    let mut station = Station::new(
-        cfg,
-        TreeVariant::III,
-        Box::new(PerfectOracle::new()),
-        0xD5_2072,
-    )
-    .expect("valid station");
-    station.warm_up();
-    station.inject_kill(names::PBCOM).expect("known component");
-    station.run_for(SimDuration::from_secs(80));
-    let telemetry = station.telemetry();
+    let sc = golden_scenarios()
+        .into_iter()
+        .find(|sc| sc.name == "tree3-kill-pbcom")
+        .expect("the tree-III pbcom kill is a golden scenario");
+    let (_trace, telemetry) = run_golden_scenario_telemetry(&sc);
     format!(
         "{}
 === json ===
@@ -104,31 +66,22 @@ fn run_telemetry_scenario() -> String {
 }
 
 /// Golden telemetry snapshot: the episode accounting for a canonical
-/// scenario must not drift. Uses the same record/compare flow as the trace
-/// goldens (`GOLDEN_RECORD=1` re-records; drift writes an `.actual.txt`).
+/// scenario must not drift.
 #[test]
 fn golden_telemetry_snapshot_matches() {
-    let dir = golden_dir();
-    let record = std::env::var_os("GOLDEN_RECORD").is_some();
-    let actual = run_telemetry_scenario();
-    let path = dir.join("tree3-kill-pbcom.telemetry.txt");
-    if record {
-        fs::create_dir_all(&dir).expect("create golden dir");
-        fs::write(&path, &actual).expect("record telemetry golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("telemetry golden missing ({e}); run GOLDEN_RECORD=1"));
-    let actual_path = dir.join("tree3-kill-pbcom.telemetry.actual.txt");
-    if let Some(d) = diff(&expected, &actual) {
-        fs::write(&actual_path, &actual).expect("write actual telemetry");
-        panic!(
-            "telemetry snapshot drifted (actual written to {}):
-{d}",
-            actual_path.display()
-        );
-    }
-    let _ = fs::remove_file(&actual_path);
+    let drift = compare_or_record("tree3-kill-pbcom.telemetry.txt", &run_telemetry_scenario());
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
+}
+
+/// The rr-abs decision table: directed-rounding interval arithmetic is
+/// deterministic, so any drift against the committed artifact means the
+/// calibration or the abstraction changed. Re-record only after reviewing the
+/// new certificates.
+#[test]
+fn abs_decision_table_matches_golden() {
+    let params = abs_params(&certify_decisions(RefineConfig::default()));
+    let drift = compare_or_record("abs-decisions.json", &decision_table_json(&params));
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
 }
 
 #[test]

@@ -109,6 +109,17 @@ impl Report {
         self
     }
 
+    /// Re-roots every finding's path under `prefix` (`prefix::path`), so
+    /// findings from different configurations, variants or files stay
+    /// distinguishable once merged into one report.
+    #[must_use]
+    pub fn prefixed(mut self, prefix: &str) -> Report {
+        for d in &mut self.diags {
+            d.path = format!("{prefix}::{}", d.path);
+        }
+        self
+    }
+
     /// The findings, in emission order.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diags
@@ -273,6 +284,8 @@ mod tests {
         assert!(text.contains("= help:"));
         assert!(text.contains("1 deny, 1 warn"));
         assert_eq!(Report::new().to_human(), "clean\n");
+        let rerooted = sample().prefixed("paper/tree-I").to_human();
+        assert!(rerooted.contains("--> paper/tree-I::root/R_ghost"));
     }
 
     #[test]

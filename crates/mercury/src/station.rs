@@ -12,6 +12,7 @@
 //! [`StationError`] instead of panicking.
 
 use std::fmt;
+use std::str::FromStr;
 
 use rr_core::oracle::Oracle;
 use rr_core::policy::RestartPolicy;
@@ -206,6 +207,23 @@ impl fmt::Display for TreeVariant {
             TreeVariant::V => "V",
         };
         f.write_str(s)
+    }
+}
+
+/// Parses a tree name as scenario files and the CLIs write it: the roman
+/// numeral [`Display`](fmt::Display) prints (`I`–`V`) or the digit `1`–`5`.
+impl FromStr for TreeVariant {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<TreeVariant, String> {
+        match name {
+            "I" | "1" => Ok(TreeVariant::I),
+            "II" | "2" => Ok(TreeVariant::II),
+            "III" | "3" => Ok(TreeVariant::III),
+            "IV" | "4" => Ok(TreeVariant::IV),
+            "V" | "5" => Ok(TreeVariant::V),
+            other => Err(format!("unknown tree {other:?} (expected I-V or 1-5)")),
+        }
     }
 }
 

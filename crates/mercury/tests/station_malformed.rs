@@ -207,3 +207,20 @@ fn tree_component_mismatch_is_rejected() {
         "a tree that does not cover the component set must be rejected: {err:?}"
     );
 }
+
+/// Tree names parse as the roman numeral or the digit and nothing else; the
+/// rejection text is what the audit CLI prints for a bad `tree` line.
+#[test]
+fn tree_names_parse_roman_or_digit_only() {
+    assert_eq!("IV".parse(), Ok(TreeVariant::IV));
+    assert_eq!("4".parse(), Ok(TreeVariant::IV));
+    for variant in TreeVariant::ALL {
+        assert_eq!(variant.to_string().parse(), Ok(variant));
+    }
+    for bad in ["VI", "", "iv"] {
+        assert_eq!(
+            bad.parse::<TreeVariant>(),
+            Err(format!("unknown tree {bad:?} (expected I-V or 1-5)"))
+        );
+    }
+}
