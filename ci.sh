@@ -26,6 +26,12 @@ target/release/rr-audit model
 target/release/rr-audit flow --deny-warnings --quiet
 target/release/rr-audit abs --deny-warnings --quiet
 
+# EXPERIMENTS.md is generated, never edited: the whole suite at the paper's 100
+# trials per cell reproduces the committed report byte for byte, on any number
+# of cores (DESIGN.md 18).
+target/release/repro all --trials 100 --report target/EXPERIMENTS.md >/dev/null
+cmp target/EXPERIMENTS.md EXPERIMENTS.md
+
 # Bench gates (DESIGN.md 14.4, 16.3): only in-run ratios are gated, against
 # the committed baselines; a drop of more than 20% fails. The micro suite runs
 # whole because bench order moves the numbers. Paths are absolute because

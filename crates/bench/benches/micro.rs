@@ -37,59 +37,18 @@ impl Actor<u64> for PingPong {
     }
 }
 
-/// Pending-timer population for the queue-stress benches: millions of
-/// entries, so the reference heap pays a deep (~22-level) cache-missing
-/// sift per operation while the wheel stays O(1) amortised.
-const QUEUE_PENDING: u64 = 4_000_000;
-/// Timer-delay spread in nanoseconds: wide enough that entries land across
-/// several wheel levels and overflow, matching a long simulation horizon.
-const QUEUE_SPREAD: u64 = 1 << 34;
 /// Event payload matching the engine's per-event footprint (48 bytes), so
 /// the comparison charges both queues for moving real `Scheduled<M>`-sized
 /// elements rather than bare integers.
 type QueuePayload = [u64; 6];
 
-/// Fill with `QUEUE_PENDING` randomly spread timers, then drain to empty.
-fn wheel_drain() -> u64 {
-    let mut rng = SimRng::new(42);
-    let mut wheel: TimerWheel<QueuePayload> = TimerWheel::new();
-    for seq in 0..QUEUE_PENDING {
-        wheel.schedule(
-            SimTime::from_nanos(rng.next_below(QUEUE_SPREAD)),
-            seq,
-            [seq; 6],
-        );
-    }
-    let mut acc = 0u64;
-    while let Some((_, s, p)) = wheel.pop() {
-        acc ^= s ^ p[0];
-    }
-    acc
-}
-
-/// The identical fill-and-drain against the `BinaryHeap` the engine used
-/// before the wheel — the "before" half of `BENCH_micro.json`.
-fn heap_drain() -> u64 {
-    let mut rng = SimRng::new(42);
-    let mut heap: BinaryHeap<Reverse<(u64, u64, QueuePayload)>> = BinaryHeap::new();
-    for seq in 0..QUEUE_PENDING {
-        heap.push(Reverse((rng.next_below(QUEUE_SPREAD), seq, [seq; 6])));
-    }
-    let mut acc = 0u64;
-    while let Some(Reverse((_, s, p))) = heap.pop() {
-        acc ^= s ^ p[0];
-    }
-    acc
-}
-
 /// Steady-state churn (pop one, schedule a replacement) at a constant
-/// small population, used for the CI regression gate: at 50k ops each
-/// closure is fast enough that the harness averages over dozens of
-/// iterations, and the gate compares the wheel/heap **speedup ratio**
-/// rather than absolute events/sec — the two sides run seconds apart in
-/// the same process, so machine-speed drift cancels (the single-iteration
-/// 4M drain benches above are the headline comparison, but too noisy to
-/// gate on).
+/// small population, the wheel against the `BinaryHeap` the engine used
+/// before it: at 50k ops each closure is fast enough that the harness
+/// averages over dozens of iterations, and the CI gate compares the
+/// wheel/heap **speedup ratio** rather than absolute events/sec — the two
+/// sides run seconds apart in the same process, so machine-speed drift
+/// cancels.
 const GATE_PENDING: u64 = 50_000;
 
 fn wheel_churn_small() -> u64 {
@@ -130,17 +89,6 @@ fn heap_churn_small() -> u64 {
 }
 
 fn bench_queue(r: &mut Runner) {
-    r.bench_events("micro/queue/wheel_drain_4m", QUEUE_PENDING, || {
-        black_box(wheel_drain())
-    });
-    r.bench_events("micro/queue/heap_drain_4m", QUEUE_PENDING, || {
-        black_box(heap_drain())
-    });
-    r.record_speedup(
-        "micro/queue/speedup_drain_4m",
-        "micro/queue/wheel_drain_4m",
-        "micro/queue/heap_drain_4m",
-    );
     // The gate pair is time-only (no events/sec), so the regression gate
     // compares just the derived speedup below.
     r.bench("micro/queue/wheel_churn_50k_pending", || {

@@ -41,6 +41,11 @@ fn main() -> ExitCode {
             "--trials" => {
                 let v = args.next().unwrap_or_else(|| usage_error());
                 run.trials = v.parse().unwrap_or_else(|_| usage_error());
+                if run.trials == 0 {
+                    // A mean over no trials does not exist.
+                    eprintln!("repro: --trials must be at least 1");
+                    usage_error();
+                }
             }
             "--seed" => {
                 let v = args.next().unwrap_or_else(|| usage_error());

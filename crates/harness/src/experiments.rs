@@ -6,6 +6,12 @@
 //! cold-started and settled, then one injected failure, measured exactly as
 //! §4.1 describes); the analytic model from `rr_core::analysis` is shown
 //! alongside as a cross-check where it applies.
+//!
+//! Trials are independent, so every trial loop fans out over the machine's
+//! cores through `par_map`, and every table stays byte-identical for any
+//! worker count: a station lives and dies inside its job, what one trial
+//! hands the next is drawn before the fan-out, and sums fold the
+//! index-ordered results (DESIGN.md §18).
 
 use mercury::config::{names, StationConfig};
 use mercury::measure::{measure_recovery, telemetry_frames};
@@ -21,6 +27,7 @@ use rr_core::render::render_tree;
 use rr_core::{FaultyOracle, LearningOracle, PerfectOracle};
 use rr_sim::{Dist, SimDuration, SimRng, Summary};
 
+use crate::par::par_map;
 use crate::tables::{secs, versus, Table};
 
 /// Unwraps a failure mode built from literal experiment rates, which are
@@ -55,7 +62,9 @@ impl OracleKind {
 pub struct RunConfig {
     /// Trials per measured cell (the paper uses 100).
     pub trials: usize,
-    /// Base seed; trial `i` uses `seed + i`.
+    /// Base seed. Trial `i` of a measured cell runs on station seed
+    /// `(seed + i) · 2654435761` (wrapping); the other campaigns offset it
+    /// per trial in their own way.
     pub seed: u64,
 }
 
@@ -146,38 +155,85 @@ pub fn measure_cell_samples(
     correlated_pbcom: bool,
     run: RunConfig,
 ) -> Vec<f64> {
-    let mut samples = Vec::with_capacity(run.trials);
-    let mut phase_rng = SimRng::new(run.seed ^ 0x9E3779B97F4A7C15);
-    for i in 0..run.trials {
-        let seed = run.seed.wrapping_add(i as u64).wrapping_mul(2654435761);
-        let mut station = Station::new(
-            StationConfig::paper(),
-            variant,
-            oracle.build(seed ^ 0xBEEF),
-            seed,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-        station.warm_up();
-        station.randomize_injection_phase(&mut phase_rng);
-        let injected = if correlated_pbcom {
-            station
-                .inject_correlated_pbcom()
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-        } else {
-            station
-                .inject_kill(component)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-        };
-        // Long enough for the worst escalated episode (≈48 s) plus slack.
-        station.run_for(SimDuration::from_secs(150));
-        match measure_recovery(station.trace(), component, injected) {
-            Ok(m) => samples.push(m.recovery_s()),
-            Err(e) => {
-                panic!("trial {i} ({variant}, {component}, correlated={correlated_pbcom}): {e}")
-            }
+    let cell = Cell {
+        variant,
+        oracle,
+        component,
+        correlated_pbcom,
+    };
+    measure_cells(&[cell], run)
+}
+
+/// One measured cell: what is killed, under which tree and oracle.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    variant: TreeVariant,
+    oracle: OracleKind,
+    component: &'a str,
+    correlated_pbcom: bool,
+}
+
+/// The recovery times of `run.trials` trials of every cell, cell after cell
+/// (`chunks(run.trials)` takes them apart again). Cell × trial is one job
+/// list, so a table of short cells still fills every core and nothing fans
+/// out twice.
+fn measure_cells(cells: &[Cell], run: RunConfig) -> Vec<f64> {
+    let phases = phase_offsets(run.seed ^ 0x9E3779B97F4A7C15, run.trials);
+    par_map(cells.len() * run.trials, |job| {
+        let (cell, i) = (cells[job / run.trials], job % run.trials);
+        cell_trial(cell, run.seed, i, phases[i])
+    })
+}
+
+/// One injection-phase offset per trial: a uniformly random fraction of the
+/// FD ping period, so that repeated trials inject at a uniformly random phase
+/// of the detection cycle (what `Station::randomize_injection_phase` draws).
+/// The generator is the one value a trial hands the next, so the offsets are
+/// drawn here, in trial order, before the trials fan out.
+fn phase_offsets(rng_seed: u64, trials: usize) -> Vec<SimDuration> {
+    let period = StationConfig::paper().ping_period_s;
+    let mut rng = SimRng::new(rng_seed);
+    (0..trials)
+        .map(|_| SimDuration::from_secs_f64(rng.uniform(0.0, period)))
+        .collect()
+}
+
+/// Trial `i` of a cell: a fresh station, cold-started and settled, one
+/// injected failure at `phase` into the ping round, measured as in §4.1.
+fn cell_trial(cell: Cell, base_seed: u64, i: usize, phase: SimDuration) -> f64 {
+    let Cell {
+        variant,
+        oracle,
+        component,
+        correlated_pbcom,
+    } = cell;
+    let seed = base_seed.wrapping_add(i as u64).wrapping_mul(2654435761);
+    let mut station = Station::new(
+        StationConfig::paper(),
+        variant,
+        oracle.build(seed ^ 0xBEEF),
+        seed,
+    )
+    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
+    station.warm_up();
+    station.run_for(phase);
+    let injected = if correlated_pbcom {
+        station
+            .inject_correlated_pbcom()
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
+    } else {
+        station
+            .inject_kill(component)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
+    };
+    // Long enough for the worst escalated episode (≈48 s) plus slack.
+    station.run_for(SimDuration::from_secs(150));
+    match measure_recovery(station.trace(), component, injected) {
+        Ok(m) => m.recovery_s(),
+        Err(e) => {
+            panic!("trial {i} ({variant}, {component}, correlated={correlated_pbcom}): {e}")
         }
     }
-    samples
 }
 
 /// How a correlated-fault scenario injects its failures.
@@ -231,16 +287,15 @@ pub fn measure_correlated(
     serial: bool,
     run: RunConfig,
 ) -> Summary {
-    let mut samples = Vec::with_capacity(run.trials);
-    let mut phase_rng = SimRng::new(run.seed ^ 0x5EB1A1);
-    for i in 0..run.trials {
+    let phases = phase_offsets(run.seed ^ 0x5EB1A1, run.trials);
+    let samples = par_map(run.trials, |i| {
         let seed = run.seed.wrapping_add(i as u64).wrapping_mul(2654435761);
         let mut cfg = StationConfig::paper();
         cfg.serial_recovery = serial;
         let mut station = Station::new(cfg, variant, Box::new(PerfectOracle::new()), seed)
             .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
         station.warm_up();
-        station.randomize_injection_phase(&mut phase_rng);
+        station.run_for(phases[i]);
         let injected = match kind {
             CorrelatedKind::Pair(a, b) => {
                 let at = station
@@ -281,8 +336,8 @@ pub fn measure_correlated(
                 });
             group = group.max(ready.saturating_since(injected).as_secs_f64());
         }
-        samples.push(group);
-    }
+        group
+    });
     Summary::of(&samples)
 }
 
@@ -458,11 +513,24 @@ pub fn table2(run: RunConfig) -> Experiment {
             "CoV (II)".into(),
         ],
     );
-    for (idx, comp) in components.iter().enumerate() {
-        let s_i = measure_cell(TreeVariant::I, OracleKind::Perfect, comp, false, run);
-        let samples_ii =
-            measure_cell_samples(TreeVariant::II, OracleKind::Perfect, comp, false, run);
-        let s_ii = Summary::of(&samples_ii);
+    // Each component under tree I, then under tree II.
+    let cells: Vec<Cell> = components
+        .iter()
+        .flat_map(|&component| {
+            [TreeVariant::I, TreeVariant::II].map(|variant| Cell {
+                variant,
+                oracle: OracleKind::Perfect,
+                component,
+                correlated_pbcom: false,
+            })
+        })
+        .collect();
+    let samples = measure_cells(&cells, run);
+    let per_component = samples.chunks(2 * run.trials);
+    for (idx, (comp, both_trees)) in components.iter().zip(per_component).enumerate() {
+        let (samples_i, samples_ii) = both_trees.split_at(run.trials);
+        let s_i = Summary::of(samples_i);
+        let s_ii = Summary::of(samples_ii);
         table.push_row(vec![
             comp.to_string(),
             versus(paper_i[idx], s_i.mean),
@@ -476,7 +544,7 @@ pub fn table2(run: RunConfig) -> Experiment {
         // The §3.2 small-CoV claim, made visible for one representative cell.
         if *comp == names::SES {
             let mut hist = rr_sim::Histogram::new(s_ii.min - 0.25, s_ii.max + 0.25, 10);
-            for &x in &samples_ii {
+            for &x in samples_ii {
                 hist.add(x);
             }
             exp.blocks.push(format!(
@@ -600,40 +668,55 @@ pub fn table4(run: RunConfig) -> Experiment {
     );
     let cfg = StationConfig::paper();
     let cost = cfg.cost_model();
-    for row in table4_rows() {
+    let rows = table4_rows();
+    let entries: Vec<_> = rows
+        .iter()
+        .flat_map(|row| row.cells.iter().map(move |entry| (row, entry)))
+        .collect();
+    let cells: Vec<Cell> = entries
+        .iter()
+        .map(|&(row, &(component, _, correlated_pbcom))| Cell {
+            variant: row.variant,
+            oracle: row.oracle,
+            component,
+            correlated_pbcom,
+        })
+        .collect();
+    let samples = measure_cells(&cells, run);
+    for ((row, (comp, paper, correlated)), samples) in
+        entries.into_iter().zip(samples.chunks(run.trials))
+    {
         let tree = row
             .variant
             .tree()
             .unwrap_or_else(|e| panic!("{}: {e:?}", "paper tree builds"));
-        for (comp, paper, correlated) in &row.cells {
-            let s = measure_cell(row.variant, row.oracle, comp, *correlated, run);
-            // Analytic cross-check.
-            let mode = if *correlated {
-                mode(FailureMode::correlated(
-                    "joint",
-                    *comp,
-                    [names::FEDR, names::PBCOM],
-                    1.0,
-                ))
-            } else {
-                mode(FailureMode::solo("solo", *comp, 1.0))
-            };
-            let quality = match row.oracle {
-                OracleKind::Perfect | OracleKind::Learning => OracleQuality::Perfect,
-                OracleKind::Faulty(p) => OracleQuality::Faulty { undershoot: p },
-            };
-            let analytic = expected_mode_recovery_s(&tree, &mode, &cost, quality)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "mode valid"));
-            table.push_row(vec![
-                row.label.to_string(),
-                comp.to_string(),
-                versus(*paper, s.mean),
-                format!("±{:.2}", s.ci95),
-                secs(analytic),
-            ]);
-            exp.observations
-                .push((format!("{}:{comp}", row.label), *paper, s.mean));
-        }
+        let s = Summary::of(samples);
+        // Analytic cross-check.
+        let mode = if *correlated {
+            mode(FailureMode::correlated(
+                "joint",
+                *comp,
+                [names::FEDR, names::PBCOM],
+                1.0,
+            ))
+        } else {
+            mode(FailureMode::solo("solo", *comp, 1.0))
+        };
+        let quality = match row.oracle {
+            OracleKind::Perfect | OracleKind::Learning => OracleQuality::Perfect,
+            OracleKind::Faulty(p) => OracleQuality::Faulty { undershoot: p },
+        };
+        let analytic = expected_mode_recovery_s(&tree, &mode, &cost, quality)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "mode valid"));
+        table.push_row(vec![
+            row.label.to_string(),
+            comp.to_string(),
+            versus(*paper, s.mean),
+            format!("±{:.2}", s.ci95),
+            secs(analytic),
+        ]);
+        exp.observations
+            .push((format!("{}:{comp}", row.label), *paper, s.mean));
     }
     exp.tables.push(table);
     exp
@@ -876,43 +959,38 @@ pub fn pass_data_loss(run: RunConfig) -> Experiment {
     );
     let trials = run.trials.clamp(1, 10); // passes are long; a few suffice
     for variant in [TreeVariant::I, TreeVariant::V] {
-        let mut clean = 0.0;
-        let mut faulty = 0.0;
-        for t in 0..trials {
-            let seed = run.seed + t as u64;
-            for inject in [false, true] {
-                let mut cfg = StationConfig::paper();
-                let plan = PassScenario::plan(&cfg, "opal", 120.0, 30.0, 20.0);
-                cfg.pass_epoch_offset_s = plan.epoch_offset_s;
-                let mut station =
-                    Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
-                        .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-                station.warm_up();
-                let start = station.now();
-                plan.start_tracking(&mut station);
-                if inject {
-                    // Fail rtu two minutes into the pass.
-                    let rise = plan.rise_sim_time();
-                    let until = rise + SimDuration::from_secs(120);
-                    let dur = until.saturating_since(station.now());
-                    station.run_for(dur);
-                    station
-                        .inject_kill(names::RTU)
-                        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                }
-                let end = plan.set_sim_time() + SimDuration::from_secs(10);
-                let dur = end.saturating_since(station.now());
+        // Each trial is a pair of passes on one seed: clean, then faulty.
+        let frames = par_map(2 * trials, |pass| {
+            let (seed, inject) = (run.seed + (pass / 2) as u64, pass % 2 == 1);
+            let mut cfg = StationConfig::paper();
+            let plan = PassScenario::plan(&cfg, "opal", 120.0, 30.0, 20.0);
+            cfg.pass_epoch_offset_s = plan.epoch_offset_s;
+            let mut station =
+                Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
+            station.warm_up();
+            let start = station.now();
+            plan.start_tracking(&mut station);
+            if inject {
+                // Fail rtu two minutes into the pass.
+                let rise = plan.rise_sim_time();
+                let until = rise + SimDuration::from_secs(120);
+                let dur = until.saturating_since(station.now());
                 station.run_for(dur);
-                let frames = telemetry_frames(station.trace(), start, station.now()) as f64;
-                if inject {
-                    faulty += frames;
-                } else {
-                    clean += frames;
-                }
+                station
+                    .inject_kill(names::RTU)
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
             }
-        }
-        clean /= trials as f64;
-        faulty /= trials as f64;
+            let end = plan.set_sim_time() + SimDuration::from_secs(10);
+            let dur = end.saturating_since(station.now());
+            station.run_for(dur);
+            telemetry_frames(station.trace(), start, station.now()) as f64
+        });
+        let mean_from = |first: usize| {
+            let passes = frames.iter().skip(first).step_by(2);
+            passes.fold(0.0, |total, pass| total + pass) / trials as f64
+        };
+        let (clean, faulty) = (mean_from(0), mean_from(1));
         table.push_row(vec![
             variant.to_string(),
             format!("{clean:.0}"),
@@ -1025,8 +1103,7 @@ pub fn ablation_ping_period(run: RunConfig) -> Experiment {
     );
     let trials = run.trials.clamp(5, 30);
     for period in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let mut samples = Vec::new();
-        for i in 0..trials {
+        let samples = par_map(trials, |i| {
             let seed = run.seed + 7000 + i as u64;
             let mut cfg = StationConfig::paper();
             cfg.ping_period_s = period;
@@ -1044,10 +1121,10 @@ pub fn ablation_ping_period(run: RunConfig) -> Experiment {
                 .inject_kill(names::RTU)
                 .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
             station.run_for(SimDuration::from_secs(90));
-            let m = measure_recovery(station.trace(), names::RTU, injected)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "recovered"));
-            samples.push(m.recovery_s());
-        }
+            measure_recovery(station.trace(), names::RTU, injected)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", "recovered"))
+                .recovery_s()
+        });
         let s = Summary::of(&samples);
         let pings_per_minute = 60.0 / period * names::UNSPLIT.len() as f64;
         table.push_row(vec![
@@ -1188,69 +1265,81 @@ pub fn endurance(run: RunConfig) -> Experiment {
         ],
     );
 
-    for variant in [TreeVariant::I, TreeVariant::II, TreeVariant::V] {
-        let model = if variant.is_split() {
+    let variants = [TreeVariant::I, TreeVariant::II, TreeVariant::V];
+    let model_of = |variant: TreeVariant| {
+        if variant.is_split() {
             cfg.paper_failure_model()
         } else {
             cfg.unsplit_failure_model()
-        };
+        }
+    };
+    // Tree × trial is one job list: a trial is six simulated hours, and three
+    // of them would not fill the cores. Each yields (failures injected,
+    // downtime in seconds, availability).
+    let runs = par_map(variants.len() * trials, |job| {
+        let (variant, t) = (variants[job / trials], job % trials);
+        let model = model_of(variant);
+        let seed = run.seed + 100 + t as u64;
+        let mut station = Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
+        station.warm_up();
+        let start = station.now();
+        let horizon = start + SimDuration::from_secs_f64(horizon_s);
+        // Build the failure schedule from the model. (The joint pbcom
+        // mode needs the poison hook; its rate is small and it is
+        // exercised by table4, so endurance injects it as a plain kill.)
+        let mut rng = SimRng::new(seed ^ 0xFA17);
+        let mut script = FaultScript::new();
+        for mode in model.modes() {
+            let d = Dist::exponential(mode.mttf_s());
+            let mut t = start;
+            loop {
+                t += d.sample(&mut rng);
+                if t >= horizon {
+                    break;
+                }
+                script.push(t, mode.trigger.clone(), FaultKind::Crash);
+            }
+        }
+        // Drive the schedule through the station's injection API so the
+        // trace carries inject marks.
+        let mut events: Vec<(SimTime, String)> = script
+            .faults()
+            .iter()
+            .map(|f| (f.at, f.target.clone()))
+            .collect();
+        events.sort_by_key(|&(t, _)| t);
+        for (at, target) in events {
+            let wait = at.saturating_since(station.now());
+            station.run_for(wait);
+            // Skip if the component is already down (overlapping faults).
+            if station
+                .state_of(&target)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
+                == rr_sim::ProcessState::Running
+            {
+                station
+                    .inject_kill(&target)
+                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
+            }
+        }
+        let rest = horizon.saturating_since(station.now());
+        station.run_for(rest);
+        // Let the final episode drain.
+        station.run_for(SimDuration::from_secs(60));
+        let comps = station.components().to_vec();
+        let (down, avail) = system_downtime(station.trace(), &comps, start, horizon);
+        (script.faults().len(), down.as_secs_f64(), avail)
+    });
+
+    for (variant, runs) in variants.into_iter().zip(runs.chunks(trials)) {
+        let model = model_of(variant);
         let mut injected_total = 0usize;
         let mut downtime_total = 0.0;
         let mut avail_total = 0.0;
-        for t in 0..trials {
-            let seed = run.seed + 100 + t as u64;
-            let mut station =
-                Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-            station.warm_up();
-            let start = station.now();
-            let horizon = start + SimDuration::from_secs_f64(horizon_s);
-            // Build the failure schedule from the model. (The joint pbcom
-            // mode needs the poison hook; its rate is small and it is
-            // exercised by table4, so endurance injects it as a plain kill.)
-            let mut rng = SimRng::new(seed ^ 0xFA17);
-            let mut script = FaultScript::new();
-            for mode in model.modes() {
-                let d = Dist::exponential(mode.mttf_s());
-                let mut t = start;
-                loop {
-                    t += d.sample(&mut rng);
-                    if t >= horizon {
-                        break;
-                    }
-                    script.push(t, mode.trigger.clone(), FaultKind::Crash);
-                }
-            }
-            injected_total += script.faults().len();
-            // Drive the schedule through the station's injection API so the
-            // trace carries inject marks.
-            let mut events: Vec<(SimTime, String)> = script
-                .faults()
-                .iter()
-                .map(|f| (f.at, f.target.clone()))
-                .collect();
-            events.sort_by_key(|&(t, _)| t);
-            for (at, target) in events {
-                let wait = at.saturating_since(station.now());
-                station.run_for(wait);
-                // Skip if the component is already down (overlapping faults).
-                if station
-                    .state_of(&target)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-                    == rr_sim::ProcessState::Running
-                {
-                    station
-                        .inject_kill(&target)
-                        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                }
-            }
-            let rest = horizon.saturating_since(station.now());
-            station.run_for(rest);
-            // Let the final episode drain.
-            station.run_for(SimDuration::from_secs(60));
-            let comps = station.components().to_vec();
-            let (down, avail) = system_downtime(station.trace(), &comps, start, horizon);
-            downtime_total += down.as_secs_f64();
+        for &(injected, downtime_s, avail) in runs {
+            injected_total += injected;
+            downtime_total += downtime_s;
             avail_total += avail;
         }
         let analytic = expected_availability_for(&model, &cost, variant).unwrap_or(f64::NAN);
@@ -1389,4 +1478,52 @@ pub const EXPERIMENTS: &[(&str, fn(RunConfig) -> Experiment)] = &[
 /// Runs every experiment in [`EXPERIMENTS`].
 pub fn all(run: RunConfig) -> Vec<Experiment> {
     EXPERIMENTS.iter().map(|(_, f)| f(run)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::catch_unwind;
+
+    use super::*;
+    use crate::par::with_workers;
+
+    const TINY: RunConfig = RunConfig { trials: 3, seed: 7 };
+
+    /// The flattened cell × trial job list.
+    #[test]
+    fn table4_renders_the_same_on_one_worker_and_on_three() {
+        let inline = with_workers(1, || table4(TINY)).render();
+        assert_eq!(with_workers(3, || table4(TINY)).render(), inline);
+    }
+
+    /// The folds over per-trial tuples, three trees by three trials.
+    #[test]
+    fn endurance_renders_the_same_on_one_worker_and_on_three() {
+        let inline = with_workers(1, || endurance(TINY)).render();
+        assert_eq!(with_workers(3, || endurance(TINY)).render(), inline);
+    }
+
+    /// A trial that cannot be measured panics with the reason, and the
+    /// benchmark's seed search (`benchmark/`, `measurable_seed`) steps past
+    /// such seeds by catching exactly that panic: it must reach the caller
+    /// with its message whether the trial ran inline or on a worker.
+    #[test]
+    fn an_unmeasurable_trial_panics_on_the_caller_with_its_reason() {
+        for (workers, trials) in [(1, 1), (2, 4)] {
+            let run = RunConfig { trials, seed: 33 };
+            let caught = catch_unwind(|| {
+                with_workers(workers, || {
+                    measure_cell_samples(TreeVariant::I, OracleKind::Perfect, "mbus", false, run)
+                })
+            });
+            let payload = caught.expect_err("seed 33 kills mbus inside the FD ping round");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(
+                message.contains("trial 0") && message.contains("no restart issued for mbus"),
+                "{workers} workers: {message}"
+            );
+        }
+    }
 }

@@ -29,6 +29,7 @@ pub mod experiments;
 pub mod flow;
 pub mod golden;
 pub mod overload;
+mod par;
 pub mod report;
 pub mod tables;
 

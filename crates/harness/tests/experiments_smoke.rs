@@ -3,11 +3,53 @@
 //! trial budget and produces coherent output (tables, observations within
 //! loose tolerances, well-formed report).
 
-use rr_harness::experiments::{self, RunConfig};
+use std::sync::OnceLock;
+
+use rr_harness::experiments::{self, Experiment, RunConfig};
+use rr_harness::golden::compare_or_record;
 use rr_harness::report::render_markdown;
 
 fn tiny() -> RunConfig {
     RunConfig { trials: 3, seed: 7 }
+}
+
+/// Every experiment with a trial loop, run once at [`tiny`] and shared by the
+/// tests below (the golden and the shape checks read the same runs).
+fn trial_loop_experiments() -> &'static [Experiment] {
+    static RUNS: OnceLock<Vec<Experiment>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        [
+            experiments::table2,
+            experiments::table4,
+            experiments::correlated_faults,
+            experiments::endurance,
+            experiments::pass_data_loss,
+            experiments::ablation_oracle_sweep,
+            experiments::ablation_ping_period,
+        ]
+        .map(|experiment| experiment(tiny()))
+        .into()
+    })
+}
+
+fn trial_loop_experiment(id: &str) -> &'static Experiment {
+    trial_loop_experiments()
+        .iter()
+        .find(|exp| exp.id == id)
+        .expect("a trial-loop experiment")
+}
+
+/// The rendered bytes of every trial-loop experiment are pinned: the trials
+/// fan out over however many cores the machine has, and no table may depend
+/// on that. Re-record with `GOLDEN_RECORD=1` after an intentional change.
+#[test]
+fn trial_loop_experiments_render_the_golden() {
+    let actual: String = trial_loop_experiments()
+        .iter()
+        .map(Experiment::render)
+        .collect();
+    let drift = compare_or_record("experiments-t3-s7.txt", &actual);
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
 }
 
 #[test]
@@ -23,7 +65,7 @@ fn table1_validates_fault_generator() {
 
 #[test]
 fn table2_reproduces_shape() {
-    let exp = experiments::table2(tiny());
+    let exp = trial_loop_experiment("table2");
     assert_eq!(exp.observations.len(), 10);
     assert!(
         exp.worst_relative_error() < 0.10,
@@ -66,7 +108,7 @@ fn headline_improvement_factor_in_range() {
 
 #[test]
 fn oracle_sweep_has_crossover_shape() {
-    let exp = experiments::ablation_oracle_sweep(tiny());
+    let exp = trial_loop_experiment("ablation-oracle");
     let table = &exp.tables[0];
     // At p=0 the trees tie (tree V is never better with a perfect oracle);
     // for p>0 tree V wins every row.
