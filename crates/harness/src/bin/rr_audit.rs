@@ -264,7 +264,7 @@ fn algebra_claims(
             .iter()
             .filter_map(|c| {
                 let mttf_s = model.component_mttf_s(c)?;
-                let mttr_s = cfg.mean_detection_s() + cost.boot_s(c).unwrap_or(0.0);
+                let mttr_s = cfg.fd.mean_detection_s() + cost.boot_s(c).unwrap_or(0.0);
                 Some(MemberStat {
                     name: c.clone(),
                     mttf_s,
@@ -394,7 +394,7 @@ fn lint_script_file(path: &str) -> Result<Report, String> {
         }
     }
     let infrastructure = [names::FD.to_string(), names::REC.to_string()];
-    let fd = StationConfig::paper().fd_params();
+    let fd = StationConfig::paper().fd;
     let ctx = ScriptContext {
         components: &components,
         infrastructure: &infrastructure,

@@ -383,7 +383,7 @@ fn audit(
     }
 
     // Invariant 2: restart episodes per component stay within the budget.
-    let budget = cfg.station.max_restarts_per_window as usize;
+    let budget = cfg.station.policy.max_restarts_per_window as usize;
     for (comp, n) in &restarts {
         if *n > budget {
             violations.push(format!(

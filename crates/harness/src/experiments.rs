@@ -13,7 +13,7 @@
 //! hands the next is drawn before the fan-out, and sums fold the
 //! index-ordered results (DESIGN.md §18).
 
-use mercury::config::{names, StationConfig};
+use mercury::config::{calib, names, StationConfig};
 use mercury::measure::{measure_recovery, telemetry_frames};
 use mercury::scenario::PassScenario;
 use mercury::station::{Station, TreeVariant};
@@ -191,7 +191,7 @@ fn measure_cells(cells: &[Cell], run: RunConfig) -> Vec<f64> {
 /// The generator is the one value a trial hands the next, so the offsets are
 /// drawn here, in trial order, before the trials fan out.
 fn phase_offsets(rng_seed: u64, trials: usize) -> Vec<SimDuration> {
-    let period = StationConfig::paper().ping_period_s;
+    let period = StationConfig::paper().fd.ping_period_s;
     let mut rng = SimRng::new(rng_seed);
     (0..trials)
         .map(|_| SimDuration::from_secs_f64(rng.uniform(0.0, period)))
@@ -1106,11 +1106,11 @@ pub fn ablation_ping_period(run: RunConfig) -> Experiment {
         let samples = par_map(trials, |i| {
             let seed = run.seed + 7000 + i as u64;
             let mut cfg = StationConfig::paper();
-            cfg.ping_period_s = period;
-            cfg.ping_timeout_s = (0.4 * period).clamp(0.1, 2.0);
+            cfg.fd.ping_period_s = period;
+            cfg.fd.ping_timeout_s = (0.4 * period).clamp(0.1, 2.0);
             // The cure-confirmation window must scale with detection latency
             // (config validation enforces this ordering).
-            cfg.cure_confirm_s = cfg.poison_crash_delay_s + cfg.mean_detection_s() + 1.0;
+            cfg.cure_confirm_s = calib::POISON_CRASH_DELAY_S + cfg.fd.mean_detection_s() + 1.0;
             let mut station =
                 Station::new(cfg, TreeVariant::II, Box::new(PerfectOracle::new()), seed)
                     .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));

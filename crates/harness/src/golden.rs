@@ -367,13 +367,12 @@ pub fn lint_scenario(sc: &GoldenScenario) -> rr_lint::Report {
     };
     let components = sc.variant.components();
     let infrastructure = [names::FD.to_string(), names::REC.to_string()];
-    let fd = cfg.fd_params();
     report.merge(rr_lint::lint_fault_script(
         &sc.fault_script().to_text(),
         &rr_lint::ScriptContext {
             components: &components,
             infrastructure: &infrastructure,
-            fd: Some(&fd),
+            fd: Some(&cfg.fd),
         },
     ));
     report

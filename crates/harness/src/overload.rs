@@ -6,7 +6,7 @@
 //! once, or a flaky bus crashing components for twenty minutes straight.
 //! Under such overload an unpaced REC launches a restart per detection,
 //! burns each component's restart-storm budget
-//! ([`StationConfig::max_restarts_per_window`]), and quarantines components
+//! ([`rr_lint::PolicyParams::max_restarts_per_window`]), and quarantines components
 //! that were never actually sick — leaving them down for every subsequent
 //! satellite pass. The admission controller
 //! ([`StationConfig::admission`]) paces launches instead: excess restart
@@ -150,8 +150,8 @@ impl Default for OverloadConfig {
 pub fn arm_config(admission: bool) -> StationConfig {
     let mut cfg = StationConfig::admission();
     cfg.admission_enabled = admission;
-    cfg.max_restarts_per_window = 5;
-    cfg.restart_window_s = 3600.0;
+    cfg.policy.max_restarts_per_window = 5;
+    cfg.policy.restart_window_s = 3600.0;
     cfg.admission_capacity = 1;
     cfg.admission_window_s = 600.0;
     cfg.defer_max_age_s = 600.0;

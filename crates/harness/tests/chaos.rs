@@ -139,11 +139,11 @@ fn a_hard_failure_escalates_and_is_quarantined_within_budget() {
     // which itself sits inside the per-window restart budget.
     let attempts = restart_marks.len() as u32;
     assert!(
-        attempts <= cfg.escalation_limit,
+        attempts <= cfg.policy.escalation_limit,
         "{attempts} attempts exceed the escalation limit {}",
-        cfg.escalation_limit
+        cfg.policy.escalation_limit
     );
-    assert!(attempts <= cfg.max_restarts_per_window);
+    assert!(attempts <= cfg.policy.max_restarts_per_window);
 
     // Quarantine is terminal: not a single rtu restart after the give-up.
     let post_quarantine = station

@@ -9,7 +9,7 @@
 //! scheduler must be no worse than under the sequential baseline, modulo
 //! the one cost parallelism cannot avoid: the §3.1 boot-contention
 //! surcharge (k concurrently booting components slow each other by
-//! `1 + contention_quadratic·(k−1)²`). Group recovery — the time until
+//! `1 + CONTENTION_QUADRATIC·(k−1)²`). Group recovery — the time until
 //! *both* components are back — must always be at least as good in
 //! parallel, contention included.
 //!
@@ -17,7 +17,7 @@
 //! are byte-identical before and after the parallel scheduler — is enforced
 //! by the golden-trace suite in `tests/golden.rs`.)
 
-use mercury::config::{names, StationConfig};
+use mercury::config::{calib, names, StationConfig};
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
 use rr_sim::{check, SimDuration, SimRng, SimTime};
@@ -77,7 +77,7 @@ fn contention_allowance(variant: TreeVariant, a: &str, b: &str) -> f64 {
             tree.components_under(cell).len()
         })
         .sum();
-    1.0 + StationConfig::paper().contention_quadratic * ((k - 1) as f64).powi(2)
+    1.0 + calib::CONTENTION_QUADRATIC * ((k - 1) as f64).powi(2)
 }
 
 #[test]

@@ -28,8 +28,9 @@ pub struct CheckpointComponent {
     pub cold_rederive_s: f64,
 }
 
-/// The store/checkpoint knobs the linter reasons about, decoupled from
-/// `StationConfig` so the checks stay dependency-free.
+/// The store/checkpoint inputs the linter reasons about: a lint input, not
+/// a configuration type, because each component's `cold_rederive_s` comes
+/// from mercury's calibration, which rr-lint cannot see.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointParams {
     /// Session-state snapshot size, in KiB.

@@ -12,8 +12,10 @@ use rr_core::tree::RestartTree;
 use crate::catalog;
 use crate::diag::{Diagnostic, Report};
 
-/// The admission-control and deadline knobs the linter reasons about,
-/// decoupled from `StationConfig` so the checks stay dependency-free.
+/// The admission-control and deadline inputs the linter reasons about: a
+/// lint input, not a configuration type, because mercury fills it from its
+/// admission knobs, its calibration constants and the detection latency it
+/// derives from the FD timing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadlineParams {
     /// Whether the admission controller is switched on. The capacity/aging

@@ -3,22 +3,30 @@
 use crate::catalog;
 use crate::diag::{Diagnostic, Report};
 
-/// The failure-detector timing knobs, mirroring the FD fields of mercury's
-/// `StationConfig` without depending on it (rr-lint sits below mercury in
-/// the dependency order).
+/// The failure-detector timing knobs: the one definition, embedded in
+/// mercury's `StationConfig` as its `fd` field and read from there by the FD
+/// and REC actors, so what is linted is what runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FdParams {
-    /// Liveness ping period, seconds.
+    /// Liveness ping period, seconds (paper: 1 s, §2.2).
     pub ping_period_s: f64,
     /// How long the FD waits for a pong before counting a miss, seconds.
     pub ping_timeout_s: f64,
-    /// Misses (K) within the window that raise a suspicion.
+    /// Misses (K) within [`suspicion_window`](Self::suspicion_window)
+    /// rounds that raise a suspicion. The paper's FD reports on the first
+    /// miss (threshold 1); raising it trades detection latency for
+    /// robustness to message loss on degraded links.
     pub suspicion_threshold: u32,
-    /// Window size (N) in rounds for K-of-N suspicion.
+    /// Window size (N) in ping rounds for K-of-N suspicion. Equal threshold
+    /// and window means *consecutive* misses are required.
     pub suspicion_window: u32,
-    /// Progress-beacon period, seconds.
+    /// Health-beacon period, seconds (0 disables beacons; future work §7).
     pub beacon_period_s: f64,
-    /// Beacon staleness timeout, seconds; `0` disables zombie detection.
+    /// Beacon staleness timeout, seconds. If non-zero, REC treats a Ready
+    /// component whose last beacon is older than this as failed even while
+    /// FD still receives pongs — the defense against *zombie* components
+    /// that answer liveness pings but do no work. `0` disables (the paper's
+    /// configuration: pings only).
     pub beacon_timeout_s: f64,
 }
 
@@ -26,6 +34,17 @@ impl FdParams {
     /// `true` when beacon-staleness (zombie) detection is enabled.
     pub fn beacons_enabled(&self) -> bool {
         self.beacon_timeout_s != 0.0
+    }
+
+    /// Mean failure-to-report detection latency implied by the ping
+    /// parameters: a uniform phase within the ping cycle plus the pong
+    /// timeout. With a suspicion threshold above 1, FD must accumulate
+    /// `threshold` misses (one per round) before reporting, adding
+    /// `(threshold − 1)` whole ping periods.
+    pub fn mean_detection_s(&self) -> f64 {
+        self.ping_period_s / 2.0
+            + self.ping_timeout_s
+            + (self.suspicion_threshold.saturating_sub(1)) as f64 * self.ping_period_s
     }
 }
 

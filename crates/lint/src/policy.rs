@@ -11,20 +11,29 @@ use crate::diag::{Diagnostic, Report};
 const MAX_SANE_ESCALATION: u32 = 1_000;
 const MAX_SANE_RESTARTS_PER_WINDOW: u32 = 10_000;
 
-/// The restart-policy knobs the linter reasons about, decoupled from any one
-/// concrete policy type so both [`RestartPolicy`] and raw `StationConfig`
-/// floats can be checked.
+/// The restart-policy knobs: the one definition, embedded in mercury's
+/// `StationConfig` as its `policy` field (REC builds its [`RestartPolicy`]
+/// from it) and extracted from a built policy by
+/// [`from_policy`](Self::from_policy).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyParams {
-    /// Failed same-cell restarts before escalating to the parent cell.
+    /// How many times a cure for the same failure may escalate (fail and be
+    /// retried with a wider restart group) before REC gives up and
+    /// quarantines the component.
     pub escalation_limit: u32,
-    /// Restart budget within one rate-limit window before quarantine.
+    /// Restart-storm budget: the most restarts any single cell may receive
+    /// within [`restart_window_s`](Self::restart_window_s) before REC gives
+    /// up and quarantines it.
     pub max_restarts_per_window: u32,
-    /// The rate-limit window, in seconds.
+    /// Length of the restart-storm rate-limit window, in seconds.
     pub restart_window_s: f64,
-    /// First retry delay, in seconds.
+    /// Base delay of the exponential backoff between successive restarts of
+    /// the same cell, in seconds: attempt *n* within the rate-limit window
+    /// waits `base · 2^(n−1)`, capped by
+    /// [`backoff_cap_s`](Self::backoff_cap_s). 0 disables backoff (the
+    /// paper's immediate-restart behaviour).
     pub backoff_base_s: f64,
-    /// Backoff ceiling, in seconds.
+    /// Upper bound on the exponential restart backoff, in seconds.
     pub backoff_cap_s: f64,
 }
 

@@ -17,7 +17,7 @@ use rr_sim::telemetry::Registry;
 use rr_sim::{Context, SimDuration, SimTime};
 use rr_store::{RecoveryStats, StateStore};
 
-use crate::config::{names, StationConfig};
+use crate::config::{calib, names, StationConfig};
 use crate::host::{HostLoad, RadioHardware};
 
 /// The simulation's wire type: envelopes in their XML form, exactly as the
@@ -161,7 +161,7 @@ impl Lifecycle {
     /// `true` if this incarnation started recently (fresh peer for sync
     /// purposes, §4.3).
     pub fn is_fresh(&self, now: SimTime) -> bool {
-        self.uptime_s(now) < self.config().fresh_threshold_s
+        self.uptime_s(now) < calib::FRESH_THRESHOLD_S
     }
 
     /// Begins the boot phase: samples this component's boot time, scales it
@@ -172,13 +172,12 @@ impl Lifecycle {
         self.phase = Phase::Booting;
         self.started_at = ctx.now();
         self.handled = 0;
-        let base = self.config().timing_for(&self.name).boot_dist();
+        let base = calib::timing_for(&self.name).boot_dist();
         let k = self.shared.load.borrow_mut().begin_boot(&self.name);
-        let q = self.config().contention_quadratic;
         let factor = if k <= 1 {
             1.0
         } else {
-            1.0 + q * ((k - 1) as f64).powi(2)
+            1.0 + calib::CONTENTION_QUADRATIC * ((k - 1) as f64).powi(2)
         };
         let boot = base.sample_secs(ctx.rng()) * factor + extra_s;
         ctx.set_timer(SimDuration::from_secs_f64(boot.max(0.0)), TIMER_BOOT);
@@ -195,7 +194,7 @@ impl Lifecycle {
             .telemetry
             .borrow_mut()
             .record_component_ready(ctx.now(), &self.name);
-        let period = self.config().beacon_period_s;
+        let period = self.config().fd.beacon_period_s;
         if period > 0.0 {
             ctx.set_timer(SimDuration::from_secs_f64(period), TIMER_BEACON);
         }
@@ -214,7 +213,7 @@ impl Lifecycle {
         let Some(bus) = ctx.lookup(names::MBUS) else {
             return;
         };
-        let latency = SimDuration::from_secs_f64(self.config().bus_latency_s);
+        let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
         ctx.send_after(bus, latency, env.to_xml_string());
     }
 
@@ -226,7 +225,7 @@ impl Lifecycle {
         let Some(pid) = ctx.lookup(dst) else {
             return;
         };
-        let latency = SimDuration::from_secs_f64(self.config().direct_latency_s);
+        let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
         ctx.send_after(pid, latency, env.to_xml_string());
     }
 
@@ -309,7 +308,7 @@ impl Lifecycle {
             };
             self.send_bus(ctx, names::REC, beacon);
         }
-        let period = self.config().beacon_period_s;
+        let period = self.config().fd.beacon_period_s;
         if period > 0.0 {
             ctx.set_timer(SimDuration::from_secs_f64(period), TIMER_BEACON);
         }
@@ -324,7 +323,7 @@ impl Lifecycle {
 /// checkpoint every `checkpoint_interval_s` (full synthetic state of
 /// [`session_state_kb`](StationConfig::session_state_kb), compacting the
 /// journal) and an update append every
-/// [`store_update_period_s`](StationConfig::store_update_period_s).
+/// [`STORE_UPDATE_PERIOD_S`](calib::STORE_UPDATE_PERIOD_S).
 /// Writes are modelled asynchronous — the component stays responsive —
 /// but their stall cost is accounted in the `checkpoint_stall_ms`
 /// counter so experiments can charge checkpointing against availability.
@@ -378,10 +377,9 @@ impl StoreClient {
             return false;
         };
         life.set_initializing();
-        let cfg = life.config();
         let replayed_kb =
             (recovery.stats.snapshot_bytes + recovery.stats.update_bytes) as f64 / 1024.0;
-        let replay_s = replayed_kb / cfg.store_throughput_kbps;
+        let replay_s = replayed_kb / calib::STORE_THROUGHPUT_KBPS;
         self.pending = Some(recovery.stats);
         ctx.set_timer(SimDuration::from_secs_f64(replay_s), TIMER_REHYDRATE);
         true
@@ -408,7 +406,7 @@ impl StoreClient {
             TIMER_CHECKPOINT,
         );
         ctx.set_timer(
-            SimDuration::from_secs_f64(life.config().store_update_period_s),
+            SimDuration::from_secs_f64(calib::STORE_UPDATE_PERIOD_S),
             TIMER_STATE_UPDATE,
         );
     }
@@ -455,8 +453,8 @@ impl StoreClient {
             }
             TIMER_STATE_UPDATE => {
                 if life.is_ready() {
-                    let kb = life.config().store_update_kb;
-                    let payload = synthetic_bytes(ctx.now(), (kb * 1024.0) as usize);
+                    let payload =
+                        synthetic_bytes(ctx.now(), (calib::STORE_UPDATE_KB * 1024.0) as usize);
                     let store = life.shared().store.clone();
                     store
                         .borrow_mut()
@@ -464,7 +462,7 @@ impl StoreClient {
                         .append_update(&payload);
                 }
                 ctx.set_timer(
-                    SimDuration::from_secs_f64(life.config().store_update_period_s),
+                    SimDuration::from_secs_f64(calib::STORE_UPDATE_PERIOD_S),
                     TIMER_STATE_UPDATE,
                 );
                 true
@@ -476,7 +474,7 @@ impl StoreClient {
     fn write_checkpoint(&mut self, life: &mut Lifecycle, ctx: &mut Context<'_, Wire>) {
         let cfg = life.config();
         let size = (cfg.session_state_kb * 1024.0) as usize;
-        let stall_ms = (cfg.session_state_kb / cfg.store_throughput_kbps * 1000.0) as u64;
+        let stall_ms = (cfg.session_state_kb / calib::STORE_THROUGHPUT_KBPS * 1000.0) as u64;
         let state = synthetic_bytes(ctx.now(), size);
         let store = life.shared().store.clone();
         store.borrow_mut().component(life.name()).checkpoint(&state);

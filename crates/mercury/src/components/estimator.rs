@@ -13,7 +13,7 @@ use mercury_msg::Message;
 use rr_sim::{Actor, Context, Event, SimDuration};
 
 use super::common::{Lifecycle, Phase, Shared, StoreClient, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
-use crate::config::names;
+use crate::config::{calib, names};
 use crate::orbit::look_angle;
 
 const TIMER_SYNC_RETRY: u64 = TIMER_ROLE_BASE;
@@ -25,7 +25,7 @@ const TIMER_INDUCED_CRASH: u64 = TIMER_ROLE_BASE + 1;
 pub(crate) struct SyncRole {
     pub peer: &'static str,
     /// Seconds this component takes to service a resync when it is old.
-    pub service_s: fn(&crate::config::StationConfig) -> f64,
+    pub service_s: f64,
 }
 
 /// Shared ses/str synchronization state machine.
@@ -62,7 +62,7 @@ impl SyncPeer {
                 incarnation: self.session,
             },
         );
-        let retry = SimDuration::from_secs_f64(life.config().sync_retry_s);
+        let retry = SimDuration::from_secs_f64(calib::SYNC_RETRY_S);
         ctx.set_timer(retry, TIMER_SYNC_RETRY);
     }
 
@@ -107,14 +107,12 @@ impl SyncPeer {
                     // The process is not up yet; the peer will retry.
                     return true;
                 }
-                let fresh_sync_s = life.config().fresh_sync_s;
-                let induced_delay_s = life.config().induced_failure_delay_s;
                 let (delay, induced) = if !life.is_ready() || life.is_fresh(ctx.now()) {
                     // Fresh (or also mid-restart): quick handshake, no damage.
-                    (fresh_sync_s, false)
+                    (calib::FRESH_SYNC_S, false)
                 } else {
                     // Old peer: slow emergency rebuild, then induced failure.
-                    ((self.role.service_s)(life.config()), true)
+                    (self.role.service_s, true)
                 };
                 let ack = Message::SyncAck {
                     incarnation: *incarnation,
@@ -130,7 +128,7 @@ impl SyncPeer {
                     ctx.send_after(bus, delay_dur, env.to_xml_string());
                 }
                 if induced {
-                    let crash_at = delay + induced_delay_s;
+                    let crash_at = delay + calib::INDUCED_FAILURE_DELAY_S;
                     ctx.set_timer(SimDuration::from_secs_f64(crash_at), TIMER_INDUCED_CRASH);
                 }
                 true
@@ -165,7 +163,7 @@ impl Ses {
             life: Lifecycle::new(names::SES, shared),
             sync: SyncPeer::new(SyncRole {
                 peer: names::STR,
-                service_s: |cfg| cfg.ses_resync_service_s,
+                service_s: calib::SES_RESYNC_SERVICE_S,
             }),
         }
     }

@@ -11,7 +11,7 @@ use mercury_msg::{Envelope, Message};
 use rr_sim::{Actor, Context, Event, SimDuration};
 
 use super::common::{Lifecycle, Shared, Wire, TIMER_BOOT};
-use crate::config::names;
+use crate::config::{calib, names};
 
 /// The message-bus actor.
 #[derive(Debug)]
@@ -34,7 +34,7 @@ impl Mbus {
             ctx.trace_mark(format!("route-error:{}", env.dst));
             return;
         };
-        let latency = SimDuration::from_secs_f64(self.life.config().bus_latency_s);
+        let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
         ctx.send_after(dst, latency, wire);
         self.routed += 1;
     }

@@ -19,7 +19,7 @@ use mercury_msg::Message;
 use rr_sim::{Actor, Context, Event, SimDuration, SimTime};
 
 use super::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
-use crate::config::names;
+use crate::config::{calib, names};
 
 const TIMER_TELEMETRY: u64 = TIMER_ROLE_BASE;
 const TIMER_CONNECT_RETRY: u64 = TIMER_ROLE_BASE + 1;
@@ -83,29 +83,22 @@ impl Actor<Wire> for Fedrcom {
             Event::Start => {
                 // The monolith owns the serial port: boot includes hardware
                 // negotiation, with the rapid-bounce back-off.
-                let cfg = self.life.config();
-                let (window, penalty) = (
-                    cfg.rapid_restart_window_s,
-                    cfg.pbcom_rapid_restart_penalty_s,
-                );
                 let extra = self.life.shared().radio.borrow_mut().begin_negotiation(
                     ctx.now(),
-                    window,
-                    penalty,
+                    calib::RAPID_RESTART_WINDOW_S,
+                    calib::PBCOM_RAPID_RESTART_PENALTY_S,
                 );
                 self.life.begin_boot(ctx, extra);
             }
             Event::Timer { key: TIMER_BOOT } => {
                 self.life.set_ready(ctx);
-                let period = SimDuration::from_secs_f64(self.life.config().telemetry_period_s);
+                let period = SimDuration::from_secs_f64(calib::TELEMETRY_PERIOD_S);
                 ctx.set_timer(period, TIMER_TELEMETRY);
             }
             Event::Timer {
                 key: TIMER_TELEMETRY,
             } => {
-                let cfg_period = self.life.config().telemetry_period_s;
-                let window = self.life.config().lock_window_s;
-                if self.life.is_ready() && self.lock.locked(ctx.now(), window) {
+                if self.life.is_ready() && self.lock.locked(ctx.now(), calib::LOCK_WINDOW_S) {
                     self.frame += 1;
                     ctx.trace_mark(format!("telemetry:{}:{}", self.satellite, self.frame));
                     let msg = Message::Telemetry {
@@ -115,7 +108,8 @@ impl Actor<Wire> for Fedrcom {
                     };
                     self.life.send_bus(ctx, names::STR, msg);
                 }
-                ctx.set_timer(SimDuration::from_secs_f64(cfg_period), TIMER_TELEMETRY);
+                let period = SimDuration::from_secs_f64(calib::TELEMETRY_PERIOD_S);
+                ctx.set_timer(period, TIMER_TELEMETRY);
             }
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
@@ -177,7 +171,7 @@ impl Fedr {
         self.connected = false;
         self.life
             .send_direct(ctx, names::PBCOM, Self::radio_cmd("OPEN", ""));
-        let retry = SimDuration::from_secs_f64(self.life.config().connect_retry_s);
+        let retry = SimDuration::from_secs_f64(calib::CONNECT_RETRY_S);
         ctx.set_timer(retry, TIMER_CONNECT_RETRY);
     }
 }
@@ -209,8 +203,7 @@ impl Actor<Wire> for Fedr {
                     } else {
                         self.life
                             .send_direct(ctx, names::PBCOM, Self::radio_cmd("KEEPALIVE", ""));
-                        let period =
-                            SimDuration::from_secs_f64(self.life.config().keepalive_period_s);
+                        let period = SimDuration::from_secs_f64(calib::KEEPALIVE_PERIOD_S);
                         ctx.set_timer(period, TIMER_KEEPALIVE);
                     }
                 }
@@ -251,8 +244,7 @@ impl Actor<Wire> for Fedr {
                         if !self.life.is_ready() {
                             self.life.set_ready(ctx);
                         }
-                        let period =
-                            SimDuration::from_secs_f64(self.life.config().keepalive_period_s);
+                        let period = SimDuration::from_secs_f64(calib::KEEPALIVE_PERIOD_S);
                         ctx.set_timer(period, TIMER_KEEPALIVE);
                         if self.poisoned {
                             ctx.set_timer(SimDuration::from_millis(100), TIMER_SEND_POISON);
@@ -337,8 +329,7 @@ impl Pbcom {
     }
 
     fn aging_fraction(&self) -> f64 {
-        let limit = self.life.config().pbcom_aging_limit.max(1);
-        f64::from(self.aging) / f64::from(limit)
+        f64::from(self.aging) / f64::from(calib::PBCOM_AGING_LIMIT)
     }
 }
 
@@ -346,32 +337,25 @@ impl Actor<Wire> for Pbcom {
     fn on_event(&mut self, ev: Event<Wire>, ctx: &mut Context<'_, Wire>) {
         match ev {
             Event::Start => {
-                let cfg = self.life.config();
-                let (window, penalty) = (
-                    cfg.rapid_restart_window_s,
-                    cfg.pbcom_rapid_restart_penalty_s,
-                );
                 let extra = self.life.shared().radio.borrow_mut().begin_negotiation(
                     ctx.now(),
-                    window,
-                    penalty,
+                    calib::RAPID_RESTART_WINDOW_S,
+                    calib::PBCOM_RAPID_RESTART_PENALTY_S,
                 );
                 self.life.begin_boot(ctx, extra);
             }
             Event::Timer { key: TIMER_BOOT } => {
                 self.life.set_ready(ctx);
-                let period = SimDuration::from_secs_f64(self.life.config().telemetry_period_s);
+                let period = SimDuration::from_secs_f64(calib::TELEMETRY_PERIOD_S);
                 ctx.set_timer(period, TIMER_TELEMETRY);
             }
             Event::Timer {
                 key: TIMER_TELEMETRY,
             } => {
-                let period = self.life.config().telemetry_period_s;
-                let window = self.life.config().lock_window_s;
                 if self.life.is_ready()
                     && !self.dying
                     && self.sessions > 0
-                    && self.lock.locked(ctx.now(), window)
+                    && self.lock.locked(ctx.now(), calib::LOCK_WINDOW_S)
                 {
                     self.frame += 1;
                     // Downlink data is CRC-framed on the serial link.
@@ -382,7 +366,8 @@ impl Actor<Wire> for Pbcom {
                     };
                     self.life.send_direct(ctx, names::FEDR, msg);
                 }
-                ctx.set_timer(SimDuration::from_secs_f64(period), TIMER_TELEMETRY);
+                let period = SimDuration::from_secs_f64(calib::TELEMETRY_PERIOD_S);
+                ctx.set_timer(period, TIMER_TELEMETRY);
             }
             Event::Timer { key } => {
                 self.life
@@ -406,15 +391,14 @@ impl Actor<Wire> for Pbcom {
                             // The previous session was severed: the bridge
                             // leaks session state and ages (§4.2).
                             self.aging += 1;
-                            if self.aging >= self.life.config().pbcom_aging_limit && !self.dying {
+                            if self.aging >= calib::PBCOM_AGING_LIMIT && !self.dying {
                                 self.dying = true;
                                 ctx.trace_mark("aging-crash:pbcom");
                                 let me = ctx.id();
                                 ctx.kill_after(SimDuration::from_millis(500), me);
                             }
                         }
-                        let ack_delay =
-                            SimDuration::from_secs_f64(self.life.config().connect_ack_s);
+                        let ack_delay = SimDuration::from_secs_f64(calib::CONNECT_ACK_S);
                         let id = self.life.next_id();
                         let ack = env.reply_with(
                             id,
@@ -440,16 +424,14 @@ impl Actor<Wire> for Pbcom {
                         let Some(pid) = ctx.lookup(&env.src) else {
                             return;
                         };
-                        let latency =
-                            SimDuration::from_secs_f64(self.life.config().direct_latency_s);
+                        let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
                         ctx.send_after(pid, latency, ack.to_xml_string());
                     }
                     "DATA" if arg == "corrupt" && !self.dying => {
                         // The poisoned session corrupts the bridge (§4.4).
                         self.dying = true;
                         ctx.trace_mark("poison-crash:pbcom");
-                        let delay =
-                            SimDuration::from_secs_f64(self.life.config().poison_crash_delay_s);
+                        let delay = SimDuration::from_secs_f64(calib::POISON_CRASH_DELAY_S);
                         let me = ctx.id();
                         ctx.kill_after(delay, me);
                     }

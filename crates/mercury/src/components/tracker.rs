@@ -10,7 +10,7 @@ use rr_sim::{Actor, Context, Event, SimDuration};
 
 use super::common::{Lifecycle, Shared, StoreClient, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use super::estimator::{SyncPeer, SyncRole};
-use crate::config::names;
+use crate::config::{calib, names};
 
 const TIMER_TRACK: u64 = TIMER_ROLE_BASE + 5;
 
@@ -34,7 +34,7 @@ impl Str {
             life: Lifecycle::new(names::STR, shared),
             sync: SyncPeer::new(SyncRole {
                 peer: names::SES,
-                service_s: |cfg| cfg.str_resync_service_s,
+                service_s: calib::STR_RESYNC_SERVICE_S,
             }),
             state: TrackingState::Idle,
             target: None,

@@ -1,8 +1,9 @@
 //! Station configuration and timing calibration.
 //!
-//! Every synthetic timing constant in the simulation lives here, next to the
-//! paper measurement it was calibrated against, so the substitution
-//! documented in DESIGN.md §5 is auditable in one place.
+//! Every synthetic timing constant in the simulation lives here (in
+//! [`calib`]), next to the paper measurement it was calibrated against, so
+//! the substitution documented in DESIGN.md §5 is auditable in one place.
+//! [`StationConfig`] holds only what some preset or experiment varies.
 //!
 //! Derivation of the calibration (all times in seconds):
 //!
@@ -30,6 +31,7 @@ use std::collections::BTreeMap;
 use rr_core::analysis::SimpleCostModel;
 use rr_core::model::{FailureMode, FailureModel};
 use rr_core::RecoveryMode;
+use rr_lint::{FdParams, PolicyParams};
 use rr_sim::{Dist, SimDuration};
 
 use crate::orbit::{GroundSite, Satellite};
@@ -78,7 +80,7 @@ pub struct ComponentTiming {
 }
 
 impl ComponentTiming {
-    fn new(boot_mean_s: f64, boot_std_s: f64) -> Self {
+    const fn new(boot_mean_s: f64, boot_std_s: f64) -> Self {
         ComponentTiming {
             boot_mean_s,
             boot_std_s,
@@ -95,106 +97,163 @@ impl ComponentTiming {
     }
 }
 
-/// Full station configuration: timings, coupling parameters, workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StationConfig {
-    /// FD liveness-ping period (paper: 1 s, §2.2).
-    pub ping_period_s: f64,
-    /// How long FD waits for a pong before declaring a miss.
-    pub ping_timeout_s: f64,
-    /// Per-component ping-timeout overrides for components whose pong path
-    /// is slower than the default (keys are component names; values replace
-    /// [`ping_timeout_s`](Self::ping_timeout_s) for that component only).
-    pub ping_timeout_overrides: BTreeMap<String, f64>,
-    /// How many missed pongs within [`suspicion_window`](Self::suspicion_window)
-    /// rounds FD requires before suspecting a component. The paper's FD
-    /// reports on the first miss (threshold 1); raising it trades detection
-    /// latency for robustness to message loss on degraded links.
-    pub suspicion_threshold: u32,
-    /// Length, in ping rounds, of the sliding window over which
-    /// [`suspicion_threshold`](Self::suspicion_threshold) misses are counted.
-    /// Equal threshold and window means *consecutive* misses are required.
-    pub suspicion_window: u32,
+/// The calibration: values with exactly one setting, because the paper
+/// measures one station (Tables 2 and 4) and no preset, experiment, example
+/// or benchmark ever gave them a second. The boot, resync and contention
+/// costs are back-solved from those tables as the module docs derive; the
+/// rest are protocol timings of the simulated station. DESIGN.md §5
+/// tabulates every constant and a unit test holds that table to these values.
+pub mod calib {
+    use super::{names, ComponentTiming};
+
     /// One-way latency of an envelope hop over mbus.
-    pub bus_latency_s: f64,
+    pub const BUS_LATENCY_S: f64 = 0.002;
     /// One-way latency of the dedicated FD↔REC / fedr↔pbcom connections.
-    pub direct_latency_s: f64,
+    pub const DIRECT_LATENCY_S: f64 = 0.001;
     /// Delay from REC issuing a restart to the new process's start event
     /// (process spawn cost).
-    pub exec_delay_s: f64,
+    pub const EXEC_DELAY_S: f64 = 0.10;
     /// Quadratic restart-contention coefficient: k concurrently booting
     /// components are each slowed by `1 + q·(k−1)²`.
-    pub contention_quadratic: f64,
-    /// Per-component boot timings.
-    pub timing: BTreeMap<String, ComponentTiming>,
+    pub const CONTENTION_QUADRATIC: f64 = 0.0119;
+    /// Per-component boot timings, back-solved from Table 2 (tree II) and
+    /// §4.2 (the split pair).
+    pub const TIMING: &[(&str, ComponentTiming)] = &[
+        (names::MBUS, ComponentTiming::new(4.73, 0.05)),
+        (names::FEDRCOM, ComponentTiming::new(19.93, 0.10)),
+        (names::FEDR, ComponentTiming::new(4.76, 0.05)),
+        (names::PBCOM, ComponentTiming::new(20.24, 0.10)),
+        (names::SES, ComponentTiming::new(5.15, 0.05)),
+        (names::STR, ComponentTiming::new(5.01, 0.05)),
+        (names::RTU, ComponentTiming::new(4.59, 0.05)),
+        // FD and REC are small Java processes; they restart quickly.
+        (names::FD, ComponentTiming::new(1.5, 0.02)),
+        (names::REC, ComponentTiming::new(1.5, 0.02)),
+    ];
     /// Seconds an *old* (long-running) ses takes to service str's resync.
-    pub ses_resync_service_s: f64,
+    pub const SES_RESYNC_SERVICE_S: f64 = 3.75;
     /// Seconds an *old* str takes to service ses's resync.
-    pub str_resync_service_s: f64,
+    pub const STR_RESYNC_SERVICE_S: f64 = 3.35;
     /// Handshake time between two freshly restarted peers.
-    pub fresh_sync_s: f64,
+    pub const FRESH_SYNC_S: f64 = 0.05;
     /// Uptime below which a peer is considered "fresh" (fast sync, no
     /// induced failure).
-    pub fresh_threshold_s: f64,
+    pub const FRESH_THRESHOLD_S: f64 = 30.0;
     /// Delay from an old peer servicing a resync to its induced failure
     /// (§4.3: a restart in one "substantially always" leads to a restart of
     /// the other).
-    pub induced_failure_delay_s: f64,
+    pub const INDUCED_FAILURE_DELAY_S: f64 = 0.8;
     /// fedr → pbcom TCP connect + accept time.
-    pub connect_ack_s: f64,
+    pub const CONNECT_ACK_S: f64 = 0.05;
     /// Extra pbcom negotiation time when the serial link bounced within
-    /// `rapid_restart_window_s` (hardware back-off).
-    pub pbcom_rapid_restart_penalty_s: f64,
+    /// [`RAPID_RESTART_WINDOW_S`] (hardware back-off, §4.4).
+    pub const PBCOM_RAPID_RESTART_PENALTY_S: f64 = 4.0;
     /// Window for the rapid-restart penalty.
-    pub rapid_restart_window_s: f64,
+    pub const RAPID_RESTART_WINDOW_S: f64 = 60.0;
     /// Number of fedr connection losses after which pbcom's aging causes it
     /// to fail (§4.2: "multiple fedr failures eventually lead to a pbcom
     /// failure").
-    pub pbcom_aging_limit: u32,
+    pub const PBCOM_AGING_LIMIT: u32 = 8;
     /// Delay from a poisoned fedr connecting until pbcom crashes (the
     /// §4.4 correlated failure that only a joint restart cures).
-    pub poison_crash_delay_s: f64,
-    /// Health-beacon period (0 disables beacons; future work §7).
-    pub beacon_period_s: f64,
-    /// If non-zero, REC treats a Ready component whose last beacon is older
-    /// than this as failed even while FD still receives pongs — the defense
-    /// against *zombie* components that answer liveness pings but do no
-    /// work. 0 disables (the paper's configuration: pings only).
-    pub beacon_timeout_s: f64,
+    pub const POISON_CRASH_DELAY_S: f64 = 0.5;
+    /// After FD restarts REC (or REC restarts FD), how long the watchdog
+    /// waits before resuming liveness checks — must exceed the peer's boot
+    /// time or the pair re-kills each other mid-boot forever.
+    pub const WATCHDOG_GRACE_S: f64 = 8.0;
+    /// Grace period after FD boots before it starts pinging, covering the
+    /// station's initial cold start so components mid-first-boot are not
+    /// reported as failures.
+    pub const FD_GRACE_S: f64 = 30.0;
+    /// If a restarted component has not come back within this time, REC
+    /// stops attributing its silence to the in-flight restart and treats
+    /// further failure reports as a new failure (covers components killed
+    /// mid-reboot by an unlucky second fault).
+    pub const RESTART_DEADLINE_S: f64 = 45.0;
+    /// fedr → pbcom keepalive period.
+    pub const KEEPALIVE_PERIOD_S: f64 = 1.0;
+    /// How recent tune/point commands must be for the radio to hold carrier
+    /// lock and produce telemetry.
+    pub const LOCK_WINDOW_S: f64 = 5.0;
+    /// ses/str sync-request retry period while blocked on the peer.
+    pub const SYNC_RETRY_S: f64 = 0.2;
+    /// fedr connect retry period while pbcom is unreachable.
+    pub const CONNECT_RETRY_S: f64 = 0.5;
+    /// Telemetry frame period during an active, locked pass.
+    pub const TELEMETRY_PERIOD_S: f64 = 1.0;
+    /// Advisory bound on the deferral queue (one entry per component, so
+    /// any value at or above the component count never binds; rr-lint warns
+    /// when it is smaller).
+    pub const DEFER_QUEUE_LIMIT: usize = 16;
+    /// The shortest pass window the station commits to serving, in seconds.
+    /// Drives the rr-lint deadline-feasibility checks (a worst-case
+    /// recovery must fit inside it) and nothing at runtime.
+    pub const MIN_PASS_WINDOW_S: f64 = 300.0;
+    /// Sequential read/write throughput of the store's backing medium,
+    /// KiB per second. Divides into state size for both the checkpoint
+    /// write stall and the rehydrate replay time.
+    pub const STORE_THROUGHPUT_KBPS: f64 = 2048.0;
+    /// Size of one incremental journal update record, in KiB.
+    pub const STORE_UPDATE_KB: f64 = 2.0;
+    /// How often a healthy journaling component appends an update record
+    /// (its session state mutates), in seconds.
+    pub const STORE_UPDATE_PERIOD_S: f64 = 2.0;
+
+    /// The [`TIMING`] entry for a component.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the component has no timing entry.
+    pub fn timing_for(component: &str) -> &'static ComponentTiming {
+        TIMING
+            .iter()
+            .find(|(name, _)| *name == component)
+            .map(|(_, timing)| timing)
+            .unwrap_or_else(|| panic!("no timing configured for {component:?}"))
+    }
+}
+
+/// Station configuration: the values some preset, experiment or test
+/// actually varies. Everything with one value is a constant in [`calib`].
+///
+/// | Settable | Set by |
+/// |---|---|
+/// | [`fd`](Self::fd)`.ping_period_s`, `.ping_timeout_s` | `repro ablation-ping` |
+/// | `fd.suspicion_threshold`, `.suspicion_window`, `.beacon_timeout_s` | [`hardened`](Self::hardened) |
+/// | [`policy`](Self::policy)`.escalation_limit` | the deny-gate tests (`lint_clean.rs`) |
+/// | `policy.max_restarts_per_window` | `repro overload`, `admission.rs` |
+/// | `policy.backoff_base_s` | [`hardened`](Self::hardened) |
+/// | [`cure_confirm_s`](Self::cure_confirm_s) | [`hardened`](Self::hardened), `repro ablation-ping` |
+/// | [`serial_recovery`](Self::serial_recovery) | `repro correlated` |
+/// | `admission_*`, [`defer_max_age_s`](Self::defer_max_age_s), [`critical_components`](Self::critical_components) | [`admission`](Self::admission), `repro overload`, the golden overload-burst scenarios |
+/// | [`recovery_modes`](Self::recovery_modes), [`session_state_kb`](Self::session_state_kb) | [`checkpointed`](Self::checkpointed), `repro checkpoint` |
+/// | [`rejuvenation_aging_threshold`](Self::rejuvenation_aging_threshold) | `repro ablation-rejuvenation` |
+/// | [`pass_epoch_offset_s`](Self::pass_epoch_offset_s) | `repro pass`, `examples/ground_station.rs` |
+/// | [`telemetry_enabled`](Self::telemetry_enabled) | every preset but [`paper`](Self::paper) |
+/// | [`site`](Self::site), [`satellites`](Self::satellites) | the workload |
+///
+/// `fd.beacon_period_s`, `policy.restart_window_s` and `policy.backoff_cap_s`
+/// hold one value in every station; they are settable only as members of
+/// the two structs rr-lint checks, whose fixtures do vary them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StationConfig {
+    /// Failure-detector timing: ping period and timeout (paper: 1 s, §2.2),
+    /// K-of-N suspicion, health beacons. The struct `rr_lint::lint_fd`
+    /// checks is the struct FD and REC read.
+    pub fd: FdParams,
+    /// REC's restart policy: escalation limit, restart-storm budget and
+    /// backoff. Checked by `rr_lint::lint_policy`, turned into the
+    /// [`rr_core::RestartPolicy`] the recoverer runs.
+    pub policy: PolicyParams,
     /// Proactive rejuvenation: when a beacon reports aging at or above this
     /// threshold, REC restarts the component's cell *before* it fails —
     /// "a bounded form of software rejuvenation" increasing MTTF (§3).
     /// `None` disables (the paper's measured configuration).
     pub rejuvenation_aging_threshold: Option<f64>,
-    /// After FD restarts REC (or REC restarts FD), how long the watchdog
-    /// waits before resuming liveness checks — must exceed the peer's boot
-    /// time or the pair re-kills each other mid-boot forever.
-    pub watchdog_grace_s: f64,
-    /// Grace period after FD boots before it starts pinging, covering the
-    /// station's initial cold start so components mid-first-boot are not
-    /// reported as failures.
-    pub fd_grace_s: f64,
-    /// If a restarted component has not come back within this time, REC
-    /// stops attributing its silence to the in-flight restart and treats
-    /// further failure reports as a new failure (covers components killed
-    /// mid-reboot by an unlucky second fault).
-    pub restart_deadline_s: f64,
     /// How long REC waits after a restart completes before declaring the
     /// failure cured (must exceed the poison re-crash + detection lag so
     /// escalation, not a fresh episode, handles persisting failures).
     pub cure_confirm_s: f64,
-    /// Base delay of the exponential backoff between successive restarts of
-    /// the same cell: attempt *n* within the rate-limit window waits
-    /// `base · 2^(n−1)`, capped by
-    /// [`restart_backoff_cap_s`](Self::restart_backoff_cap_s). 0 disables
-    /// backoff (the paper's immediate-restart behaviour).
-    pub restart_backoff_base_s: f64,
-    /// Upper bound on the exponential restart backoff.
-    pub restart_backoff_cap_s: f64,
-    /// How many times a cure for the same failure may escalate (fail and be
-    /// retried with a wider restart group) before REC gives up and
-    /// quarantines the component.
-    pub escalation_limit: u32,
     /// If `true`, REC refuses to open a new restart episode while any other
     /// episode is still in flight: a freshly suspected component is left for
     /// FD's next ping round to re-report once the station is quiet. This is
@@ -204,26 +263,9 @@ pub struct StationConfig {
     /// drives independent episodes concurrently, merging overlapping ones
     /// by LCA promotion.
     pub serial_recovery: bool,
-    /// Restart-storm budget: the most restarts any single cell may receive
-    /// within [`restart_window_s`](Self::restart_window_s) before REC gives
-    /// up and quarantines it.
-    pub max_restarts_per_window: u32,
-    /// Length of the restart-storm rate-limit window.
-    pub restart_window_s: f64,
-    /// fedr → pbcom keepalive period.
-    pub keepalive_period_s: f64,
-    /// How recent tune/point commands must be for the radio to hold carrier
-    /// lock and produce telemetry.
-    pub lock_window_s: f64,
-    /// ses/str sync-request retry period while blocked on the peer.
-    pub sync_retry_s: f64,
-    /// fedr connect retry period while pbcom is unreachable.
-    pub connect_retry_s: f64,
     /// Offset added to simulation time to obtain the orbital epoch time used
     /// by estimates (lets scenarios start mid-pass).
     pub pass_epoch_offset_s: f64,
-    /// Telemetry frame period during an active, locked pass.
-    pub telemetry_period_s: f64,
     /// If `true`, REC runs a deadline-aware **admission controller** in
     /// front of the recoverer: each incoming restart request is classified
     /// as *run* (forwarded immediately), *defer* (parked in a queue until
@@ -245,18 +287,10 @@ pub struct StationConfig {
     /// next retry tick even if the capacity window is full, so deferral can
     /// delay a restart but never starve it.
     pub defer_max_age_s: f64,
-    /// Advisory bound on the deferral queue (one entry per component, so
-    /// any value at or above the component count never binds; rr-lint warns
-    /// when it is smaller).
-    pub defer_queue_limit: usize,
     /// Components whose recovery outranks the rest under overload: they get
     /// criticality 1 in the [`rr_core::DeadlineModel`] (everything else 0),
     /// so ties in pass slack break in their favour.
     pub critical_components: Vec<String>,
-    /// The shortest pass window the station commits to serving, in seconds.
-    /// Drives the rr-lint deadline-feasibility checks (a worst-case
-    /// recovery must fit inside it) and nothing at runtime.
-    pub min_pass_window_s: f64,
     /// If `true`, the station records recovery-episode telemetry (counters,
     /// MTTR histograms, FD ping-latency stats and the episode-event stream)
     /// into its [`rr_sim::telemetry::Registry`]. When `false` the registry
@@ -276,15 +310,6 @@ pub struct StationConfig {
     /// Synthetic size of a component's session state (what a checkpoint
     /// snapshots), in KiB.
     pub session_state_kb: f64,
-    /// Sequential read/write throughput of the store's backing medium,
-    /// KiB per second. Divides into state size for both the checkpoint
-    /// write stall and the rehydrate replay time.
-    pub store_throughput_kbps: f64,
-    /// Size of one incremental journal update record, in KiB.
-    pub store_update_kb: f64,
-    /// How often a healthy journaling component appends an update record
-    /// (its session state mutates), in seconds.
-    pub store_update_period_s: f64,
     /// Ground station site (Stanford).
     pub site: GroundSite,
     /// Satellite catalog.
@@ -292,109 +317,84 @@ pub struct StationConfig {
 }
 
 impl StationConfig {
-    /// The calibration reproducing the paper's measurements (see module
-    /// docs for the derivation).
+    /// The configuration reproducing the paper's measurements: report on
+    /// the first missed pong, restart immediately, no admission control,
+    /// no store, telemetry off.
     pub fn paper() -> StationConfig {
-        let mut timing = BTreeMap::new();
-        timing.insert(names::MBUS.into(), ComponentTiming::new(4.73, 0.05));
-        timing.insert(names::FEDRCOM.into(), ComponentTiming::new(19.93, 0.10));
-        timing.insert(names::FEDR.into(), ComponentTiming::new(4.76, 0.05));
-        timing.insert(names::PBCOM.into(), ComponentTiming::new(20.24, 0.10));
-        timing.insert(names::SES.into(), ComponentTiming::new(5.15, 0.05));
-        timing.insert(names::STR.into(), ComponentTiming::new(5.01, 0.05));
-        timing.insert(names::RTU.into(), ComponentTiming::new(4.59, 0.05));
-        // FD and REC are small Java processes; they restart quickly.
-        timing.insert(names::FD.into(), ComponentTiming::new(1.5, 0.02));
-        timing.insert(names::REC.into(), ComponentTiming::new(1.5, 0.02));
         StationConfig {
-            ping_period_s: 1.0,
-            ping_timeout_s: 0.4,
-            ping_timeout_overrides: BTreeMap::new(),
-            suspicion_threshold: 1,
-            suspicion_window: 1,
-            bus_latency_s: 0.002,
-            direct_latency_s: 0.001,
-            exec_delay_s: 0.10,
-            contention_quadratic: 0.0119,
-            timing,
-            ses_resync_service_s: 3.75,
-            str_resync_service_s: 3.35,
-            fresh_sync_s: 0.05,
-            fresh_threshold_s: 30.0,
-            induced_failure_delay_s: 0.8,
-            connect_ack_s: 0.05,
-            pbcom_rapid_restart_penalty_s: 4.0,
-            rapid_restart_window_s: 60.0,
-            pbcom_aging_limit: 8,
-            poison_crash_delay_s: 0.5,
-            beacon_period_s: 5.0,
-            beacon_timeout_s: 0.0,
+            fd: FdParams {
+                ping_period_s: 1.0,
+                ping_timeout_s: 0.4,
+                suspicion_threshold: 1,
+                suspicion_window: 1,
+                beacon_period_s: 5.0,
+                beacon_timeout_s: 0.0,
+            },
+            policy: PolicyParams {
+                escalation_limit: 8,
+                max_restarts_per_window: 20,
+                restart_window_s: 3600.0,
+                backoff_base_s: 0.0,
+                backoff_cap_s: 30.0,
+            },
             rejuvenation_aging_threshold: None,
-            watchdog_grace_s: 8.0,
-            fd_grace_s: 30.0,
-            restart_deadline_s: 45.0,
             cure_confirm_s: 2.5,
-            restart_backoff_base_s: 0.0,
-            restart_backoff_cap_s: 30.0,
-            escalation_limit: 8,
             serial_recovery: false,
-            max_restarts_per_window: 20,
-            restart_window_s: 3600.0,
-            keepalive_period_s: 1.0,
-            lock_window_s: 5.0,
-            sync_retry_s: 0.2,
-            connect_retry_s: 0.5,
             pass_epoch_offset_s: 0.0,
-            telemetry_period_s: 1.0,
             admission_enabled: false,
             admission_capacity: 2,
             admission_window_s: 120.0,
             admission_retry_s: 5.0,
             defer_max_age_s: 240.0,
-            defer_queue_limit: 16,
             critical_components: Vec::new(),
-            min_pass_window_s: 300.0,
             telemetry_enabled: false,
             recovery_modes: BTreeMap::new(),
             session_state_kb: 256.0,
-            store_throughput_kbps: 2048.0,
-            store_update_kb: 2.0,
-            store_update_period_s: 2.0,
             site: GroundSite::stanford(),
             satellites: vec![Satellite::opal(), Satellite::sapphire()],
         }
     }
 
     /// The paper calibration hardened for *degraded* communication: the FD
-    /// requires 8 missed pongs within a 10-round window before suspecting a
-    /// component (so sporadic message loss does not trigger false-positive
-    /// restarts), restarts back off exponentially, and REC watches beacon
-    /// staleness to catch zombie components that still answer pings.
+    /// requires 8 *consecutive* missed pongs (threshold 8 in a window of 8
+    /// rounds) before suspecting a component, so sporadic message loss does
+    /// not trigger false-positive restarts; restarts back off
+    /// exponentially; and REC watches beacon staleness to catch zombie
+    /// components that still answer pings.
     ///
     /// Detection latency rises accordingly (≈ 7 s extra at the paper's 1 s
     /// ping period), so `cure_confirm_s` is re-derived to keep escalation
     /// sound. Use [`paper`](Self::paper) to reproduce the paper's tables.
     pub fn hardened() -> StationConfig {
-        let mut cfg = StationConfig::paper();
-        // Eight *consecutive* missed rounds: with 5% loss on every link a
-        // bus-relayed ping round misses with p ≈ 0.185, so the false-suspect
-        // probability per round is 0.185^8 ≈ 1.4e-6 — a handful of expected
-        // false positives per simulated *year*, while a crashed component
-        // still misses every round and is detected in ~8.4 s.
-        cfg.suspicion_threshold = 8;
-        cfg.suspicion_window = 8;
-        cfg.restart_backoff_base_s = 0.5;
-        cfg.restart_backoff_cap_s = 30.0;
-        // Five beacon periods: a run of five lost beacons (p ≈ 0.0975 each
-        // under 5% loss) is ~9e-6, so staleness stays a zombie detector
-        // rather than a loss amplifier.
-        cfg.beacon_timeout_s = 25.0;
-        // cure_confirm_s must exceed poison re-crash + (slower) detection.
-        cfg.cure_confirm_s = cfg.poison_crash_delay_s + cfg.mean_detection_s() + 3.0;
-        // Degraded links are where recovery behaviour gets interesting, so
-        // the hardened profile keeps the episode telemetry on.
-        cfg.telemetry_enabled = true;
-        cfg
+        let paper = StationConfig::paper();
+        let fd = FdParams {
+            // Eight *consecutive* missed rounds: with 5% loss on every link
+            // a bus-relayed ping round misses with p ≈ 0.185, so the
+            // false-suspect probability per round is 0.185^8 ≈ 1.4e-6 — a
+            // handful of expected false positives per simulated *year*,
+            // while a crashed component still misses every round and is
+            // detected in ~8.4 s.
+            suspicion_threshold: 8,
+            suspicion_window: 8,
+            // Five beacon periods: a run of five lost beacons (p ≈ 0.0975
+            // each under 5% loss) is ~9e-6, so staleness stays a zombie
+            // detector rather than a loss amplifier.
+            beacon_timeout_s: 25.0,
+            ..paper.fd
+        };
+        StationConfig {
+            fd,
+            policy: PolicyParams {
+                backoff_base_s: 0.5,
+                ..paper.policy
+            },
+            // cure_confirm_s must exceed poison re-crash + (slower) detection.
+            cure_confirm_s: calib::POISON_CRASH_DELAY_S + fd.mean_detection_s() + 3.0,
+            // Degraded links are where recovery behaviour gets interesting, so
+            // the hardened profile keeps the episode telemetry on.
+            telemetry_enabled: true,
+            ..paper
+        }
     }
 
     /// The hardened calibration with the deadline-aware admission controller
@@ -408,10 +408,11 @@ impl StationConfig {
     /// Use [`hardened`](Self::hardened) for the no-admission baseline the
     /// overload experiments compare against.
     pub fn admission() -> StationConfig {
-        let mut cfg = StationConfig::hardened();
-        cfg.admission_enabled = true;
-        cfg.critical_components = vec![names::SES.into(), names::STR.into()];
-        cfg
+        StationConfig {
+            admission_enabled: true,
+            critical_components: vec![names::SES.into(), names::STR.into()],
+            ..StationConfig::hardened()
+        }
     }
 
     /// The paper calibration with the crash-safe state store switched on
@@ -424,72 +425,47 @@ impl StationConfig {
     /// Use [`paper`](Self::paper) for the cold-restart behaviour the
     /// checkpoint experiments compare against.
     pub fn checkpointed() -> StationConfig {
-        let mut cfg = StationConfig::paper();
         let mode = RecoveryMode::Rehydrate {
             checkpoint_interval_s: 60.0,
         };
-        cfg.recovery_modes.insert(names::SES.into(), mode);
-        cfg.recovery_modes.insert(names::STR.into(), mode);
-        cfg.telemetry_enabled = true;
-        cfg
+        StationConfig {
+            recovery_modes: BTreeMap::from([(names::SES.into(), mode), (names::STR.into(), mode)]),
+            telemetry_enabled: true,
+            ..StationConfig::paper()
+        }
     }
 
-    /// Checks the configuration's internal consistency: every component has
-    /// a timing entry, the detection machinery is coherent, and the recovery
-    /// timeouts are ordered so escalation (not deadlock or spurious new
-    /// episodes) handles persisting failures.
+    /// Checks the configuration's internal consistency: the detection
+    /// machinery is coherent, and the recovery timeouts are ordered against
+    /// the [`calib`] constants so escalation (not deadlock or spurious new
+    /// episodes) handles persisting failures. Relations among the constants
+    /// alone are a unit test of this module, not a runtime rule.
     ///
     /// # Errors
     ///
     /// Returns the list of violated constraints.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
+        let (fd, policy) = (&self.fd, &self.policy);
+        let has_timing = |comp: &str| calib::TIMING.iter().any(|(name, _)| *name == comp);
         // Finiteness first: NaN is incomparable, so it slips through every
         // range check below (`NaN <= 0.0` is false), and an infinite knob
-        // turns the derived bounds (worst-case boot, min confirm) into
-        // nonsense. One sweep over every float knob closes that hole.
-        let float_knobs: [(&str, f64); 38] = [
-            ("ping_period_s", self.ping_period_s),
-            ("ping_timeout_s", self.ping_timeout_s),
-            ("bus_latency_s", self.bus_latency_s),
-            ("direct_latency_s", self.direct_latency_s),
-            ("exec_delay_s", self.exec_delay_s),
-            ("contention_quadratic", self.contention_quadratic),
-            ("ses_resync_service_s", self.ses_resync_service_s),
-            ("str_resync_service_s", self.str_resync_service_s),
-            ("fresh_sync_s", self.fresh_sync_s),
-            ("fresh_threshold_s", self.fresh_threshold_s),
-            ("induced_failure_delay_s", self.induced_failure_delay_s),
-            ("connect_ack_s", self.connect_ack_s),
-            (
-                "pbcom_rapid_restart_penalty_s",
-                self.pbcom_rapid_restart_penalty_s,
-            ),
-            ("rapid_restart_window_s", self.rapid_restart_window_s),
-            ("poison_crash_delay_s", self.poison_crash_delay_s),
-            ("beacon_period_s", self.beacon_period_s),
-            ("beacon_timeout_s", self.beacon_timeout_s),
-            ("watchdog_grace_s", self.watchdog_grace_s),
-            ("fd_grace_s", self.fd_grace_s),
-            ("restart_deadline_s", self.restart_deadline_s),
+        // turns the derived bounds (min confirm) into nonsense. One sweep
+        // over every float knob closes that hole.
+        let float_knobs = [
+            ("ping_period_s", fd.ping_period_s),
+            ("ping_timeout_s", fd.ping_timeout_s),
+            ("beacon_period_s", fd.beacon_period_s),
+            ("beacon_timeout_s", fd.beacon_timeout_s),
             ("cure_confirm_s", self.cure_confirm_s),
-            ("restart_backoff_base_s", self.restart_backoff_base_s),
-            ("restart_backoff_cap_s", self.restart_backoff_cap_s),
-            ("restart_window_s", self.restart_window_s),
-            ("keepalive_period_s", self.keepalive_period_s),
-            ("lock_window_s", self.lock_window_s),
-            ("sync_retry_s", self.sync_retry_s),
-            ("connect_retry_s", self.connect_retry_s),
+            ("restart_backoff_base_s", policy.backoff_base_s),
+            ("restart_backoff_cap_s", policy.backoff_cap_s),
+            ("restart_window_s", policy.restart_window_s),
             ("pass_epoch_offset_s", self.pass_epoch_offset_s),
-            ("telemetry_period_s", self.telemetry_period_s),
             ("admission_window_s", self.admission_window_s),
             ("admission_retry_s", self.admission_retry_s),
             ("defer_max_age_s", self.defer_max_age_s),
-            ("min_pass_window_s", self.min_pass_window_s),
             ("session_state_kb", self.session_state_kb),
-            ("store_throughput_kbps", self.store_throughput_kbps),
-            ("store_update_kb", self.store_update_kb),
-            ("store_update_period_s", self.store_update_period_s),
         ];
         for (name, value) in float_knobs {
             if !value.is_finite() {
@@ -501,125 +477,66 @@ impl StationConfig {
                 errors.push(format!("rejuvenation threshold ({t}) must be finite"));
             }
         }
-        for comp in names::UNSPLIT
-            .iter()
-            .chain(names::SPLIT.iter())
-            .chain([&names::FD, &names::REC])
-        {
-            if !self.timing.contains_key(*comp) {
-                errors.push(format!("no timing entry for component {comp:?}"));
-            }
-        }
-        for (comp, timing) in &self.timing {
-            if !timing.boot_mean_s.is_finite()
-                || !timing.boot_std_s.is_finite()
-                || timing.boot_mean_s < 0.0
-                || timing.boot_std_s < 0.0
-            {
-                errors.push(format!(
-                    "timing for {comp:?} (mean {}, std {}) must be finite and non-negative",
-                    timing.boot_mean_s, timing.boot_std_s
-                ));
-            }
-        }
-        if self.ping_timeout_s >= self.ping_period_s {
+        if fd.ping_timeout_s >= fd.ping_period_s {
             errors.push(format!(
                 "ping timeout ({}) must be shorter than the ping period ({}) or rounds overlap",
-                self.ping_timeout_s, self.ping_period_s
+                fd.ping_timeout_s, fd.ping_period_s
             ));
         }
-        for (comp, timeout) in &self.ping_timeout_overrides {
-            // Written as a negated conjunction so a NaN override (for which
-            // every comparison is false) still lands in the error branch.
-            if !(*timeout > 0.0 && *timeout < self.ping_period_s) {
-                errors.push(format!(
-                    "ping timeout override for {comp:?} ({timeout}) must lie in (0, ping period)"
-                ));
-            }
-        }
-        if self.suspicion_threshold < 1 {
+        if fd.suspicion_threshold < 1 {
             errors.push("suspicion_threshold must be at least 1".to_string());
         }
-        if self.suspicion_window < self.suspicion_threshold {
+        if fd.suspicion_window < fd.suspicion_threshold {
             errors.push(format!(
                 "suspicion_window ({}) must be at least suspicion_threshold ({})",
-                self.suspicion_window, self.suspicion_threshold
+                fd.suspicion_window, fd.suspicion_threshold
             ));
         }
-        if self.restart_backoff_base_s < 0.0
-            || self.restart_backoff_cap_s < self.restart_backoff_base_s
-        {
+        if policy.backoff_base_s < 0.0 || policy.backoff_cap_s < policy.backoff_base_s {
             errors.push(format!(
                 "restart backoff base ({}) must be non-negative and at most the cap ({})",
-                self.restart_backoff_base_s, self.restart_backoff_cap_s
+                policy.backoff_base_s, policy.backoff_cap_s
             ));
         }
-        if self.beacon_timeout_s != 0.0 {
-            if self.beacon_period_s <= 0.0 {
+        if fd.beacon_timeout_s != 0.0 {
+            if fd.beacon_period_s <= 0.0 {
                 errors.push("beacon_timeout_s requires beacons (beacon_period_s > 0)".to_string());
-            } else if self.beacon_timeout_s <= 2.0 * self.beacon_period_s {
+            } else if fd.beacon_timeout_s <= 2.0 * fd.beacon_period_s {
                 errors.push(format!(
                     "beacon_timeout_s ({}) must exceed two beacon periods ({}) or a single \
                      delayed beacon looks like a zombie",
-                    self.beacon_timeout_s, self.beacon_period_s
+                    fd.beacon_timeout_s, fd.beacon_period_s
                 ));
             }
         }
-        if self.escalation_limit == 0 || self.max_restarts_per_window == 0 {
+        if policy.escalation_limit == 0 || policy.max_restarts_per_window == 0 {
             errors.push(
                 "escalation_limit and max_restarts_per_window must be at least 1".to_string(),
             );
         }
-        if self.restart_window_s <= 0.0 {
+        if policy.restart_window_s <= 0.0 {
             errors.push(format!(
                 "restart_window_s ({}) must be positive",
-                self.restart_window_s
+                policy.restart_window_s
             ));
         }
         // REC must not declare a cure before a poison re-crash could be
         // re-detected, or it closes the episode and escalation never happens.
-        let min_confirm = self.poison_crash_delay_s + self.mean_detection_s() + 0.2;
+        let min_confirm = calib::POISON_CRASH_DELAY_S + fd.mean_detection_s() + 0.2;
         if self.cure_confirm_s <= min_confirm {
             errors.push(format!(
                 "cure_confirm_s ({}) must exceed poison delay + detection ({min_confirm:.2})",
                 self.cure_confirm_s
             ));
         }
-        // The restart deadline must outlast the slowest possible boot
-        // (full-station contention + hardware back-off), or healthy reboots
-        // get treated as new failures.
-        let slowest_boot = self
-            .timing
-            .values()
-            .map(|t| t.boot_mean_s + 4.0 * t.boot_std_s)
-            .fold(0.0f64, f64::max);
-        let worst_k = names::SPLIT.len() + 2; // components + FD + REC cold start
-        let contention = 1.0 + self.contention_quadratic * ((worst_k - 1) as f64).powi(2);
-        let worst_boot =
-            slowest_boot * contention + self.pbcom_rapid_restart_penalty_s + self.exec_delay_s;
-        if self.restart_deadline_s <= worst_boot {
-            errors.push(format!(
-                "restart_deadline_s ({}) must exceed the worst-case boot ({worst_boot:.1})",
-                self.restart_deadline_s
-            ));
-        }
-        // A joint ses/str restart must finish while both sides still count
-        // as fresh, or consolidation loses its benefit.
-        let ses_boot = self.timing.get(names::SES).map_or(0.0, |t| t.boot_mean_s);
-        let str_boot = self.timing.get(names::STR).map_or(0.0, |t| t.boot_mean_s);
-        if self.fresh_threshold_s <= ses_boot.max(str_boot) + self.fresh_sync_s + 2.0 {
-            errors.push(format!(
-                "fresh_threshold_s ({}) too short for a joint ses/str restart",
-                self.fresh_threshold_s
-            ));
-        }
         // The FD/REC mutual watchdogs must wait out each other's boots.
-        let fd_boot = self.timing.get(names::FD).map_or(0.0, |t| t.boot_mean_s);
-        let rec_boot = self.timing.get(names::REC).map_or(0.0, |t| t.boot_mean_s);
-        if self.watchdog_grace_s <= fd_boot.max(rec_boot) + self.exec_delay_s + self.ping_period_s {
+        let fd_boot = calib::timing_for(names::FD).boot_mean_s;
+        let rec_boot = calib::timing_for(names::REC).boot_mean_s;
+        if calib::WATCHDOG_GRACE_S <= fd_boot.max(rec_boot) + calib::EXEC_DELAY_S + fd.ping_period_s
+        {
             errors.push(format!(
                 "watchdog_grace_s ({}) must outlast FD/REC boot + one ping round",
-                self.watchdog_grace_s
+                calib::WATCHDOG_GRACE_S
             ));
         }
         if let Some(t) = self.rejuvenation_aging_threshold {
@@ -645,42 +562,22 @@ impl StationConfig {
                 self.defer_max_age_s, self.admission_retry_s
             ));
         }
-        if self.defer_queue_limit == 0 {
-            errors.push("defer_queue_limit must be at least 1".to_string());
-        }
-        if self.min_pass_window_s <= 0.0 {
-            errors.push(format!(
-                "min_pass_window_s ({}) must be positive",
-                self.min_pass_window_s
-            ));
-        }
         for comp in &self.critical_components {
-            if !self.timing.contains_key(comp) {
+            if !has_timing(comp) {
                 errors.push(format!("critical component {comp:?} has no timing entry"));
             }
         }
-        // Store knobs must be coherent whenever any component rehydrates.
-        if !self.recovery_modes.is_empty() {
-            let positive = |v: f64| v > 0.0 && !v.is_nan();
-            if !positive(self.session_state_kb) || !positive(self.store_throughput_kbps) {
-                errors.push(format!(
-                    "session_state_kb ({}) and store_throughput_kbps ({}) must be positive",
-                    self.session_state_kb, self.store_throughput_kbps
-                ));
-            }
-            if self.store_update_kb.is_nan()
-                || self.store_update_kb < 0.0
-                || !positive(self.store_update_period_s)
-            {
-                errors.push(format!(
-                    "store_update_kb ({}) must be non-negative and store_update_period_s ({}) \
-                     positive",
-                    self.store_update_kb, self.store_update_period_s
-                ));
-            }
+        // The state size must be coherent whenever any component rehydrates.
+        if !self.recovery_modes.is_empty()
+            && (self.session_state_kb.is_nan() || self.session_state_kb <= 0.0)
+        {
+            errors.push(format!(
+                "session_state_kb ({}) must be positive",
+                self.session_state_kb
+            ));
         }
         for (comp, mode) in &self.recovery_modes {
-            if !self.timing.contains_key(comp) {
+            if !has_timing(comp) {
                 errors.push(format!(
                     "recovery mode for {comp:?} names a component with no timing entry"
                 ));
@@ -706,40 +603,9 @@ impl StationConfig {
         }
     }
 
-    /// The timing entry for a component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the component has no timing entry.
-    pub fn timing_for(&self, component: &str) -> &ComponentTiming {
-        self.timing
-            .get(component)
-            .unwrap_or_else(|| panic!("no timing configured for {component:?}"))
-    }
-
-    /// The pong deadline FD applies to `component`: the per-component
-    /// override if one is configured, else the global
-    /// [`ping_timeout_s`](Self::ping_timeout_s).
-    pub fn ping_timeout_for(&self, component: &str) -> f64 {
-        self.ping_timeout_overrides
-            .get(component)
-            .copied()
-            .unwrap_or(self.ping_timeout_s)
-    }
-
-    /// Mean failure-to-report detection latency implied by the ping
-    /// parameters. With a suspicion threshold above 1, FD must accumulate
-    /// `threshold` misses (one per round) before reporting, adding
-    /// `(threshold − 1)` whole ping periods.
-    pub fn mean_detection_s(&self) -> f64 {
-        self.ping_period_s / 2.0
-            + self.ping_timeout_s
-            + (self.suspicion_threshold.saturating_sub(1)) as f64 * self.ping_period_s
-    }
-
     /// The ping period as a duration.
     pub fn ping_period(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.ping_period_s)
+        SimDuration::from_secs_f64(self.fd.ping_period_s)
     }
 
     /// The analytic cost model matching this configuration (used by
@@ -748,31 +614,31 @@ impl StationConfig {
     pub fn cost_model(&self) -> SimpleCostModel {
         // Analytic detection includes the exec delay REC pays per restart.
         let mut m = SimpleCostModel::new(
-            self.mean_detection_s() + self.exec_delay_s,
+            self.fd.mean_detection_s() + calib::EXEC_DELAY_S,
             2.0, // mean re-detection of a persisting failure after a wrong cure
         )
-        .with_contention(self.contention_quadratic)
+        .with_contention(calib::CONTENTION_QUADRATIC)
         .with_sync_pair(
             names::SES,
             names::STR,
-            self.str_resync_service_s - self.fresh_sync_s,
+            calib::STR_RESYNC_SERVICE_S - calib::FRESH_SYNC_S,
         )
         .with_sync_pair(
             names::STR,
             names::SES,
-            self.ses_resync_service_s - self.fresh_sync_s,
+            calib::SES_RESYNC_SERVICE_S - calib::FRESH_SYNC_S,
         )
-        .with_rapid_restart_penalty(names::PBCOM, self.pbcom_rapid_restart_penalty_s)
-        .with_rapid_restart_penalty(names::FEDRCOM, self.pbcom_rapid_restart_penalty_s);
-        for (name, t) in &self.timing {
-            let extra = match name.as_str() {
+        .with_rapid_restart_penalty(names::PBCOM, calib::PBCOM_RAPID_RESTART_PENALTY_S)
+        .with_rapid_restart_penalty(names::FEDRCOM, calib::PBCOM_RAPID_RESTART_PENALTY_S);
+        for (name, t) in calib::TIMING {
+            let extra = match *name {
                 // fedr and the unsplit fedrcom must bring up their serial
                 // connection; ses/str complete a fresh handshake.
-                n if n == names::FEDR => self.connect_ack_s,
-                n if n == names::SES || n == names::STR => self.fresh_sync_s,
+                names::FEDR => calib::CONNECT_ACK_S,
+                names::SES | names::STR => calib::FRESH_SYNC_S,
                 _ => 0.0,
             };
-            m = m.with_boot(name.clone(), t.boot_mean_s + extra);
+            m = m.with_boot(*name, t.boot_mean_s + extra);
         }
         m
     }
@@ -854,51 +720,29 @@ impl StationConfig {
             .with_mode(mode(FailureMode::solo("rtu-crash", names::RTU, 0.2)))
     }
 
-    /// The failure-detector timing knobs in the shape `rr_lint` checks.
-    pub fn fd_params(&self) -> rr_lint::FdParams {
-        rr_lint::FdParams {
-            ping_period_s: self.ping_period_s,
-            ping_timeout_s: self.ping_timeout_s,
-            suspicion_threshold: self.suspicion_threshold,
-            suspicion_window: self.suspicion_window,
-            beacon_period_s: self.beacon_period_s,
-            beacon_timeout_s: self.beacon_timeout_s,
-        }
-    }
-
-    /// The restart-policy knobs in the shape `rr_lint` checks.
-    pub fn policy_params(&self) -> rr_lint::PolicyParams {
-        rr_lint::PolicyParams {
-            escalation_limit: self.escalation_limit,
-            max_restarts_per_window: self.max_restarts_per_window,
-            restart_window_s: self.restart_window_s,
-            backoff_base_s: self.restart_backoff_base_s,
-            backoff_cap_s: self.restart_backoff_cap_s,
-        }
-    }
-
-    /// The admission-control and deadline knobs in the shape `rr_lint`
-    /// checks.
-    pub fn deadline_params(&self) -> rr_lint::DeadlineParams {
+    /// The admission-control and deadline inputs of `rr_lint::lint_deadline`:
+    /// the admission knobs beside the constants and the derived detection
+    /// latency they are judged against.
+    fn deadline_params(&self) -> rr_lint::DeadlineParams {
         rr_lint::DeadlineParams {
             admission_enabled: self.admission_enabled,
             admission_capacity: self.admission_capacity,
             admission_window_s: self.admission_window_s,
             admission_retry_s: self.admission_retry_s,
             defer_max_age_s: self.defer_max_age_s,
-            defer_queue_limit: self.defer_queue_limit,
-            min_pass_window_s: self.min_pass_window_s,
-            restart_deadline_s: self.restart_deadline_s,
-            mean_detection_s: self.mean_detection_s(),
+            defer_queue_limit: calib::DEFER_QUEUE_LIMIT,
+            min_pass_window_s: calib::MIN_PASS_WINDOW_S,
+            restart_deadline_s: calib::RESTART_DEADLINE_S,
+            mean_detection_s: self.fd.mean_detection_s(),
         }
     }
 
-    /// The checkpoint/rehydrate knobs in the shape `rr_lint` checks: one
+    /// The checkpoint/rehydrate inputs of `rr_lint::lint_checkpoint`: one
     /// entry per component with a `Rehydrate` recovery mode, each carrying
     /// the cold re-derivation cost its replay competes against (for the
     /// ses/str pair, the *peer's* resync service time — that is what the
     /// store bypasses).
-    pub fn checkpoint_params(&self) -> rr_lint::CheckpointParams {
+    fn checkpoint_params(&self) -> rr_lint::CheckpointParams {
         let components = self
             .recovery_modes
             .iter()
@@ -907,8 +751,8 @@ impl StationConfig {
                     checkpoint_interval_s,
                 } => {
                     let cold_rederive_s = match name.as_str() {
-                        names::SES => self.str_resync_service_s,
-                        names::STR => self.ses_resync_service_s,
+                        names::SES => calib::STR_RESYNC_SERVICE_S,
+                        names::STR => calib::SES_RESYNC_SERVICE_S,
                         _ => 0.0,
                     };
                     Some(rr_lint::CheckpointComponent {
@@ -922,9 +766,9 @@ impl StationConfig {
             .collect();
         rr_lint::CheckpointParams {
             session_state_kb: self.session_state_kb,
-            store_throughput_kbps: self.store_throughput_kbps,
-            store_update_kb: self.store_update_kb,
-            store_update_period_s: self.store_update_period_s,
+            store_throughput_kbps: calib::STORE_THROUGHPUT_KBPS,
+            store_update_kb: calib::STORE_UPDATE_KB,
+            store_update_period_s: calib::STORE_UPDATE_PERIOD_S,
             components,
         }
     }
@@ -935,8 +779,8 @@ impl StationConfig {
     /// refuses to run when the report carries a deny diagnostic.
     pub fn lint(&self, tree: &rr_core::tree::RestartTree) -> rr_lint::Report {
         rr_lint::lint_tree(tree)
-            .merged(rr_lint::lint_fd(&self.fd_params()))
-            .merged(rr_lint::lint_policy(&self.policy_params(), Some(tree)))
+            .merged(rr_lint::lint_fd(&self.fd))
+            .merged(rr_lint::lint_policy(&self.policy, Some(tree)))
             .merged(rr_lint::lint_deadline(&self.deadline_params(), Some(tree)))
             .merged(rr_lint::lint_checkpoint(
                 &self.checkpoint_params(),
@@ -977,8 +821,7 @@ mod tests {
     #[test]
     fn paper_calibration_predicts_table2_tree_ii() {
         // detection + exec + boot must land on Table 2's tree-II row.
-        let cfg = StationConfig::paper();
-        let overhead = cfg.mean_detection_s() + cfg.exec_delay_s;
+        let overhead = StationConfig::paper().fd.mean_detection_s() + calib::EXEC_DELAY_S;
         let cases = [
             (names::MBUS, 5.73),
             (names::SES, 9.50), // includes slow resync with the old peer
@@ -987,10 +830,10 @@ mod tests {
             (names::FEDRCOM, 20.93),
         ];
         for (comp, want) in cases {
-            let boot = cfg.timing_for(comp).boot_mean_s;
+            let boot = calib::timing_for(comp).boot_mean_s;
             let resync = match comp {
-                c if c == names::SES => cfg.str_resync_service_s,
-                c if c == names::STR => cfg.ses_resync_service_s,
+                names::SES => calib::STR_RESYNC_SERVICE_S,
+                names::STR => calib::SES_RESYNC_SERVICE_S,
                 _ => 0.0,
             };
             let predicted = overhead + boot + resync;
@@ -1003,14 +846,127 @@ mod tests {
 
     #[test]
     fn paper_calibration_predicts_tree_i_contention() {
-        let cfg = StationConfig::paper();
         let k = names::UNSPLIT.len();
-        let slowest = cfg.timing_for(names::FEDRCOM).boot_mean_s;
-        let factor = 1.0 + cfg.contention_quadratic * ((k - 1) as f64).powi(2);
-        let predicted = cfg.mean_detection_s() + cfg.exec_delay_s + slowest * factor;
+        let slowest = calib::timing_for(names::FEDRCOM).boot_mean_s;
+        let factor = 1.0 + calib::CONTENTION_QUADRATIC * ((k - 1) as f64).powi(2);
+        let detection = StationConfig::paper().fd.mean_detection_s();
+        let predicted = detection + calib::EXEC_DELAY_S + slowest * factor;
         assert!(
             (predicted - 24.75).abs() < 0.1,
             "tree I prediction {predicted:.2} vs 24.75"
+        );
+    }
+
+    /// The relations `validate()` used to re-check on every station while
+    /// these were fields. They relate constants only, so they are checked
+    /// once, here.
+    #[test]
+    fn calibration_constants_are_coherent() {
+        for comp in names::UNSPLIT
+            .iter()
+            .chain(&names::SPLIT)
+            .chain([&names::FD, &names::REC])
+        {
+            let t = calib::timing_for(comp);
+            assert!(t.boot_mean_s.is_finite() && t.boot_mean_s >= 0.0, "{comp}");
+            assert!(t.boot_std_s.is_finite() && t.boot_std_s >= 0.0, "{comp}");
+        }
+        // The restart deadline must outlast the slowest possible boot
+        // (full-station contention + hardware back-off), or healthy reboots
+        // get treated as new failures.
+        let slowest_boot = calib::TIMING
+            .iter()
+            .map(|(_, t)| t.boot_mean_s + 4.0 * t.boot_std_s)
+            .fold(0.0f64, f64::max);
+        let worst_k = names::SPLIT.len() + 2; // components + FD + REC cold start
+        let contention = 1.0 + calib::CONTENTION_QUADRATIC * ((worst_k - 1) as f64).powi(2);
+        let worst_boot =
+            slowest_boot * contention + calib::PBCOM_RAPID_RESTART_PENALTY_S + calib::EXEC_DELAY_S;
+        assert!(calib::RESTART_DEADLINE_S > worst_boot, "{worst_boot:.1}");
+        // A joint ses/str restart must finish while both sides still count
+        // as fresh, or consolidation loses its benefit.
+        let joint_boot = calib::timing_for(names::SES)
+            .boot_mean_s
+            .max(calib::timing_for(names::STR).boot_mean_s);
+        assert!(calib::FRESH_THRESHOLD_S > joint_boot + calib::FRESH_SYNC_S + 2.0);
+        // One deferral-queue entry per component, so the bound never binds.
+        assert!(calib::DEFER_QUEUE_LIMIT >= names::SPLIT.len());
+        for positive in [
+            calib::MIN_PASS_WINDOW_S,
+            calib::STORE_THROUGHPUT_KBPS,
+            calib::STORE_UPDATE_KB,
+            calib::STORE_UPDATE_PERIOD_S,
+        ] {
+            assert!(positive > 0.0 && positive.is_finite());
+        }
+    }
+
+    /// DESIGN.md §5 is the prose home of the calibration; this renders its
+    /// table from the constants so the two cannot drift apart again.
+    #[test]
+    fn design_md_states_the_calibration() {
+        macro_rules! row {
+            ($name:ident, $anchor:literal) => {
+                (
+                    stringify!($name).to_string(),
+                    calib::$name.to_string(),
+                    $anchor,
+                )
+            };
+        }
+        let mut rows = vec![
+            row!(EXEC_DELAY_S, "process spawn; with the 0.9 s mean detection, the 1.0 s every Table 2 row carries on top of boot"),
+            row!(CONTENTION_QUADRATIC, "Table 2 tree I: 24.75 = 1.0 + 19.93·(1 + q·4²); k booting components each slow by 1 + q·(k−1)²"),
+        ];
+        for (name, t) in calib::TIMING {
+            let anchor = match *name {
+                names::MBUS => "Table 2 tree II: 5.73 − 1.0",
+                names::FEDRCOM => "Table 2 tree II: 20.93 − 1.0",
+                names::FEDR => "§4.2: 5.76 − 1.0",
+                names::PBCOM => "§4.2: 21.24 − 1.0",
+                names::SES => "Table 2 tree II: 9.50 − 1.0 − 3.35 (str's resync service)",
+                names::STR => "Table 2 tree II: 9.76 − 1.0 − 3.75 (ses's resync service)",
+                names::RTU => "Table 2 tree II: 5.59 − 1.0",
+                _ => "not measured by the paper; a small Java process",
+            };
+            let value = format!("{} ± {}", t.boot_mean_s, t.boot_std_s);
+            rows.push((format!("TIMING[{name}]"), value, anchor));
+        }
+        rows.extend([
+            row!(STR_RESYNC_SERVICE_S, "§4.3: an old str services a restarted ses's resync; Table 2 ses 9.50"),
+            row!(SES_RESYNC_SERVICE_S, "§4.3: an old ses services a restarted str's resync; Table 2 str 9.76"),
+            row!(FRESH_SYNC_S, "§4.3: handshake of two fresh peers; tree IV 6.25 / 6.11"),
+            row!(FRESH_THRESHOLD_S, "uptime below which a peer is fresh; exceeds a joint ses/str boot"),
+            row!(INDUCED_FAILURE_DELAY_S, "§4.3: the old peer fails this long after servicing a resync"),
+            row!(CONNECT_ACK_S, "fedr → pbcom TCP connect + accept"),
+            row!(PBCOM_RAPID_RESTART_PENALTY_S, "§4.4: tree IV faulty-oracle pbcom 29.19"),
+            row!(RAPID_RESTART_WINDOW_S, "two serial-link bounces this close pay the penalty"),
+            row!(PBCOM_AGING_LIMIT, "§4.2: fedr connection losses that age pbcom to failure"),
+            row!(POISON_CRASH_DELAY_S, "§4.4: a poisoned fedr connects, pbcom crashes this much later"),
+            row!(BUS_LATENCY_S, "one envelope hop over mbus"),
+            row!(DIRECT_LATENCY_S, "one hop on the FD↔REC and fedr↔pbcom connections"),
+            row!(WATCHDOG_GRACE_S, "FD/REC mutual watchdog pause after restarting the peer; exceeds its boot + one ping round"),
+            row!(FD_GRACE_S, "FD's first sweep waits out the station's cold start"),
+            row!(RESTART_DEADLINE_S, "REC stops waiting for a restart; exceeds the worst contended boot"),
+            row!(KEEPALIVE_PERIOD_S, "fedr → pbcom keepalive"),
+            row!(LOCK_WINDOW_S, "tune/point commands this recent hold carrier lock"),
+            row!(SYNC_RETRY_S, "ses/str sync-request retry"),
+            row!(CONNECT_RETRY_S, "fedr connect retry"),
+            row!(TELEMETRY_PERIOD_S, "one telemetry frame per second of locked pass"),
+            row!(DEFER_QUEUE_LIMIT, "advisory deferral-queue bound; one entry per component never reaches it"),
+            row!(MIN_PASS_WINDOW_S, "shortest pass served; lint RRL801 fits a worst-case recovery inside it"),
+            row!(STORE_THROUGHPUT_KBPS, "store medium, KiB/s; checkpoint stall and replay time"),
+            row!(STORE_UPDATE_KB, "one journal update record, KiB"),
+            row!(STORE_UPDATE_PERIOD_S, "a journaling component appends an update this often"),
+        ]);
+        let mut table = String::from("| Constant | Value | Anchor |\n|---|---|---|\n");
+        for (name, value, anchor) in rows {
+            table.push_str(&format!("| `{name}` | {value} | {anchor} |\n"));
+        }
+        let design = include_str!("../../../DESIGN.md");
+        assert!(
+            design.contains(&table),
+            "DESIGN.md §5 must contain this table verbatim:\n{table}"
         );
     }
 
@@ -1068,7 +1024,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no timing configured")]
     fn unknown_component_timing_panics() {
-        StationConfig::paper().timing_for("warp-core");
+        calib::timing_for("warp-core");
     }
 
     #[test]
@@ -1081,33 +1037,31 @@ mod tests {
     #[test]
     fn validate_catches_incoherent_timeouts() {
         let mut cfg = StationConfig::paper();
-        cfg.ping_timeout_s = 2.0; // longer than the 1 s period
+        cfg.fd.ping_timeout_s = 2.0; // longer than the 1 s period
         cfg.cure_confirm_s = 0.1; // cure declared before poison can re-crash
-        cfg.restart_deadline_s = 5.0; // shorter than a pbcom boot
         let errors = cfg.validate().unwrap_err();
-        assert!(errors.len() >= 3, "{errors:?}");
+        assert!(errors.len() >= 2, "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("ping timeout")));
         assert!(errors.iter().any(|e| e.contains("cure_confirm_s")));
-        assert!(errors.iter().any(|e| e.contains("restart_deadline_s")));
-    }
-
-    #[test]
-    fn validate_catches_missing_timing() {
+        // A ping round longer than the watchdog grace leaves FD and REC
+        // re-killing each other mid-boot.
         let mut cfg = StationConfig::paper();
-        cfg.timing.remove(names::RTU);
+        cfg.fd.ping_period_s = 7.0;
         let errors = cfg.validate().unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("rtu")), "{errors:?}");
+        assert!(errors.iter().any(|e| e.contains("watchdog_grace_s")));
     }
 
     #[test]
     fn validate_catches_bad_rejuvenation_threshold() {
-        let mut cfg = StationConfig::paper();
-        cfg.rejuvenation_aging_threshold = Some(1.5);
-        let errors = cfg.validate().unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("rejuvenation")),
-            "{errors:?}"
-        );
+        for bad in [1.5, f64::NAN] {
+            let mut cfg = StationConfig::paper();
+            cfg.rejuvenation_aging_threshold = Some(bad);
+            let errors = cfg.validate().unwrap_err();
+            assert!(
+                errors.iter().any(|e| e.contains("rejuvenation")),
+                "{errors:?}"
+            );
+        }
     }
 
     #[test]
@@ -1116,36 +1070,55 @@ mod tests {
         cfg.validate().expect("hardened calibration is coherent");
         let paper = StationConfig::paper();
         // Eight-round suspicion adds 7 whole ping periods of mean latency.
-        let extra = (cfg.suspicion_threshold - 1) as f64 * cfg.ping_period_s;
-        assert!((cfg.mean_detection_s() - paper.mean_detection_s() - extra).abs() < 1e-9);
+        let extra = (cfg.fd.suspicion_threshold - 1) as f64 * cfg.fd.ping_period_s;
+        assert!((cfg.fd.mean_detection_s() - paper.fd.mean_detection_s() - extra).abs() < 1e-9);
         // The paper preset is untouched: threshold 1 keeps Table 2 intact.
-        assert_eq!(paper.suspicion_threshold, 1);
-        assert!((paper.mean_detection_s() - 0.9).abs() < 1e-9);
+        assert_eq!(paper.fd.suspicion_threshold, 1);
+        assert!((paper.fd.mean_detection_s() - 0.9).abs() < 1e-9);
     }
 
     #[test]
-    fn ping_timeout_overrides_apply_per_component() {
-        let mut cfg = StationConfig::paper();
-        assert_eq!(cfg.ping_timeout_for(names::SES), cfg.ping_timeout_s);
-        cfg.ping_timeout_overrides.insert(names::SES.into(), 0.8);
-        assert_eq!(cfg.ping_timeout_for(names::SES), 0.8);
-        assert_eq!(cfg.ping_timeout_for(names::RTU), cfg.ping_timeout_s);
-        cfg.validate().expect("0.8 < 1.0 period is coherent");
-        cfg.ping_timeout_overrides.insert(names::RTU.into(), 1.5);
-        let errors = cfg.validate().unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("override")), "{errors:?}");
+    fn presets_differ_from_their_base_only_where_documented() {
+        let paper = StationConfig::paper();
+        let hardened = StationConfig::hardened();
+        assert_eq!(
+            StationConfig {
+                fd: paper.fd,
+                policy: paper.policy,
+                cure_confirm_s: paper.cure_confirm_s,
+                telemetry_enabled: paper.telemetry_enabled,
+                ..hardened.clone()
+            },
+            paper
+        );
+        assert_eq!(
+            StationConfig {
+                admission_enabled: false,
+                critical_components: Vec::new(),
+                ..StationConfig::admission()
+            },
+            hardened
+        );
+        assert_eq!(
+            StationConfig {
+                recovery_modes: BTreeMap::new(),
+                telemetry_enabled: false,
+                ..StationConfig::checkpointed()
+            },
+            paper
+        );
     }
 
     #[test]
     fn validate_catches_bad_suspicion_and_backoff() {
         let mut cfg = StationConfig::paper();
-        cfg.suspicion_threshold = 5;
-        cfg.suspicion_window = 3; // window shorter than threshold
-        cfg.restart_backoff_base_s = 10.0;
-        cfg.restart_backoff_cap_s = 1.0; // cap below base
-        cfg.beacon_timeout_s = 5.0; // not above 2 beacon periods
-        cfg.max_restarts_per_window = 0;
-        cfg.restart_window_s = -1.0;
+        cfg.fd.suspicion_threshold = 5;
+        cfg.fd.suspicion_window = 3; // window shorter than threshold
+        cfg.policy.backoff_base_s = 10.0;
+        cfg.policy.backoff_cap_s = 1.0; // cap below base
+        cfg.fd.beacon_timeout_s = 5.0; // not above 2 beacon periods
+        cfg.policy.max_restarts_per_window = 0;
+        cfg.policy.restart_window_s = -1.0;
         let errors = cfg.validate().unwrap_err();
         assert!(
             errors.iter().any(|e| e.contains("suspicion_window")),
@@ -1182,7 +1155,7 @@ mod tests {
         );
 
         let mut cfg = StationConfig::paper();
-        cfg.restart_window_s = f64::INFINITY;
+        cfg.policy.restart_window_s = f64::INFINITY;
         cfg.cure_confirm_s = f64::NEG_INFINITY;
         cfg.admission_retry_s = f64::NAN;
         let errors = cfg.validate().unwrap_err();
@@ -1194,32 +1167,6 @@ mod tests {
                 "{needle}: {errors:?}"
             );
         }
-    }
-
-    #[test]
-    fn validate_rejects_nan_in_overrides_and_timing() {
-        let mut cfg = StationConfig::paper();
-        cfg.ping_timeout_overrides
-            .insert(names::SES.into(), f64::NAN);
-        let errors = cfg.validate().unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("override")), "{errors:?}");
-
-        let mut cfg = StationConfig::paper();
-        cfg.timing
-            .insert(names::RTU.into(), ComponentTiming::new(f64::NAN, 0.05));
-        let errors = cfg.validate().unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("timing for \"rtu\"")),
-            "{errors:?}"
-        );
-
-        let mut cfg = StationConfig::paper();
-        cfg.rejuvenation_aging_threshold = Some(f64::NAN);
-        let errors = cfg.validate().unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("rejuvenation")),
-            "{errors:?}"
-        );
     }
 
     #[test]
@@ -1253,14 +1200,12 @@ mod tests {
             },
         );
         cfg.session_state_kb = 0.0;
-        cfg.store_update_period_s = f64::NAN;
         let errors = cfg.validate().unwrap_err();
         for needle in [
             "checkpoint_interval_s for \"ses\"",
             "checkpoint_interval_s for \"warp-core\"",
             "no timing entry",
             "session_state_kb",
-            "store_update_period_s",
         ] {
             assert!(
                 errors.iter().any(|e| e.contains(needle)),
@@ -1328,16 +1273,12 @@ mod tests {
         cfg.admission_capacity = 0;
         cfg.admission_window_s = 0.0;
         cfg.defer_max_age_s = 1.0; // < admission_retry_s
-        cfg.defer_queue_limit = 0;
-        cfg.min_pass_window_s = -1.0;
         cfg.critical_components = vec!["nosuch".into()];
         let errors = cfg.validate().unwrap_err();
         for needle in [
             "admission_capacity",
             "admission_window_s",
             "defer_max_age_s",
-            "defer_queue_limit",
-            "min_pass_window_s",
             "critical component",
         ] {
             assert!(

@@ -17,13 +17,12 @@
 //!
 //! Beyond the paper, the detector supports *suspicion hardening* for
 //! degraded links: a component is only reported failed after
-//! [`suspicion_threshold`](crate::config::StationConfig::suspicion_threshold)
+//! [`suspicion_threshold`](rr_lint::FdParams::suspicion_threshold)
 //! missed pongs within a sliding window of
-//! [`suspicion_window`](crate::config::StationConfig::suspicion_window)
-//! ping rounds, and each component's pong deadline can be tuned via
-//! [`ping_timeout_overrides`](crate::config::StationConfig::ping_timeout_overrides).
-//! At the paper's threshold of 1 the behaviour is exactly the original
-//! report-on-first-miss detector.
+//! [`suspicion_window`](rr_lint::FdParams::suspicion_window)
+//! ping rounds (the [`fd`](crate::config::StationConfig::fd) group of the
+//! configuration). At the paper's threshold of 1 the behaviour is exactly
+//! the original report-on-first-miss detector.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -32,7 +31,7 @@ use rr_sim::telemetry::LATENCY_BUCKETS;
 use rr_sim::{Actor, Context, Event, SimDuration, SimTime};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
-use crate::config::names;
+use crate::config::{calib, names};
 
 const TIMER_PING_TICK: u64 = TIMER_ROLE_BASE;
 /// Zero-delay timer that flushes the suspects buffered within one instant.
@@ -40,7 +39,8 @@ const TIMER_PING_TICK: u64 = TIMER_ROLE_BASE;
 /// FIFO within an instant), so the flush sees the whole batch.
 const TIMER_FLUSH_SUSPECTS: u64 = TIMER_ROLE_BASE + 1;
 /// Timeout timers carry `TIMER_TIMEOUT_BASE + round · TIMEOUT_STRIDE + slot`,
-/// one per pinged component per round, so per-component timeouts can differ.
+/// one per pinged component per round: the slot names the component whose
+/// pong is overdue.
 const TIMER_TIMEOUT_BASE: u64 = 1000;
 /// Slots per round in the timeout-timer key space.
 const TIMEOUT_STRIDE: u64 = 64;
@@ -116,6 +116,7 @@ impl Fd {
     fn ping_tick(&mut self, ctx: &mut Context<'_, Wire>) {
         self.round += 1;
         self.outstanding.clear();
+        let timeout = SimDuration::from_secs_f64(self.life.config().fd.ping_timeout_s);
         for (idx, comp) in self.monitored.clone().into_iter().enumerate() {
             let seq = self.seq_for(self.round, idx);
             self.life.send_bus(ctx, &comp, Message::Ping { seq });
@@ -124,7 +125,6 @@ impl Fd {
                 .telemetry
                 .borrow_mut()
                 .incr("fd_pings_sent");
-            let timeout = SimDuration::from_secs_f64(self.life.config().ping_timeout_for(&comp));
             ctx.set_timer(
                 timeout,
                 TIMER_TIMEOUT_BASE + self.round * TIMEOUT_STRIDE + idx as u64,
@@ -138,8 +138,6 @@ impl Fd {
             self.life
                 .send_direct(ctx, names::REC, Message::Ping { seq: rec_seq });
             self.rec_outstanding = Some(rec_seq);
-            let timeout =
-                SimDuration::from_secs_f64(self.life.config().ping_timeout_for(names::REC));
             ctx.set_timer(
                 timeout,
                 TIMER_TIMEOUT_BASE + self.round * TIMEOUT_STRIDE + REC_SLOT,
@@ -153,8 +151,8 @@ impl Fd {
     /// Records this round's hit/miss for `comp` and returns `true` when the
     /// misses within the suspicion window reach the threshold.
     fn note_round(&mut self, comp: &str, missed: bool) -> bool {
-        let window = self.life.config().suspicion_window.max(1) as usize;
-        let threshold = self.life.config().suspicion_threshold.max(1) as usize;
+        let window = self.life.config().fd.suspicion_window.max(1) as usize;
+        let threshold = self.life.config().fd.suspicion_threshold.max(1) as usize;
         let h = self.history.entry(comp.to_string()).or_default();
         h.push_back(missed);
         while h.len() > window {
@@ -243,7 +241,7 @@ impl Fd {
             return;
         }
         self.rec_misses += 1;
-        if self.rec_misses < self.life.config().suspicion_threshold.max(1) {
+        if self.rec_misses < self.life.config().fd.suspicion_threshold.max(1) {
             return;
         }
         if !self.rec_down {
@@ -258,9 +256,9 @@ impl Fd {
                 .borrow_mut()
                 .incr("fd_restarts_rec");
             ctx.kill_after(SimDuration::ZERO, rec);
-            let exec = SimDuration::from_secs_f64(self.life.config().exec_delay_s);
+            let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
             ctx.respawn_after(exec, rec);
-            let grace = SimDuration::from_secs_f64(self.life.config().watchdog_grace_s);
+            let grace = SimDuration::from_secs_f64(calib::WATCHDOG_GRACE_S);
             self.rec_grace_until = ctx.now() + grace;
             self.rec_misses = 0;
         }
@@ -340,7 +338,7 @@ impl Actor<Wire> for Fd {
             Event::Timer { key: TIMER_BOOT } => {
                 self.life.set_ready(ctx);
                 // Wait out the station's cold start before the first sweep.
-                let grace = SimDuration::from_secs_f64(self.life.config().fd_grace_s);
+                let grace = SimDuration::from_secs_f64(calib::FD_GRACE_S);
                 ctx.set_timer(grace, TIMER_PING_TICK);
             }
             Event::Timer {

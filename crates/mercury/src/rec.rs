@@ -25,7 +25,7 @@ use rr_core::recoverer::{Recoverer, RecoveryDecision};
 use rr_sim::{Actor, Context, Event, SimDuration, SimTime, TraceKind};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
-use crate::config::names;
+use crate::config::{calib, names};
 use crate::orbit;
 
 const TIMER_FD_WATCH: u64 = TIMER_ROLE_BASE;
@@ -217,7 +217,7 @@ impl Rec {
         // finished rebooting it is not a new failure — unless the reboot has
         // blown its deadline (e.g. the component was killed again mid-boot),
         // in which case the silence is a fresh failure.
-        let deadline = self.life.config().restart_deadline_s;
+        let deadline = calib::RESTART_DEADLINE_S;
         let mut expired: Vec<String> = Vec::new();
         let mut suppressed = false;
         for (episode, (issued_at, set)) in control.pending.iter() {
@@ -280,7 +280,7 @@ impl Rec {
         // Capacity is charged here, at admission, so every member of a batch
         // sees the slots its siblings already claimed.
         if control.admitted_in_window(now, cfg.admission_window_s) < cfg.admission_capacity as usize
-            || control.deferred.len() >= cfg.defer_queue_limit
+            || control.deferred.len() >= calib::DEFER_QUEUE_LIMIT
         {
             control.admitted.push((now, component.to_string()));
             return Admission::Run;
@@ -381,7 +381,7 @@ impl Rec {
         // A deferred entry must launch while there is still time to finish
         // the restart before its deadline; one more retry tick of waiting
         // would leave less than the restart's own deadline of lead.
-        let lead_s = cfg.restart_deadline_s + cfg.admission_retry_s;
+        let lead_s = calib::RESTART_DEADLINE_S + cfg.admission_retry_s;
         let now = ctx.now();
         self.refresh_pass_deadlines(now);
         // (not-forced, urgency, enqueue time, name): ascending sort runs
@@ -629,7 +629,7 @@ impl Rec {
             .load
             .borrow_mut()
             .announce(components.iter().cloned());
-        let exec = SimDuration::from_secs_f64(self.life.config().exec_delay_s);
+        let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
         for comp in components {
             let Some(pid) = ctx.lookup(comp) else {
                 ctx.trace_mark(format!("restart-error:unknown:{comp}"));
@@ -801,7 +801,7 @@ impl Rec {
     /// liveness pings. Report it failed so the normal recovery machinery
     /// (tree, policy, quarantine) handles it.
     fn check_beacon_staleness(&mut self, ctx: &mut Context<'_, Wire>) {
-        let timeout = self.life.config().beacon_timeout_s;
+        let timeout = self.life.config().fd.beacon_timeout_s;
         if timeout <= 0.0 || !self.life.is_ready() {
             return;
         }
@@ -813,7 +813,7 @@ impl Rec {
             let control = self.control.borrow();
             control.beacons.get(names::MBUS).is_none_or(|record| {
                 now.saturating_since(record.received_at).as_secs_f64()
-                    > 2.0 * self.life.config().beacon_period_s
+                    > 2.0 * self.life.config().fd.beacon_period_s
             })
         };
         if bus_overdue {
@@ -861,8 +861,7 @@ impl Rec {
             self.life
                 .send_direct(ctx, names::FD, Message::Ping { seq: 0 });
             self.fd_outstanding = true;
-            let timeout =
-                SimDuration::from_secs_f64(self.life.config().ping_timeout_for(names::FD));
+            let timeout = SimDuration::from_secs_f64(self.life.config().fd.ping_timeout_s);
             ctx.set_timer(timeout, TIMER_FD_TIMEOUT);
         }
         self.check_beacon_staleness(ctx);
@@ -877,7 +876,7 @@ impl Actor<Wire> for Rec {
             Event::Timer { key: TIMER_BOOT } => {
                 self.life.set_ready(ctx);
                 // Give FD the same cold-start grace it gives the components.
-                let grace = SimDuration::from_secs_f64(self.life.config().fd_grace_s);
+                let grace = SimDuration::from_secs_f64(calib::FD_GRACE_S);
                 ctx.set_timer(grace, TIMER_FD_WATCH);
                 // The deferral queue survives a REC restart (it lives in the
                 // shared control block), so the drain tick re-arms here too.
@@ -902,7 +901,7 @@ impl Actor<Wire> for Rec {
                 if self.fd_outstanding {
                     self.fd_outstanding = false;
                     self.fd_misses += 1;
-                    if self.fd_misses >= self.life.config().suspicion_threshold.max(1) {
+                    if self.fd_misses >= self.life.config().fd.suspicion_threshold.max(1) {
                         // FD is silent: REC initiates FD's recovery (§2.2).
                         if let Some(fd) = ctx.lookup(names::FD) {
                             ctx.trace_mark("rec-restarts:fd");
@@ -912,10 +911,9 @@ impl Actor<Wire> for Rec {
                                 .borrow_mut()
                                 .incr("rec_restarts_fd");
                             ctx.kill_after(SimDuration::ZERO, fd);
-                            let exec = SimDuration::from_secs_f64(self.life.config().exec_delay_s);
+                            let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
                             ctx.respawn_after(exec, fd);
-                            let grace =
-                                SimDuration::from_secs_f64(self.life.config().watchdog_grace_s);
+                            let grace = SimDuration::from_secs_f64(calib::WATCHDOG_GRACE_S);
                             self.fd_grace_until = ctx.now() + grace;
                             self.fd_misses = 0;
                         }

@@ -10,7 +10,7 @@
 use mercury_msg::{Envelope, Message};
 use rr_sim::{SimDuration, SimTime};
 
-use crate::config::names;
+use crate::config::{calib, names};
 use crate::measure::telemetry_frames;
 use crate::orbit::{predict_passes, PassWindow};
 use crate::station::Station;
@@ -128,7 +128,7 @@ impl PassScenario {
 
     /// The maximum number of telemetry frames the pass could deliver
     /// (duration / frame period) — the denominator for data-loss reporting.
-    pub fn max_frames(&self, config: &crate::config::StationConfig) -> usize {
-        (self.window.duration_s() / config.telemetry_period_s).floor() as usize
+    pub fn max_frames(&self) -> usize {
+        (self.window.duration_s() / calib::TELEMETRY_PERIOD_S).floor() as usize
     }
 }

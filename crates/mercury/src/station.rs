@@ -29,7 +29,7 @@ use crate::components::mbus::Mbus;
 use crate::components::radio::{Fedr, Fedrcom, Pbcom};
 use crate::components::tracker::Str;
 use crate::components::tuner::Rtu;
-use crate::config::{names, StationConfig};
+use crate::config::{calib, names, StationConfig};
 use crate::fd::Fd;
 use crate::rec::{Rec, RecControl, RecHandle};
 
@@ -331,16 +331,16 @@ impl Station {
         }
 
         let policy = {
-            let cfg = &shared.config;
+            let p = &shared.config.policy;
             RestartPolicy::new()
-                .with_escalation_limit(cfg.escalation_limit)
+                .with_escalation_limit(p.escalation_limit)
                 .with_rate_limit(
-                    cfg.max_restarts_per_window,
-                    SimDuration::from_secs_f64(cfg.restart_window_s),
+                    p.max_restarts_per_window,
+                    SimDuration::from_secs_f64(p.restart_window_s),
                 )
                 .with_backoff(
-                    SimDuration::from_secs_f64(cfg.restart_backoff_base_s),
-                    SimDuration::from_secs_f64(cfg.restart_backoff_cap_s),
+                    SimDuration::from_secs_f64(p.backoff_base_s),
+                    SimDuration::from_secs_f64(p.backoff_cap_s),
                 )
         };
         let recoverer = Recoverer::new(tree, oracle, policy);
@@ -421,9 +421,8 @@ impl Station {
     /// settle within ten minutes of virtual time.
     pub fn warm_up(&mut self) {
         let deadline = self.sim.now() + SimDuration::from_secs(600);
-        let settle_extra = SimDuration::from_secs_f64(
-            self.shared.config.fresh_threshold_s + self.shared.config.fd_grace_s + 10.0,
-        );
+        let settle_extra =
+            SimDuration::from_secs_f64(calib::FRESH_THRESHOLD_S + calib::FD_GRACE_S + 10.0);
         loop {
             self.sim.run_for(SimDuration::from_secs(5));
             let all_ready = self.components.iter().all(|c| {
@@ -446,7 +445,7 @@ impl Station {
     /// the detection cycle — the assumption behind the paper's mean
     /// detection latency.
     pub fn randomize_injection_phase(&mut self, rng: &mut rr_sim::SimRng) {
-        let period = self.shared.config.ping_period_s;
+        let period = self.shared.config.fd.ping_period_s;
         let offset = rng.uniform(0.0, period);
         self.run_for(SimDuration::from_secs_f64(offset));
     }
@@ -512,7 +511,7 @@ impl Station {
     /// Injects a *zombie* failure: the component keeps answering FD's
     /// liveness pings but silently drops all real work (and stops its own
     /// timers, so its health beacons cease). Only REC's beacon-staleness
-    /// defense ([`StationConfig::beacon_timeout_s`]) can catch it.
+    /// defense ([`rr_lint::FdParams::beacon_timeout_s`]) can catch it.
     ///
     /// # Errors
     ///

@@ -125,8 +125,8 @@ fn quarantine_burst_does_not_starve_admission_of_healthy_components() {
     cfg.admission_window_s = 600.0;
     cfg.admission_retry_s = 5.0;
     cfg.defer_max_age_s = 240.0;
-    cfg.max_restarts_per_window = 1;
-    cfg.restart_window_s = 3600.0;
+    cfg.policy.max_restarts_per_window = 1;
+    cfg.policy.restart_window_s = 3600.0;
     let mut station = Station::new(cfg, TreeVariant::IV, Box::new(PerfectOracle::new()), 13)
         .expect("valid station");
     station.warm_up();
@@ -170,8 +170,8 @@ fn deferred_then_quarantined_leaves_no_stale_state() {
     cfg.admission_window_s = 30.0;
     cfg.defer_max_age_s = 30.0;
     cfg.admission_retry_s = 5.0;
-    cfg.max_restarts_per_window = 3;
-    cfg.restart_window_s = 3600.0;
+    cfg.policy.max_restarts_per_window = 3;
+    cfg.policy.restart_window_s = 3600.0;
     let mut station = Station::new(cfg, TreeVariant::IV, Box::new(PerfectOracle::new()), 11)
         .expect("valid station");
     station.warm_up();

@@ -39,7 +39,7 @@ fn deny_diagnostic_refuses_station_construction() {
     // the limit be >= 1, so this slips past dynamic validation — exactly the
     // class of mistake the static gate exists for.
     let mut cfg = StationConfig::paper();
-    cfg.escalation_limit = 1;
+    cfg.policy.escalation_limit = 1;
     let err = Station::new(cfg, TreeVariant::III, Box::new(PerfectOracle::new()), 1)
         .expect_err("construction must fail");
     match &err {
@@ -64,7 +64,7 @@ fn warn_only_findings_do_not_block_construction() {
     // escalation_limit beyond the sane maximum is warn-severity (RRL104):
     // questionable, but the operator may know better — the station starts.
     let mut cfg = StationConfig::paper();
-    cfg.escalation_limit = 100_000;
+    cfg.policy.escalation_limit = 100_000;
     let tree = TreeVariant::III.tree().unwrap();
     let report = cfg.lint(&tree);
     assert!(report.fired("RRL104") && !report.has_deny());

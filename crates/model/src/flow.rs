@@ -92,9 +92,11 @@
 //! and found by probing anyway (the checker applies *every* enabled action
 //! at every visited state; only recursion is pruned).
 //!
+//! [`Mutation`]: crate::scenario::Mutation
+//!
 //! [`analyze`] renders the same footprint model as a report: per-fault
 //! escalation chains, the template-level dependence matrix, and the
-//! fault-interference graph (RRL95x lints and the `rr-flow` CLI audit
+//! fault-interference graph (RRL95x lints and the `rr-audit flow` audit
 //! consume it). A scenario's [`PorAssumption`] deliberately falsifies both
 //! the matrix and the ample choice — the differential mode must catch the
 //! drift, which is the por-unsound fixture's job.
@@ -472,7 +474,7 @@ impl FlowContext {
 }
 
 /// The static dependence report: what [`FlowContext`] knows, rendered for
-/// the RRL95x lints, the `rr-flow` CLI audit and the property suites.
+/// the RRL95x lints, the `rr-audit flow` audit and the property suites.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowAnalysis {
     /// Fault components, in scenario declaration order.

@@ -62,7 +62,7 @@ fn main() {
     );
     println!(
         "Maximum telemetry the pass can deliver: ~{} frames at 1 frame/s\n",
-        plan.max_frames(&cfg)
+        plan.max_frames()
     );
 
     println!(

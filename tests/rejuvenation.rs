@@ -3,7 +3,7 @@
 //! driven by the §7 health beacons): REC restarts an aging component before
 //! it fails, converting unplanned downtime into planned downtime.
 
-use mercury::config::{names, StationConfig};
+use mercury::config::{calib, names, StationConfig};
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
 use rr_sim::SimDuration;
@@ -24,7 +24,7 @@ fn without_rejuvenation_pbcom_ages_to_death() {
     let mut s = Station::new(cfg, TreeVariant::III, Box::new(PerfectOracle::new()), 11)
         .expect("valid station");
     s.warm_up();
-    let limit = s.config().pbcom_aging_limit;
+    let limit = calib::PBCOM_AGING_LIMIT;
     age_pbcom(&mut s, limit + 1);
     s.run_for(SimDuration::from_secs(60));
     assert!(
@@ -40,7 +40,7 @@ fn rejuvenation_prevents_the_aging_crash() {
     let mut s = Station::new(cfg, TreeVariant::III, Box::new(PerfectOracle::new()), 12)
         .expect("valid station");
     s.warm_up();
-    let limit = s.config().pbcom_aging_limit;
+    let limit = calib::PBCOM_AGING_LIMIT;
     age_pbcom(&mut s, limit + 2);
     s.run_for(SimDuration::from_secs(60));
     assert!(

@@ -4,7 +4,7 @@
 //! aging-induced failures, policy give-ups, and custom (optimizer-produced)
 //! trees running live.
 
-use mercury::config::{names, StationConfig};
+use mercury::config::{calib, names, StationConfig};
 use mercury::measure::{measure_recovery, telemetry_frames, MeasureError};
 use mercury::scenario::PassScenario;
 use mercury::station::{Station, TreeVariant};
@@ -66,7 +66,7 @@ fn health_beacons_reach_rec() {
 fn repeated_fedr_failures_age_pbcom_to_death() {
     // §4.2: "multiple fedr failures eventually lead to a pbcom failure".
     let mut s = station(TreeVariant::III, 3);
-    let limit = s.config().pbcom_aging_limit;
+    let limit = calib::PBCOM_AGING_LIMIT;
     for i in 0..=limit {
         s.inject_kill(names::FEDR).expect("known component");
         s.run_for(SimDuration::from_secs(40));
