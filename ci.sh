@@ -32,15 +32,6 @@ target/release/rr-audit abs --deny-warnings --quiet
 target/release/repro all --trials 100 --report target/EXPERIMENTS.md >/dev/null
 cmp target/EXPERIMENTS.md EXPERIMENTS.md
 
-# Bench gates (DESIGN.md 14.4, 16.3): only in-run ratios are gated, against
-# the committed baselines; a drop of more than 20% fails. The micro suite runs
-# whole because bench order moves the numbers. Paths are absolute because
-# cargo runs bench binaries from the package dir.
-cargo bench -q -p rr-bench --bench micro -- micro/ \
-    --json "$PWD/target/BENCH_micro.json" --baseline "$PWD/BENCH_micro.json"
-cargo bench -q -p rr-bench --bench model -- model/ \
-    --json "$PWD/target/BENCH_model.json" --baseline "$PWD/BENCH_model.json"
-
 # benchmark/ is a package of its own calling only the crates' `pub` items, so
 # a signature change breaks it without breaking the workspace: build it and run
 # all five workloads at 1/50 size with every output check on.

@@ -5,8 +5,8 @@
 //! `MTTR_G ≤ Σ f_ci · MTTR_ci`. This module provides those relations plus an
 //! analytic model of expected recovery time for a (tree, failure model,
 //! oracle quality) triple, using a pluggable [`CostModel`] for restart costs.
-//! The analytic predictions cross-validate the simulation: the test suite and
-//! benches check that simulated Table 4 entries agree with the closed form.
+//! The analytic predictions cross-validate the simulation: the test suite
+//! checks that simulated Table 4 entries agree with the closed form.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -9,7 +9,7 @@
 //! because every paper transformation and its inverse are in the move set,
 //! the climb can both grow and shrink the tree.
 //!
-//! The headline test (and the `ablation_optimizer` bench) shows the optimizer
+//! The headline test (and `repro ablation-optimizer`) shows the optimizer
 //! re-deriving the paper's hand-designed trees: starting from the trivial
 //! tree I it reaches a tree equivalent to tree IV under a perfect oracle, and
 //! to tree V under the §4.4 faulty oracle.

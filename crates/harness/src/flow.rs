@@ -82,7 +82,7 @@ fn model_of(variant: TreeVariant, text: &str) -> Model {
 
 /// Builds the uniform pair-fault audit model (rtu and ses exist on every
 /// tree variant, so the same fault set measures all five apples-to-apples).
-pub fn pair_model(variant: TreeVariant) -> Model {
+fn pair_model(variant: TreeVariant) -> Model {
     let text = format!("tree {variant}\noracle perfect\nfault rtu\nfault ses\n");
     model_of(variant, &text)
 }
@@ -90,21 +90,21 @@ pub fn pair_model(variant: TreeVariant) -> Model {
 /// Builds the depth-probe model: three faults on tree IV with the admission
 /// controller in the loop, so deferral and batching interleavings are in
 /// play — the worst case for depth.
-pub fn probe_model() -> Model {
+fn probe_model() -> Model {
     let text = "tree IV\noracle perfect\nadmission\nfault rtu\nfault ses\nfault mbus\n";
     model_of(TreeVariant::IV, text)
 }
 
 /// State budget for the depth probe: small enough that both searches exhaust
 /// it quickly, large enough for several iterative-deepening bounds.
-pub const PROBE_BUDGET: u64 = 50_000;
+const PROBE_BUDGET: u64 = 50_000;
 /// Depth ceiling for the probe — far beyond what the budget admits.
 const PROBE_DEPTH: usize = 64;
 
 /// Deepest completed iteration within `budget`. On budget exhaustion the
 /// checker's error names the bound that tripped (`"depth N: state budget
 /// ..."`); the deepest *completed* bound is the one before it.
-pub fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
+fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
     let probe = CheckConfig {
         max_depth: PROBE_DEPTH,
         state_budget: budget,
@@ -128,7 +128,7 @@ pub fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
 /// section: per-tree distinct-state reduction on the pair-fault audit, and
 /// how much deeper a fixed state budget reaches with the ample sets on.
 /// Every number is a deterministic state count, so this section is exactly
-/// reproducible (and `BENCH_model.json` gates the same ratios in CI).
+/// reproducible (and `tests/golden/por-counts.txt` pins it in `cargo test`).
 pub fn experiment(_run: crate::RunConfig) -> crate::Experiment {
     let mut exp = crate::Experiment {
         id: "por".into(),
@@ -143,8 +143,8 @@ pub fn experiment(_run: crate::RunConfig) -> crate::Experiment {
          chain overlap = the LCA merge promotion = interference), and the\n\
          checker explores a single ample action where footprints are disjoint\n\
          while still probing every successor for safety. Both sides of every\n\
-         number below are deterministic state counts, so BENCH_model.json\n\
-         gates the ratios with zero machine noise. The reduced search pays\n\
+         number below are deterministic state counts, so a golden pins them\n\
+         in cargo test with zero machine noise. The reduced search pays\n\
          for extra plies of depth out of the states the ample sets no longer\n\
          visit — the measurement behind raising the checker's DEFAULT_DEPTH\n\
          from 13 to 16 at an unchanged state budget.\n"
@@ -255,6 +255,8 @@ mod tests {
         let exp = experiment(crate::RunConfig::default());
         assert_eq!(exp.id, "por");
         assert_eq!(exp.tables.len(), 2);
+        let drift = crate::golden::compare_or_record("por-counts.txt", &exp.render());
+        assert!(drift.is_none(), "{}", drift.unwrap_or_default());
         for (label, paper, measured) in &exp.observations {
             assert_eq!(
                 measured, paper,

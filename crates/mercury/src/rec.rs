@@ -78,8 +78,6 @@ pub struct RecControl {
     /// bookkeeping iterate it, and with concurrent episodes the iteration
     /// order is trace-visible — it must not vary run to run.
     pub beacons: BTreeMap<String, BeaconRecord>,
-    /// Recovery actions taken, for reporting.
-    pub actions: Vec<String>,
     /// Components REC has given up on (escalation exhausted or restart
     /// storm): further failure reports for them are dropped and the station
     /// runs degraded until an operator intervenes.
@@ -106,7 +104,6 @@ impl std::fmt::Debug for RecControl {
         f.debug_struct("RecControl")
             .field("recoverer", &"Recoverer")
             .field("cure_hints", &self.cure_hints)
-            .field("actions", &self.actions.len())
             .finish()
     }
 }
@@ -118,7 +115,6 @@ impl RecControl {
             recoverer,
             cure_hints: BTreeMap::new(),
             beacons: BTreeMap::new(),
-            actions: Vec::new(),
             quarantined: BTreeSet::new(),
             pending: BTreeMap::new(),
             deferred: BTreeMap::new(),
@@ -495,9 +491,8 @@ impl Rec {
                     control.pending.remove(origin);
                 }
                 let action = format!("restart:{owner}:{attempt}:{}", components.join("+"));
-                ctx.trace_mark(action.clone());
+                ctx.trace_mark(action);
                 ctx.trace_event(TraceKind::EpisodeBegin, format!("{owner}:{label}"));
-                control.actions.push(format!("{now} {action} ({label})"));
                 // The restart deadline runs from when the button is actually
                 // pushed, after any backoff delay.
                 control
@@ -514,8 +509,7 @@ impl Rec {
                     .incr("decision_already_recovering");
             }
             RecoveryDecision::GiveUp { component, reason } => {
-                let action = format!("giveup:{component}:{reason}");
-                ctx.trace_mark(action.clone());
+                ctx.trace_mark(format!("giveup:{component}:{reason}"));
                 ctx.trace_mark(format!("quarantine:{component}"));
                 ctx.trace_event(TraceKind::EpisodeEnd, format!("{component}:gaveup"));
                 control.pending.remove(&component);
@@ -529,7 +523,6 @@ impl Rec {
                 // for the rest of the capacity window.
                 control.refund_admitted(&component);
                 control.quarantined.insert(component.clone());
-                control.actions.push(format!("{now} {action}"));
                 let telemetry = self.life.shared().telemetry.clone();
                 let mut telemetry = telemetry.borrow_mut();
                 telemetry.incr("decision_giveup");
@@ -779,11 +772,6 @@ impl Rec {
                 .telemetry
                 .borrow_mut()
                 .incr_labeled("rejuvenations", component);
-            let now = ctx.now();
-            control.actions.push(format!(
-                "{now} rejuvenate:{component} ({})",
-                components.join("+")
-            ));
             // Track the reboot like an episode so FD reports during the
             // planned restart are suppressed.
             let now = ctx.now();
