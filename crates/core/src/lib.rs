@@ -77,7 +77,7 @@ pub use error::{AnalysisError, ModelError, TreeError};
 pub use model::{FailureMode, FailureModel};
 pub use oracle::{Failure, FaultyOracle, LearningOracle, NaiveOracle, Oracle, PerfectOracle};
 pub use policy::{GiveUpReason, RecoveryMode, RestartPolicy};
-pub use recoverer::{DecisionTally, EpisodeSnapshot, Recoverer, RecoveryDecision};
+pub use recoverer::{DecisionTally, EpisodeView, Recoverer, RecoveryDecision};
 pub use recovery::{ProcedureKind, RecoveryLadder, RecoveryProcedure};
 pub use schedule::{
     is_antichain, plan_episodes, EpisodePlan, PlanStats, PlannedEpisode, Suspicion,

@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use rr_sim::{SimDuration, SimTime};
 
@@ -85,26 +86,25 @@ pub struct DecisionTally {
     pub already_recovering: u64,
 }
 
-/// A canonical snapshot of one open failure episode, exposed for model
-/// checking and invariant auditing ([`Recoverer::protocol_snapshot`]).
+/// A borrowed view of one open failure episode, exposed for model checking
+/// and invariant auditing ([`Recoverer::open_episodes`]).
 ///
-/// Snapshots carry everything an external checker needs to reconstruct the
+/// A view carries everything an external checker needs to reconstruct the
 /// protocol state — owner, escalation depth, target cell, in-flight flag and
-/// merged origins — without reaching into the recoverer's internals, and they
-/// order/compare deterministically so they can serve as (part of) a canonical
-/// state signature.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct EpisodeSnapshot {
+/// merged origins — without reaching into the recoverer's internals and
+/// without copying any of it.
+#[derive(Debug, Clone, Copy)]
+pub struct EpisodeView<'a> {
     /// The episode's owner component (its key for completion and cure calls).
-    pub owner: String,
+    pub owner: &'a str,
     /// 0-based escalation attempt the episode has reached.
     pub attempt: u32,
     /// The cell targeted by the latest restart, if one was issued.
     pub cell: Option<NodeId>,
     /// `true` while the latest restart is issued but not yet complete.
     pub in_flight: bool,
-    /// The originating suspicions folded into this episode, sorted.
-    pub origins: Vec<String>,
+    /// The originating suspicions folded into this episode.
+    pub origins: &'a BTreeSet<String>,
 }
 
 /// Tracks failure episodes and produces restart decisions.
@@ -119,12 +119,14 @@ pub struct EpisodeSnapshot {
 ///    [`Recoverer::on_cured`], which also feeds the learning oracle.
 ///
 /// A recoverer over a cloneable oracle is itself cloneable: the clone shares
-/// nothing with the original, which is what lets a model checker fork the
-/// *real* protocol implementation at a state and explore every interleaving
-/// of the actions enabled there.
+/// only the immutable tree with the original, which is what lets a model
+/// checker fork the *real* protocol implementation at a state and explore
+/// every interleaving of the actions enabled there.
 #[derive(Clone)]
 pub struct Recoverer<O> {
-    tree: RestartTree,
+    /// Behind an `Arc` (not `Rc`, so the recoverer stays `Send`): a fork
+    /// copies the episodes and the restart history, never the tree.
+    tree: Arc<RestartTree>,
     oracle: O,
     policy: RestartPolicy,
     /// Open episodes keyed by owner component. Ordered so that iteration
@@ -157,7 +159,7 @@ impl<O: Oracle> Recoverer<O> {
     /// Creates a recoverer over `tree` with the given oracle and policy.
     pub fn new(tree: RestartTree, oracle: O, policy: RestartPolicy) -> Recoverer<O> {
         Recoverer {
-            tree,
+            tree: Arc::new(tree),
             oracle,
             policy,
             episodes: BTreeMap::new(),
@@ -182,7 +184,7 @@ impl<O: Oracle> Recoverer<O> {
     /// Replaces the tree (e.g. after an offline transformation). Open
     /// episodes are cleared, since their node ids referred to the old tree.
     pub fn set_tree(&mut self, tree: RestartTree) {
-        self.tree = tree;
+        self.tree = Arc::new(tree);
         self.episodes.clear();
     }
 
@@ -468,22 +470,19 @@ impl<O: Oracle> Recoverer<O> {
         &self.policy
     }
 
-    /// A canonical, deterministic snapshot of every open episode, sorted by
-    /// owner. This is the protocol-state extraction hook used by `rr-model`:
-    /// together with the per-component restart counters from
-    /// [`Recoverer::policy`] it captures everything that influences future
-    /// decisions, so two states with equal snapshots behave identically.
-    pub fn protocol_snapshot(&self) -> Vec<EpisodeSnapshot> {
-        self.episodes
-            .iter()
-            .map(|(owner, ep)| EpisodeSnapshot {
-                owner: owner.clone(),
-                attempt: ep.attempt,
-                cell: ep.last_node,
-                in_flight: ep.in_flight,
-                origins: ep.origins.iter().cloned().collect(),
-            })
-            .collect()
+    /// Every open episode, sorted by owner, borrowed. This is the
+    /// protocol-state extraction hook used by `rr-model`: together with the
+    /// per-component restart counters from [`Recoverer::policy`] it captures
+    /// everything that influences future decisions, so two recoverers whose
+    /// views are equal behave identically.
+    pub fn open_episodes(&self) -> impl Iterator<Item = EpisodeView<'_>> {
+        self.episodes.iter().map(|(owner, ep)| EpisodeView {
+            owner,
+            attempt: ep.attempt,
+            cell: ep.last_node,
+            in_flight: ep.in_flight,
+            origins: &ep.origins,
+        })
     }
 }
 

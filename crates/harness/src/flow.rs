@@ -102,26 +102,22 @@ const PROBE_BUDGET: u64 = 50_000;
 const PROBE_DEPTH: usize = 64;
 
 /// Deepest completed iteration within `budget`. On budget exhaustion the
-/// checker's error names the bound that tripped (`"depth N: state budget
-/// ..."`); the deepest *completed* bound is the one before it.
+/// checker's error carries the bound that tripped; the deepest *completed*
+/// bound is the one before it.
 fn max_feasible_depth(model: &Model, por: bool, budget: u64) -> u64 {
     let probe = CheckConfig {
         max_depth: PROBE_DEPTH,
         state_budget: budget,
         por,
     };
-    match check(model, &probe) {
-        Ok(outcome) => outcome.depth as u64,
-        Err(e) => {
-            let exhausted: u64 = e
-                .message
-                .strip_prefix("depth ")
-                .and_then(|rest| rest.split(':').next())
-                .and_then(|n| n.parse().ok())
-                .unwrap_or_else(|| panic!("budget error names its depth bound: {}", e.message));
-            exhausted.saturating_sub(1)
-        }
-    }
+    let depth = match check(model, &probe) {
+        Ok(outcome) => outcome.depth,
+        Err(e) => e
+            .depth
+            .unwrap_or_else(|| panic!("budget error carries its depth bound: {e}"))
+            .saturating_sub(1),
+    };
+    depth as u64
 }
 
 /// Renders the partial-order-reduction measurements as an experiment

@@ -48,8 +48,11 @@ const ROWS: &[Row] = &[
         &["DIFFERENTIAL DRIFT", "VIOLATION deferred-starved", "(5 steps, replayable)"], &[]),
     (&["abs", "--deny-warnings", "tests/abs-fixtures/clean.abs"], 0, &["clean"], &[]),
     (&["abs", "tests/abs-fixtures/broken.abs"], 1, &["RRL971", "RRL972", "2 deny, 1 warn"], &[]),
-    // The built-in audits that finish in milliseconds (`model` is ci.sh's).
+    // The four built-in audits.
     (&["lint", "--deny-warnings"], 0, &["clean"], &[]),
+    (&["model"], 0,
+        &["tree-V/naive/admit: depth 16 explored 4071 states (243 distinct, 10 quiescent), no violations",
+          "rr-model hb tree5-overload-burst: 55 events, causally consistent"], &[]),
     (&["flow", "--deny-warnings", "--quiet"], 0, &["clean"], &[]),
     (&["abs", "--deny-warnings", "--quiet"], 0, &["clean"], &[]),
     // Exit 2: the message goes to stderr, nothing to stdout.

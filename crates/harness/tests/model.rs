@@ -7,32 +7,49 @@
 //! * the seeded-violation fixtures under the repository-level
 //!   `tests/model-fixtures/` are rejected with a *minimal* counterexample
 //!   whose trace replays to the same violation (that they are rejected at
-//!   all, and that their clean twins pass, is `audit_cli.rs`'s table).
+//!   all, and that their clean twins pass, is `audit_cli.rs`'s table);
+//! * every count the checker reports, for every committed scenario with the
+//!   reduction off and on, is the golden `model-counts.txt`.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mercury::station::TreeVariant;
-use rr_harness::golden::{diff, golden_dir, golden_scenarios, run_golden_scenario_telemetry};
-use rr_model::{check, hb, replay, scenario, CheckConfig, Model};
+use rr_harness::flow::builtin_scenarios;
+use rr_harness::golden::{
+    compare_or_record, diff, golden_dir, golden_scenarios, run_golden_scenario_telemetry,
+};
+use rr_model::{check, hb, replay, scenario, CheckConfig, Model, Scenario};
 
-fn fixtures_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/model-fixtures")
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-fn load_model(file: &str) -> (Model, CheckConfig) {
-    let path = fixtures_dir().join(file);
-    let text = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
-    let sc = scenario::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let variant: TreeVariant = sc.tree.parse().unwrap_or_else(|e| panic!("{file}: {e}"));
+fn fixtures_dir() -> PathBuf {
+    repo_root().join("tests/model-fixtures")
+}
+
+/// The model of `sc` on the paper tree it names, explored to the scenario's
+/// own depth (the default one if it sets none).
+fn model_of(name: &str, sc: &Scenario) -> (Model, CheckConfig) {
+    let variant: TreeVariant = sc.tree.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
     let cfg = CheckConfig {
         max_depth: sc.depth.unwrap_or(rr_model::DEFAULT_DEPTH),
         ..CheckConfig::default()
     };
-    let model = Model::new(variant.tree().expect("variant builds"), &sc)
-        .unwrap_or_else(|e| panic!("{file}: {e}"));
+    let model = Model::new(variant.tree().expect("variant builds"), sc)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
     (model, cfg)
+}
+
+fn parse_file(path: &Path) -> Scenario {
+    let text = fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read scenario {}: {e}", path.display()));
+    scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn load_model(file: &str) -> (Model, CheckConfig) {
+    model_of(file, &parse_file(&fixtures_dir().join(file)))
 }
 
 /// Satellite: every episode stream the golden scenarios record — parallel
@@ -144,4 +161,50 @@ fn fixture_explorations_are_deterministic() {
     let a = check(&model, &cfg).expect("first run");
     let b = check(&model, &cfg).expect("second run");
     assert_eq!(a, b);
+}
+
+/// `states_explored`, `distinct_states`, `quiescent_states`, the depth reached
+/// and the verdict of every committed scenario: the 40 built-in audit
+/// scenarios, the fixtures under `tests/model-fixtures/` and the two
+/// `benchmark/scenarios/`, each with the reduction off and on. The recording
+/// predates the checker's state table (it was made by a search that forked,
+/// stepped and signed every visit), so it is an independent reference: any
+/// change to the visit order, the dedup or the ample sets shows as a count.
+#[test]
+fn every_checker_count_is_pinned() {
+    let mut cases: Vec<(String, Scenario)> = builtin_scenarios();
+    for dir in ["tests/model-fixtures", "benchmark/scenarios"] {
+        let mut files: Vec<PathBuf> = fs::read_dir(repo_root().join(dir))
+            .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "scenario" || x == "scn"))
+            .collect();
+        files.sort();
+        for path in files {
+            let stem = path.file_stem().expect("file name").to_string_lossy();
+            cases.push((format!("{dir}/{stem}"), parse_file(&path)));
+        }
+    }
+    let mut actual = String::from("name por depth explored distinct quiescent verdict\n");
+    for (name, sc) in &cases {
+        let (model, cfg) = model_of(name, sc);
+        for por in [false, true] {
+            let outcome = check(&model, &CheckConfig { por, ..cfg })
+                .unwrap_or_else(|e| panic!("{name} (por {por}): {e}"));
+            let verdict = outcome.violation.as_ref().map_or_else(
+                || "clean".to_string(),
+                |cex| format!("{}@{}", cex.violation.kind.name(), cex.trace.len()),
+            );
+            actual.push_str(&format!(
+                "{name} {} {} {} {} {} {verdict}\n",
+                if por { "on" } else { "off" },
+                outcome.depth,
+                outcome.states_explored,
+                outcome.distinct_states,
+                outcome.quiescent_states,
+            ));
+        }
+    }
+    let drift = compare_or_record("model-counts.txt", &actual);
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
 }

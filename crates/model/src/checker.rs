@@ -2,12 +2,19 @@
 //!
 //! Iterative-deepening DFS over [`Model`] states: the checker explores every
 //! interleaving of enabled actions up to a depth bound, deduplicating states
-//! by their canonical [`State::signature`] (a memoized signature is
+//! by their canonical [`State::signature`] (within one bound a signature is
 //! re-expanded only when revisited with more remaining budget, which keeps
 //! pruning sound per iteration). Because the depth bound grows one step at a
 //! time and action order is deterministic, the **first** violation found has
 //! a minimal-length trace, and [`replay`] can re-execute it step by step —
 //! the counterexample is evidence, not just a claim.
+//!
+//! One table of distinct states, keyed by the full signature and kept across
+//! all bounds, remembers what each state does (its enabled actions, their
+//! successors or the violation one raised, the ample choice), so a state is
+//! forked, stepped and signed once however often it is visited. That rests
+//! on one assumption, the one deduplication always rested on: states of
+//! equal signature behave equally (`tests/signature_equivalence.rs`).
 //!
 //! With [`CheckConfig::por`] on (the default) the search consults
 //! [`FlowContext::ample`] at every expanded state: when the static analysis
@@ -15,12 +22,12 @@
 //! the remaining interleavings of the commuting cluster are pruned. Three
 //! guards keep the reduction sound end to end:
 //!
-//! * **probing** — every enabled action is still *applied* at every visited
+//! * **probing** — every enabled action is still *applied* at every expanded
 //!   state, so safety violations surfacing in `apply` (antichain breaks,
 //!   rogue restarts, suspicion loss) are caught even on pruned branches;
 //!   only the recursion is reduced;
-//! * **cycle proviso** — if the ample successor's signature is already on
-//!   the current DFS path, the state is expanded fully instead, so the
+//! * **cycle proviso** — if the ample successor is already on the current
+//!   DFS path, the state is expanded fully instead, so the
 //!   liveness-under-fairness check cannot be starved around a reduced cycle
 //!   (the protocol's state graph is in fact acyclic — every action bumps a
 //!   monotone counter — so the proviso is insurance, not a hot path);
@@ -29,7 +36,9 @@
 //!   the reduced trace's length and reports that counterexample, keeping
 //!   minimized counterexamples byte-identical with and without reduction.
 
-use rr_sim::{FxHashMap, FxHashSet};
+use std::rc::Rc;
+
+use rr_sim::FxHashMap;
 
 use crate::flow::FlowContext;
 use crate::machine::{Action, Model, ModelError, State, Violation};
@@ -103,98 +112,193 @@ pub struct CheckOutcome {
     pub violation: Option<Counterexample>,
 }
 
+/// One distinct state: created the first time its signature is generated,
+/// kept for every later visit at every bound.
+struct Node {
+    /// The first concrete state that reached the signature (not the one on
+    /// the path of a later visit). Dropped once probed or found quiescent, so
+    /// the table holds states only for the unexpanded frontier.
+    state: Option<State>,
+    /// `enabled(state)`, from the first visit.
+    actions: Vec<Action>,
+    known: Known,
+}
+
+/// What the table knows a node does.
+enum Known {
+    /// Generated by a probe, not visited yet.
+    Nothing,
+    /// Visited only where the depth ran out: some action is enabled.
+    Enabled,
+    /// No action is enabled; what the liveness check found wrong, if anything.
+    Quiescent(Option<Violation>),
+    /// Every enabled action applied cleanly: its successor's node id, in
+    /// action order, and the ample choice.
+    Successors {
+        next: Rc<[usize]>,
+        ample: Option<usize>,
+    },
+    /// `actions[at]` raised `violation`; no later action was applied.
+    Violation { at: usize, violation: Violation },
+}
+
+/// The visit that overran the state budget.
+struct BudgetExhausted;
+
 struct Search<'m> {
     model: &'m Model,
     /// The ample-set oracle; `None` explores every interleaving.
     flow: Option<&'m FlowContext>,
+    /// The table, and its index by full signature: equality on the whole
+    /// string, so no two states are ever merged by a hash. Lookup-only
+    /// (never iterated), so the deterministic `FxHashMap` is safe.
+    nodes: Vec<Node>,
+    index: FxHashMap<String, usize>,
+    /// The one buffer every generated state is named in.
+    key: String,
+    /// Per bound, by node id: the most remaining depth the node was entered
+    /// with; re-enter only with strictly more.
+    seen: Vec<Option<usize>>,
+    /// Per bound, by node id: on the current DFS path (the cycle proviso's
+    /// witness set).
+    on_stack: Vec<bool>,
+    /// The current path as `(node, index into its actions)`.
+    trace: Vec<(usize, usize)>,
+    /// Visits left to this bound, and made in it.
     budget: u64,
     states_explored: u64,
     quiescent_states: u64,
-    /// signature → most remaining depth it was expanded with (this
-    /// iteration); re-expand only with strictly more budget. Lookup-only
-    /// (never iterated), so the deterministic `FxHashMap` is safe and the
-    /// string hashing it avoids is the dedup hot path.
-    seen: FxHashMap<String, usize>,
-    /// Signatures of the states on the current DFS path — the cycle
-    /// proviso's witness set. Membership-only, so `FxHashSet` is safe.
-    on_stack: FxHashSet<String>,
-    trace: Vec<Action>,
 }
 
 impl Search<'_> {
+    /// The node of `state`'s signature, created if this is its first
+    /// generation.
+    fn intern(&mut self, state: State) -> usize {
+        self.key.clear();
+        state.write_signature(self.model, &mut self.key);
+        if let Some(&id) = self.index.get(self.key.as_str()) {
+            return id;
+        }
+        let id = self.nodes.len();
+        self.index.insert(self.key.clone(), id);
+        self.nodes.push(Node {
+            state: Some(state),
+            actions: Vec::new(),
+            known: Known::Nothing,
+        });
+        self.seen.push(None);
+        self.on_stack.push(false);
+        id
+    }
+
+    /// First visit: names the enabled actions and settles quiescence.
+    fn visit(&mut self, id: usize) {
+        let node = &mut self.nodes[id];
+        let Some(state) = &node.state else {
+            unreachable!("an unvisited node holds its state");
+        };
+        node.actions = self.model.enabled(state);
+        if node.actions.is_empty() {
+            node.known = Known::Quiescent(self.model.check_quiescent(state).err());
+            node.state = None;
+        } else {
+            node.known = Known::Enabled;
+        }
+    }
+
+    /// First expansion: applies *every* enabled action, so safety violations
+    /// raised by `apply` are never missed even when recursion is pruned.
+    fn probe(&mut self, id: usize) {
+        let Some(state) = self.nodes[id].state.take() else {
+            unreachable!("an unprobed node holds its state");
+        };
+        let actions = std::mem::take(&mut self.nodes[id].actions);
+        let mut next = Vec::with_capacity(actions.len());
+        let mut raised = None;
+        for (at, action) in actions.iter().enumerate() {
+            match self.model.apply(&state, action) {
+                Ok(successor) => next.push(self.intern(successor)),
+                Err(violation) => {
+                    raised = Some(Known::Violation { at, violation });
+                    break;
+                }
+            }
+        }
+        let known = raised.unwrap_or_else(|| Known::Successors {
+            next: next.into(),
+            ample: self
+                .flow
+                .and_then(|flow| flow.ample(self.model, &state, &actions)),
+        });
+        self.nodes[id].actions = actions;
+        self.nodes[id].known = known;
+    }
+
+    /// The current path, extended by `last`, as the actions taken.
+    fn counterexample(&self, last: Option<(usize, usize)>, violation: Violation) -> Counterexample {
+        let trace = self
+            .trace
+            .iter()
+            .chain(&last)
+            .map(|&(node, at)| self.nodes[node].actions[at].clone())
+            .collect();
+        Counterexample { violation, trace }
+    }
+
     fn dfs(
         &mut self,
-        state: &State,
+        id: usize,
         remaining: usize,
-    ) -> Result<Option<Counterexample>, ModelError> {
+    ) -> Result<Option<Counterexample>, BudgetExhausted> {
         self.states_explored += 1;
         if self.states_explored > self.budget {
-            return Err(ModelError {
-                message: format!(
-                    "state budget {} exhausted — shrink the scenario or raise the bound \
-                     (rr-lint RRL701 estimates this up front)",
-                    self.budget
-                ),
-            });
+            return Err(BudgetExhausted);
         }
-        let actions = self.model.enabled(state);
-        if actions.is_empty() {
+        if let Known::Nothing = self.nodes[id].known {
+            self.visit(id);
+        }
+        if let Known::Quiescent(stranded) = &self.nodes[id].known {
             self.quiescent_states += 1;
-            if let Err(violation) = self.model.check_quiescent(state) {
-                return Ok(Some(Counterexample {
-                    violation,
-                    trace: self.trace.clone(),
-                }));
-            }
-            return Ok(None);
+            let stranded = stranded.clone();
+            return Ok(stranded.map(|violation| self.counterexample(None, violation)));
         }
         if remaining == 0 {
             return Ok(None);
         }
-        // Probe: apply *every* enabled action first, so safety violations
-        // raised by `apply` are never missed even when recursion is pruned.
-        let mut successors = Vec::with_capacity(actions.len());
-        for action in &actions {
-            match self.model.apply(state, action) {
-                Ok(next) => successors.push(next),
-                Err(violation) => {
-                    let mut trace = self.trace.clone();
-                    trace.push(action.clone());
-                    return Ok(Some(Counterexample { violation, trace }));
-                }
-            }
+        // The probe is made, and read, only here: a node first seen where
+        // the depth ran out is not expanded early.
+        if let Known::Enabled = self.nodes[id].known {
+            self.probe(id);
         }
-        let ample = self
-            .flow
-            .and_then(|flow| flow.ample(self.model, state, &actions));
-        let chosen: Vec<usize> = match ample {
-            Some(i) => {
-                // Cycle proviso (liveness condition C3): a reduced step that
-                // closes a cycle through the current path could postpone the
-                // pruned actions forever; expand fully instead.
-                let sig = successors[i].signature(self.model.tree());
-                if self.on_stack.contains(&sig) {
-                    (0..actions.len()).collect()
-                } else {
-                    vec![i]
-                }
+        let (next, ample) = match &self.nodes[id].known {
+            Known::Successors { next, ample } => (Rc::clone(next), *ample),
+            Known::Violation { at, violation } => {
+                return Ok(Some(
+                    self.counterexample(Some((id, *at)), violation.clone()),
+                ));
             }
-            None => (0..actions.len()).collect(),
+            Known::Nothing | Known::Enabled | Known::Quiescent(_) => {
+                unreachable!("probed above")
+            }
         };
-        for i in chosen {
-            let next = &successors[i];
-            let signature = next.signature(self.model.tree());
-            let left = remaining - 1;
-            match self.seen.get(&signature) {
-                Some(&had) if had >= left => continue,
-                _ => {
-                    self.seen.insert(signature.clone(), left);
-                }
+        let chosen = match ample {
+            // Cycle proviso (liveness condition C3): a reduced step that
+            // closes a cycle through the current path could postpone the
+            // pruned actions forever; expand fully instead.
+            Some(i) if !self.on_stack[next[i]] => i..i + 1,
+            _ => 0..next.len(),
+        };
+        let left = remaining - 1;
+        for at in chosen {
+            let successor = next[at];
+            if self.seen[successor].is_some_and(|had| had >= left) {
+                continue;
             }
-            self.trace.push(actions[i].clone());
-            self.on_stack.insert(signature.clone());
-            let found = self.dfs(next, left)?;
-            self.on_stack.remove(&signature);
+            self.seen[successor] = Some(left);
+            self.trace.push((id, at));
+            self.on_stack[successor] = true;
+            let found = self.dfs(successor, left)?;
+            self.on_stack[successor] = false;
             self.trace.pop();
             if found.is_some() {
                 return Ok(found);
@@ -209,8 +313,21 @@ fn explore(
     cfg: &CheckConfig,
     flow: Option<&FlowContext>,
 ) -> Result<CheckOutcome, ModelError> {
-    let initial = model.initial();
-    let mut states_explored = 0;
+    let mut search = Search {
+        model,
+        flow,
+        nodes: Vec::new(),
+        index: FxHashMap::default(),
+        key: String::new(),
+        seen: Vec::new(),
+        on_stack: Vec::new(),
+        trace: Vec::new(),
+        budget: 0,
+        states_explored: 0,
+        quiescent_states: 0,
+    };
+    let initial = search.intern(model.initial());
+    search.on_stack[initial] = true;
     let mut outcome = CheckOutcome {
         states_explored: 0,
         distinct_states: 0,
@@ -219,23 +336,22 @@ fn explore(
         violation: None,
     };
     for bound in 1..=cfg.max_depth.max(1) {
-        let mut search = Search {
-            model,
-            flow,
-            budget: cfg.state_budget.saturating_sub(states_explored),
-            states_explored: 0,
-            quiescent_states: 0,
-            seen: FxHashMap::default(),
-            on_stack: FxHashSet::default(),
-            trace: Vec::new(),
-        };
-        search.on_stack.insert(initial.signature(model.tree()));
-        let found = search.dfs(&initial, bound).map_err(|e| ModelError {
-            message: format!("depth {bound}: {}", e.message),
-        })?;
-        states_explored += search.states_explored;
-        outcome.states_explored = states_explored;
-        outcome.distinct_states = search.seen.len() as u64 + 1;
+        search.seen.fill(None);
+        search.budget = cfg.state_budget.saturating_sub(outcome.states_explored);
+        search.states_explored = 0;
+        search.quiescent_states = 0;
+        let found = search
+            .dfs(initial, bound)
+            .map_err(|BudgetExhausted| ModelError {
+                message: format!(
+                    "depth {bound}: state budget {} exhausted — shrink the scenario or raise \
+                     the bound (rr-lint RRL701 estimates this up front)",
+                    search.budget
+                ),
+                depth: Some(bound),
+            })?;
+        outcome.states_explored += search.states_explored;
+        outcome.distinct_states = search.seen.iter().flatten().count() as u64 + 1;
         outcome.depth = bound;
         outcome.quiescent_states = search.quiescent_states;
         if let Some(counterexample) = found {
@@ -257,10 +373,16 @@ fn explore(
 /// budget, the reduced (still replayable, possibly non-minimal)
 /// counterexample is reported instead.
 ///
+/// A table node holds the first concrete state that reached its signature,
+/// not the one on the reported path, so the violation reported is the one
+/// the trace [`replay`]s to.
+///
 /// # Errors
 ///
 /// Returns a [`ModelError`] if the state budget is exhausted before the
-/// exploration completes.
+/// exploration completes, or if a counterexample does not replay to the kind
+/// of violation the search found (states of equal signature behaved
+/// differently: an internal error, never a pass).
 pub fn check(model: &Model, cfg: &CheckConfig) -> Result<CheckOutcome, ModelError> {
     let flow = cfg.por.then(|| FlowContext::new(model));
     let mut outcome = explore(model, cfg, flow.as_ref())?;
@@ -276,6 +398,21 @@ pub fn check(model: &Model, cfg: &CheckConfig) -> Result<CheckOutcome, ModelErro
         }) = explore(model, &minimize, None)
         {
             outcome.violation = Some(minimal);
+        }
+    }
+    if let Some(found) = &mut outcome.violation {
+        match replay(model, &found.trace) {
+            Some(replayed) if replayed.kind == found.violation.kind => found.violation = replayed,
+            replayed => {
+                return Err(ModelError {
+                    message: format!(
+                        "internal: the search found {} but its trace replays to {replayed:?}:\n{}",
+                        found.violation.kind.name(),
+                        found.render()
+                    ),
+                    depth: None,
+                });
+            }
         }
     }
     Ok(outcome)
@@ -405,6 +542,14 @@ mod tests {
             state_budget: 50,
             por: false,
         };
-        assert!(check(&m, &tiny).is_err());
+        let err = check(&m, &tiny).unwrap_err();
+        let bound = err
+            .depth
+            .expect("a budget error carries the bound that tripped");
+        assert!(
+            err.message
+                .starts_with(&format!("depth {bound}: state budget ")),
+            "{err}"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! A [`Model`] binds a restart tree to a [`Scenario`]; a [`State`] is one
 //! global configuration of the protocol. The state wraps the **real**
 //! [`Recoverer`] (cloned at every step — this is why `rr-core` grew a `Clone`
-//! impl and the [`Recoverer::protocol_snapshot`] extraction hook), plus the
+//! impl and the [`Recoverer::open_episodes`] extraction hook), plus the
 //! environment the recoverer reacts to: which faults are pending / active /
 //! resolved, which components the failure detector has convicted this ping
 //! epoch, and which suspicions a mutated (buggy) driver has mishandled.
@@ -238,6 +238,9 @@ pub struct Violation {
 pub struct ModelError {
     /// What went wrong.
     pub message: String,
+    /// The deepening bound at which the state budget ran out (every bound
+    /// below it completed); `None` for a scenario-validation error.
+    pub depth: Option<usize>,
 }
 
 impl std::fmt::Display for ModelError {
@@ -282,61 +285,61 @@ impl State {
     /// times are excluded — sound because the model policy's rate window
     /// (3600 s) exceeds any reachable path length (one second per step, far
     /// fewer than 3600 steps), so the policy sees only the restart *counts*,
-    /// which the signature includes via the episode snapshots and
-    /// per-component history lengths.
-    pub fn signature(&self, tree: &RestartTree) -> String {
-        use std::fmt::Write as _;
+    /// which the signature includes via the open episodes and per-component
+    /// history lengths.
+    pub fn signature(&self, model: &Model) -> String {
         let mut sig = String::new();
-        for ep in self.rec.protocol_snapshot() {
-            let cell = ep.cell.map(|n| tree.label(n).to_string());
+        self.write_signature(model, &mut sig);
+        sig
+    }
+
+    /// Appends [`State::signature`] to `sig` (the checker names every
+    /// generated state through one reused buffer).
+    pub(crate) fn write_signature(&self, model: &Model, sig: &mut String) {
+        use std::fmt::Write as _;
+        let tree = model.tree();
+        for ep in self.rec.open_episodes() {
+            let cell = ep.cell.map_or("-", |n| tree.label(n));
             let _ = write!(
                 sig,
-                "e{}:{}:{}:{}:{};",
+                "e{}:{}:{cell}:{}:",
                 ep.owner,
                 ep.attempt,
-                cell.as_deref().unwrap_or("-"),
-                u8::from(ep.in_flight),
-                ep.origins.join(","),
+                u8::from(ep.in_flight)
             );
+            push_joined(sig, ep.origins);
+            sig.push(';');
         }
         sig.push('|');
         for status in &self.fault_status {
             sig.push(status.sig_char());
         }
         sig.push('|');
-        let _ = write!(
-            sig,
-            "s{}|r{}|q{}|d{}|",
-            self.suspected.iter().cloned().collect::<Vec<_>>().join(","),
-            self.reported.iter().cloned().collect::<Vec<_>>().join(","),
-            self.quarantined
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(","),
-            self.deferred.iter().cloned().collect::<Vec<_>>().join(","),
-        );
-        let _ = write!(
-            sig,
-            "m{}|",
-            self.masked.iter().cloned().collect::<Vec<_>>().join(","),
-        );
+        for (tag, set) in [
+            ('s', &self.suspected),
+            ('r', &self.reported),
+            ('q', &self.quarantined),
+            ('d', &self.deferred),
+            ('m', &self.masked),
+        ] {
+            sig.push(tag);
+            push_joined(sig, set);
+            sig.push('|');
+        }
         let mut rogue: Vec<&str> = self.rogue_cells.iter().map(|&n| tree.label(n)).collect();
         rogue.sort_unstable();
         let _ = write!(sig, "g{}|h", rogue.join(","));
-        for component in tree.components() {
-            let _ = write!(sig, "{}", self.rec.policy().recent_restarts(&component));
+        for component in &model.components {
+            let _ = write!(sig, "{}", self.rec.policy().recent_restarts(component));
         }
-        sig
     }
 
     /// The episode owners with a restart currently in flight, sorted.
     pub fn in_flight_owners(&self) -> Vec<String> {
         self.rec
-            .protocol_snapshot()
-            .into_iter()
+            .open_episodes()
             .filter(|ep| ep.in_flight)
-            .map(|ep| ep.owner)
+            .map(|ep| ep.owner.to_string())
             .collect()
     }
 
@@ -374,10 +377,26 @@ impl State {
     /// The cell of `owner`'s in-flight restart, if any.
     pub(crate) fn in_flight_cell_of(&self, owner: &str) -> Option<NodeId> {
         self.rec
-            .protocol_snapshot()
-            .into_iter()
+            .open_episodes()
             .find(|ep| ep.owner == owner && ep.in_flight)
             .and_then(|ep| ep.cell)
+    }
+
+    /// `true` if some open episode answers for `component`.
+    fn tracks(&self, component: &str) -> bool {
+        self.rec
+            .open_episodes()
+            .any(|ep| ep.origins.contains(component))
+    }
+}
+
+/// Appends the members of `set`, comma-separated, to `out`.
+fn push_joined(out: &mut String, set: &BTreeSet<String>) {
+    for (i, member) in set.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(member);
     }
 }
 
@@ -385,6 +404,9 @@ impl State {
 /// explores.
 pub struct Model {
     tree: RestartTree,
+    /// Every component of `tree`, sorted: the order of the restart counts in
+    /// a [`State::signature`].
+    components: Vec<String>,
     faults: Vec<Failure>,
     oracle: ModelOracle,
     policy: RestartPolicy,
@@ -411,6 +433,7 @@ impl Model {
                             "fault `{}`: component `{member}` is not in the tree",
                             spec.component
                         ),
+                        depth: None,
                     });
                 }
             }
@@ -419,11 +442,13 @@ impl Model {
         if scenario.mutation == Some(Mutation::StarveDeferred) && !scenario.admission {
             return Err(ModelError {
                 message: "mutation starve-deferred requires the `admission` directive".into(),
+                depth: None,
             });
         }
         if scenario.mutation == Some(Mutation::StaleRehydrate) && !scenario.rehydrate {
             return Err(ModelError {
                 message: "mutation stale-rehydrate requires the `rehydrate` directive".into(),
+                depth: None,
             });
         }
         // A tight escalation limit keeps give-up/quarantine paths reachable
@@ -433,6 +458,7 @@ impl Model {
         // [`State::signature`]).
         let policy = RestartPolicy::new().with_escalation_limit(MODEL_ESCALATION_LIMIT);
         Ok(Model {
+            components: tree.components(),
             tree,
             faults,
             oracle: ModelOracle::new(scenario.oracle),
@@ -548,16 +574,15 @@ impl Model {
                 });
             }
         }
-        for ep in state.rec.protocol_snapshot() {
+        for ep in state.rec.open_episodes() {
+            let owner = || ep.owner.to_string();
             if ep.in_flight {
-                actions.push(Action::Complete {
-                    owner: ep.owner.clone(),
-                });
+                actions.push(Action::Complete { owner: owner() });
                 if self.rehydrate {
-                    actions.push(Action::CompleteRehydrated { owner: ep.owner });
+                    actions.push(Action::CompleteRehydrated { owner: owner() });
                 }
-            } else if ep.cell.is_some() && self.origins_cured(state, &ep.origins) {
-                actions.push(Action::Confirm { owner: ep.owner });
+            } else if ep.cell.is_some() && self.origins_cured(state, ep.origins) {
+                actions.push(Action::Confirm { owner: owner() });
             }
         }
         if !state.suspected.is_empty() {
@@ -566,7 +591,7 @@ impl Model {
         actions
     }
 
-    fn origins_cured(&self, state: &State, origins: &[String]) -> bool {
+    fn origins_cured(&self, state: &State, origins: &BTreeSet<String>) -> bool {
         origins.iter().all(|origin| {
             self.fault_index(origin)
                 .is_none_or(|i| state.fault_status[i] == FaultStatus::Cured)
@@ -641,11 +666,7 @@ impl Model {
             }
             Action::Complete { owner } => {
                 let cell = next
-                    .rec
-                    .protocol_snapshot()
-                    .into_iter()
-                    .find(|ep| ep.owner == *owner && ep.in_flight)
-                    .and_then(|ep| ep.cell)
+                    .in_flight_cell_of(owner)
                     .unwrap_or_else(|| panic!("complete enabled for {owner}"));
                 next.rec.on_restart_complete(owner, now);
                 let covered = self.tree.components_under(cell);
@@ -664,11 +685,7 @@ impl Model {
             }
             Action::CompleteRehydrated { owner } => {
                 let cell = next
-                    .rec
-                    .protocol_snapshot()
-                    .into_iter()
-                    .find(|ep| ep.owner == *owner && ep.in_flight)
-                    .and_then(|ep| ep.cell)
+                    .in_flight_cell_of(owner)
                     .unwrap_or_else(|| panic!("rehydrated complete enabled for {owner}"));
                 next.rec.on_restart_complete(owner, now);
                 let covered = self.tree.components_under(cell);
@@ -801,9 +818,8 @@ impl Model {
     fn tracked_origins(state: &State) -> BTreeSet<String> {
         state
             .rec
-            .protocol_snapshot()
-            .into_iter()
-            .flat_map(|ep| ep.origins)
+            .open_episodes()
+            .flat_map(|ep| ep.origins.iter().cloned())
             .collect()
     }
 
@@ -860,12 +876,11 @@ impl Model {
             Action::SuspectBatch { components } => components,
             _ => &[],
         };
-        let tracked = Self::tracked_origins(next);
         for component in reported_now {
             let resolved = self
                 .fault_index(component)
                 .is_some_and(|i| matches!(next.fault_status[i], FaultStatus::Cured));
-            if !tracked.contains(component)
+            if !next.tracks(component)
                 && !self.covered_in_flight(next, component)
                 && !next.quarantined.contains(component)
                 && !next.deferred.contains(component)
@@ -1282,6 +1297,6 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(ab.signature(m.tree()), ba.signature(m.tree()));
+        assert_eq!(ab.signature(&m), ba.signature(&m));
     }
 }

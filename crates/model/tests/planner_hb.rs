@@ -141,18 +141,19 @@ fn drive(rng: &mut SimRng, serial: bool) {
         // Complete every in-flight restart: members report ready, then the
         // cure is (usually) confirmed. Occasionally leave the episode open
         // so the next round escalates it.
-        for ep in rec.protocol_snapshot() {
-            if !ep.in_flight {
-                continue;
-            }
-            let cell = ep.cell.unwrap();
+        let in_flight: Vec<_> = rec
+            .open_episodes()
+            .filter(|ep| ep.in_flight)
+            .map(|ep| (ep.owner.to_string(), ep.cell.unwrap()))
+            .collect();
+        for (owner, cell) in in_flight {
             for member in tree.components_under(cell) {
                 reg.record_component_ready(now(), &member);
             }
-            rec.on_restart_complete(&ep.owner, now());
+            rec.on_restart_complete(&owner, now());
             if rng.chance(0.7) {
-                reg.record_cured(now(), &ep.owner);
-                rec.on_cured(&ep.owner, now());
+                reg.record_cured(now(), &owner);
+                rec.on_cured(&owner, now());
             }
         }
     }
