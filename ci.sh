@@ -3,11 +3,12 @@
 # it. Everything with a contract is a test, so `cargo test --workspace` alone
 # guards the goldens (traces, telemetry snapshot, checkpoint table, rr-abs
 # decision table: crates/harness/tests/{golden,checkpoint}.rs), the rr-audit
-# fixture and exit-code contract (crates/harness/tests/audit_cli.rs) and the
-# journal crash fixtures (crates/store/tests/crash_fixtures.rs). A golden
-# that moved fails with the changed lines in the panic message and leaves the
-# actual output beside the recording as tests/golden/<stem>.actual.<ext>;
-# re-record on purpose with GOLDEN_RECORD=1.
+# fixture and exit-code contract (crates/harness/tests/audit_cli.rs), the
+# journal crash fixtures (crates/store/tests/crash_fixtures.rs) and recovery
+# from every crash point of a journal (crates/store/tests/crash_points.rs).
+# A golden that moved fails with the changed lines in the panic message and
+# leaves the actual output beside the recording as
+# tests/golden/<stem>.actual.<ext>; re-record on purpose with GOLDEN_RECORD=1.
 set -eux
 
 cargo build --release --workspace

@@ -65,24 +65,40 @@ pub struct Record {
     pub payload: Vec<u8>,
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 ///
-/// In-tree because the workspace resolves fully offline; the table is
-/// built at first use from the standard reversed polynomial `0xEDB88320`.
+/// In-tree because the workspace resolves fully offline. Each step folds
+/// the running CRC into the next eight input bytes and looks all eight up
+/// at once, one table per byte position; the last `len % 8` bytes go one
+/// at a time through table 0, the classic bytewise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC_TABLE[idx];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[usize::from(c[4])]
+            ^ t2[usize::from(c[5])]
+            ^ t1[usize::from(c[6])]
+            ^ t0[usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// The 256-entry CRC-32 lookup table for polynomial `0xEDB88320`.
-static CRC_TABLE: [u32; 256] = build_crc_table();
+/// The slicing-by-8 tables for polynomial `0xEDB88320`, computed at
+/// compile time: table 0 is the bytewise table, and table `k` is the CRC
+/// of a byte followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -95,10 +111,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// FNV-1a 64-bit content hash, used to address snapshot blobs.
@@ -132,16 +158,18 @@ pub fn parse_snapshot_payload(payload: &[u8]) -> Option<(u64, u64)> {
     Some((u64::from_le_bytes(hash), u64::from_le_bytes(len)))
 }
 
-/// Appends one framed record to `journal`.
+/// Appends one framed record to `journal`, framing it in place: the CRC
+/// field is written zeroed, then patched once the body behind it is in.
 pub fn append_record(journal: &mut Vec<u8>, seq: u64, kind: RecordKind, payload: &[u8]) {
-    let mut body = Vec::with_capacity(9 + payload.len());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.push(kind.to_byte());
-    body.extend_from_slice(payload);
-    let crc = crc32(&body);
+    let start = journal.len();
+    journal.reserve(HEADER_LEN + payload.len());
     journal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    journal.extend_from_slice(&crc.to_le_bytes());
-    journal.extend_from_slice(&body);
+    journal.extend_from_slice(&[0; 4]);
+    journal.extend_from_slice(&seq.to_le_bytes());
+    journal.push(kind.to_byte());
+    journal.extend_from_slice(payload);
+    let crc = crc32(&journal[start + 8..]);
+    journal[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Why replay stopped before the end of the journal.
@@ -180,62 +208,64 @@ pub struct Replay {
 /// records before it are returned. A journal with bad magic yields no
 /// records and a zero-length valid prefix.
 pub fn replay(journal: &[u8]) -> Replay {
-    if journal.len() < MAGIC.len() || journal[..MAGIC.len()] != MAGIC {
-        return Replay {
-            records: Vec::new(),
-            stop: StopReason::BadMagic,
-            valid_len: 0,
-            discarded_bytes: journal.len(),
-        };
-    }
     let mut records = Vec::new();
+    let (stop, valid_len) = walk(journal, |seq, kind, payload| {
+        records.push(Record {
+            seq,
+            kind,
+            payload: payload.to_vec(),
+        });
+    });
+    Replay {
+        records,
+        stop,
+        valid_len,
+        discarded_bytes: journal.len() - valid_len,
+    }
+}
+
+/// The one frame parser: hands each record of the valid prefix to `visit`
+/// as `(seq, kind, payload)`, the payload borrowed from `journal`, in
+/// append order, and returns why the walk stopped and the length of the
+/// valid prefix (0 on bad magic).
+pub(crate) fn walk<'j>(
+    journal: &'j [u8],
+    mut visit: impl FnMut(u64, RecordKind, &'j [u8]),
+) -> (StopReason, usize) {
+    if journal.get(..MAGIC.len()) != Some(&MAGIC[..]) {
+        return (StopReason::BadMagic, 0);
+    }
     let mut at = MAGIC.len();
     let mut last_seq: Option<u64> = None;
     let stop = loop {
-        if at == journal.len() {
+        let rest = &journal[at..];
+        if rest.is_empty() {
             break StopReason::Clean;
         }
-        if journal.len() - at < HEADER_LEN {
+        let Some(&[l0, l1, l2, l3, c0, c1, c2, c3, s0, s1, s2, s3, s4, s5, s6, s7, kind]) =
+            rest.first_chunk::<HEADER_LEN>()
+        else {
             break StopReason::TornTail;
-        }
-        let mut len4 = [0u8; 4];
-        len4.copy_from_slice(&journal[at..at + 4]);
-        let payload_len = u32::from_le_bytes(len4) as usize;
-        let mut crc4 = [0u8; 4];
-        crc4.copy_from_slice(&journal[at + 4..at + 8]);
-        let want_crc = u32::from_le_bytes(crc4);
-        let body_start = at + 8;
-        let body_len = 9 + payload_len;
-        if journal.len() - body_start < body_len {
+        };
+        let frame_len = HEADER_LEN + u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let Some(frame) = rest.get(..frame_len) else {
             break StopReason::TornTail;
-        }
-        let body = &journal[body_start..body_start + body_len];
-        if crc32(body) != want_crc {
+        };
+        if crc32(&frame[8..]) != u32::from_le_bytes([c0, c1, c2, c3]) {
             break StopReason::CorruptRecord;
         }
-        let mut seq8 = [0u8; 8];
-        seq8.copy_from_slice(&body[..8]);
-        let seq = u64::from_le_bytes(seq8);
-        let Some(kind) = RecordKind::from_byte(body[8]) else {
+        let seq = u64::from_le_bytes([s0, s1, s2, s3, s4, s5, s6, s7]);
+        let Some(kind) = RecordKind::from_byte(kind) else {
             break StopReason::CorruptRecord;
         };
         if last_seq.is_some_and(|prev| seq <= prev) {
             break StopReason::CorruptRecord;
         }
         last_seq = Some(seq);
-        records.push(Record {
-            seq,
-            kind,
-            payload: body[9..].to_vec(),
-        });
-        at = body_start + body_len;
+        visit(seq, kind, &frame[HEADER_LEN..]);
+        at += frame_len;
     };
-    Replay {
-        discarded_bytes: journal.len() - at,
-        records,
-        stop,
-        valid_len: at,
-    }
+    (stop, at)
 }
 
 #[cfg(test)]

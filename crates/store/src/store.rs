@@ -9,17 +9,20 @@
 //! longer referenced are pruned, so journal growth is bounded by one
 //! checkpoint interval of updates.
 //!
-//! Read path ([`ComponentStore::recover`]): replay the journal's valid
+//! Read path ([`ComponentStore::recover`]): walk the journal's valid
 //! prefix, pick the newest snapshot reference whose blob is present and
 //! verifies against its content hash, and return that state plus every
 //! update after it. Damage — torn tails, CRC failures, a missing or
 //! mismatched blob — degrades recovery (fewer replayed updates, or cold
-//! start when nothing verifies) but never yields corrupt state.
+//! start when nothing verifies) but never yields corrupt state: a cold
+//! start returns only the updates written before the first snapshot
+//! reference, because the ones after it are deltas against the state
+//! that reference stood for.
 
 use std::collections::BTreeMap;
 
 use crate::frame::{
-    append_record, content_hash, parse_snapshot_payload, replay, snapshot_payload, RecordKind,
+    append_record, content_hash, parse_snapshot_payload, snapshot_payload, walk, RecordKind,
     StopReason, MAGIC,
 };
 
@@ -84,7 +87,8 @@ impl ComponentStore {
     /// resumes past the highest sequence number in the journal's valid
     /// prefix.
     pub fn from_parts(journal: Vec<u8>, blobs: BTreeMap<u64, Vec<u8>>) -> ComponentStore {
-        let top = replay(&journal).records.last().map_or(0, |r| r.seq);
+        let mut top = 0;
+        walk(&journal, |seq, _, _| top = seq);
         ComponentStore {
             journal,
             blobs,
@@ -125,13 +129,17 @@ impl ComponentStore {
     /// prefix. Infallible by design: damage shrinks the result (down to
     /// a cold start) rather than erroring.
     pub fn recover(&self) -> Recovery {
-        let r = replay(&self.journal);
+        let mut frames = Vec::new();
+        let (stop, valid_len) = walk(&self.journal, |_, kind, payload| {
+            frames.push((kind, payload));
+        });
+        let is_snapshot = |&(kind, _): &(RecordKind, &[u8])| kind == RecordKind::Snapshot;
         // Newest snapshot reference whose blob is present and verifies.
-        let chosen = r.records.iter().enumerate().rev().find_map(|(i, rec)| {
-            if rec.kind != RecordKind::Snapshot {
+        let chosen = frames.iter().enumerate().rev().find_map(|(i, frame)| {
+            if !is_snapshot(frame) {
                 return None;
             }
-            let (hash, len) = parse_snapshot_payload(&rec.payload)?;
+            let (hash, len) = parse_snapshot_payload(frame.1)?;
             let blob = self.blobs.get(&hash)?;
             if blob.len() as u64 == len && content_hash(blob) == hash {
                 Some((i, blob))
@@ -140,24 +148,27 @@ impl ComponentStore {
             }
         });
         let mut stats = RecoveryStats {
-            discarded_bytes: r.discarded_bytes as u64,
-            clean: r.stop == StopReason::Clean,
+            discarded_bytes: (self.journal.len() - valid_len) as u64,
+            clean: stop == StopReason::Clean,
             ..RecoveryStats::default()
         };
-        let (state, replay_from) = match chosen {
+        let (state, replayed) = match chosen {
             Some((i, blob)) => {
                 stats.snapshot_bytes = blob.len() as u64;
                 stats.replayed_records = 1;
-                (Some(blob.clone()), i + 1)
+                (Some(blob.clone()), &frames[i + 1..])
             }
-            None => (None, 0),
+            None => {
+                let first_snapshot = frames.iter().position(is_snapshot);
+                (None, &frames[..first_snapshot.unwrap_or(frames.len())])
+            }
         };
-        let mut updates = Vec::new();
-        for rec in &r.records[replay_from..] {
-            if rec.kind == RecordKind::Update {
+        let mut updates = Vec::with_capacity(replayed.len());
+        for &(kind, payload) in replayed {
+            if kind == RecordKind::Update {
                 stats.replayed_records += 1;
-                stats.update_bytes += rec.payload.len() as u64;
-                updates.push(rec.payload.clone());
+                stats.update_bytes += payload.len() as u64;
+                updates.push(payload.to_vec());
             }
         }
         Recovery {
@@ -345,14 +356,19 @@ mod tests {
     fn missing_or_mismatched_blob_is_not_trusted() {
         let mut s = ComponentStore::new();
         s.checkpoint(b"precious");
+        s.append_update(b"delta against precious");
         // Tamper with the blob behind the journal's back.
         let hash = *s.blobs().keys().next().unwrap();
         let mut blobs = s.blobs().clone();
         blobs.insert(hash, b"swapped!".to_vec());
         let tampered = ComponentStore::from_parts(s.journal().to_vec(), blobs);
-        assert_eq!(tampered.recover().state, None);
         let gone = ComponentStore::from_parts(s.journal().to_vec(), BTreeMap::new());
-        assert_eq!(gone.recover().state, None);
+        for r in [tampered.recover(), gone.recover()] {
+            assert_eq!(r.state, None);
+            // The delta's base is gone: a cold start must not replay it.
+            assert!(r.updates.is_empty(), "{:?}", r.updates);
+            assert_eq!(r.stats.replayed_records, 0);
+        }
     }
 
     #[test]
