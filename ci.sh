@@ -4,8 +4,11 @@
 # guards the goldens (traces, telemetry snapshot, checkpoint table, rr-abs
 # decision table: crates/harness/tests/{golden,checkpoint}.rs), the rr-audit
 # fixture and exit-code contract (crates/harness/tests/audit_cli.rs), the
-# journal crash fixtures (crates/store/tests/crash_fixtures.rs) and recovery
-# from every crash point of a journal (crates/store/tests/crash_points.rs).
+# journal crash fixtures (crates/store/tests/crash_fixtures.rs), recovery
+# from every crash point of a journal (crates/store/tests/crash_points.rs),
+# and that no library code takes a trace label apart
+# (crates/harness/tests/label_parsing.rs; a `! grep` line here could never
+# fail under `set -e`).
 # A golden that moved fails with the changed lines in the panic message and
 # leaves the actual output beside the recording as
 # tests/golden/<stem>.actual.<ext>; re-record on purpose with GOLDEN_RECORD=1.

@@ -9,13 +9,13 @@
 //!    fault may linger undetected or leave an episode open forever.
 //! 2. **Restarts stay within budget.** No component accumulates more restart
 //!    episodes than `max_restarts_per_window` allows.
-//! 3. **No unattributed recovery action.** Every `detect:`, `stale:`,
-//!    `restart:`, `giveup:`, and `quarantine:` mark must belong to a
-//!    component that was injected or that genuinely crashed on its own
-//!    (`induced-crash:`, `aging-crash:`, `poison-crash:` marks) — anything
-//!    else is a false positive of the failure detector. Episodes the
-//!    parallel scheduler merged into an overlapping one (`merge:` marks)
-//!    are attributed to their originating suspicions, not dropped.
+//! 3. **No unattributed recovery action.** Every recovery-action mark must
+//!    belong to a component that was injected or that genuinely crashed on
+//!    its own — anything else is a false positive of the failure detector.
+//!    Episodes the parallel scheduler merged into an overlapping one are
+//!    attributed to their originating suspicions, not dropped. Which marks
+//!    are actions and which certify a failure is `is_action` and
+//!    `certifies_failure`; DESIGN.md §10 tabulates the marks.
 //!
 //! The paper's §2.2 failure detector trusts a single missed ping; under
 //! degraded links that convicts innocent components. The campaign is the
@@ -29,17 +29,35 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{LinkQuality, Registry, SimDuration, SimRng, SimTime, Trace, TraceKind};
+use rr_sim::{
+    intern, EpisodeStage, LinkQuality, Mark, Registry, SimDuration, SimRng, SimTime, Trace,
+};
 
 use crate::tables::Table;
 
-/// Trace-mark prefixes that represent recovery actions needing attribution.
-const ACTION_PREFIXES: [&str; 5] = ["detect:", "stale:", "restart:", "giveup:", "quarantine:"];
+/// `true` for a recovery action that needs attribution: a detection, a
+/// stale beacon, a restart, a give-up or a quarantine.
+fn is_action(mark: &Mark) -> bool {
+    matches!(
+        mark,
+        Mark::Stage(EpisodeStage::Suspected | EpisodeStage::Quarantined, _)
+            | Mark::Stale(_)
+            | Mark::Restart { .. }
+            | Mark::GiveUp { .. }
+    )
+}
 
-/// Trace-mark prefixes that certify a *genuine* (non-injected) failure of a
-/// component, produced by the components themselves.
-const GENUINE_FAILURE_PREFIXES: [&str; 4] =
-    ["inject:", "induced-crash:", "aging-crash:", "poison-crash:"];
+/// `true` for a mark certifying a *genuine* failure of its component: an
+/// injection, or a crash the component itself reports.
+fn certifies_failure(mark: &Mark) -> bool {
+    matches!(
+        mark,
+        Mark::Stage(EpisodeStage::Injected, _)
+            | Mark::InducedCrash(_)
+            | Mark::AgingCrash(_)
+            | Mark::PoisonCrash(_)
+    )
+}
 
 /// The fault kinds a campaign draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,7 +141,7 @@ pub struct ChaosReport {
     pub variant: TreeVariant,
     /// Every injected fault with its outcome.
     pub injections: Vec<ChaosInjection>,
-    /// Restart episodes per failed component (from `restart:` trace marks).
+    /// Restart episodes per failed component (from restart trace marks).
     pub restarts: BTreeMap<String, usize>,
     /// Invariant violations; empty on a clean campaign.
     pub violations: Vec<String>,
@@ -215,22 +233,14 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
                 .unwrap_or_else(|e| panic!("{}: {e:?}", "known component")),
         };
         let deadline = at + SimDuration::from_secs_f64(cfg.cure_deadline_s);
-        let cured_label = format!("cured:{component}");
-        let quarantine_label = format!("quarantine:{component}");
+        let comp = intern(&component);
         let (cured, quarantined) = loop {
             station.run_for(SimDuration::from_secs(5));
-            if station
-                .trace()
-                .first_mark_at_or_after(at, &cured_label)
-                .is_some()
-            {
+            let seen = |mark: Mark| station.trace().times_of(mark).any(|t| t >= at);
+            if seen(Mark::Cured(comp)) {
                 break (true, false);
             }
-            if station
-                .trace()
-                .first_mark_at_or_after(at, &quarantine_label)
-                .is_some()
-            {
+            if seen(Mark::Stage(EpisodeStage::Quarantined, comp)) {
                 break (false, true);
             }
             if station.now() >= deadline {
@@ -270,16 +280,15 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
 
 /// Computes the set of components whose recovery actions are attributable to
 /// a certified failure: the injected components, any that crashed on their
-/// own (`induced-crash:`, `aging-crash:`, `poison-crash:` marks), and the
-/// closure of that set under two episode relations, iterated to a fixpoint:
+/// own (`certifies_failure`), and the closure of that set under two episode
+/// relations, iterated to a fixpoint:
 ///
 /// * **Group membership** — a genuine episode's restart deliberately kills
-///   every cell member (`restart:<owner>:<attempt>:<a+b+c>` carries the full
-///   list), so those members' detections are recovery side effects, not
-///   false positives.
+///   every cell member (the restart mark carries the full set), so those
+///   members' detections are recovery side effects, not false positives.
 /// * **Episode merges** — when the parallel scheduler absorbs a suspicion
-///   into an overlapping episode it emits `merge:<from>-><into>`, and every
-///   later action of the promoted episode is keyed by the surviving owner.
+///   into an overlapping episode it marks the merge, and every later action
+///   of the promoted episode is keyed by the surviving owner.
 ///   If the absorbed origin's failure was genuine, the merged episode
 ///   answers that suspicion and its owner-keyed restarts are attributed to
 ///   it rather than counted as unattributed.
@@ -288,44 +297,22 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
 /// precede (in scan order) the episode that legitimizes them.
 pub fn attributable_components(trace: &Trace, injected: &BTreeSet<String>) -> BTreeSet<String> {
     let mut genuine: BTreeSet<String> = injected.clone();
-    for e in trace.iter() {
-        if e.kind != TraceKind::Mark {
-            continue;
-        }
-        for prefix in GENUINE_FAILURE_PREFIXES {
-            if let Some(rest) = e.label.strip_prefix(prefix) {
-                if let Some(comp) = rest.split(':').next() {
-                    genuine.insert(comp.to_string());
-                }
-            }
-        }
+    for (_, mark) in trace.marks().filter(|(_, m)| certifies_failure(m)) {
+        genuine.insert(mark.head().1.to_string());
     }
     loop {
         let mut grew = false;
-        for e in trace.iter() {
-            if e.kind != TraceKind::Mark {
-                continue;
-            }
-            if let Some(rest) = e.label.strip_prefix("merge:") {
-                if let Some((from, into)) = rest.split_once("->") {
-                    if genuine.contains(from) && !genuine.contains(into) {
-                        genuine.insert(into.to_string());
-                        grew = true;
+        for (_, mark) in trace.marks() {
+            match mark {
+                Mark::Merge { from, into } if genuine.contains(from.resolve()) => {
+                    grew |= genuine.insert(into.to_string());
+                }
+                Mark::Restart { owner, set, .. } if genuine.contains(owner.resolve()) => {
+                    for member in set {
+                        grew |= genuine.insert(member.to_string());
                     }
                 }
-                continue;
-            }
-            let Some(rest) = e.label.strip_prefix("restart:") else {
-                continue;
-            };
-            let mut parts = rest.split(':');
-            let owner = parts.next().unwrap_or("");
-            let members = parts.nth(1).unwrap_or("");
-            if !genuine.contains(owner) {
-                continue;
-            }
-            for member in members.split('+') {
-                grew |= genuine.insert(member.to_string());
+                _ => {}
             }
         }
         if !grew {
@@ -360,25 +347,20 @@ fn audit(
     let genuine = attributable_components(station.trace(), &injected);
 
     let mut restarts: BTreeMap<String, usize> = BTreeMap::new();
-    for e in station.trace().iter() {
-        if e.kind != TraceKind::Mark || e.time < campaign_start {
+    for (at, mark) in station.trace().marks() {
+        if at < campaign_start || !is_action(mark) {
             continue;
         }
-        for prefix in ACTION_PREFIXES {
-            let Some(rest) = e.label.strip_prefix(prefix) else {
-                continue;
-            };
-            let comp = rest.split(':').next().unwrap_or("").to_string();
-            if prefix == "restart:" {
-                *restarts.entry(comp.clone()).or_insert(0) += 1;
-            }
-            // Invariant 3: no recovery action without a certified failure.
-            if !genuine.contains(&comp) {
-                violations.push(format!(
-                    "unattributed {prefix}{comp} at {} (false positive)",
-                    e.time
-                ));
-            }
+        let (tag, comp) = mark.head();
+        let comp = comp.resolve();
+        if let Mark::Restart { .. } = mark {
+            *restarts.entry(comp.to_string()).or_insert(0) += 1;
+        }
+        // Invariant 3: no recovery action without a certified failure.
+        if !genuine.contains(comp) {
+            violations.push(format!(
+                "unattributed {tag}:{comp} at {at} (false positive)"
+            ));
         }
     }
 
@@ -475,9 +457,8 @@ pub fn experiment(run: crate::RunConfig) -> crate::Experiment {
     station.run_for(SimDuration::from_secs(3600));
     let false_positives = station
         .trace()
-        .iter()
-        .filter(|e| e.time >= start && e.kind == TraceKind::Mark)
-        .filter(|e| ACTION_PREFIXES.iter().any(|p| e.label.starts_with(p)))
+        .marks()
+        .filter(|&(at, mark)| at >= start && is_action(mark))
         .count();
 
     crate::Experiment {
@@ -511,6 +492,7 @@ pub fn experiment(run: crate::RunConfig) -> crate::Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_sim::TraceKind;
 
     /// A trace where fedr's genuine episode is absorbed into pbcom's: the
     /// promoted restart is keyed by pbcom, which never failed on its own.

@@ -18,11 +18,11 @@
 //! above it the checkpoint wins — the recursive-restartability story with a
 //! price tag on state.
 
-use mercury::config::StationConfig;
+use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::{PerfectOracle, RecoveryMode};
-use rr_sim::{SimDuration, SimTime, TraceKind};
+use rr_sim::{intern, Mark, SimDuration, SimTime};
 
 use crate::tables::Table;
 
@@ -155,8 +155,8 @@ pub fn run_arm(rehydrate: bool, state_kb: f64, cfg: &CheckpointConfig) -> Checkp
     }
     let induced_str_crashes = station
         .trace()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Mark && e.label == "induced-crash:str" && e.time > start)
+        .times_of(Mark::InducedCrash(intern(names::STR)))
+        .filter(|&t| t > start)
         .count();
 
     let t = station.telemetry();

@@ -25,7 +25,7 @@ use rr_core::optimize::{optimize_tree, OptimizerConfig};
 use rr_core::oracle::Oracle;
 use rr_core::render::render_tree;
 use rr_core::{FaultyOracle, LearningOracle, PerfectOracle};
-use rr_sim::{Dist, SimDuration, SimRng, Summary};
+use rr_sim::{intern, Dist, Mark, SimDuration, SimRng, Summary};
 
 use crate::par::par_map;
 use crate::tables::{secs, versus, Table};
@@ -324,16 +324,20 @@ pub fn measure_correlated(
         // metric because the serial baseline can recover a deferred
         // component through another episode's deadline escalation, which
         // never issues a restart under the deferred component's own name.
+        let comps = kind.components().map(intern);
+        let mut last_ready = [None; 2];
+        for (at, mark) in station.trace().marks().filter(|&(at, _)| at >= injected) {
+            for (comp, last) in comps.iter().zip(&mut last_ready) {
+                if *mark == Mark::Ready(*comp) {
+                    *last = Some(at);
+                }
+            }
+        }
         let mut group = 0.0f64;
-        for comp in kind.components() {
-            let ready = station
-                .trace()
-                .mark_times(&format!("ready:{comp}"))
-                .filter(|&t| t >= injected)
-                .last()
-                .unwrap_or_else(|| {
-                    panic!("trial {i} ({variant}, {comp}, serial={serial}): never became ready")
-                });
+        for (comp, ready) in comps.iter().zip(last_ready) {
+            let ready = ready.unwrap_or_else(|| {
+                panic!("trial {i} ({variant}, {comp}, serial={serial}): never became ready")
+            });
             group = group.max(ready.saturating_since(injected).as_secs_f64());
         }
         group
@@ -1427,8 +1431,9 @@ pub fn ablation_rejuvenation(run: RunConfig) -> Experiment {
             }
         }
         station.run_for(SimDuration::from_secs(120));
-        let aging = station.trace().mark_times("aging-crash:pbcom").count();
-        let rejuv = station.trace().mark_times("rejuvenate:pbcom").count();
+        let pbcom = intern(names::PBCOM);
+        let aging = station.trace().times_of(Mark::AgingCrash(pbcom)).count();
+        let rejuv = station.trace().times_of(Mark::Rejuvenate(pbcom)).count();
         table.push_row(vec![
             label.to_string(),
             aging.to_string(),

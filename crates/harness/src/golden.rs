@@ -8,42 +8,22 @@
 //! time), so a normalized trace is a *byte-exact* function of the scenario.
 //!
 //! Normalization keeps exactly the events that define recovery behaviour —
-//! component lifecycle transitions and the recovery-protocol marks — and
-//! rebases times to the scenario start so incidental warm-up drift (e.g. a
-//! longer settle window in a future config) cannot invalidate every golden.
+//! component lifecycle transitions and the recovery-protocol marks
+//! ([`rr_sim::Mark`], tabulated in DESIGN.md §10) — and rebases times to the
+//! scenario start so incidental warm-up drift (e.g. a longer settle window in
+//! a future config) cannot invalidate every golden.
 
 use std::path::PathBuf;
 
 use mercury::config::{names, StationConfig};
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{FaultKind, FaultScript, SimDuration, SimTime, Trace, TraceKind};
-
-/// Mark prefixes that are part of the recovery protocol and therefore part of
-/// the golden contract. Everything else (telemetry chatter, pass bookkeeping)
-/// is incidental and excluded.
-pub const GOLDEN_MARK_PREFIXES: &[&str] = &[
-    "inject:",
-    "detect:",
-    "stale:",
-    "alive:",
-    "restart:",
-    "giveup:",
-    "quarantine:",
-    "cured:",
-    "ready:",
-    "rejuvenate:",
-    "merge:",
-    "defer:",
-    "shed:",
-    "induced-crash:",
-    "aging-crash:",
-    "poison-crash:",
-];
+use rr_sim::{FaultKind, FaultScript, SimDuration, SimTime, Trace, TraceEvent, TraceKind};
 
 /// Lifecycle kinds included in a normalized trace. `Spawned` is excluded
-/// (cold-start noise) and `Dropped` is excluded (incidental routing detail);
-/// `Mark` is handled separately through [`GOLDEN_MARK_PREFIXES`].
+/// (cold-start noise) and `Dropped` is excluded (incidental routing detail).
+/// Of the marks, the recovery-protocol ones are kept; free text (telemetry
+/// chatter, pass bookkeeping) is incidental and excluded.
 const GOLDEN_KINDS: &[TraceKind] = &[
     TraceKind::Crashed,
     TraceKind::Hung,
@@ -52,9 +32,9 @@ const GOLDEN_KINDS: &[TraceKind] = &[
 ];
 
 /// `true` if the event belongs in a normalized golden trace.
-fn is_golden(kind: TraceKind, label: &str) -> bool {
-    match kind {
-        TraceKind::Mark => GOLDEN_MARK_PREFIXES.iter().any(|p| label.starts_with(p)),
+fn is_golden(e: &TraceEvent) -> bool {
+    match e.kind {
+        TraceKind::Mark => e.mark().is_some(),
         k => GOLDEN_KINDS.contains(&k),
     }
 }
@@ -66,7 +46,7 @@ fn is_golden(kind: TraceKind, label: &str) -> bool {
 pub fn normalize(trace: &Trace, from: SimTime) -> String {
     let mut out = String::new();
     for e in trace.iter() {
-        if e.time < from || !is_golden(e.kind, &e.label) {
+        if e.time < from || !is_golden(e) {
             continue;
         }
         let rebased = e.time.saturating_since(from).as_nanos();

@@ -29,7 +29,7 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::{measure_recovery, system_downtime};
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{Dist, FaultKind, FaultScript, SimDuration, SimRng, SimTime, TraceKind};
+use rr_sim::{Dist, EpisodeStage, FaultKind, FaultScript, Mark, SimDuration, SimRng, SimTime};
 
 use crate::tables::Table;
 
@@ -169,11 +169,11 @@ pub struct OverloadReport {
     /// Kills actually injected (scheduled kills landing on a dead component
     /// are skipped — the component is already failing).
     pub kills: usize,
-    /// `defer:` marks — restart requests queued by the controller.
+    /// Deferral marks — restart requests queued by the controller.
     pub deferred: usize,
-    /// `shed:` marks — duplicate reports dropped by the controller.
+    /// Shed marks — duplicate reports dropped by the controller.
     pub shed: usize,
-    /// Restart launches (`restart:` marks).
+    /// Restart launches (restart marks).
     pub restarts: usize,
     /// Components the storm policy quarantined.
     pub quarantined: BTreeSet<String>,
@@ -273,18 +273,18 @@ pub fn run_overload(variant: TreeVariant, admission: bool, cfg: &OverloadConfig)
     let mut shed = 0usize;
     let mut restarts = 0usize;
     let mut quarantined = BTreeSet::new();
-    for e in station.trace().iter() {
-        if e.kind != TraceKind::Mark || e.time < start {
+    for (at, mark) in station.trace().marks() {
+        if at < start {
             continue;
         }
-        if e.label.starts_with("defer:") {
-            deferred += 1;
-        } else if e.label.starts_with("shed:") {
-            shed += 1;
-        } else if e.label.starts_with("restart:") {
-            restarts += 1;
-        } else if let Some(comp) = e.label.strip_prefix("quarantine:") {
-            quarantined.insert(comp.to_string());
+        match mark {
+            Mark::Stage(EpisodeStage::Deferred, _) => deferred += 1,
+            Mark::Stage(EpisodeStage::Shed, _) => shed += 1,
+            Mark::Restart { .. } => restarts += 1,
+            Mark::Stage(EpisodeStage::Quarantined, comp) => {
+                quarantined.insert(comp.to_string());
+            }
+            _ => {}
         }
     }
 

@@ -17,10 +17,18 @@ use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
 use rr_harness::chaos::{run_campaign, ChaosConfig};
-use rr_sim::{LinkQuality, SimDuration, TraceKind};
+use rr_sim::{intern, EpisodeStage, LinkQuality, Mark, SimDuration, TraceKind};
 
-/// Recovery-action mark prefixes that must never fire without a real failure.
-const ACTIONS: [&str; 5] = ["detect:", "stale:", "restart:", "giveup:", "quarantine:"];
+/// Recovery actions that must never fire without a real failure.
+fn is_action(mark: &Mark) -> bool {
+    matches!(
+        mark,
+        Mark::Stage(EpisodeStage::Suspected | EpisodeStage::Quarantined, _)
+            | Mark::Stale(_)
+            | Mark::Restart { .. }
+            | Mark::GiveUp { .. }
+    )
+}
 
 #[test]
 fn an_hour_of_five_percent_loss_causes_no_false_positives() {
@@ -41,9 +49,9 @@ fn an_hour_of_five_percent_loss_causes_no_false_positives() {
         .iter()
         .filter(|e| e.time >= start && e.kind == TraceKind::Mark)
         .filter(|e| {
-            ACTIONS.iter().any(|p| e.label.starts_with(p))
-                || e.label == "rec-restarts:fd"
-                || e.label == "fd-restarts:rec"
+            e.mark().is_some_and(is_action)
+                || e.text() == Some("rec-restarts:fd")
+                || e.text() == Some("fd-restarts:rec")
         })
         .map(|e| e.to_string())
         .collect();
@@ -82,9 +90,8 @@ fn the_paper_detector_convicts_innocents_under_the_same_loss() {
     station.run_for(SimDuration::from_secs(300));
     let false_detects = station
         .trace()
-        .iter()
-        .filter(|e| e.time >= start && e.kind == TraceKind::Mark)
-        .filter(|e| e.label.starts_with("detect:"))
+        .marks()
+        .filter(|&(at, m)| at >= start && matches!(m, Mark::Stage(EpisodeStage::Suspected, _)))
         .count();
     assert!(
         false_detects > 0,
@@ -114,30 +121,35 @@ fn a_hard_failure_escalates_and_is_quarantined_within_budget() {
         .trace()
         .first_mark_at_or_after(at, "quarantine:rtu")
         .expect("hard failure must end in quarantine");
+    let rtu = intern(names::RTU);
     assert!(
         station
             .trace()
-            .iter()
-            .any(|e| e.kind == TraceKind::Mark && e.label.starts_with("giveup:rtu")),
+            .marks()
+            .any(|(_, m)| matches!(m, Mark::GiveUp { comp, .. } if *comp == rtu)),
         "quarantine must be preceded by an explicit give-up mark"
     );
 
     // The oracle escalated through the parent cell: at least one retry
     // pushed a button above R_rtu, restarting the whole station with it.
-    let restart_marks: Vec<&str> = station
+    let restart_sets: Vec<&[rr_sim::CompId]> = station
         .trace()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Mark && e.label.starts_with("restart:rtu:"))
-        .map(|e| e.label.as_str())
+        .marks()
+        .filter_map(|(_, m)| match m {
+            Mark::Restart { owner, set, .. } if *owner == rtu => Some(set.as_slice()),
+            _ => None,
+        })
         .collect();
     assert!(
-        restart_marks.iter().any(|l| l.contains(names::MBUS)),
-        "expected escalation past rtu's own cell, got {restart_marks:?}"
+        restart_sets
+            .iter()
+            .any(|set| set.contains(&intern(names::MBUS))),
+        "expected escalation past rtu's own cell, got {restart_sets:?}"
     );
 
     // The restart budget held: no more attempts than the escalation limit,
     // which itself sits inside the per-window restart budget.
-    let attempts = restart_marks.len() as u32;
+    let attempts = restart_sets.len() as u32;
     assert!(
         attempts <= cfg.policy.escalation_limit,
         "{attempts} attempts exceed the escalation limit {}",
@@ -148,9 +160,10 @@ fn a_hard_failure_escalates_and_is_quarantined_within_budget() {
     // Quarantine is terminal: not a single rtu restart after the give-up.
     let post_quarantine = station
         .trace()
-        .iter()
-        .filter(|e| e.time > quarantined_at && e.kind == TraceKind::Mark)
-        .filter(|e| e.label.starts_with("restart:rtu:"))
+        .marks()
+        .filter(|(at, m)| {
+            *at > quarantined_at && matches!(m, Mark::Restart { owner, .. } if *owner == rtu)
+        })
         .count();
     assert_eq!(
         post_quarantine, 0,

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use mercury_msg::{ComponentStatus, Envelope, Message};
 use rr_core::RecoveryMode;
 use rr_sim::telemetry::Registry;
-use rr_sim::{Context, SimDuration, SimTime};
+use rr_sim::{intern, Context, Mark, SimDuration, SimTime};
 use rr_store::{RecoveryStats, StateStore};
 
 use crate::config::{calib, names, StationConfig};
@@ -189,7 +189,7 @@ impl Lifecycle {
     pub fn set_ready(&mut self, ctx: &mut Context<'_, Wire>) {
         self.phase = Phase::Ready;
         self.shared.load.borrow_mut().end_boot(&self.name);
-        ctx.trace_mark(format!("ready:{}", self.name));
+        ctx.trace_mark(Mark::Ready(intern(&self.name)));
         self.shared
             .telemetry
             .borrow_mut()

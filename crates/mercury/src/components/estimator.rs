@@ -10,7 +10,7 @@
 //! the mechanism behind `f_ses ≈ f_str ≈ 0, f_{ses,str} ≈ 1`.
 
 use mercury_msg::Message;
-use rr_sim::{Actor, Context, Event, SimDuration};
+use rr_sim::{intern, Actor, Context, Event, Mark, SimDuration};
 
 use super::common::{Lifecycle, Phase, Shared, StoreClient, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -84,7 +84,7 @@ impl SyncPeer {
                 // The emergency session rebuild has corrupted this old
                 // incarnation (§4.3): fail now; FD will notice and REC will
                 // restart us.
-                ctx.trace_mark(format!("induced-crash:{}", life.name()));
+                ctx.trace_mark(Mark::InducedCrash(intern(life.name())));
                 let me = ctx.id();
                 ctx.kill_after(SimDuration::ZERO, me);
                 true

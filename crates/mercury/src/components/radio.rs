@@ -16,7 +16,7 @@
 //!   only curable by a joint restart (§4.4).
 
 use mercury_msg::Message;
-use rr_sim::{Actor, Context, Event, SimDuration, SimTime};
+use rr_sim::{intern, Actor, Context, Event, Mark, SimDuration, SimTime};
 
 use super::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -393,7 +393,7 @@ impl Actor<Wire> for Pbcom {
                             self.aging += 1;
                             if self.aging >= calib::PBCOM_AGING_LIMIT && !self.dying {
                                 self.dying = true;
-                                ctx.trace_mark("aging-crash:pbcom");
+                                ctx.trace_mark(Mark::AgingCrash(intern(names::PBCOM)));
                                 let me = ctx.id();
                                 ctx.kill_after(SimDuration::from_millis(500), me);
                             }
@@ -430,7 +430,7 @@ impl Actor<Wire> for Pbcom {
                     "DATA" if arg == "corrupt" && !self.dying => {
                         // The poisoned session corrupts the bridge (§4.4).
                         self.dying = true;
-                        ctx.trace_mark("poison-crash:pbcom");
+                        ctx.trace_mark(Mark::PoisonCrash(intern(names::PBCOM)));
                         let delay = SimDuration::from_secs_f64(calib::POISON_CRASH_DELAY_S);
                         let me = ctx.id();
                         ctx.kill_after(delay, me);

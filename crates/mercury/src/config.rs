@@ -439,28 +439,26 @@ impl StationConfig {
     /// machinery is coherent, and the recovery timeouts are ordered against
     /// the [`calib`] constants so escalation (not deadlock or spurious new
     /// episodes) handles persisting failures. Relations among the constants
-    /// alone are a unit test of this module, not a runtime rule.
+    /// alone are a unit test of this module, not a runtime rule. The ping
+    /// timing, K-of-N suspicion, backoff and restart-budget knobs are
+    /// [`lint`](Self::lint)'s alone (RRL601, RRL602, RRL102, RRL103/RRL101),
+    /// non-finite values included.
     ///
     /// # Errors
     ///
     /// Returns the list of violated constraints.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut errors = Vec::new();
-        let (fd, policy) = (&self.fd, &self.policy);
+        let fd = &self.fd;
         let has_timing = |comp: &str| calib::TIMING.iter().any(|(name, _)| *name == comp);
         // Finiteness first: NaN is incomparable, so it slips through every
         // range check below (`NaN <= 0.0` is false), and an infinite knob
         // turns the derived bounds (min confirm) into nonsense. One sweep
-        // over every float knob closes that hole.
+        // over every float knob this method owns closes that hole.
         let float_knobs = [
-            ("ping_period_s", fd.ping_period_s),
-            ("ping_timeout_s", fd.ping_timeout_s),
             ("beacon_period_s", fd.beacon_period_s),
             ("beacon_timeout_s", fd.beacon_timeout_s),
             ("cure_confirm_s", self.cure_confirm_s),
-            ("restart_backoff_base_s", policy.backoff_base_s),
-            ("restart_backoff_cap_s", policy.backoff_cap_s),
-            ("restart_window_s", policy.restart_window_s),
             ("pass_epoch_offset_s", self.pass_epoch_offset_s),
             ("admission_window_s", self.admission_window_s),
             ("admission_retry_s", self.admission_retry_s),
@@ -477,27 +475,6 @@ impl StationConfig {
                 errors.push(format!("rejuvenation threshold ({t}) must be finite"));
             }
         }
-        if fd.ping_timeout_s >= fd.ping_period_s {
-            errors.push(format!(
-                "ping timeout ({}) must be shorter than the ping period ({}) or rounds overlap",
-                fd.ping_timeout_s, fd.ping_period_s
-            ));
-        }
-        if fd.suspicion_threshold < 1 {
-            errors.push("suspicion_threshold must be at least 1".to_string());
-        }
-        if fd.suspicion_window < fd.suspicion_threshold {
-            errors.push(format!(
-                "suspicion_window ({}) must be at least suspicion_threshold ({})",
-                fd.suspicion_window, fd.suspicion_threshold
-            ));
-        }
-        if policy.backoff_base_s < 0.0 || policy.backoff_cap_s < policy.backoff_base_s {
-            errors.push(format!(
-                "restart backoff base ({}) must be non-negative and at most the cap ({})",
-                policy.backoff_base_s, policy.backoff_cap_s
-            ));
-        }
         if fd.beacon_timeout_s != 0.0 {
             if fd.beacon_period_s <= 0.0 {
                 errors.push("beacon_timeout_s requires beacons (beacon_period_s > 0)".to_string());
@@ -508,17 +485,6 @@ impl StationConfig {
                     fd.beacon_timeout_s, fd.beacon_period_s
                 ));
             }
-        }
-        if policy.escalation_limit == 0 || policy.max_restarts_per_window == 0 {
-            errors.push(
-                "escalation_limit and max_restarts_per_window must be at least 1".to_string(),
-            );
-        }
-        if policy.restart_window_s <= 0.0 {
-            errors.push(format!(
-                "restart_window_s ({}) must be positive",
-                policy.restart_window_s
-            ));
         }
         // REC must not declare a cure before a poison re-crash could be
         // re-detected, or it closes the episode and escalation never happens.
@@ -1034,14 +1000,28 @@ mod tests {
             .expect("paper calibration is coherent");
     }
 
+    /// One change to the paper calibration.
+    type Knob = fn(&mut StationConfig);
+
+    /// Applies `knob` to the paper calibration and returns the deny codes
+    /// `Station::new` refuses it with. Panics unless validation passes and
+    /// rr-lint denies.
+    fn lint_denials(knob: Knob) -> Vec<&'static str> {
+        use crate::station::{Station, StationError, TreeVariant};
+        let mut cfg = StationConfig::paper();
+        knob(&mut cfg);
+        let oracle = Box::new(rr_core::PerfectOracle::new());
+        match Station::new(cfg, TreeVariant::II, oracle, 1) {
+            Err(StationError::Lint(diagnostics)) => diagnostics.iter().map(|d| d.code()).collect(),
+            other => panic!("want StationError::Lint, got {other:?}"),
+        }
+    }
+
     #[test]
     fn validate_catches_incoherent_timeouts() {
         let mut cfg = StationConfig::paper();
-        cfg.fd.ping_timeout_s = 2.0; // longer than the 1 s period
         cfg.cure_confirm_s = 0.1; // cure declared before poison can re-crash
         let errors = cfg.validate().unwrap_err();
-        assert!(errors.len() >= 2, "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("ping timeout")));
         assert!(errors.iter().any(|e| e.contains("cure_confirm_s")));
         // A ping round longer than the watchdog grace leaves FD and REC
         // re-killing each other mid-boot.
@@ -1049,6 +1029,14 @@ mod tests {
         cfg.fd.ping_period_s = 7.0;
         let errors = cfg.validate().unwrap_err();
         assert!(errors.iter().any(|e| e.contains("watchdog_grace_s")));
+        // A pong timeout that does not fit the ping period is rr-lint's rule.
+        let cases: [Knob; 2] = [
+            |c| c.fd.ping_timeout_s = 1.0, // as long as the 1 s period
+            |c| c.fd.ping_timeout_s = f64::NAN,
+        ];
+        for knob in cases {
+            assert!(lint_denials(knob).contains(&"RRL601"));
+        }
     }
 
     #[test]
@@ -1112,31 +1100,34 @@ mod tests {
     #[test]
     fn validate_catches_bad_suspicion_and_backoff() {
         let mut cfg = StationConfig::paper();
-        cfg.fd.suspicion_threshold = 5;
-        cfg.fd.suspicion_window = 3; // window shorter than threshold
-        cfg.policy.backoff_base_s = 10.0;
-        cfg.policy.backoff_cap_s = 1.0; // cap below base
         cfg.fd.beacon_timeout_s = 5.0; // not above 2 beacon periods
-        cfg.policy.max_restarts_per_window = 0;
-        cfg.policy.restart_window_s = -1.0;
         let errors = cfg.validate().unwrap_err();
-        assert!(
-            errors.iter().any(|e| e.contains("suspicion_window")),
-            "{errors:?}"
-        );
-        assert!(errors.iter().any(|e| e.contains("backoff")), "{errors:?}");
         assert!(
             errors.iter().any(|e| e.contains("beacon_timeout_s")),
             "{errors:?}"
         );
-        assert!(
-            errors.iter().any(|e| e.contains("max_restarts_per_window")),
-            "{errors:?}"
-        );
-        assert!(
-            errors.iter().any(|e| e.contains("restart_window_s")),
-            "{errors:?}"
-        );
+        // K-of-N suspicion, backoff and the restart budget are rr-lint's
+        // rules. The cases keep mean detection short enough for validate's
+        // own cure-confirmation rule. Each float knob also has a non-finite
+        // case; K and N are integers, so theirs is K = 0.
+        let cases: [(Knob, &str); 9] = [
+            (|c| c.fd.suspicion_window = 0, "RRL602"),
+            (|c| c.fd.suspicion_threshold = 0, "RRL602"),
+            (
+                |c| (c.policy.backoff_base_s, c.policy.backoff_cap_s) = (10.0, 1.0),
+                "RRL102",
+            ),
+            (|c| c.policy.backoff_cap_s = f64::INFINITY, "RRL102"),
+            (|c| c.policy.backoff_base_s = f64::NAN, "RRL102"),
+            (|c| c.policy.max_restarts_per_window = 0, "RRL103"),
+            (|c| c.policy.restart_window_s = -1.0, "RRL103"),
+            (|c| c.policy.restart_window_s = f64::INFINITY, "RRL103"),
+            (|c| c.policy.escalation_limit = 0, "RRL101"),
+        ];
+        for (knob, code) in cases {
+            let codes = lint_denials(knob);
+            assert!(codes.contains(&code), "want {code}, got {codes:?}");
+        }
     }
 
     #[test]
@@ -1155,11 +1146,10 @@ mod tests {
         );
 
         let mut cfg = StationConfig::paper();
-        cfg.policy.restart_window_s = f64::INFINITY;
         cfg.cure_confirm_s = f64::NEG_INFINITY;
         cfg.admission_retry_s = f64::NAN;
         let errors = cfg.validate().unwrap_err();
-        for needle in ["restart_window_s", "cure_confirm_s", "admission_retry_s"] {
+        for needle in ["cure_confirm_s", "admission_retry_s"] {
             assert!(
                 errors
                     .iter()

@@ -28,7 +28,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use mercury_msg::Message;
 use rr_sim::telemetry::LATENCY_BUCKETS;
-use rr_sim::{Actor, Context, Event, SimDuration, SimTime};
+use rr_sim::{intern, Actor, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -199,7 +199,7 @@ impl Fd {
         self.missing.insert(comp.clone());
         let was_down = self.down.get(&comp).copied().unwrap_or(false);
         if !was_down {
-            ctx.trace_mark(format!("detect:{comp}"));
+            ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(&comp)));
             self.life
                 .shared()
                 .telemetry
@@ -245,7 +245,7 @@ impl Fd {
             return;
         }
         if !self.rec_down {
-            ctx.trace_mark("detect:rec");
+            ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(names::REC)));
         }
         self.rec_down = true;
         if let Some(rec) = ctx.lookup(names::REC) {
@@ -282,7 +282,7 @@ impl Fd {
             self.rec_misses = 0;
             if self.rec_down {
                 self.rec_down = false;
-                ctx.trace_mark("alive:rec");
+                ctx.trace_mark(Mark::Alive(intern(names::REC)));
             }
             return;
         }
@@ -319,7 +319,7 @@ impl Fd {
             self.missing.remove(src);
             // A recovered component starts from a clean suspicion window.
             self.history.remove(src);
-            ctx.trace_mark(format!("alive:{src}"));
+            ctx.trace_mark(Mark::Alive(intern(src)));
             self.life.send_direct(
                 ctx,
                 names::REC,

@@ -4,13 +4,14 @@
 //! it is functionally ready, it logs a timestamped message. The difference
 //! between these two times is what we consider to be the recovery time."
 //!
-//! An *episode* starts at an `inject:<component>` mark and is recovered when
-//! every component restarted by the episode's final (curing) restart attempt
-//! has logged `ready:`. For tree I this is the whole station (recovery =
+//! An *episode* starts at the component's injection mark and is recovered
+//! when every component restarted by the episode's final (curing) restart
+//! attempt has logged ready. For tree I this is the whole station (recovery =
 //! slowest component); for a tree-V pbcom failure it is the joint
-//! [fedr, pbcom] pair.
+//! [fedr, pbcom] pair. The marks read here are [`rr_sim::Mark`]s; DESIGN.md
+//! §10 tabulates them.
 
-use rr_sim::{SimTime, Trace, TraceKind};
+use rr_sim::{intern, CompId, EpisodeStage, Mark, SimTime, Trace, TraceKind};
 
 /// One measured recovery episode.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,7 +40,7 @@ impl RecoveryMeasurement {
 /// Why a recovery could not be measured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MeasureError {
-    /// No `inject:` mark for the component at or after the given time.
+    /// No injection mark for the component at or after the given time.
     NoInjection(String),
     /// The recoverer never issued a restart for the episode.
     NoRestart(String),
@@ -63,21 +64,6 @@ impl std::fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
-/// Parses a `restart:<episode>:<attempt>:<c1+c2+…>` mark.
-fn parse_restart(label: &str) -> Option<(&str, u32, Vec<String>)> {
-    let rest = label.strip_prefix("restart:")?;
-    let mut parts = rest.splitn(3, ':');
-    let episode = parts.next()?;
-    let attempt: u32 = parts.next()?.parse().ok()?;
-    let comps = parts.next()?.split('+').map(str::to_string).collect();
-    Some((episode, attempt, comps))
-}
-
-/// Parses a `merge:<from>-><into>` mark.
-fn parse_merge(label: &str) -> Option<(&str, &str)> {
-    label.strip_prefix("merge:")?.split_once("->")
-}
-
 /// Measures the recovery of the failure injected into `component` at or
 /// after `after`.
 ///
@@ -89,56 +75,49 @@ pub fn measure_recovery(
     component: &str,
     after: SimTime,
 ) -> Result<RecoveryMeasurement, MeasureError> {
+    let comp = intern(component);
     let injected_at = trace
-        .first_mark_at_or_after(after, &format!("inject:{component}"))
+        .times_of(Mark::Stage(EpisodeStage::Injected, comp))
+        .find(|&t| t >= after)
         .ok_or_else(|| MeasureError::NoInjection(component.to_string()))?;
 
     // All restart attempts for this episode after the injection. The episode
-    // starts keyed by the component that failed; a `merge:<from>-><into>`
-    // mark means the episode was absorbed into `<into>`'s, so that key's
-    // restarts belong to this recovery too.
-    let mut keys: std::collections::BTreeSet<String> =
-        std::iter::once(component.to_string()).collect();
-    let mut attempts: Vec<(SimTime, u32, Vec<String>)> = Vec::new();
+    // starts keyed by the component that failed; a merge into another
+    // episode means that key's restarts belong to this recovery too.
+    let mut keys = vec![comp];
+    let mut attempts: Vec<(SimTime, &[CompId])> = Vec::new();
     let mut gave_up = false;
-    for ev in trace.iter() {
-        if ev.kind != TraceKind::Mark || ev.time < injected_at {
+    for (at, mark) in trace.marks() {
+        if at < injected_at {
             continue;
         }
-        if let Some((from, into)) = parse_merge(&ev.label) {
-            if keys.contains(from) {
-                keys.insert(into.to_string());
+        match mark {
+            Mark::Merge { from, into } if keys.contains(from) && !keys.contains(into) => {
+                keys.push(*into);
             }
-        } else if let Some((episode, attempt, comps)) = parse_restart(&ev.label) {
-            if keys.contains(episode) {
-                attempts.push((ev.time, attempt, comps));
-            }
-        } else if let Some(rest) = ev.label.strip_prefix("giveup:") {
-            let who = rest.split(':').next().unwrap_or(rest);
-            if keys.contains(who) {
-                gave_up = true;
-            }
-        } else if ev.label == format!("cured:{component}") && !attempts.is_empty() {
+            Mark::Restart { owner, set, .. } if keys.contains(owner) => attempts.push((at, set)),
+            Mark::GiveUp { comp: who, .. } if keys.contains(who) => gave_up = true,
             // Episode closed (merged episodes mark every origin cured);
             // later restarts belong to a new episode.
-            break;
+            Mark::Cured(c) if *c == comp && !attempts.is_empty() => break,
+            _ => {}
         }
     }
     if gave_up {
         return Err(MeasureError::GaveUp(component.to_string()));
     }
-    let (final_time, _, final_set) = attempts
+    let &(final_time, final_set) = attempts
         .last()
-        .cloned()
         .ok_or_else(|| MeasureError::NoRestart(component.to_string()))?;
 
     // Recovery completes when every component of the final restart logs
     // ready at or after the final restart was issued.
     let mut recovered_at = SimTime::ZERO;
-    for comp in &final_set {
+    for &member in final_set {
         let ready = trace
-            .first_mark_at_or_after(final_time, &format!("ready:{comp}"))
-            .ok_or_else(|| MeasureError::NeverReady(comp.clone()))?;
+            .times_of(Mark::Ready(member))
+            .find(|&t| t >= final_time)
+            .ok_or_else(|| MeasureError::NeverReady(member.to_string()))?;
         recovered_at = recovered_at.max(ready);
     }
 
@@ -147,13 +126,13 @@ pub fn measure_recovery(
         injected_at,
         recovered_at,
         attempts: attempts.len() as u32,
-        final_restart_set: final_set,
+        final_restart_set: final_set.iter().map(ToString::to_string).collect(),
     })
 }
 
 /// Computes the total system downtime in `[from, to)` under the paper's
 /// `A_entire` assumption: the system is down whenever *any* component is
-/// down (from its crash/hang/kill until its next `ready:` mark).
+/// down (from its crash/hang/kill until its next ready mark).
 ///
 /// Returns `(downtime, availability)` where availability is the uptime
 /// fraction of the window.
@@ -168,38 +147,39 @@ pub fn system_downtime(
     to: SimTime,
 ) -> (rr_sim::SimDuration, f64) {
     assert!(to >= from, "empty window");
-    // Collect per-component down intervals, then union them.
+    // One pass: each component's current outage start, and the closed
+    // outages. Their union is integer time, so the order they close in
+    // cannot change it.
+    let mut down_since: Vec<(CompId, Option<SimTime>)> =
+        components.iter().map(|c| (intern(c), None)).collect();
     let mut intervals: Vec<(SimTime, SimTime)> = Vec::new();
-    for comp in components {
-        let mut down_since: Option<SimTime> = None;
-        for ev in trace.iter() {
-            if ev.time >= to {
-                break;
-            }
-            let is_this = ev.label == *comp || ev.label == format!("ready:{comp}");
-            if !is_this {
-                continue;
-            }
-            match ev.kind {
-                TraceKind::Crashed | TraceKind::Hung | TraceKind::Zombified
-                    if down_since.is_none() =>
-                {
-                    down_since = Some(ev.time.max(from));
-                }
-                TraceKind::Mark if ev.label.starts_with("ready:") => {
-                    if let Some(start) = down_since.take() {
-                        if ev.time > from {
-                            intervals.push((start.max(from), ev.time.min(to)));
-                        }
-                    }
-                }
-                _ => {}
-            }
+    for ev in trace.iter() {
+        if ev.time >= to {
+            break;
         }
-        if let Some(start) = down_since {
-            intervals.push((start.max(from), to));
+        let (who, ready) = match (ev.kind, ev.mark()) {
+            (TraceKind::Crashed | TraceKind::Hung | TraceKind::Zombified, _) => {
+                (ev.text().map(intern), false)
+            }
+            (_, Some(Mark::Ready(c))) => (Some(*c), true),
+            _ => continue,
+        };
+        let Some((_, since)) = down_since.iter_mut().find(|(c, _)| Some(*c) == who) else {
+            continue;
+        };
+        if !ready {
+            since.get_or_insert(ev.time.max(from));
+        } else if let Some(start) = since.take() {
+            if ev.time > from {
+                intervals.push((start.max(from), ev.time.min(to)));
+            }
         }
     }
+    intervals.extend(
+        down_since
+            .into_iter()
+            .filter_map(|(_, since)| Some((since?.max(from), to))),
+    );
     intervals.sort_by_key(|&(s, _)| s);
     let mut total = rr_sim::SimDuration::ZERO;
     let mut cursor = from;
@@ -225,7 +205,9 @@ pub fn system_downtime(
 pub fn telemetry_frames(trace: &Trace, from: SimTime, to: SimTime) -> usize {
     trace
         .window(from, to)
-        .filter(|e| e.kind == TraceKind::Mark && e.label.starts_with("telemetry:"))
+        .filter(|e| {
+            e.kind == TraceKind::Mark && e.text().is_some_and(|l| l.starts_with("telemetry:"))
+        })
         .count()
 }
 

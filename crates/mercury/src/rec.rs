@@ -22,7 +22,7 @@ use std::rc::Rc;
 use mercury_msg::{ComponentStatus, Message};
 use rr_core::oracle::{Failure, Oracle};
 use rr_core::recoverer::{Recoverer, RecoveryDecision};
-use rr_sim::{Actor, Context, Event, SimDuration, SimTime, TraceKind};
+use rr_sim::{intern, Actor, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -287,7 +287,7 @@ impl Rec {
 
     /// Marks and counts a deferral (the request is already parked).
     fn note_deferred(&mut self, component: &str, now: SimTime, ctx: &mut Context<'_, Wire>) {
-        ctx.trace_mark(format!("defer:{component}"));
+        ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(component)));
         self.life.shared().telemetry.borrow_mut().record_deferred(
             now,
             component,
@@ -297,7 +297,7 @@ impl Rec {
 
     /// Marks and counts a shed duplicate report.
     fn note_shed(&mut self, component: &str, now: SimTime, ctx: &mut Context<'_, Wire>) {
-        ctx.trace_mark(format!("shed:{component}"));
+        ctx.trace_mark(Mark::Stage(EpisodeStage::Shed, intern(component)));
         self.life.shared().telemetry.borrow_mut().record_shed(
             now,
             component,
@@ -459,17 +459,16 @@ impl Rec {
         }
         match decision {
             RecoveryDecision::Restart {
-                node,
                 components,
                 attempt,
                 delay,
                 origins,
+                ..
             } => {
                 let owner = origins
                     .first()
                     .cloned()
                     .unwrap_or_else(|| "unknown".to_string());
-                let label = control.recoverer.tree().label(node).to_string();
                 // Absorbed episodes are superseded by this one: credit their
                 // origins to the merged episode and retire their pending
                 // entries — the promoted restart covers those components.
@@ -484,15 +483,19 @@ impl Rec {
                     telemetry.record_restarting(now, &owner, &components, &origins, attempt);
                 }
                 for origin in origins.iter().skip(1) {
-                    ctx.trace_mark(format!("merge:{origin}->{owner}"));
-                    ctx.trace_event(TraceKind::EpisodeMerge, format!("{origin}->{owner}"));
+                    ctx.trace_mark(Mark::Merge {
+                        from: intern(origin),
+                        into: intern(&owner),
+                    });
                 }
                 for origin in &origins {
                     control.pending.remove(origin);
                 }
-                let action = format!("restart:{owner}:{attempt}:{}", components.join("+"));
-                ctx.trace_mark(action);
-                ctx.trace_event(TraceKind::EpisodeBegin, format!("{owner}:{label}"));
+                ctx.trace_mark(Mark::Restart {
+                    owner: intern(&owner),
+                    attempt,
+                    set: components.iter().map(|c| intern(c)).collect(),
+                });
                 // The restart deadline runs from when the button is actually
                 // pushed, after any backoff delay.
                 control
@@ -509,9 +512,12 @@ impl Rec {
                     .incr("decision_already_recovering");
             }
             RecoveryDecision::GiveUp { component, reason } => {
-                ctx.trace_mark(format!("giveup:{component}:{reason}"));
-                ctx.trace_mark(format!("quarantine:{component}"));
-                ctx.trace_event(TraceKind::EpisodeEnd, format!("{component}:gaveup"));
+                let reason = reason.to_string();
+                ctx.trace_mark(Mark::GiveUp {
+                    comp: intern(&component),
+                    reason: reason.clone(),
+                });
+                ctx.trace_mark(Mark::Stage(EpisodeStage::Quarantined, intern(&component)));
                 control.pending.remove(&component);
                 // A quarantined component's deferral entry is stale: leaving
                 // it behind would re-issue a restart the policy just gave up
@@ -526,7 +532,7 @@ impl Rec {
                 let telemetry = self.life.shared().telemetry.clone();
                 let mut telemetry = telemetry.borrow_mut();
                 telemetry.incr("decision_giveup");
-                telemetry.record_quarantined(now, &component, &reason.to_string());
+                telemetry.record_quarantined(now, &component, &reason);
             }
         }
     }
@@ -543,7 +549,7 @@ impl Rec {
             // re-reporting it every ping round, so it is retried as soon as
             // the in-flight episode drains.
             if self.life.config().serial_recovery && !control.pending.is_empty() {
-                ctx.trace_mark(format!("defer:{component}"));
+                ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(&component)));
                 self.life
                     .shared()
                     .telemetry
@@ -729,9 +735,8 @@ impl Rec {
                 .unwrap_or_else(|| vec![component.clone()]);
             control.recoverer.on_cured(&component, now);
             for origin in origins {
-                ctx.trace_mark(format!("cured:{origin}"));
+                ctx.trace_mark(Mark::Cured(intern(&origin)));
             }
-            ctx.trace_event(TraceKind::EpisodeEnd, format!("{component}:cured"));
             self.life
                 .shared()
                 .telemetry
@@ -766,7 +771,7 @@ impl Rec {
                 return;
             };
             let components = tree.components_under(cell);
-            ctx.trace_mark(format!("rejuvenate:{component}"));
+            ctx.trace_mark(Mark::Rejuvenate(intern(component)));
             self.life
                 .shared()
                 .telemetry
@@ -829,7 +834,7 @@ impl Rec {
                 .collect()
         };
         for comp in stale {
-            ctx.trace_mark(format!("stale:{comp}"));
+            ctx.trace_mark(Mark::Stale(intern(&comp)));
             self.life
                 .shared()
                 .telemetry

@@ -21,7 +21,10 @@ use rr_core::transform::{consolidate, depth_augment, promote_component, split_co
 use rr_core::tree::RestartTree;
 use rr_core::TreeError;
 use rr_sim::telemetry::Registry;
-use rr_sim::{LinkQuality, ProcessId, ProcessState, Sim, SimDuration, SimTime, Trace};
+use rr_sim::{
+    intern, CompId, EpisodeStage, LinkQuality, Mark, ProcessId, ProcessState, Sim, SimDuration,
+    SimTime, Trace,
+};
 
 use crate::components::common::{Shared, Wire};
 use crate::components::estimator::Ses;
@@ -250,7 +253,8 @@ impl Station {
     /// # Errors
     ///
     /// Returns [`StationError::InvalidConfig`] if the configuration is
-    /// internally inconsistent (see [`StationConfig::validate`]).
+    /// internally inconsistent (see [`StationConfig::validate`]), or
+    /// [`StationError::Lint`] if rr-lint denies it.
     pub fn new(
         config: StationConfig,
         variant: TreeVariant,
@@ -423,16 +427,19 @@ impl Station {
         let deadline = self.sim.now() + SimDuration::from_secs(600);
         let settle_extra =
             SimDuration::from_secs_f64(calib::FRESH_THRESHOLD_S + calib::FD_GRACE_S + 10.0);
+        // Components yet to log `ready:`, and how much of the trace is read.
+        let mut waiting: Vec<CompId> = self.components.iter().map(|c| intern(c)).collect();
+        let mut read = 0;
         loop {
             self.sim.run_for(SimDuration::from_secs(5));
-            let all_ready = self.components.iter().all(|c| {
-                self.sim
-                    .trace()
-                    .mark_times(&format!("ready:{c}"))
-                    .next()
-                    .is_some()
-            });
-            if all_ready {
+            let trace = self.sim.trace();
+            for e in trace.iter().skip(read) {
+                if let Some(Mark::Ready(c)) = e.mark() {
+                    waiting.retain(|w| w != c);
+                }
+            }
+            read = trace.len();
+            if waiting.is_empty() {
                 break;
             }
             assert!(self.sim.now() < deadline, "station failed to cold-start");
@@ -473,7 +480,8 @@ impl Station {
 
     /// Marks an injection in both the trace and the telemetry stream.
     fn note_injection(&mut self, component: &str, kind: &str) {
-        self.sim.mark(format!("inject:{component}"));
+        self.sim
+            .mark(Mark::Stage(EpisodeStage::Injected, intern(component)));
         let now = self.sim.now();
         self.shared
             .telemetry

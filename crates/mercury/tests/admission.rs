@@ -8,7 +8,7 @@
 use mercury::config::StationConfig;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{check, SimDuration, TraceKind};
+use rr_sim::{check, intern, Mark, SimDuration};
 
 const VARIANTS: [TreeVariant; 5] = [
     TreeVariant::I,
@@ -184,14 +184,13 @@ fn deferred_then_quarantined_leaves_no_stale_state() {
         .expect("a hard failure under a 3-restart budget must quarantine");
     // No restart covering ses is issued after the quarantine, and the
     // deferral queue holds no stale entry for it.
+    let ses = intern("ses");
     let late_restarts = station
         .trace()
-        .iter()
-        .filter(|e| {
-            e.kind == TraceKind::Mark
-                && e.time > quarantine_at
-                && e.label.starts_with("restart:")
-                && e.label.contains("ses")
+        .marks()
+        .filter(|(at, m)| {
+            *at > quarantine_at
+                && matches!(m, Mark::Restart { owner, set, .. } if *owner == ses || set.contains(&ses))
         })
         .count();
     assert_eq!(late_restarts, 0, "quarantined ses was restarted again");
@@ -203,8 +202,8 @@ fn deferred_then_quarantined_leaves_no_stale_state() {
     // budget's 3 times (deferral must not manufacture extra attempts).
     let ses_restarts = station
         .trace()
-        .iter()
-        .filter(|e| e.kind == TraceKind::Mark && e.label.starts_with("restart:ses"))
+        .marks()
+        .filter(|(_, m)| matches!(m, Mark::Restart { owner, .. } if *owner == ses))
         .count();
     assert!(
         ses_restarts <= 3,

@@ -243,7 +243,7 @@ fn fedr_pbcom_connect_and_frame_flow() {
     let corrupt = sim
         .trace()
         .iter()
-        .filter(|e| e.label.starts_with("telemetry-corrupt"))
+        .filter(|e| e.text().is_some_and(|l| l.starts_with("telemetry-corrupt")))
         .count();
     assert_eq!(corrupt, 0);
 }

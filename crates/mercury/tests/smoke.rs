@@ -8,7 +8,7 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::{FaultyOracle, PerfectOracle};
-use rr_sim::{SimDuration, SimRng};
+use rr_sim::{intern, Mark, SimDuration, SimRng};
 
 fn station(variant: TreeVariant, seed: u64) -> Station {
     let mut s = Station::new(
@@ -68,10 +68,9 @@ fn tree_iii_ses_failure_includes_slow_resync_and_induces_str() {
         .mark_times("induced-crash:str")
         .any(|t| t > injected);
     assert!(induced, "str should suffer an induced failure");
-    let str_restarted = s
-        .trace()
-        .iter()
-        .any(|e| e.label.starts_with("restart:str:") && e.time > injected);
+    let str_restarted = s.trace().marks().any(|(at, m)| {
+        matches!(m, Mark::Restart { owner, .. } if *owner == intern(names::STR)) && at > injected
+    });
     assert!(str_restarted, "REC should restart str afterwards");
 }
 

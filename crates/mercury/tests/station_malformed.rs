@@ -172,7 +172,7 @@ fn bad_arguments_yield_typed_errors_not_panics() {
 
     // An invalid configuration is rejected with the validator's complaints.
     let mut bad = StationConfig::paper();
-    bad.fd.ping_period_s = -1.0;
+    bad.cure_confirm_s = 0.1;
     match Station::new(bad, TreeVariant::I, Box::new(PerfectOracle::new()), 7) {
         Err(StationError::InvalidConfig(problems)) => assert!(!problems.is_empty()),
         other => panic!("want InvalidConfig, got {other:?}"),

@@ -17,7 +17,7 @@ use std::fmt;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceKind};
+use crate::trace::{Label, Trace, TraceKind};
 use crate::wheel::TimerWheel;
 
 /// Identifies a simulated process. Stable across crashes and restarts.
@@ -367,8 +367,8 @@ impl<M> Sim<M> {
     }
 
     /// Appends a mark to the trace from outside any actor (e.g. the harness).
-    pub fn mark(&mut self, label: impl Into<String>) {
-        self.trace.record(self.now, None, TraceKind::Mark, label);
+    pub fn mark(&mut self, label: impl Into<Label>) {
+        self.trace.record_mark(self.now, None, label);
     }
 
     /// Crashes `id` after `delay`: its state is discarded and it silently
@@ -856,19 +856,10 @@ impl<M> Context<'_, M> {
     }
 
     /// Records a mark in the trace attributed to this process.
-    pub fn trace_mark(&mut self, label: impl Into<String>) {
+    pub fn trace_mark(&mut self, label: impl Into<Label>) {
         let id = self.id;
         let now = self.sim.now;
-        self.sim.trace.record(now, Some(id), TraceKind::Mark, label);
-    }
-
-    /// Records a structured trace event attributed to this process — used
-    /// by the recovery module for episode begin/end/merge events, which are
-    /// first-class trace records rather than free-form marks.
-    pub fn trace_event(&mut self, kind: TraceKind, label: impl Into<String>) {
-        let id = self.id;
-        let now = self.sim.now;
-        self.sim.trace.record(now, Some(id), kind, label);
+        self.sim.trace.record_mark(now, Some(id), label);
     }
 
     /// Crashes another process (or this one) after `delay`. Used by fault
@@ -1183,7 +1174,9 @@ mod tests {
         let zombie_drops = sim
             .trace()
             .iter()
-            .filter(|e| e.kind == TraceKind::Dropped && e.label.starts_with("zombie:"))
+            .filter(|e| {
+                e.kind == TraceKind::Dropped && e.text().is_some_and(|l| l.starts_with("zombie:"))
+            })
             .count();
         assert!(zombie_drops > 0);
     }
@@ -1228,7 +1221,8 @@ mod tests {
         assert!(sim
             .trace()
             .iter()
-            .any(|e| e.kind == TraceKind::Dropped && e.label.starts_with("loss:")));
+            .any(|e| e.kind == TraceKind::Dropped
+                && e.text().is_some_and(|l| l.starts_with("loss:"))));
         // Both endpoints stayed healthy: pure wire loss.
         assert_eq!(sim.state(responder), ProcessState::Running);
     }

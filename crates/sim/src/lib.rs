@@ -84,6 +84,6 @@ pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, Summary};
 pub use telemetry::{DurationHistogram, EpisodeEvent, EpisodeStage, Registry};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use trace::{Label, Mark, Trace, TraceEvent, TraceKind};
 pub use vclock::{Causality, VectorClock};
 pub use wheel::TimerWheel;

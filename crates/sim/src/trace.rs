@@ -7,10 +7,17 @@
 //! determines it is functionally ready, it logs a timestamped message. The
 //! difference between these two times is what we consider to be the recovery
 //! time."
+//!
+//! A mark is either a fact of the recovery protocol, held as a typed
+//! [`Mark`], or free text. Text that parses as a protocol fact is stored as
+//! one, so a protocol label is never kept as free text.
 
 use std::fmt;
+use std::str::FromStr;
 
 use crate::engine::ProcessId;
+use crate::intern::{intern, CompId};
+use crate::telemetry::EpisodeStage;
 use crate::time::SimTime;
 
 /// The kind of a trace record.
@@ -28,15 +35,9 @@ pub enum TraceKind {
     Restarted,
     /// An event addressed to a dead process was dropped.
     Dropped,
-    /// A domain-level mark (e.g. `ready:ses`, `detect:rtu`).
+    /// A domain-level mark: a protocol fact (`ready:ses`, `detect:rtu`) or
+    /// free text (`telemetry:opal:3`).
     Mark,
-    /// A recovery episode was opened (label: `owner:cell`).
-    EpisodeBegin,
-    /// A recovery episode closed (label: `owner:cured` or `owner:gaveup`).
-    EpisodeEnd,
-    /// An episode was absorbed into another by promotion to the least
-    /// common ancestor (label: `from->into`).
-    EpisodeMerge,
 }
 
 impl fmt::Display for TraceKind {
@@ -49,11 +50,208 @@ impl fmt::Display for TraceKind {
             TraceKind::Restarted => "restarted",
             TraceKind::Dropped => "dropped",
             TraceKind::Mark => "mark",
-            TraceKind::EpisodeBegin => "episode-begin",
-            TraceKind::EpisodeEnd => "episode-end",
-            TraceKind::EpisodeMerge => "episode-merge",
         };
         f.write_str(s)
+    }
+}
+
+/// A fact of the recovery protocol, as the trace records it.
+///
+/// `Display` renders the label (`restart:rtu:0:rtu`) and `FromStr` parses
+/// exactly what `Display` renders. DESIGN.md §10 tabulates every variant
+/// with its writer and readers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mark {
+    /// `inject:`, `detect:`, `quarantine:`, `defer:` or `shed:` and a
+    /// component: the component reached [`EpisodeStage::Injected`],
+    /// `Suspected`, `Quarantined`, `Deferred` or `Shed`, the stage the
+    /// episode stream records the same fact under. No other stage is
+    /// written this way.
+    Stage(EpisodeStage, CompId),
+    /// `merge:{from}->{into}`: episode `from` was absorbed into `into`
+    /// ([`EpisodeStage::Merged`]).
+    Merge {
+        /// The absorbed episode.
+        from: CompId,
+        /// The episode that absorbed it.
+        into: CompId,
+    },
+    /// `restart:{owner}:{attempt}:{a+b+…}`: REC restarts `set` for `owner`'s
+    /// episode ([`EpisodeStage::Restarting`]).
+    Restart {
+        /// The episode's owner.
+        owner: CompId,
+        /// Escalations before this restart.
+        attempt: u32,
+        /// Every component the restart reboots: the recovery group.
+        set: Vec<CompId>,
+    },
+    /// `giveup:{comp}:{reason}`: the restart policy gave up on `comp`.
+    GiveUp {
+        /// The component given up on.
+        comp: CompId,
+        /// Why, as the policy words it.
+        reason: String,
+    },
+    /// `stale:{comp}`: `comp`'s health beacon is overdue (zombie defense).
+    Stale(CompId),
+    /// `alive:{comp}`: FD hears again from a component it had missed.
+    Alive(CompId),
+    /// `cured:{origin}`: the episode answering `origin`'s failure was
+    /// confirmed cured.
+    Cured(CompId),
+    /// `ready:{comp}`: `comp` is functionally ready, the §4.1 end of a
+    /// recovery.
+    Ready(CompId),
+    /// `rejuvenate:{comp}`: REC restarts an aging `comp` before it fails.
+    Rejuvenate(CompId),
+    /// `induced-crash:{comp}`: an old ses/str fails after servicing a
+    /// resync (§4.3).
+    InducedCrash(CompId),
+    /// `aging-crash:{comp}`: pbcom fails from accumulated session leaks
+    /// (§4.2).
+    AgingCrash(CompId),
+    /// `poison-crash:{comp}`: pbcom fails from a poisoned session (§4.4).
+    PoisonCrash(CompId),
+}
+
+impl Mark {
+    /// The label's tag (its text before the first `:`) and the component the
+    /// mark is about (its first field: a merge's absorbed episode, a
+    /// restart's owner).
+    pub fn head(&self) -> (&'static str, CompId) {
+        match *self {
+            Mark::Stage(EpisodeStage::Injected, c) => ("inject", c),
+            Mark::Stage(EpisodeStage::Suspected, c) => ("detect", c),
+            Mark::Stage(EpisodeStage::Quarantined, c) => ("quarantine", c),
+            Mark::Stage(EpisodeStage::Deferred, c) => ("defer", c),
+            Mark::Stage(EpisodeStage::Shed, c) => ("shed", c),
+            Mark::Stage(other, c) => (other.name(), c),
+            Mark::Merge { from, .. } => ("merge", from),
+            Mark::Restart { owner, .. } => ("restart", owner),
+            Mark::GiveUp { comp, .. } => ("giveup", comp),
+            Mark::Stale(c) => ("stale", c),
+            Mark::Alive(c) => ("alive", c),
+            Mark::Cured(c) => ("cured", c),
+            Mark::Ready(c) => ("ready", c),
+            Mark::Rejuvenate(c) => ("rejuvenate", c),
+            Mark::InducedCrash(c) => ("induced-crash", c),
+            Mark::AgingCrash(c) => ("aging-crash", c),
+            Mark::PoisonCrash(c) => ("poison-crash", c),
+        }
+    }
+}
+
+impl fmt::Display for Mark {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (tag, subject) = self.head();
+        write!(f, "{tag}:{subject}")?;
+        match self {
+            Mark::Merge { into, .. } => write!(f, "->{into}"),
+            Mark::Restart { attempt, set, .. } => {
+                write!(f, ":{attempt}:")?;
+                for (i, c) in set.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("+")?;
+                    }
+                    write!(f, "{c}")?;
+                }
+                Ok(())
+            }
+            Mark::GiveUp { reason, .. } => write!(f, ":{reason}"),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl FromStr for Mark {
+    type Err = ();
+
+    /// Parses a protocol label. Fails on free text, and on any text that
+    /// [`Display`](fmt::Display) would not render byte for byte.
+    fn from_str(label: &str) -> Result<Mark, ()> {
+        let (tag, rest) = label.split_once(':').ok_or(())?;
+        let stage = |stage| Ok(Mark::Stage(stage, intern(rest)));
+        let mark = match tag {
+            "inject" => stage(EpisodeStage::Injected),
+            "detect" => stage(EpisodeStage::Suspected),
+            "quarantine" => stage(EpisodeStage::Quarantined),
+            "defer" => stage(EpisodeStage::Deferred),
+            "shed" => stage(EpisodeStage::Shed),
+            "merge" => rest
+                .split_once("->")
+                .ok_or(())
+                .map(|(from, into)| Mark::Merge {
+                    from: intern(from),
+                    into: intern(into),
+                }),
+            "restart" => {
+                let mut fields = rest.splitn(3, ':');
+                match (fields.next(), fields.next(), fields.next()) {
+                    (Some(owner), Some(attempt), Some(set)) => Ok(Mark::Restart {
+                        owner: intern(owner),
+                        attempt: attempt.parse().map_err(|_| ())?,
+                        set: set.split('+').map(intern).collect(),
+                    }),
+                    _ => Err(()),
+                }
+            }
+            "giveup" => rest
+                .split_once(':')
+                .ok_or(())
+                .map(|(comp, reason)| Mark::GiveUp {
+                    comp: intern(comp),
+                    reason: reason.to_string(),
+                }),
+            "stale" => Ok(Mark::Stale(intern(rest))),
+            "alive" => Ok(Mark::Alive(intern(rest))),
+            "cured" => Ok(Mark::Cured(intern(rest))),
+            "ready" => Ok(Mark::Ready(intern(rest))),
+            "rejuvenate" => Ok(Mark::Rejuvenate(intern(rest))),
+            "induced-crash" => Ok(Mark::InducedCrash(intern(rest))),
+            "aging-crash" => Ok(Mark::AgingCrash(intern(rest))),
+            "poison-crash" => Ok(Mark::PoisonCrash(intern(rest))),
+            _ => Err(()),
+        }?;
+        (mark.to_string() == label).then_some(mark).ok_or(())
+    }
+}
+
+/// What a trace record says.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Label {
+    /// A process name (lifecycle records) or a mark outside the recovery
+    /// protocol.
+    Text(String),
+    /// A recovery-protocol fact.
+    Mark(Mark),
+}
+
+impl From<Mark> for Label {
+    fn from(mark: Mark) -> Label {
+        Label::Mark(mark)
+    }
+}
+
+impl From<String> for Label {
+    /// A protocol fact if the text parses as one, free text otherwise.
+    fn from(text: String) -> Label {
+        text.parse().map_or(Label::Text(text), Label::Mark)
+    }
+}
+
+impl From<&str> for Label {
+    fn from(text: &str) -> Label {
+        Label::from(text.to_string())
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Text(text) => f.write_str(text),
+            Label::Mark(mark) => fmt::Display::fmt(mark, f),
+        }
     }
 }
 
@@ -66,9 +264,26 @@ pub struct TraceEvent {
     pub pid: Option<ProcessId>,
     /// What happened.
     pub kind: TraceKind,
-    /// Free-form detail: the process name for lifecycle events, the label for
-    /// marks.
-    pub label: String,
+    /// The process name for lifecycle events, the fact or text of a mark.
+    pub label: Label,
+}
+
+impl TraceEvent {
+    /// The protocol fact this record states, if it is a protocol mark.
+    pub fn mark(&self) -> Option<&Mark> {
+        match &self.label {
+            Label::Mark(mark) => Some(mark),
+            Label::Text(_) => None,
+        }
+    }
+
+    /// The text of a lifecycle record or a free-text mark.
+    pub fn text(&self) -> Option<&str> {
+        match &self.label {
+            Label::Text(text) => Some(text),
+            Label::Mark(_) => None,
+        }
+    }
 }
 
 impl fmt::Display for TraceEvent {
@@ -96,7 +311,8 @@ impl Trace {
         Trace::default()
     }
 
-    /// Appends a record.
+    /// Appends a record. The label of a [`TraceKind::Mark`] is stored as a
+    /// [`Mark`] when it parses as one.
     pub fn record(
         &mut self,
         time: SimTime,
@@ -104,10 +320,26 @@ impl Trace {
         kind: TraceKind,
         label: impl Into<String>,
     ) {
+        let label = label.into();
+        let label = match kind {
+            TraceKind::Mark => Label::from(label),
+            _ => Label::Text(label),
+        };
         self.events.push(TraceEvent {
             time,
             pid,
             kind,
+            label,
+        });
+    }
+
+    /// Appends a mark: a protocol fact, or text (parsed as by
+    /// [`record`](Self::record)).
+    pub fn record_mark(&mut self, time: SimTime, pid: Option<ProcessId>, label: impl Into<Label>) {
+        self.events.push(TraceEvent {
+            time,
+            pid,
+            kind: TraceKind::Mark,
             label: label.into(),
         });
     }
@@ -127,25 +359,29 @@ impl Trace {
         self.events.iter()
     }
 
-    /// Times of all marks with exactly the label `label`.
-    pub fn mark_times<'a>(&'a self, label: &'a str) -> impl Iterator<Item = SimTime> + 'a {
+    /// Every protocol mark with its time, in order.
+    pub fn marks(&self) -> impl Iterator<Item = (SimTime, &Mark)> {
+        self.events.iter().filter_map(|e| Some((e.time, e.mark()?)))
+    }
+
+    /// Times of all marks stating `label`: a protocol fact, or free text.
+    pub fn times_of<'a>(&'a self, label: impl Into<Label>) -> impl Iterator<Item = SimTime> + 'a {
+        let label = label.into();
         self.events
             .iter()
             .filter(move |e| e.kind == TraceKind::Mark && e.label == label)
             .map(|e| e.time)
     }
 
+    /// Times of all marks with exactly the label `label`. The label is
+    /// parsed once, so a protocol label matches its typed records.
+    pub fn mark_times<'a>(&'a self, label: &'a str) -> impl Iterator<Item = SimTime> + 'a {
+        self.times_of(label)
+    }
+
     /// The first mark with label `label` at or after `t`, if any.
     pub fn first_mark_at_or_after(&self, t: SimTime, label: &str) -> Option<SimTime> {
         self.mark_times(label).find(|&mt| mt >= t)
-    }
-
-    /// The last record matching `kind` and `label`, if any.
-    pub fn last(&self, kind: TraceKind, label: &str) -> Option<&TraceEvent> {
-        self.events
-            .iter()
-            .rev()
-            .find(|e| e.kind == kind && e.label == label)
     }
 
     /// Records within the half-open window `[from, to)`.
@@ -217,14 +453,6 @@ mod tests {
         let tr = sample();
         let in_window: Vec<_> = tr.window(t(1.0), t(2.0)).map(|e| e.kind).collect();
         assert_eq!(in_window, vec![TraceKind::Crashed, TraceKind::Mark]);
-    }
-
-    #[test]
-    fn last_finds_most_recent() {
-        let mut tr = sample();
-        tr.record(t(10.0), None, TraceKind::Crashed, "ses");
-        assert_eq!(tr.last(TraceKind::Crashed, "ses").unwrap().time, t(10.0));
-        assert!(tr.last(TraceKind::Crashed, "mbus").is_none());
     }
 
     #[test]

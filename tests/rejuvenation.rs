@@ -6,7 +6,7 @@
 use mercury::config::{calib, names, StationConfig};
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::SimDuration;
+use rr_sim::{Mark, SimDuration};
 
 /// Drives pbcom's aging up by repeatedly killing fedr (each reconnection
 /// ages the bridge, §4.2).
@@ -68,8 +68,8 @@ fn rejuvenation_is_not_triggered_by_healthy_components() {
     s.run_for(SimDuration::from_secs(120));
     let rejuvenations = s
         .trace()
-        .iter()
-        .filter(|e| e.label.starts_with("rejuvenate:"))
+        .marks()
+        .filter(|(_, m)| matches!(m, Mark::Rejuvenate(_)))
         .count();
     assert_eq!(rejuvenations, 0, "no rejuvenation without aging");
 }

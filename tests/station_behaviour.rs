@@ -9,7 +9,7 @@ use mercury::measure::{measure_recovery, telemetry_frames, MeasureError};
 use mercury::scenario::PassScenario;
 use mercury::station::{Station, TreeVariant};
 use rr_core::{PerfectOracle, TreeSpec};
-use rr_sim::{SimDuration, TraceKind};
+use rr_sim::{intern, Mark, SimDuration, TraceKind};
 
 fn station(variant: TreeVariant, seed: u64) -> Station {
     let mut s = Station::new(
@@ -35,7 +35,8 @@ fn no_malformed_xml_ever_crosses_the_wire() {
     let parse_errors = s
         .trace()
         .iter()
-        .filter(|e| e.kind == TraceKind::Mark && e.label.starts_with("parse-error:"))
+        .filter(|e| e.kind == TraceKind::Mark)
+        .filter(|e| e.text().is_some_and(|l| l.starts_with("parse-error:")))
         .count();
     assert_eq!(parse_errors, 0);
 }
@@ -80,8 +81,8 @@ fn repeated_fedr_failures_age_pbcom_to_death() {
     // And the station recovered it.
     let pbcom_restarted = s
         .trace()
-        .iter()
-        .any(|e| e.kind == TraceKind::Mark && e.label.starts_with("restart:pbcom:"));
+        .marks()
+        .any(|(_, m)| matches!(m, Mark::Restart { owner, .. } if *owner == intern(names::PBCOM)));
     assert!(pbcom_restarted);
 }
 
@@ -157,7 +158,8 @@ fn full_pass_with_telemetry_and_clean_wire() {
     let complete = s
         .trace()
         .iter()
-        .any(|e| e.kind == TraceKind::Mark && e.label.starts_with("pass-complete:"));
+        .filter(|e| e.kind == TraceKind::Mark)
+        .any(|e| e.text().is_some_and(|l| l.starts_with("pass-complete:")));
     assert!(complete);
 }
 
