@@ -18,7 +18,9 @@ cargo build --release --workspace
 
 # Goldens first, so a change of behaviour reads as its own failure.
 cargo test -q -p rr-harness --test golden
+suite_start=$(date +%s)
 cargo test -q --workspace
+echo "suite wall: $(($(date +%s) - suite_start)) s"
 
 # The four built-in audits on the release binary, warnings denied: the whole
 # configuration surface (trees I-V x shipped configs, models, plans, algebra

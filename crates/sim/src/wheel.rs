@@ -30,9 +30,21 @@
 //!
 //! Pop order is **exactly** `(time, seq)` — identical to the reference
 //! `BinaryHeap` ordering the engine used before (`seq` is the schedule-order
-//! tiebreak that makes simulations deterministic). Entries sharing the
-//! current tick live in a `current` bucket sorted by `(time, seq)`, so
-//! within-tick ordering is exact, not just FIFO-per-tick. A differential
+//! tiebreak that makes simulations deterministic). Within-tick ordering is
+//! exact, not just FIFO-per-tick, and the current tick is held in two parts:
+//!
+//! - `current`, the bucket the wheel advanced into: a level-0 slot moved in
+//!   by pointer swap, or whatever a cascade filed into the new tick, sorted
+//!   by `(time, seq)` once on arrival;
+//! - `arrivals`, a min-heap of entries scheduled at or before the current
+//!   tick *after* it was entered — every `Start` of `Sim::spawn`, every
+//!   zero-delay send or respawn. A same-tick schedule costs `O(log n)` (and
+//!   `O(1)` for the usual rising-seq burst); a sorted insert into `current`
+//!   would shift the whole bucket each time, making an n-actor spawn
+//!   `O(n²)`.
+//!
+//! A pop takes the smaller of the two heads; while `arrivals` is empty
+//! (most pops) that is one branch and one `Vec::pop`. A differential
 //! property suite (`crates/sim/tests/wheel_differential.rs`) drives this
 //! wheel and the reference heap with identical randomized
 //! schedule/cancel/drain interleavings and asserts identical behaviour.
@@ -45,6 +57,9 @@
 //! index to decide that, but builds it only on the *first* cancel — until
 //! then schedules and pops pay no hash traffic for it, so the engine's
 //! no-cancel hot path is unchanged.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::hash::FxHashMap;
 use crate::time::SimTime;
@@ -95,6 +110,31 @@ impl<T> Entry<T> {
     }
 }
 
+/// An entry in the `arrivals` heap, ordered by reversed `(time, seq)` so
+/// that `BinaryHeap`'s maximum is the earliest entry.
+#[derive(Debug)]
+struct Arrival<T>(Entry<T>);
+
+impl<T> Ord for Arrival<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.key().cmp(&self.0.key())
+    }
+}
+
+impl<T> PartialOrd for Arrival<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> PartialEq for Arrival<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.key() == other.0.key()
+    }
+}
+
+impl<T> Eq for Arrival<T> {}
+
 /// The hierarchical timing wheel. See the module docs for the layout.
 ///
 /// `seq` values passed to [`schedule`](TimerWheel::schedule) must be unique
@@ -106,9 +146,13 @@ impl<T> Entry<T> {
 pub struct TimerWheel<T> {
     /// Tick up to which events have been migrated into `current`.
     now_tick: u64,
-    /// Entries with tick ≤ `now_tick`, sorted by `(time, seq)` descending
-    /// so the minimum pops from the end.
+    /// Entries with tick ≤ `now_tick` that were filed while the wheel
+    /// advanced into that tick, sorted by `(time, seq)` descending so the
+    /// minimum pops from the end.
     current: Vec<Entry<T>>,
+    /// Entries scheduled at tick ≤ `now_tick` after the wheel advanced into
+    /// it; a min-heap on `(time, seq)`. Empty whenever the wheel advances.
+    arrivals: BinaryHeap<Arrival<T>>,
     /// Flat `[level][slot]` buckets (index `level·SLOTS + slot`), unsorted.
     /// Flattening removes a pointer chase on every file and cascade.
     slots: Vec<Vec<Entry<T>>>,
@@ -146,6 +190,7 @@ impl<T> TimerWheel<T> {
         TimerWheel {
             now_tick: 0,
             current: Vec::new(),
+            arrivals: BinaryHeap::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS],
             overflow: Vec::new(),
@@ -169,7 +214,10 @@ impl<T> TimerWheel<T> {
     /// Schedules `value` at `time` with tiebreak `seq`.
     ///
     /// Times at or before the last popped event are legal and keep exact
-    /// `(time, seq)` pop order (they land in the sorted current bucket).
+    /// `(time, seq)` pop order. One due in the current tick goes to the
+    /// `arrivals` heap in `O(log n)` — `O(1)` when its key is the largest
+    /// there, as it is for a burst at one time with rising `seq`; later
+    /// ticks go to a wheel slot in `O(1)`.
     pub fn schedule(&mut self, time: SimTime, seq: u64, value: T) {
         self.len += 1;
         if let Some(live) = self.live.as_mut() {
@@ -200,6 +248,7 @@ impl<T> TimerWheel<T> {
             let index = self
                 .current
                 .iter()
+                .chain(self.arrivals.iter().map(|a| &a.0))
                 .chain(self.slots.iter().flatten())
                 .chain(self.overflow.iter())
                 .map(|e| (e.seq, e.time))
@@ -231,23 +280,52 @@ impl<T> TimerWheel<T> {
     /// Takes `&mut self` because finding the next entry may cascade buckets
     /// and discard tombstoned entries; neither affects observable order.
     pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+        self.head()
+            .map(|(key, _)| (SimTime::from_nanos(key.0), key.1))
+    }
+
+    /// The key of the next live entry and whether it heads `arrivals`
+    /// (`false`: `current`), advancing the wheel and discarding tombstoned
+    /// heads until one is found.
+    fn head(&mut self) -> Option<((u64, u64), bool)> {
         loop {
             self.refile_overflow();
-            while let Some(e) = self.current.last() {
-                let key = (e.time, e.seq);
+            loop {
+                let current = self.current.last().map(Entry::key);
+                let arrival = self.arrivals.peek().map(|a| a.0.key());
+                // On a tie `current` goes first: it was filed earlier, so the
+                // tombstone of a cancel-then-reinsert strikes the old entry.
+                let (key, in_arrivals) = match (current, arrival) {
+                    (Some(c), Some(a)) if a < c => (a, true),
+                    (Some(c), _) => (c, false),
+                    (None, Some(a)) => (a, true),
+                    (None, None) => break,
+                };
                 // `is_empty` first: the no-cancellation case (the engine
                 // never cancels) must not pay a hash probe per pop.
                 if !self.cancelled.is_empty() && self.take_tombstone(key) {
                     // Tombstoned: drop the entry (and its payload) here.
-                    self.current.pop();
+                    self.take_head(in_arrivals);
                 } else {
-                    return Some((SimTime::from_nanos(key.0), key.1));
+                    return Some((key, in_arrivals));
                 }
             }
             if !self.advance() {
                 return None;
             }
         }
+    }
+
+    /// Removes the head of `arrivals` or of `current`, as [`head`] chose.
+    ///
+    /// [`head`]: TimerWheel::head
+    fn take_head(&mut self, in_arrivals: bool) -> Entry<T> {
+        let e = if in_arrivals {
+            self.arrivals.pop().map(|a| a.0)
+        } else {
+            self.current.pop()
+        };
+        e.unwrap_or_else(|| unreachable!("head() found a live head"))
     }
 
     /// The time of the next live entry (see [`TimerWheel::peek`]).
@@ -257,11 +335,8 @@ impl<T> TimerWheel<T> {
 
     /// Removes and returns the next entry in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        self.peek()?;
-        let e = self
-            .current
-            .pop()
-            .unwrap_or_else(|| unreachable!("peek() found a live head"));
+        let (_, in_arrivals) = self.head()?;
+        let e = self.take_head(in_arrivals);
         self.len -= 1;
         if let Some(live) = self.live.as_mut() {
             live.remove(&e.seq);
@@ -273,12 +348,7 @@ impl<T> TimerWheel<T> {
     fn file(&mut self, e: Entry<T>) {
         let t = e.tick();
         if t <= self.now_tick {
-            // Within (or before) the current tick: exact sorted insert.
-            let pos = self
-                .current
-                .binary_search_by(|probe| e.key().cmp(&probe.key()))
-                .unwrap_or_else(|pos| pos);
-            self.current.insert(pos, e);
+            self.arrivals.push(Arrival(e));
             return;
         }
         let diff = t ^ self.now_tick;
@@ -324,8 +394,9 @@ impl<T> TimerWheel<T> {
 
     /// Advances `now_tick` to the next occupied tick and migrates that
     /// bucket toward `current`. Returns `false` when the wheel is empty.
-    /// Only called with `current` empty.
+    /// Only called with `current` and `arrivals` empty.
     fn advance(&mut self) -> bool {
+        debug_assert!(self.current.is_empty() && self.arrivals.is_empty());
         for level in 0..LEVELS {
             let shift = SLOT_BITS * level as u32;
             let cur_idx = ((self.now_tick >> shift) & SLOT_MASK) as u32;
@@ -355,7 +426,6 @@ impl<T> TimerWheel<T> {
                 // empty here (advance only runs once it has drained), so the
                 // whole bucket moves by pointer swap — no per-entry copies.
                 self.now_tick = ((self.now_tick >> SLOT_BITS) << SLOT_BITS) | slot as u64;
-                debug_assert!(self.current.is_empty());
                 std::mem::swap(&mut self.current, &mut entries);
                 if self.current.len() > 1 {
                     self.current
@@ -364,7 +434,7 @@ impl<T> TimerWheel<T> {
             } else {
                 // Cascade: jump to the slot's earliest tick and re-file its
                 // entries one level (or more) down; the earliest lands in
-                // `current`.
+                // `current`, sorted once rather than heap-pushed one by one.
                 let min_tick = entries
                     .iter()
                     .map(Entry::tick)
@@ -372,8 +442,14 @@ impl<T> TimerWheel<T> {
                     .unwrap_or_else(|| unreachable!("occupied slot is non-empty"));
                 self.now_tick = min_tick;
                 for e in entries.drain(..) {
-                    self.file(e);
+                    if e.tick() == min_tick {
+                        self.current.push(e);
+                    } else {
+                        self.file(e);
+                    }
                 }
+                self.current
+                    .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
             }
             if entries.capacity() > RECYCLE_CAP {
                 entries = Vec::new();
@@ -527,6 +603,20 @@ mod tests {
         w.schedule(t(1_500), 8, "mid");
         assert_eq!(w.pop(), Some((t(1_500), 8, "mid")));
         assert_eq!(w.pop(), Some((t(2_000), 7, "new")));
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn cancel_then_reinsert_same_key_in_current_tick_pops_the_fresh_entry() {
+        let mut w = TimerWheel::new();
+        w.schedule(t(1_000_000), 0, "x");
+        w.schedule(t(1_000_500), 7, "old");
+        // Entering the tick moves "old" into `current`; the reinsert at the
+        // same `(time, seq)` goes to `arrivals`.
+        assert_eq!(w.pop(), Some((t(1_000_000), 0, "x")));
+        w.cancel(7);
+        w.schedule(t(1_000_500), 7, "new");
+        assert_eq!(w.pop(), Some((t(1_000_500), 7, "new")));
         assert_eq!(w.pop(), None);
     }
 

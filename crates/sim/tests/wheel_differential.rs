@@ -109,25 +109,106 @@ fn arbitrary_time(rng: &mut SimRng, base: u64) -> SimTime {
     SimTime::from_nanos(nanos)
 }
 
+/// Seqs scheduled and not yet popped or cancelled, with their times. Removal
+/// by seq is `O(1)`, so a 2 000-entry burst keeps the bookkeeping linear.
+#[derive(Default)]
+struct LiveSeqs {
+    entries: Vec<(u64, u64)>,
+    index: HashMap<u64, usize>,
+}
+
+impl LiveSeqs {
+    fn push(&mut self, seq: u64, time: u64) {
+        self.index.insert(seq, self.entries.len());
+        self.entries.push((seq, time));
+    }
+
+    fn swap_remove(&mut self, i: usize) -> (u64, u64) {
+        let removed = self.entries.swap_remove(i);
+        self.index.remove(&removed.0);
+        if let Some(&(moved, _)) = self.entries.get(i) {
+            self.index.insert(moved, i);
+        }
+        removed
+    }
+
+    fn remove(&mut self, seq: u64) {
+        if let Some(&i) = self.index.get(&seq) {
+            self.swap_remove(i);
+        }
+    }
+}
+
+/// The wheel and the reference heap side by side, with what the driver
+/// needs to pick legal operations.
+#[derive(Default)]
+struct Pair {
+    wheel: TimerWheel<u64>,
+    heap: RefHeap,
+    next_seq: u64,
+    live: LiveSeqs,
+    /// (seq, old time) popped or cancelled — legal to cancel again (no-op)
+    /// or to reinsert, possibly at the exact old time.
+    retired: Vec<(u64, u64)>,
+    last_popped: SimTime,
+}
+
+impl Pair {
+    /// Schedules a fresh seq at `time` on both sides and returns it.
+    fn schedule(&mut self, time: SimTime) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.reschedule(time, seq);
+        seq
+    }
+
+    fn reschedule(&mut self, time: SimTime, seq: u64) {
+        self.wheel.schedule(time, seq, seq);
+        self.heap.schedule(time, seq, seq);
+        self.live.push(seq, time.as_nanos());
+    }
+
+    fn cancel_at(&mut self, i: usize) {
+        let (seq, time) = self.live.swap_remove(i);
+        self.wheel.cancel(seq);
+        self.heap.cancel(seq);
+        self.retired.push((seq, time));
+    }
+
+    /// Pops both sides and asserts they agree; `false` once both are empty.
+    fn pop(&mut self) -> bool {
+        let got = self.wheel.pop();
+        assert_eq!(got, self.heap.pop(), "wheel and heap disagree on pop");
+        let Some((time, seq, _)) = got else {
+            return false;
+        };
+        assert!(time >= self.last_popped, "time went backwards");
+        self.last_popped = time;
+        self.live.remove(seq);
+        self.retired.push((seq, time.as_nanos()));
+        true
+    }
+
+    /// The last exact time of the tick holding the last popped event.
+    fn tick_end(&self) -> u64 {
+        self.last_popped.as_nanos() | 0xFFFF
+    }
+}
+
 /// Drives the wheel and the reference heap through one random interleaving
 /// of schedule / cancel / drain / peek operations — including the cancel
 /// edge cases (cancel-after-pop, double-cancel, cancel of a never-scheduled
 /// seq, reinsertion of a cancelled or popped seq, possibly at its old exact
-/// time) — and asserts they agree after every step.
+/// time) and the current tick's arrival shapes (a spawn-sized burst at one
+/// time, descending times mid-drain, a cancel while arrivals are pending) —
+/// and asserts they agree after every step.
 fn differential_case(rng: &mut SimRng) {
-    let mut wheel = TimerWheel::new();
-    let mut heap = RefHeap::default();
-    let mut next_seq = 0u64;
-    // (seq, time) scheduled and not yet popped/cancelled.
-    let mut live: Vec<(u64, u64)> = Vec::new();
-    // (seq, old time) popped or cancelled — legal to cancel again (no-op)
-    // or to reinsert, possibly at the exact old time.
-    let mut retired: Vec<(u64, u64)> = Vec::new();
-    let mut last_popped = SimTime::ZERO;
+    let mut p = Pair::default();
+    let mut burst_done = false;
 
     let ops = 40 + rng.next_below(120);
     for _ in 0..ops {
-        match rng.next_below(12) {
+        match rng.next_below(15) {
             // Schedule (weighted heaviest so queues actually grow).
             0..=4 => {
                 let n = 1 + rng.next_below(16);
@@ -135,91 +216,121 @@ fn differential_case(rng: &mut SimRng) {
                     // Occasionally schedule at or before the last popped
                     // time — legal, and must keep exact order.
                     let base = if rng.chance(0.1) {
-                        last_popped.as_nanos()
+                        p.last_popped.as_nanos()
                     } else {
-                        last_popped.as_nanos() + rng.next_below(1 << 20)
+                        p.last_popped.as_nanos() + rng.next_below(1 << 20)
                     };
                     let time = arbitrary_time(rng, base);
-                    let seq = next_seq;
-                    next_seq += 1;
-                    wheel.schedule(time, seq, seq);
-                    heap.schedule(time, seq, seq);
-                    live.push((seq, time.as_nanos()));
+                    p.schedule(time);
                 }
             }
             // Cancel a random live entry.
             5..=6 => {
-                if !live.is_empty() {
-                    let i = rng.next_below(live.len() as u64) as usize;
-                    let (seq, time) = live.swap_remove(i);
-                    wheel.cancel(seq);
-                    heap.cancel(seq);
-                    retired.push((seq, time));
+                if !p.live.entries.is_empty() {
+                    let i = rng.next_below(p.live.entries.len() as u64) as usize;
+                    p.cancel_at(i);
                 }
             }
             // Drain a few entries, asserting identical pops.
             7..=8 => {
                 let n = 1 + rng.next_below(24);
                 for _ in 0..n {
-                    let got = wheel.pop();
-                    let want = heap.pop();
-                    assert_eq!(got, want, "wheel and heap disagree on pop");
-                    let Some((time, seq, _)) = got else { break };
-                    assert!(time >= last_popped, "time went backwards");
-                    last_popped = time;
-                    live.retain(|&(s, _)| s != seq);
-                    retired.push((seq, time.as_nanos()));
+                    if !p.pop() {
+                        break;
+                    }
                 }
             }
             // Rogue cancel: an already-popped or already-cancelled seq, or
             // one that was never scheduled. Must be a no-op on both sides.
             9 => {
-                let seq = if retired.is_empty() || rng.chance(0.25) {
-                    next_seq + 1_000_000 // never scheduled
+                let seq = if p.retired.is_empty() || rng.chance(0.25) {
+                    p.next_seq + 1_000_000 // never scheduled
                 } else {
-                    retired[rng.next_below(retired.len() as u64) as usize].0
+                    p.retired[rng.next_below(p.retired.len() as u64) as usize].0
                 };
-                wheel.cancel(seq);
-                heap.cancel(seq);
+                p.wheel.cancel(seq);
+                p.heap.cancel(seq);
             }
             // Reinsert a retired seq — sometimes at the exact time it used
             // to occupy, so a still-pending tombstone is adjacent to the
             // fresh entry and must not strike it.
             10 => {
                 if let Some(i) =
-                    (!retired.is_empty()).then(|| rng.next_below(retired.len() as u64) as usize)
+                    (!p.retired.is_empty()).then(|| rng.next_below(p.retired.len() as u64) as usize)
                 {
-                    let (seq, old_time) = retired.swap_remove(i);
-                    let time = if old_time >= last_popped.as_nanos() && rng.chance(0.5) {
+                    let (seq, old_time) = p.retired.swap_remove(i);
+                    let time = if old_time >= p.last_popped.as_nanos() && rng.chance(0.5) {
                         SimTime::from_nanos(old_time)
                     } else {
-                        arbitrary_time(rng, last_popped.as_nanos())
+                        arbitrary_time(rng, p.last_popped.as_nanos())
                     };
-                    wheel.schedule(time, seq, seq);
-                    heap.schedule(time, seq, seq);
-                    live.push((seq, time.as_nanos()));
+                    p.reschedule(time, seq);
+                }
+            }
+            // Burst: 100–2 000 schedules at exactly the last popped time
+            // with rising seq — the shape of a fleet spawn and of a
+            // zero-delay fan-out. Half the time a few pops follow at once.
+            // One per case keeps the suite fast in a debug build.
+            11 if !burst_done => {
+                burst_done = true;
+                let n = 100 + rng.next_below(1_901);
+                for _ in 0..n {
+                    p.schedule(p.last_popped);
+                }
+                if rng.chance(0.5) {
+                    for _ in 0..rng.next_below(32) {
+                        p.pop();
+                    }
+                }
+            }
+            // Same-tick schedules at descending exact times, interleaved
+            // with pops: each lands below the previous one but not below
+            // the last popped time.
+            12 => {
+                let n = 2 + rng.next_below(40);
+                for i in 0..n {
+                    let span = p.tick_end() - p.last_popped.as_nanos();
+                    let time = p.last_popped.as_nanos() + span * (n - i) / n;
+                    p.schedule(SimTime::from_nanos(time));
+                    if rng.chance(0.4) {
+                        p.pop();
+                    }
+                }
+            }
+            // A cancel while same-tick arrivals are pending: schedule a few
+            // in the current tick, then cancel one of them and one other
+            // live entry. On a wheel's first cancel the live-seq index is
+            // built from every bucket, the arrivals included.
+            13 => {
+                let n = 1 + rng.next_below(8);
+                let span = p.tick_end() - p.last_popped.as_nanos() + 1;
+                let fresh: Vec<u64> = (0..n)
+                    .map(|_| {
+                        let time = p.last_popped.as_nanos() + rng.next_below(span.min(4));
+                        p.schedule(SimTime::from_nanos(time))
+                    })
+                    .collect();
+                let target = fresh[rng.next_below(n) as usize];
+                let i = p.live.index[&target];
+                p.cancel_at(i);
+                if !p.live.entries.is_empty() {
+                    let i = rng.next_below(p.live.entries.len() as u64) as usize;
+                    p.cancel_at(i);
                 }
             }
             // Peek must agree and must not consume.
             _ => {
-                assert_eq!(wheel.peek(), heap.peek(), "peek disagrees");
-                assert_eq!(wheel.peek(), heap.peek(), "peek is not stable");
+                assert_eq!(p.wheel.peek(), p.heap.peek(), "peek disagrees");
+                assert_eq!(p.wheel.peek(), p.heap.peek(), "peek is not stable");
             }
         }
-        assert_eq!(wheel.len(), heap.len(), "live-entry counts diverged");
-        assert_eq!(wheel.is_empty(), heap.len() == 0);
+        assert_eq!(p.wheel.len(), p.heap.len(), "live-entry counts diverged");
+        assert_eq!(p.wheel.is_empty(), p.heap.len() == 0);
     }
 
     // Full drain: the tails must be identical too.
-    loop {
-        let got = wheel.pop();
-        let want = heap.pop();
-        assert_eq!(got, want, "wheel and heap disagree during final drain");
-        if got.is_none() {
-            break;
-        }
-    }
-    assert!(wheel.is_empty());
+    while p.pop() {}
+    assert!(p.wheel.is_empty());
 }
 
 #[test]
