@@ -73,6 +73,37 @@ fn golden_telemetry_snapshot_matches() {
     assert!(drift.is_none(), "{}", drift.unwrap_or_default());
 }
 
+/// The episode stream of every golden scenario: its timeline (events,
+/// histograms, counters), then each event's vector clock, one line per
+/// event in stream order.
+fn run_episode_streams() -> String {
+    let mut out = String::new();
+    for sc in golden_scenarios() {
+        let (_trace, telemetry) = run_golden_scenario_telemetry(&sc);
+        out.push_str(&format!("=== {} ===\n", sc.name));
+        out.push_str(&render_timeline(&telemetry));
+        out.push_str("clocks\n");
+        for (i, clock) in telemetry.clocks().iter().enumerate() {
+            let entries: Vec<String> = clock
+                .entries()
+                .map(|(name, tick)| format!("{name}={tick}"))
+                .collect();
+            out.push_str(&format!("{i:>4}  {}\n", entries.join(" ")));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Golden episode streams: what the registry records, and in what causal
+/// order, for every golden scenario (merged origins, per-origin cures,
+/// admission deferrals and sheds included).
+#[test]
+fn golden_episode_streams_match() {
+    let drift = compare_or_record("episode-streams.telemetry.txt", &run_episode_streams());
+    assert!(drift.is_none(), "{}", drift.unwrap_or_default());
+}
+
 /// The rr-abs decision table: directed-rounding interval arithmetic is
 /// deterministic, so any drift against the committed artifact means the
 /// calibration or the abstraction changed. Re-record only after reviewing the
