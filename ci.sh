@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI gate, run from the repo root: a list of commands, the first failure stops
 # it. Everything with a contract is a test, so `cargo test --workspace` alone
-# guards the goldens (traces, telemetry snapshot, checkpoint table, rr-abs
-# decision table: crates/harness/tests/{golden,checkpoint}.rs), the rr-audit
+# guards the goldens (traces, telemetry snapshot, every golden scenario's
+# episode stream with its vector clocks, checkpoint table, rr-abs decision
+# table: crates/harness/tests/{golden,checkpoint}.rs), the rr-audit
 # fixture and exit-code contract (crates/harness/tests/audit_cli.rs), the
 # journal crash fixtures (crates/store/tests/crash_fixtures.rs), recovery
 # from every crash point of a journal (crates/store/tests/crash_points.rs),

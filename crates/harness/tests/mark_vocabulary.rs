@@ -30,27 +30,37 @@ fn design_md_states_the_mark_vocabulary() {
             "measure, chaos",
             "",
         ),
-        (Mark::Stage(EpisodeStage::Suspected, c), "fd", "chaos", ""),
+        (
+            Mark::Stage(EpisodeStage::Suspected, c),
+            "fd",
+            "chaos, telemetry",
+            "",
+        ),
         (
             Mark::Stage(EpisodeStage::Quarantined, c),
             "rec",
-            "chaos, overload",
+            "chaos, overload, telemetry",
             "",
         ),
         (
             Mark::Stage(EpisodeStage::Deferred, c),
             "rec",
-            "overload",
+            "overload, telemetry",
             "",
         ),
-        (Mark::Stage(EpisodeStage::Shed, c), "rec", "overload", ""),
+        (
+            Mark::Stage(EpisodeStage::Shed, c),
+            "rec",
+            "overload, telemetry",
+            "",
+        ),
         (
             Mark::Merge {
                 from: intern("{from}"),
                 into: intern("{into}"),
             },
             "rec",
-            "measure, chaos",
+            "measure, chaos, telemetry",
             "",
         ),
         (
@@ -60,7 +70,7 @@ fn design_md_states_the_mark_vocabulary() {
                 set,
             },
             "rec",
-            "measure, chaos, overload",
+            "measure, chaos, overload, telemetry",
             "",
         ),
         (
@@ -69,7 +79,7 @@ fn design_md_states_the_mark_vocabulary() {
                 reason: "{reason}".into(),
             },
             "rec",
-            "measure, chaos",
+            "measure, chaos, telemetry",
             "written beside `quarantine:`, which is `Quarantined`",
         ),
         (
@@ -87,13 +97,13 @@ fn design_md_states_the_mark_vocabulary() {
         (
             Mark::Cured(c),
             "rec",
-            "measure, chaos",
+            "measure, chaos, telemetry",
             "per origin; `Cured` is per episode",
         ),
         (
             Mark::Ready(c),
             "every component",
-            "measure, warm-up, experiments",
+            "measure, warm-up, experiments, telemetry",
             "per component; `Ready` is per episode",
         ),
         (

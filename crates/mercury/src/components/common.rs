@@ -13,7 +13,6 @@ use std::rc::Rc;
 
 use mercury_msg::{ComponentStatus, Envelope, Message};
 use rr_core::RecoveryMode;
-use rr_sim::telemetry::Registry;
 use rr_sim::{intern, Context, Mark, SimDuration, SimTime};
 use rr_store::{RecoveryStats, StateStore};
 
@@ -46,10 +45,6 @@ pub struct Shared {
     pub load: Rc<RefCell<HostLoad>>,
     /// The radio hardware behind pbcom's serial port.
     pub radio: Rc<RefCell<RadioHardware>>,
-    /// The recovery-episode telemetry sink. A no-op registry (one branch per
-    /// instrumentation point) unless
-    /// [`telemetry_enabled`](StationConfig::telemetry_enabled) is set.
-    pub telemetry: Rc<RefCell<Registry>>,
     /// The crash-safe component state store (`rr-store`). Shared by `Rc`
     /// so it lives *outside* the restartable actors — the simulation's
     /// stand-in for durable media, surviving the very respawns it exists
@@ -66,16 +61,10 @@ impl std::fmt::Debug for Shared {
 impl Shared {
     /// Creates shared state over a configuration.
     pub fn new(config: StationConfig) -> Shared {
-        let telemetry = if config.telemetry_enabled {
-            Registry::new()
-        } else {
-            Registry::disabled()
-        };
         Shared {
             config: Rc::new(config),
             load: HostLoad::new_shared(),
             radio: RadioHardware::new_shared(),
-            telemetry: Rc::new(RefCell::new(telemetry)),
             store: Rc::new(RefCell::new(StateStore::new())),
         }
     }
@@ -190,10 +179,6 @@ impl Lifecycle {
         self.phase = Phase::Ready;
         self.shared.load.borrow_mut().end_boot(&self.name);
         ctx.trace_mark(Mark::Ready(intern(&self.name)));
-        self.shared
-            .telemetry
-            .borrow_mut()
-            .record_component_ready(ctx.now(), &self.name);
         let period = self.config().fd.beacon_period_s;
         if period > 0.0 {
             ctx.set_timer(SimDuration::from_secs_f64(period), TIMER_BEACON);
@@ -238,10 +223,7 @@ impl Lifecycle {
             }
             Err(e) => {
                 ctx.trace_mark(format!("parse-error:{}:{e}", self.name));
-                self.shared
-                    .telemetry
-                    .borrow_mut()
-                    .incr_labeled("parse_errors", &self.name);
+                ctx.telemetry().incr_labeled("parse_errors", &self.name);
                 None
             }
         }
@@ -424,11 +406,11 @@ impl StoreClient {
                 if let Some(stats) = self.pending.take() {
                     ctx.trace_mark(format!("rehydrate:{}", life.name()));
                     {
-                        let mut t = life.shared().telemetry.borrow_mut();
-                        let name = life.name().to_string();
-                        t.incr_labeled("rehydrated", &name);
-                        t.incr_by("replayed_records", &name, stats.replayed_records);
-                        t.incr_by("snapshot_bytes", &name, stats.snapshot_bytes);
+                        let t = ctx.telemetry();
+                        let name = life.name();
+                        t.incr_labeled("rehydrated", name);
+                        t.incr_by("replayed_records", name, stats.replayed_records);
+                        t.incr_by("snapshot_bytes", name, stats.snapshot_bytes);
                     }
                     life.set_ready(ctx);
                     self.start_journaling(life, ctx);
@@ -478,10 +460,9 @@ impl StoreClient {
         let state = synthetic_bytes(ctx.now(), size);
         let store = life.shared().store.clone();
         store.borrow_mut().component(life.name()).checkpoint(&state);
-        let mut t = life.shared().telemetry.borrow_mut();
-        let name = life.name().to_string();
-        t.incr_labeled("checkpoints", &name);
-        t.incr_by("checkpoint_stall_ms", &name, stall_ms);
+        let t = ctx.telemetry();
+        t.incr_labeled("checkpoints", life.name());
+        t.incr_by("checkpoint_stall_ms", life.name(), stall_ms);
     }
 }
 

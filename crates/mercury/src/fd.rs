@@ -120,11 +120,7 @@ impl Fd {
         for (idx, comp) in self.monitored.clone().into_iter().enumerate() {
             let seq = self.seq_for(self.round, idx);
             self.life.send_bus(ctx, &comp, Message::Ping { seq });
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .incr("fd_pings_sent");
+            ctx.telemetry().incr("fd_pings_sent");
             ctx.set_timer(
                 timeout,
                 TIMER_TIMEOUT_BASE + self.round * TIMEOUT_STRIDE + idx as u64,
@@ -186,11 +182,7 @@ impl Fd {
             return;
         }
         if missed {
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .incr_labeled("fd_ping_timeouts", &comp);
+            ctx.telemetry().incr_labeled("fd_ping_timeouts", &comp);
         }
         let suspect = self.note_round(&comp, missed);
         if !missed || !suspect {
@@ -200,11 +192,6 @@ impl Fd {
         let was_down = self.down.get(&comp).copied().unwrap_or(false);
         if !was_down {
             ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(&comp)));
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .record_suspected(ctx.now(), &comp);
         }
         self.down.insert(comp.clone(), true);
         if self.suspect_buffer.is_empty() {
@@ -250,11 +237,7 @@ impl Fd {
         self.rec_down = true;
         if let Some(rec) = ctx.lookup(names::REC) {
             ctx.trace_mark("fd-restarts:rec");
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .incr("fd_restarts_rec");
+            ctx.telemetry().incr("fd_restarts_rec");
             ctx.kill_after(SimDuration::ZERO, rec);
             let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
             ctx.respawn_after(exec, rec);
@@ -271,11 +254,7 @@ impl Fd {
                 // watchdog restart). Attributing it to the current round
                 // would let one stale pong mask a live miss, so count it and
                 // drop it.
-                self.life
-                    .shared()
-                    .telemetry
-                    .borrow_mut()
-                    .incr_labeled("fd_stale_pongs", names::REC);
+                ctx.telemetry().incr_labeled("fd_stale_pongs", names::REC);
                 return;
             }
             self.rec_outstanding = None;
@@ -290,12 +269,8 @@ impl Fd {
             Some(&(expected, sent_at)) if expected == seq => {
                 self.outstanding.remove(src);
                 let rtt = ctx.now().saturating_since(sent_at);
-                self.life.shared().telemetry.borrow_mut().observe(
-                    "fd_ping_latency",
-                    src,
-                    rtt,
-                    LATENCY_BUCKETS,
-                );
+                ctx.telemetry()
+                    .observe("fd_ping_latency", src, rtt, LATENCY_BUCKETS);
             }
             _ => {
                 // A pong whose seq does not match this round's outstanding
@@ -305,11 +280,7 @@ impl Fd {
                 // would both skew the RTT histogram and, worse, let a stale
                 // answer produce an Alive notice for a component that has
                 // since died. Epoch-tag it away.
-                self.life
-                    .shared()
-                    .telemetry
-                    .borrow_mut()
-                    .incr_labeled("fd_stale_pongs", src);
+                ctx.telemetry().incr_labeled("fd_stale_pongs", src);
                 return;
             }
         }

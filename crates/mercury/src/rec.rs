@@ -285,26 +285,6 @@ impl Rec {
         Admission::Defer
     }
 
-    /// Marks and counts a deferral (the request is already parked).
-    fn note_deferred(&mut self, component: &str, now: SimTime, ctx: &mut Context<'_, Wire>) {
-        ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(component)));
-        self.life.shared().telemetry.borrow_mut().record_deferred(
-            now,
-            component,
-            "admission-capacity",
-        );
-    }
-
-    /// Marks and counts a shed duplicate report.
-    fn note_shed(&mut self, component: &str, now: SimTime, ctx: &mut Context<'_, Wire>) {
-        ctx.trace_mark(Mark::Stage(EpisodeStage::Shed, intern(component)));
-        self.life.shared().telemetry.borrow_mut().record_shed(
-            now,
-            component,
-            "duplicate-of-deferred",
-        );
-    }
-
     /// Forwards a screened, admitted report to the recoverer and applies its
     /// decision.
     fn forward_report(&mut self, component: &str, now: SimTime, ctx: &mut Context<'_, Wire>) {
@@ -424,10 +404,7 @@ impl Rec {
             if !run {
                 continue;
             }
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
+            ctx.telemetry()
                 .incr_labeled("admission_admitted", &component);
             self.forward_report(&component, now, ctx);
         }
@@ -446,8 +423,7 @@ impl Rec {
         // exported snapshot always carries the oracle's lifetime counts.
         {
             let tally = control.recoverer.decision_tally();
-            let telemetry = self.life.shared().telemetry.clone();
-            let mut telemetry = telemetry.borrow_mut();
+            let telemetry = ctx.telemetry();
             telemetry.set_gauge("oracle_restarts_issued", "", tally.restarts as f64);
             telemetry.set_gauge("oracle_give_ups", "", tally.give_ups as f64);
             telemetry.set_gauge("oracle_merges", "", tally.merges as f64);
@@ -469,19 +445,10 @@ impl Rec {
                     .first()
                     .cloned()
                     .unwrap_or_else(|| "unknown".to_string());
+                ctx.telemetry().incr("decision_restart");
                 // Absorbed episodes are superseded by this one: credit their
                 // origins to the merged episode and retire their pending
                 // entries — the promoted restart covers those components.
-                {
-                    let telemetry = self.life.shared().telemetry.clone();
-                    let mut telemetry = telemetry.borrow_mut();
-                    telemetry.incr("decision_restart");
-                    for origin in origins.iter().skip(1) {
-                        telemetry.record_merged(now, origin, &owner);
-                    }
-                    telemetry.record_planned(now, &owner, &origins);
-                    telemetry.record_restarting(now, &owner, &components, &origins, attempt);
-                }
                 for origin in origins.iter().skip(1) {
                     ctx.trace_mark(Mark::Merge {
                         from: intern(origin),
@@ -505,17 +472,12 @@ impl Rec {
                 self.execute_restart(&components, delay, ctx);
             }
             RecoveryDecision::AlreadyRecovering { .. } => {
-                self.life
-                    .shared()
-                    .telemetry
-                    .borrow_mut()
-                    .incr("decision_already_recovering");
+                ctx.telemetry().incr("decision_already_recovering");
             }
             RecoveryDecision::GiveUp { component, reason } => {
-                let reason = reason.to_string();
                 ctx.trace_mark(Mark::GiveUp {
                     comp: intern(&component),
-                    reason: reason.clone(),
+                    reason: reason.to_string(),
                 });
                 ctx.trace_mark(Mark::Stage(EpisodeStage::Quarantined, intern(&component)));
                 control.pending.remove(&component);
@@ -529,10 +491,7 @@ impl Rec {
                 // for the rest of the capacity window.
                 control.refund_admitted(&component);
                 control.quarantined.insert(component.clone());
-                let telemetry = self.life.shared().telemetry.clone();
-                let mut telemetry = telemetry.borrow_mut();
-                telemetry.incr("decision_giveup");
-                telemetry.record_quarantined(now, &component, &reason);
+                ctx.telemetry().incr("decision_giveup");
             }
         }
     }
@@ -547,22 +506,20 @@ impl Rec {
             // Serial baseline: one episode at a time. While any restart is in
             // flight a fresh suspicion is deferred, not queued — FD keeps
             // re-reporting it every ping round, so it is retried as soon as
-            // the in-flight episode drains.
+            // the in-flight episode drains. Nothing is parked, so this is no
+            // admission `defer:`; only the counter records it.
             if self.life.config().serial_recovery && !control.pending.is_empty() {
-                ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(&component)));
-                self.life
-                    .shared()
-                    .telemetry
-                    .borrow_mut()
-                    .incr_labeled("reports_deferred", &component);
+                ctx.telemetry().incr_labeled("reports_deferred", &component);
                 return;
             }
             self.admission_classify(&mut control, &component, now)
         };
         match admission {
             Admission::Run => self.forward_report(&component, now, ctx),
-            Admission::Defer => self.note_deferred(&component, now, ctx),
-            Admission::Shed => self.note_shed(&component, now, ctx),
+            Admission::Defer => {
+                ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(&component)));
+            }
+            Admission::Shed => ctx.trace_mark(Mark::Stage(EpisodeStage::Shed, intern(&component))),
         }
     }
 
@@ -598,10 +555,10 @@ impl Rec {
             (failures, deferred, shed)
         };
         for component in deferred {
-            self.note_deferred(&component, now, ctx);
+            ctx.trace_mark(Mark::Stage(EpisodeStage::Deferred, intern(&component)));
         }
         for component in shed {
-            self.note_shed(&component, now, ctx);
+            ctx.trace_mark(Mark::Stage(EpisodeStage::Shed, intern(&component)));
         }
         if failures.is_empty() {
             return;
@@ -737,11 +694,6 @@ impl Rec {
             for origin in origins {
                 ctx.trace_mark(Mark::Cured(intern(&origin)));
             }
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .record_cured(now, &component);
         }
     }
 
@@ -772,11 +724,7 @@ impl Rec {
             };
             let components = tree.components_under(cell);
             ctx.trace_mark(Mark::Rejuvenate(intern(component)));
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .incr_labeled("rejuvenations", component);
+            ctx.telemetry().incr_labeled("rejuvenations", component);
             // Track the reboot like an episode so FD reports during the
             // planned restart are suppressed.
             let now = ctx.now();
@@ -835,11 +783,7 @@ impl Rec {
         };
         for comp in stale {
             ctx.trace_mark(Mark::Stale(intern(&comp)));
-            self.life
-                .shared()
-                .telemetry
-                .borrow_mut()
-                .incr_labeled("beacon_stale", &comp);
+            ctx.telemetry().incr_labeled("beacon_stale", &comp);
             // Restart the staleness clock so the reboot we are about to issue
             // has time to produce a fresh beacon before we re-suspect.
             if let Some(record) = self.control.borrow_mut().beacons.get_mut(&comp) {
@@ -898,11 +842,7 @@ impl Actor<Wire> for Rec {
                         // FD is silent: REC initiates FD's recovery (§2.2).
                         if let Some(fd) = ctx.lookup(names::FD) {
                             ctx.trace_mark("rec-restarts:fd");
-                            self.life
-                                .shared()
-                                .telemetry
-                                .borrow_mut()
-                                .incr("rec_restarts_fd");
+                            ctx.telemetry().incr("rec_restarts_fd");
                             ctx.kill_after(SimDuration::ZERO, fd);
                             let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
                             ctx.respawn_after(exec, fd);

@@ -299,8 +299,11 @@ impl Station {
             return Err(StationError::Lint(report.into_diagnostics()));
         }
 
-        let shared = Shared::new(config);
         let mut sim: Sim<Wire> = Sim::new(seed);
+        if config.telemetry_enabled {
+            *sim.telemetry_mut() = Registry::new();
+        }
+        let shared = Shared::new(config);
 
         for comp in &components {
             let shared_for = shared.clone();
@@ -396,7 +399,7 @@ impl Station {
     /// unless the configuration sets
     /// [`telemetry_enabled`](StationConfig::telemetry_enabled).
     pub fn telemetry(&self) -> Registry {
-        self.shared.telemetry.borrow().clone()
+        self.sim.telemetry().clone()
     }
 
     /// Current virtual time.
@@ -478,14 +481,15 @@ impl Station {
             .ok_or_else(|| StationError::UnknownComponent(component.to_string()))
     }
 
-    /// Marks an injection in both the trace and the telemetry stream.
+    /// Marks an injection in the trace, and records it with its fault kind
+    /// in the telemetry: the kind is the injector's ground truth, which no
+    /// mark carries, so this is the one fact written to both.
     fn note_injection(&mut self, component: &str, kind: &str) {
         self.sim
             .mark(Mark::Stage(EpisodeStage::Injected, intern(component)));
         let now = self.sim.now();
-        self.shared
-            .telemetry
-            .borrow_mut()
+        self.sim
+            .telemetry_mut()
             .record_injected(now, component, kind);
     }
 

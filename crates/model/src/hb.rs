@@ -227,7 +227,7 @@ pub fn verify_registry(registry: &Registry) -> Vec<HbViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rr_sim::SimTime;
+    use rr_sim::{Mark, SimTime};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -249,20 +249,19 @@ mod tests {
         let mut reg = Registry::new();
         reg.record_injected(t(1), "pbcom", "kill");
         reg.record_injected(t(2), "fedr", "kill");
-        reg.record_suspected(t(3), "pbcom");
-        reg.record_suspected(t(3), "fedr");
-        reg.record_merged(t(4), "pbcom", "fedr");
-        reg.record_planned(t(4), "fedr", &["fedr".into(), "pbcom".into()]);
-        reg.record_restarting(
-            t(4),
-            "fedr",
-            &["fedr".into(), "pbcom".into()],
-            &["fedr".into(), "pbcom".into()],
-            0,
-        );
-        reg.record_component_ready(t(6), "fedr");
-        reg.record_component_ready(t(7), "pbcom");
-        reg.record_cured(t(8), "fedr");
+        for (s, label) in [
+            (3, "detect:pbcom"),
+            (3, "detect:fedr"),
+            (4, "merge:pbcom->fedr"),
+            (4, "restart:fedr:0:fedr+pbcom"),
+            (6, "ready:fedr"),
+            (7, "ready:pbcom"),
+            (8, "cured:fedr"),
+            (8, "cured:pbcom"),
+        ] {
+            let mark: Mark = label.parse().expect("a protocol label");
+            reg.record(t(s), &mark);
+        }
         assert_eq!(verify_registry(&reg), vec![]);
     }
 

@@ -3,9 +3,10 @@
 //! happens-before verifier — in batch (parallel planner) and serial mode.
 //!
 //! The generator drives the real [`Recoverer`] with random suspicion batches
-//! over random trees and records telemetry **exactly** the way `mercury`'s
-//! REC does (merges for the non-owner origins first, then the plan, then the
-//! restart, then per-component readies, then the cure), so the property
+//! over random trees and writes the protocol marks **exactly** the way
+//! `mercury`'s station does (`detect:` per suspect; `merge:` for the
+//! non-owner origins, then the `restart:`; a `ready:` per member; a
+//! `cured:` per origin), folding each into the registry, so the property
 //! covers the wiring the simulator uses, not a toy recorder.
 
 use rr_core::oracle::Failure;
@@ -14,7 +15,7 @@ use rr_core::recoverer::{Recoverer, RecoveryDecision};
 use rr_core::tree::{RestartTree, TreeSpec};
 use rr_core::PerfectOracle;
 use rr_sim::telemetry::Registry;
-use rr_sim::{check, SimRng, SimTime};
+use rr_sim::{check, intern, EpisodeStage, Mark, SimRng, SimTime};
 
 use rr_model::hb;
 
@@ -57,13 +58,8 @@ fn tree_deep() -> RestartTree {
         .unwrap()
 }
 
-/// Records a batch of decisions the way `mercury::rec::apply_decision` does.
-fn record_decisions(
-    reg: &mut Registry,
-    decisions: &[RecoveryDecision],
-    now: SimTime,
-) -> Vec<String> {
-    let mut owners = Vec::new();
+/// Marks a batch of decisions the way `mercury::rec::apply_decision` does.
+fn record_decisions(reg: &mut Registry, decisions: &[RecoveryDecision], now: SimTime) {
     for decision in decisions {
         match decision {
             RecoveryDecision::Restart {
@@ -72,21 +68,33 @@ fn record_decisions(
                 origins,
                 ..
             } => {
-                let owner = origins[0].clone();
+                let owner = intern(&origins[0]);
                 for origin in &origins[1..] {
-                    reg.record_merged(now, origin, &owner);
+                    let merge = Mark::Merge {
+                        from: intern(origin),
+                        into: owner,
+                    };
+                    reg.record(now, &merge);
                 }
-                reg.record_planned(now, &owner, origins);
-                reg.record_restarting(now, &owner, components, origins, *attempt);
-                owners.push(owner);
+                let restart = Mark::Restart {
+                    owner,
+                    attempt: *attempt,
+                    set: components.iter().map(|c| intern(c)).collect(),
+                };
+                reg.record(now, &restart);
             }
             RecoveryDecision::AlreadyRecovering { .. } => {}
             RecoveryDecision::GiveUp { component, reason } => {
-                reg.record_quarantined(now, component, &format!("{reason:?}"));
+                let comp = intern(component);
+                let give_up = Mark::GiveUp {
+                    comp,
+                    reason: reason.to_string(),
+                };
+                reg.record(now, &give_up);
+                reg.record(now, &Mark::Stage(EpisodeStage::Quarantined, comp));
             }
         }
     }
-    owners
 }
 
 /// Drives random suspicion rounds through the recoverer, recording
@@ -125,7 +133,8 @@ fn drive(rng: &mut SimRng, serial: bool) {
             failures.push(Failure::correlated(comp.clone(), cure));
         }
         for f in &failures {
-            reg.record_suspected(now(), &f.component);
+            let suspected = Mark::Stage(EpisodeStage::Suspected, intern(&f.component));
+            reg.record(now(), &suspected);
         }
         let decide_at = now();
         let decisions: Vec<RecoveryDecision> = if serial {
@@ -148,11 +157,14 @@ fn drive(rng: &mut SimRng, serial: bool) {
             .collect();
         for (owner, cell) in in_flight {
             for member in tree.components_under(cell) {
-                reg.record_component_ready(now(), &member);
+                reg.record(now(), &Mark::Ready(intern(&member)));
             }
             rec.on_restart_complete(&owner, now());
             if rng.chance(0.7) {
-                reg.record_cured(now(), &owner);
+                let at = now();
+                for origin in rec.episode_origins(&owner).unwrap_or_default() {
+                    reg.record(at, &Mark::Cured(intern(&origin)));
+                }
                 rec.on_cured(&owner, now());
             }
         }

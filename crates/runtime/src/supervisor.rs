@@ -18,7 +18,7 @@ use rr_core::policy::RestartPolicy;
 use rr_core::recoverer::{Recoverer, RecoveryDecision};
 use rr_core::tree::RestartTree;
 use rr_sim::telemetry::Registry;
-use rr_sim::SimTime;
+use rr_sim::{intern, EpisodeStage, Mark, SimTime};
 use std::sync::Mutex;
 use std::sync::MutexGuard;
 
@@ -334,7 +334,7 @@ fn watchdog_loop(
                 }
             }
             for comp in came_back {
-                guard.telemetry.record_component_ready(now, &comp);
+                guard.telemetry.record(now, &Mark::Ready(intern(&comp)));
             }
             for episode in overdue {
                 // The reboot blew its deadline (e.g. the service wedges
@@ -350,7 +350,7 @@ fn watchdog_loop(
                 guard.pending.remove(&episode);
                 guard.recoverer.on_restart_complete(&episode, now);
                 guard.recoverer.on_cured(&episode, now);
-                guard.telemetry.record_cured(now, &episode);
+                guard.telemetry.record(now, &Mark::Cured(intern(&episode)));
                 down.insert(episode, false);
             }
             // Failures.
@@ -369,7 +369,8 @@ fn watchdog_loop(
                     continue;
                 }
                 if !down.get(name).copied().unwrap_or(false) {
-                    guard.telemetry.record_suspected(now, name);
+                    let suspected = Mark::Stage(EpisodeStage::Suspected, intern(name));
+                    guard.telemetry.record(now, &suspected);
                 }
                 down.insert(name.clone(), true);
                 let decision = guard.recoverer.on_failure(Failure::solo(name.clone()), now);
@@ -384,20 +385,30 @@ fn watchdog_loop(
                             .pending
                             .insert(name.clone(), (Instant::now(), components.clone()));
                         guard.restarts += 1;
-                        guard.telemetry.record_restarting(
-                            now,
-                            name,
-                            &components,
-                            &origins,
+                        for origin in origins.iter().filter(|o| *o != name) {
+                            let merge = Mark::Merge {
+                                from: intern(origin),
+                                into: intern(name),
+                            };
+                            guard.telemetry.record(now, &merge);
+                        }
+                        let restart = Mark::Restart {
+                            owner: intern(name),
                             attempt,
-                        );
+                            set: components.iter().map(|c| intern(c)).collect(),
+                        };
+                        guard.telemetry.record(now, &restart);
                         to_restart.push(components);
                     }
                     RecoveryDecision::AlreadyRecovering { .. } => {}
                     RecoveryDecision::GiveUp { reason, .. } => {
-                        guard
-                            .telemetry
-                            .record_quarantined(now, name, &reason.to_string());
+                        let give_up = Mark::GiveUp {
+                            comp: intern(name),
+                            reason: reason.to_string(),
+                        };
+                        guard.telemetry.record(now, &give_up);
+                        let quarantined = Mark::Stage(EpisodeStage::Quarantined, intern(name));
+                        guard.telemetry.record(now, &quarantined);
                         guard.abandoned.push(name.clone());
                     }
                 }

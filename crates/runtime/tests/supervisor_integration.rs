@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use rr_core::tree::TreeSpec;
 use rr_core::PerfectOracle;
 use rr_runtime::{Post, Service, ServiceCtx, Supervisor, WatchdogConfig, PING, PONG};
+use rr_sim::EpisodeStage;
 
 struct Counter {
     processed: u64,
@@ -85,6 +86,41 @@ fn solo_failure_restarts_only_its_cell() {
     assert_eq!(inc_a.load(Ordering::SeqCst), a_before);
     assert_eq!(inc_b.load(Ordering::SeqCst), b_before);
     sup.shutdown();
+}
+
+/// The supervisor folds the same protocol marks as the simulator's
+/// registry, so one kill walks the episode through the stages the
+/// simulator records for a single-component kill (its tree2-kill-rtu
+/// golden stream). Stages only: the times are wall-clock.
+#[test]
+fn one_kill_walks_the_simulators_stage_sequence() {
+    let (sup, _, _, _) = build();
+    sup.inject_kill("solo");
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            sup.telemetry().counter("episodes_cured", "") >= 1
+        }),
+        "the killed service was never cured"
+    );
+    let telemetry = sup.telemetry();
+    let mut stages: Vec<&str> = Vec::new();
+    for e in telemetry.events().iter().filter(|e| e.component == "solo") {
+        stages.push(e.stage.name());
+        if e.stage == EpisodeStage::Cured {
+            break;
+        }
+    }
+    assert_eq!(
+        stages,
+        [
+            "injected",
+            "suspected",
+            "planned",
+            "restarting",
+            "ready",
+            "cured"
+        ]
+    );
 }
 
 #[test]

@@ -16,6 +16,7 @@ use std::fmt;
 
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::rng::SimRng;
+use crate::telemetry::Registry;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Label, Trace, TraceKind};
 use crate::wheel::TimerWheel;
@@ -207,6 +208,9 @@ pub struct Sim<M> {
     by_name: FxHashMap<String, ProcessId>,
     root_rng: SimRng,
     trace: Trace,
+    /// Folds every protocol mark the trace receives; disabled (one branch
+    /// per mark) unless replaced through [`Sim::telemetry_mut`].
+    telemetry: Registry,
     events_processed: u64,
     /// Severed links: messages between these unordered pairs are dropped
     /// (network-partition fault injection).
@@ -269,6 +273,7 @@ impl<M> Sim<M> {
             by_name: FxHashMap::default(),
             root_rng: SimRng::new(seed),
             trace: Trace::new(),
+            telemetry: Registry::disabled(),
             events_processed: 0,
             severed: FxHashSet::default(),
             link_qualities: FxHashMap::default(),
@@ -366,9 +371,30 @@ impl<M> Sim<M> {
         &self.trace
     }
 
+    /// The recovery-episode telemetry the trace's protocol marks fold into.
+    pub fn telemetry(&self) -> &Registry {
+        &self.telemetry
+    }
+
+    /// Mutable access to the telemetry: install an enabled
+    /// [`Registry::new`] to record, or record what no mark carries
+    /// ([`Registry::record_injected`]).
+    pub fn telemetry_mut(&mut self) -> &mut Registry {
+        &mut self.telemetry
+    }
+
     /// Appends a mark to the trace from outside any actor (e.g. the harness).
     pub fn mark(&mut self, label: impl Into<Label>) {
-        self.trace.record_mark(self.now, None, label);
+        self.record_mark(None, label.into());
+    }
+
+    /// Appends a mark to the trace, folding a protocol fact into the
+    /// telemetry.
+    fn record_mark(&mut self, pid: Option<ProcessId>, label: Label) {
+        if let Label::Mark(mark) = &label {
+            self.telemetry.record(self.now, mark);
+        }
+        self.trace.record_mark(self.now, pid, label);
     }
 
     /// Crashes `id` after `delay`: its state is discarded and it silently
@@ -855,11 +881,16 @@ impl<M> Context<'_, M> {
         &mut self.sim.procs[self.id.index()].rng
     }
 
-    /// Records a mark in the trace attributed to this process.
+    /// Records a mark in the trace attributed to this process; a protocol
+    /// fact also folds into the telemetry.
     pub fn trace_mark(&mut self, label: impl Into<Label>) {
-        let id = self.id;
-        let now = self.sim.now;
-        self.sim.trace.record_mark(now, Some(id), label);
+        self.sim.record_mark(Some(self.id), label.into());
+    }
+
+    /// The simulation's telemetry, for live metrics (`incr`, `observe`,
+    /// `set_gauge`).
+    pub fn telemetry(&mut self) -> &mut Registry {
+        &mut self.sim.telemetry
     }
 
     /// Crashes another process (or this one) after `delay`. Used by fault

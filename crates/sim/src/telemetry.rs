@@ -15,15 +15,20 @@
 //!   restarting → ready → cured / quarantined, with cause attribution
 //!   carried through LCA merge promotion.
 //!
-//! The registry also performs the §4.1 bookkeeping online: an injection
-//! opens a per-component timer, restarts track the (possibly merged)
-//! restart set, and the episode's recovery time is the span from injection
-//! to the instant the *last* member of the *final* restart set reported
-//! ready — exactly the definition `mercury::measure::measure_recovery`
-//! recovers from the trace after the fact, so the two agree.
+//! Nothing writes the episode stream directly: [`Registry::record`] folds
+//! the trace's typed [`Mark`]s into it, and [`crate::Sim`] hands its registry
+//! every mark the trace receives. Only an injection has its own entry point
+//! ([`Registry::record_injected`]): no mark carries its fault kind.
+//!
+//! The fold performs the §4.1 bookkeeping online: an injection opens a
+//! per-component timer, restarts track the (possibly merged) restart set,
+//! and an episode's recovery time runs from injection to the *last* `ready:`
+//! of the *final* restart set, or to the cure if REC confirms it first.
+//! `mercury::measure::measure_recovery` always waits for that `ready:`, so
+//! the two differ on such cures (DESIGN.md §10, "§4.1 semantics, online").
 //!
 //! A disabled registry ([`Registry::disabled`]) is a pure no-op sink: every
-//! `record_*` method returns before formatting or allocating anything, so
+//! recording method returns before formatting or allocating anything, so
 //! instrumented hot paths cost one branch when telemetry is off.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,6 +38,7 @@ use crate::hash::FxHashMap;
 use crate::intern::{intern, CompId};
 use crate::stats::{Histogram, OnlineStats};
 use crate::time::{SimDuration, SimTime};
+use crate::trace::Mark;
 use crate::vclock::VectorClock;
 
 /// Default bucket range for recovery-time histograms: 0–60 s in 2 s steps,
@@ -171,7 +177,7 @@ fn sorted_metrics<V>(map: &FxHashMap<MetricKey, V>) -> Vec<(&'static str, &'stat
 }
 
 /// An in-flight episode the registry is timing (mirrors the REC's view).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct OpenEpisode {
     /// Suspected components this episode answers (merged origins included).
     origins: BTreeSet<String>,
@@ -207,8 +213,18 @@ pub struct Registry {
     injections: BTreeMap<String, SimTime>,
     open: BTreeMap<String, OpenEpisode>,
     /// Origins absorbed by an LCA merge before the absorbing episode's own
-    /// restart was recorded; folded in by the next `record_restarting`.
+    /// restart was recorded; folded in by its next `restart:`.
     pending_merges: BTreeMap<String, BTreeSet<String>>,
+    /// `merge:` marks since the last `restart:`, as `(from, into)` in the
+    /// order they were written: the absorbed origins of the decision the
+    /// next `restart:` applies.
+    absorbed: Vec<(CompId, CompId)>,
+    /// The latest `giveup:`'s component and reason, which the
+    /// `quarantine:` written after it records as its detail.
+    give_up: Option<(CompId, String)>,
+    /// When the latest cure closed an episode, and that episode's origins:
+    /// the other origins' `cured:` marks at that instant add nothing.
+    last_cure: Option<(SimTime, BTreeSet<String>)>,
 }
 
 impl Registry {
@@ -220,7 +236,7 @@ impl Registry {
         }
     }
 
-    /// A no-op sink: every `record_*`/`incr`/`observe` call returns
+    /// A no-op sink: every `record`/`incr`/`observe` call returns
     /// immediately, without formatting or allocating.
     pub fn disabled() -> Registry {
         Registry::default()
@@ -336,7 +352,7 @@ impl Registry {
     /// Folds `from`'s live clock into `into`'s — a causal edge between two
     /// telemetry keys. A no-op if `from` has never recorded anything.
     fn clock_join(&mut self, into: &str, from: &str) {
-        if !self.enabled || into == from {
+        if into == from {
             return;
         }
         let Some(src) = self.procs.get(&intern(from)).cloned() else {
@@ -345,20 +361,9 @@ impl Registry {
         self.procs.entry(intern(into)).or_default().join(&src);
     }
 
-    /// Appends a raw episode event without any bookkeeping; the building
-    /// block the `record_*` helpers use, public for recorders (like the
-    /// threaded supervisor) that do their own episode accounting. Ticks the
-    /// key's vector clock and stamps the event with the snapshot.
-    pub fn record_stage(
-        &mut self,
-        at: SimTime,
-        component: &str,
-        stage: EpisodeStage,
-        detail: &str,
-    ) {
-        if !self.enabled {
-            return;
-        }
+    /// Appends one episode event: ticks the key's vector clock and stamps
+    /// the event with the snapshot.
+    fn record_stage(&mut self, at: SimTime, component: &str, stage: EpisodeStage, detail: &str) {
         let id = intern(component);
         let clock = {
             let proc_clock = self.procs.entry(id).or_default();
@@ -374,8 +379,9 @@ impl Registry {
         self.clocks.push(clock);
     }
 
-    /// A fault was injected into `component`: opens its §4.1 recovery timer
-    /// (the earliest un-recovered injection wins if faults pile up).
+    /// A fault of `kind` was injected into `component`: opens its §4.1
+    /// recovery timer (the earliest un-recovered injection wins if faults
+    /// pile up).
     pub fn record_injected(&mut self, at: SimTime, component: &str, kind: &str) {
         if !self.enabled {
             return;
@@ -385,42 +391,68 @@ impl Registry {
         self.injections.entry(component.to_string()).or_insert(at);
     }
 
-    /// The failure detector convicted `component`.
-    pub fn record_suspected(&mut self, at: SimTime, component: &str) {
+    /// Folds one recovery-protocol fact, written at `at`, into the episode
+    /// stream, the episode counters, the vector clocks and the
+    /// `recovery_time` histograms. Marks outside the episode lifecycle
+    /// (`stale:`, `alive:`, `rejuvenate:`, the crash causes) add nothing.
+    pub fn record(&mut self, at: SimTime, mark: &Mark) {
         if !self.enabled {
             return;
         }
-        self.incr_labeled("fd_suspicions", component);
-        self.record_stage(at, component, EpisodeStage::Suspected, "");
+        match *mark {
+            // The fault kind is the injector's ground truth, not a protocol
+            // fact: no mark carries it, so `record_injected` records it.
+            Mark::Stage(EpisodeStage::Injected, _) => {}
+            Mark::Stage(EpisodeStage::Suspected, c) => {
+                self.incr_labeled("fd_suspicions", c.resolve());
+                self.record_stage(at, c.resolve(), EpisodeStage::Suspected, "");
+            }
+            // Deferral keeps the injection timer open: the delay counts
+            // against recovery time.
+            Mark::Stage(EpisodeStage::Deferred, c) => {
+                let c = c.resolve();
+                self.incr("admission_deferred");
+                self.incr_labeled("admission_deferred_component", c);
+                self.record_stage(at, c, EpisodeStage::Deferred, "admission-capacity");
+            }
+            // A shed request is a duplicate of one already queued.
+            Mark::Stage(EpisodeStage::Shed, c) => {
+                self.incr("admission_shed");
+                self.incr_labeled("admission_shed_component", c.resolve());
+                self.record_stage(at, c.resolve(), EpisodeStage::Shed, "duplicate-of-deferred");
+            }
+            Mark::Stage(EpisodeStage::Quarantined, c) => self.quarantined(at, c),
+            Mark::Stage(..) => {}
+            Mark::Merge { from, into } => self.merged(at, from, into),
+            Mark::Restart {
+                owner,
+                attempt,
+                ref set,
+            } => self.restarting(at, owner, attempt, set),
+            Mark::GiveUp { comp, ref reason } => self.give_up = Some((comp, reason.clone())),
+            Mark::Ready(c) => self.component_ready(at, c.resolve()),
+            Mark::Cured(origin) => self.cured(at, origin.resolve()),
+            Mark::Stale(_)
+            | Mark::Alive(_)
+            | Mark::Rejuvenate(_)
+            | Mark::InducedCrash(_)
+            | Mark::AgingCrash(_)
+            | Mark::PoisonCrash(_) => {}
+        }
     }
 
-    /// The recoverer planned an episode: restart `cell` to answer `origins`.
-    pub fn record_planned(&mut self, at: SimTime, cell: &str, origins: &[String]) {
-        if !self.enabled {
-            return;
-        }
-        self.incr("episodes_planned");
-        // The plan is causally downstream of every suspicion it answers.
-        for origin in origins {
-            self.clock_join(cell, origin);
-        }
-        let detail = format!("origins={}", origins.join("+"));
-        self.record_stage(at, cell, EpisodeStage::Planned, &detail);
-    }
-
-    /// Episode `from` was absorbed into `into` by LCA promotion.
-    pub fn record_merged(&mut self, at: SimTime, from: &str, into: &str) {
-        if !self.enabled {
-            return;
-        }
+    /// `merge:{from}->{into}`: episode `from` was absorbed into `into` by
+    /// LCA promotion.
+    fn merged(&mut self, at: SimTime, from: CompId, into: CompId) {
+        self.absorbed.push((from, into));
+        let (from, into) = (from.resolve(), into.resolve());
         self.incr("episodes_merged");
-        let detail = format!("into={into}");
-        self.record_stage(at, from, EpisodeStage::Merged, &detail);
+        self.record_stage(at, from, EpisodeStage::Merged, &format!("into={into}"));
         // The absorbing episode's next event happens after the merge.
         self.clock_join(into, from);
         // Retire the absorbed episode and re-attribute its origins to the
         // absorbing one (directly if it is already open, else via the
-        // pending-merge stash its next `record_restarting` drains).
+        // pending-merge stash its next restart drains).
         let mut origins: BTreeSet<String> = BTreeSet::new();
         origins.insert(from.to_string());
         if let Some(absorbed) = self.open.remove(from) {
@@ -436,60 +468,55 @@ impl Registry {
         }
     }
 
-    /// A restart of `owner`'s cell was issued for `origins`, restarting
-    /// every component in `components`; `attempt` counts escalations.
-    pub fn record_restarting(
-        &mut self,
-        at: SimTime,
-        owner: &str,
-        components: &[String],
-        origins: &[String],
-        attempt: u32,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.incr("restarts_issued");
-        for c in components {
-            self.incr_labeled("component_restarts", c);
-        }
-        // The restart happens after every suspicion it answers, and every
-        // member of the restart set reboots after (because of) it.
-        for origin in origins {
+    /// `restart:{owner}:{attempt}:{set}`: the recoverer planned `owner`'s
+    /// episode, for `owner` and the origins the `merge:` marks before it
+    /// absorbed, and issued the restart of every component in `set`.
+    fn restarting(&mut self, at: SimTime, owner: CompId, attempt: u32, set: &[CompId]) {
+        let mut origins = vec![owner.resolve()];
+        origins.extend(
+            self.absorbed
+                .drain(..)
+                .filter(|&(_, into)| into == owner)
+                .map(|(from, _)| from.resolve()),
+        );
+        let owner = owner.resolve();
+        let components: Vec<&str> = set.iter().map(|c| c.resolve()).collect();
+
+        self.incr("episodes_planned");
+        // The plan (and so the restart) happens after every suspicion it
+        // answers; every member of the restart set reboots after (because
+        // of) the restart.
+        for origin in &origins {
             self.clock_join(owner, origin);
+        }
+        let detail = format!("origins={}", origins.join("+"));
+        self.record_stage(at, owner, EpisodeStage::Planned, &detail);
+
+        self.incr("restarts_issued");
+        for c in &components {
+            self.incr_labeled("component_restarts", c);
         }
         let detail = format!("attempt={attempt} set={}", components.join("+"));
         self.record_stage(at, owner, EpisodeStage::Restarting, &detail);
-        for c in components {
+        for c in &components {
             self.clock_join(c, owner);
         }
-        let episode = self
-            .open
-            .entry(owner.to_string())
-            .or_insert_with(|| OpenEpisode {
-                origins: BTreeSet::new(),
-                components: BTreeSet::new(),
-                restarted_at: at,
-                ready: BTreeSet::new(),
-                completed_at: None,
-            });
-        episode.origins.extend(origins.iter().cloned());
+        let episode = self.open.entry(owner.to_string()).or_default();
+        episode
+            .origins
+            .extend(origins.iter().map(|o| o.to_string()));
         if let Some(merged) = self.pending_merges.remove(owner) {
             episode.origins.extend(merged);
         }
-        episode.components = components.iter().cloned().collect();
+        episode.components = components.iter().map(|c| c.to_string()).collect();
         episode.restarted_at = at;
         episode.ready.clear();
         episode.completed_at = None;
     }
 
-    /// `component` reported functionally ready (its `ready:` mark). When
-    /// this completes an episode's restart set, the episode's recovery end
-    /// is *this* instant — the same endpoint §4.1 reads off the trace.
-    pub fn record_component_ready(&mut self, at: SimTime, component: &str) {
-        if !self.enabled {
-            return;
-        }
+    /// `ready:{component}`: when this completes an episode's restart set,
+    /// the episode's recovery end is *this* instant.
+    fn component_ready(&mut self, at: SimTime, component: &str) {
         // The member coming up is a local event on its own clock, even when
         // it completes no episode.
         let id = intern(component);
@@ -519,16 +546,29 @@ impl Registry {
         }
     }
 
-    /// The cure of `owner`'s episode was confirmed: closes it and records
-    /// one recovery-time observation per injected origin, measured from the
-    /// injection to the instant the final restart set finished booting.
-    pub fn record_cured(&mut self, at: SimTime, owner: &str) {
-        if !self.enabled {
+    /// `cured:{origin}`: the episode answering `origin` was confirmed
+    /// cured. REC writes one mark per origin of the episode, all at one
+    /// instant, and the episode is one `Cured` event: the first of them
+    /// closes the open episode that holds `origin` and records one
+    /// recovery-time observation per injected origin, measured from the
+    /// injection to the instant the final restart set finished booting, or
+    /// to the cure if that came first.
+    fn cured(&mut self, at: SimTime, origin: &str) {
+        let closed_now =
+            |(t, origins): &(SimTime, BTreeSet<String>)| *t == at && origins.contains(origin);
+        let owner = if self.open.contains_key(origin) {
+            Some(origin.to_string())
+        } else if self.last_cure.as_ref().is_some_and(closed_now) {
             return;
-        }
+        } else {
+            self.open
+                .iter()
+                .find(|(_, episode)| episode.origins.contains(origin))
+                .map(|(owner, _)| owner.clone())
+        };
         self.incr("episodes_cured");
-        let Some(episode) = self.open.remove(owner) else {
-            self.record_stage(at, owner, EpisodeStage::Cured, "");
+        let Some((owner, episode)) = owner.and_then(|owner| self.open.remove_entry(&owner)) else {
+            self.record_stage(at, origin, EpisodeStage::Cured, "");
             return;
         };
         let end = episode.completed_at.unwrap_or(at);
@@ -540,39 +580,19 @@ impl Registry {
                 timed.push(format!("{origin}={:.3}s", d.as_secs_f64()));
             }
         }
-        self.record_stage(at, owner, EpisodeStage::Cured, &timed.join(" "));
+        self.record_stage(at, &owner, EpisodeStage::Cured, &timed.join(" "));
+        self.last_cure = Some((at, episode.origins));
     }
 
-    /// Admission control deferred `component`'s restart request: it sits in
-    /// the deferral queue until recovery capacity frees up. The injection
-    /// timer stays open — deferral delay counts against recovery time.
-    pub fn record_deferred(&mut self, at: SimTime, component: &str, detail: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.incr("admission_deferred");
-        self.incr_labeled("admission_deferred_component", component);
-        self.record_stage(at, component, EpisodeStage::Deferred, detail);
-    }
-
-    /// Admission control shed `component`'s restart request (dropped it
-    /// without queueing — safe only because another queued or in-flight
-    /// episode already covers the component).
-    pub fn record_shed(&mut self, at: SimTime, component: &str, detail: &str) {
-        if !self.enabled {
-            return;
-        }
-        self.incr("admission_shed");
-        self.incr_labeled("admission_shed_component", component);
-        self.record_stage(at, component, EpisodeStage::Shed, detail);
-    }
-
-    /// The restart policy gave up on `component`: the episode ends
+    /// `quarantine:{component}`: the restart policy gave up on
+    /// `component`, for the reason its `giveup:` gave. The episode ends
     /// unrecovered and its origins' timers are discarded.
-    pub fn record_quarantined(&mut self, at: SimTime, component: &str, reason: &str) {
-        if !self.enabled {
-            return;
-        }
+    fn quarantined(&mut self, at: SimTime, component: CompId) {
+        let reason = match self.give_up.take() {
+            Some((comp, reason)) if comp == component => reason,
+            _ => String::new(),
+        };
+        let component = component.resolve();
         self.incr("episodes_gaveup");
         if let Some(episode) = self.open.remove(component) {
             for origin in &episode.origins {
@@ -580,7 +600,7 @@ impl Registry {
             }
         }
         self.injections.remove(component);
-        self.record_stage(at, component, EpisodeStage::Quarantined, reason);
+        self.record_stage(at, component, EpisodeStage::Quarantined, &reason);
     }
 
     // ---------------------------------------------------------- exporters --
@@ -777,6 +797,14 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
+    /// Folds each protocol label, in order, at its time.
+    fn fold(r: &mut Registry, marks: &[(f64, &str)]) {
+        for &(at, label) in marks {
+            let mark: Mark = label.parse().expect("a protocol label");
+            r.record(t(at), &mark);
+        }
+    }
+
     #[test]
     fn disabled_registry_records_nothing() {
         let mut r = Registry::disabled();
@@ -785,9 +813,14 @@ mod tests {
         r.set_gauge("g", "", 1.0);
         r.observe("d", "", SimDuration::from_secs(1), RECOVERY_BUCKETS);
         r.record_injected(t(1.0), "rtu", "kill");
-        r.record_restarting(t(2.0), "R_rtu", &["rtu".into()], &["rtu".into()], 1);
-        r.record_component_ready(t(3.0), "rtu");
-        r.record_cured(t(5.0), "R_rtu");
+        fold(
+            &mut r,
+            &[
+                (2.0, "restart:rtu:1:rtu"),
+                (3.0, "ready:rtu"),
+                (5.0, "cured:rtu"),
+            ],
+        );
         assert_eq!(r.counter("x", ""), 0);
         assert!(r.events().is_empty());
         assert_eq!(
@@ -800,12 +833,17 @@ mod tests {
     fn recovery_time_spans_injection_to_last_ready() {
         let mut r = Registry::new();
         r.record_injected(t(10.0), "rtu", "kill");
-        r.record_suspected(t(11.0), "rtu");
-        r.record_restarting(t(12.0), "R_rtu", &["rtu".into()], &["rtu".into()], 1);
-        r.record_component_ready(t(14.5), "rtu");
-        // Cure confirmation lands later; the measured span still ends at the
-        // ready instant, matching measure_recovery.
-        r.record_cured(t(18.0), "R_rtu");
+        fold(
+            &mut r,
+            &[
+                (11.0, "detect:rtu"),
+                (12.0, "restart:rtu:1:rtu"),
+                (14.5, "ready:rtu"),
+                // Cure confirmation lands later; the measured span still
+                // ends at the ready instant, matching measure_recovery.
+                (18.0, "cured:rtu"),
+            ],
+        );
         let h = r.duration("recovery_time", "rtu").expect("observed");
         assert_eq!(h.count(), 1);
         assert!((h.mean_s() - 4.5).abs() < 1e-9, "mean {}", h.mean_s());
@@ -815,19 +853,18 @@ mod tests {
     fn escalated_restart_resets_the_ready_set() {
         let mut r = Registry::new();
         r.record_injected(t(0.0), "fedr", "kill");
-        r.record_restarting(t(1.0), "R_fedr", &["fedr".into()], &["fedr".into()], 1);
-        r.record_component_ready(t(2.0), "fedr");
-        // Not cured: escalation restarts a bigger cell.
-        r.record_restarting(
-            t(5.0),
-            "R_fedr",
-            &["fedr".into(), "pbcom".into()],
-            &["fedr".into()],
-            2,
+        fold(
+            &mut r,
+            &[
+                (1.0, "restart:fedr:1:fedr"),
+                (2.0, "ready:fedr"),
+                // Not cured: escalation restarts a bigger cell.
+                (5.0, "restart:fedr:2:fedr+pbcom"),
+                (6.0, "ready:fedr"),
+                (7.0, "ready:pbcom"),
+                (9.0, "cured:fedr"),
+            ],
         );
-        r.record_component_ready(t(6.0), "fedr");
-        r.record_component_ready(t(7.0), "pbcom");
-        r.record_cured(t(9.0), "R_fedr");
         let h = r.duration("recovery_time", "fedr").expect("observed");
         assert!((h.mean_s() - 7.0).abs() < 1e-9, "mean {}", h.mean_s());
         assert_eq!(r.counter("restarts_issued", ""), 2);
@@ -835,40 +872,50 @@ mod tests {
     }
 
     #[test]
-    fn merged_episode_attributes_both_origins() {
+    fn merged_episode_attributes_both_origins_and_cures_once() {
         let mut r = Registry::new();
         r.record_injected(t(0.0), "fedr", "kill");
         r.record_injected(t(0.5), "pbcom", "kill");
-        r.record_restarting(t(1.0), "R_fedr", &["fedr".into()], &["fedr".into()], 1);
-        r.record_merged(t(1.5), "R_fedr", "R_joint");
-        r.record_restarting(
-            t(1.5),
-            "R_joint",
-            &["fedr".into(), "pbcom".into()],
-            &["pbcom".into()],
-            1,
+        fold(
+            &mut r,
+            &[
+                (1.0, "restart:fedr:1:fedr"),
+                (1.5, "merge:fedr->pbcom"),
+                (1.5, "restart:pbcom:1:fedr+pbcom"),
+                (3.0, "ready:fedr"),
+                (4.0, "ready:pbcom"),
+                // REC marks every origin of the cured episode.
+                (6.0, "cured:fedr"),
+                (6.0, "cured:pbcom"),
+            ],
         );
-        r.record_component_ready(t(3.0), "fedr");
-        r.record_component_ready(t(4.0), "pbcom");
-        r.record_cured(t(6.0), "R_joint");
         let fedr = r.duration("recovery_time", "fedr").expect("fedr timed");
         let pbcom = r.duration("recovery_time", "pbcom").expect("pbcom timed");
         assert!((fedr.mean_s() - 4.0).abs() < 1e-9);
         assert!((pbcom.mean_s() - 3.5).abs() < 1e-9);
         assert_eq!(r.counter("episodes_merged", ""), 1);
+        assert_eq!(r.counter("episodes_cured", ""), 1);
     }
 
     #[test]
     fn quarantine_discards_the_timer() {
         let mut r = Registry::new();
         r.record_injected(t(0.0), "ses", "kill");
-        r.record_restarting(t(1.0), "R_ses", &["ses".into()], &["ses".into()], 1);
-        r.record_quarantined(t(2.0), "R_ses", "escalation-limit");
-        r.record_quarantined(t(2.0), "ses", "escalation-limit");
+        fold(
+            &mut r,
+            &[
+                (1.0, "restart:ses:1:ses"),
+                (2.0, "giveup:ses:escalation-limit"),
+                (2.0, "quarantine:ses"),
+            ],
+        );
         assert!(r.duration("recovery_time", "ses").is_none());
-        assert_eq!(r.counter("episodes_gaveup", ""), 2);
+        assert_eq!(r.counter("episodes_gaveup", ""), 1);
+        let last = r.events().last().expect("quarantined");
+        assert_eq!(last.stage, EpisodeStage::Quarantined);
+        assert_eq!(last.detail, "escalation-limit");
         // A later cure of an unknown episode must not panic or observe.
-        r.record_cured(t(3.0), "R_ses");
+        fold(&mut r, &[(3.0, "cured:ses")]);
         assert!(r.duration("recovery_time", "ses").is_none());
     }
 
@@ -876,13 +923,19 @@ mod tests {
     fn defer_keeps_the_timer_open_and_shed_counts() {
         let mut r = Registry::new();
         r.record_injected(t(0.0), "rtu", "kill");
-        r.record_deferred(t(1.0), "rtu", "slack=120.0s queue=1");
-        r.record_shed(t(2.0), "rtu", "duplicate");
-        // The deferred request eventually runs; recovery time still spans
-        // from the injection, so deferral delay is charged to MTTR.
-        r.record_restarting(t(10.0), "R_rtu", &["rtu".into()], &["rtu".into()], 0);
-        r.record_component_ready(t(12.0), "rtu");
-        r.record_cured(t(14.0), "R_rtu");
+        fold(
+            &mut r,
+            &[
+                (1.0, "defer:rtu"),
+                (2.0, "shed:rtu"),
+                // The deferred request eventually runs; recovery time still
+                // spans from the injection, so deferral delay is charged to
+                // MTTR.
+                (10.0, "restart:rtu:0:rtu"),
+                (12.0, "ready:rtu"),
+                (14.0, "cured:rtu"),
+            ],
+        );
         assert_eq!(r.counter("admission_deferred", ""), 1);
         assert_eq!(r.counter("admission_shed", ""), 1);
         assert_eq!(r.counter("admission_shed_component", "rtu"), 1);
