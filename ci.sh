@@ -25,9 +25,10 @@ echo "suite wall: $(($(date +%s) - suite_start)) s"
 
 # The four built-in audits on the release binary, warnings denied: the whole
 # configuration surface (trees I-V x shipped configs, models, plans, algebra
-# claims, golden fault scripts), every interleaving of the built-in scenario
-# matrix plus the happens-before check of each golden telemetry stream, the
-# action-dependence tables, and the three section-4 profitability verdicts.
+# claims, golden fault scripts: the very scripts the golden suite plays),
+# every interleaving of the built-in scenario matrix plus the happens-before
+# check of each golden telemetry stream, the action-dependence tables, and
+# the three section-4 profitability verdicts.
 target/release/rr-audit lint --deny-warnings
 target/release/rr-audit model
 target/release/rr-audit flow --deny-warnings --quiet

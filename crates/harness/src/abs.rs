@@ -18,6 +18,7 @@ use rr_abs::{ParamBox, Scenario, Verdict};
 use rr_core::analysis::OracleQuality;
 use rr_core::tree::{RestartTree, TreeSpec};
 use rr_lint::{AbsDecision, AbsParams};
+use rr_sim::telemetry::json_string;
 
 use mercury::config::{names, StationConfig};
 use mercury::station::TreeVariant;
@@ -209,17 +210,6 @@ pub fn abs_params(certified: &[CertifiedDecision]) -> AbsParams {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|ch| match ch {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Renders a decision table as deterministic JSON (shortest-roundtrip `f64`
 /// formatting, stable key order), byte-diffable against the committed
 /// `tests/golden/abs-decisions.json`. All inputs are products of the static
@@ -231,14 +221,14 @@ pub fn decision_table_json(params: &AbsParams) -> String {
     out.push_str(",\n  \"decisions\": [\n");
     for (i, d) in params.decisions.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&d.name)));
+        out.push_str(&format!("      \"name\": {},\n", json_string(&d.name)));
         out.push_str(&format!(
-            "      \"expected_verdict\": \"{}\",\n",
-            json_escape(&d.expected_verdict)
+            "      \"expected_verdict\": {},\n",
+            json_string(&d.expected_verdict)
         ));
         out.push_str(&format!(
-            "      \"verdict\": \"{}\",\n",
-            json_escape(&d.verdict)
+            "      \"verdict\": {},\n",
+            json_string(&d.verdict)
         ));
         out.push_str(&format!("      \"profit_lo_s\": {},\n", d.profit_lo_s));
         out.push_str(&format!("      \"profit_hi_s\": {},\n", d.profit_hi_s));
@@ -251,8 +241,8 @@ pub fn decision_table_json(params: &AbsParams) -> String {
         out.push_str("      \"box\": [\n");
         for (j, (name, lo, hi)) in d.box_dims.iter().enumerate() {
             out.push_str(&format!(
-                "        [\"{}\", {lo}, {hi}]{}\n",
-                json_escape(name),
+                "        [{}, {lo}, {hi}]{}\n",
+                json_string(name),
                 if j + 1 < d.box_dims.len() { "," } else { "" }
             ));
         }

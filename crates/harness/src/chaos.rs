@@ -23,14 +23,14 @@
 //! zombie defense, restart backoff, and quarantine.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
 use rr_sim::{
-    intern, EpisodeStage, LinkQuality, Mark, Registry, SimDuration, SimRng, SimTime, Trace,
+    intern, EpisodeStage, FaultKind, LinkQuality, Mark, Registry, SimDuration, SimRng, SimTime,
+    Trace,
 };
 
 use crate::tables::Table;
@@ -59,32 +59,9 @@ fn certifies_failure(mark: &Mark) -> bool {
     )
 }
 
-/// The fault kinds a campaign draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosFault {
-    /// `SIGKILL`: fail-silent, state lost.
-    Crash,
-    /// Hang: fail-silent, state resident.
-    Hang,
-    /// Zombie: answers liveness pings but does no work.
-    Zombie,
-}
-
-impl ChaosFault {
-    /// All kinds, in the order the campaign rotates through them.
-    pub const ALL: [ChaosFault; 3] = [ChaosFault::Crash, ChaosFault::Hang, ChaosFault::Zombie];
-}
-
-impl fmt::Display for ChaosFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ChaosFault::Crash => "crash",
-            ChaosFault::Hang => "hang",
-            ChaosFault::Zombie => "zombie",
-        };
-        f.write_str(s)
-    }
-}
+/// The fault kinds a campaign draws from, in the order it rotates through
+/// them.
+const CHAOS_KINDS: [FaultKind; 3] = [FaultKind::Crash, FaultKind::Hang, FaultKind::Zombie];
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -124,7 +101,7 @@ pub struct ChaosInjection {
     /// Target component.
     pub component: String,
     /// Fault kind.
-    pub kind: ChaosFault,
+    pub kind: FaultKind,
     /// Injection time.
     pub at: SimTime,
     /// Measured recovery time in seconds (`None` when the episode did not
@@ -207,7 +184,7 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
 
     let mut injections: Vec<ChaosInjection> = Vec::new();
     for i in 0..cfg.faults {
-        let kind = ChaosFault::ALL[i % ChaosFault::ALL.len()];
+        let kind = CHAOS_KINDS[i % CHAOS_KINDS.len()];
         // A zombified bus still relays liveness traffic (the zombie filter
         // admits it), so the fault manifests as every *other* component's
         // beacons going stale at once — attribution of the resulting
@@ -217,21 +194,13 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
                 .choose(&components)
                 .unwrap_or_else(|| panic!("variant has components"))
                 .clone();
-            if kind != ChaosFault::Zombie || c != names::MBUS {
+            if kind != FaultKind::Zombie || c != names::MBUS {
                 break c;
             }
         };
-        let at = match kind {
-            ChaosFault::Crash => station
-                .inject_kill(&component)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component")),
-            ChaosFault::Hang => station
-                .inject_hang(&component)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component")),
-            ChaosFault::Zombie => station
-                .inject_zombie(&component)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component")),
-        };
+        let at = station
+            .inject(&component, kind)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
         let deadline = at + SimDuration::from_secs_f64(cfg.cure_deadline_s);
         let comp = intern(&component);
         let (cured, quarantined) = loop {

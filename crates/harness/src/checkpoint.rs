@@ -22,7 +22,7 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::{PerfectOracle, RecoveryMode};
-use rr_sim::{intern, Mark, SimDuration, SimTime};
+use rr_sim::{intern, FaultKind, FaultScript, Mark, SimDuration, SimTime};
 
 use crate::tables::Table;
 
@@ -136,20 +136,21 @@ pub fn run_arm(rehydrate: bool, state_kb: f64, cfg: &CheckpointConfig) -> Checkp
     let start = station.now();
     let settle = SimDuration::from_secs_f64(cfg.settle_s);
 
-    let mut kills: Vec<SimTime> = Vec::new();
+    let mut script = FaultScript::new();
+    let mut at = SimTime::ZERO;
     for _ in 0..cfg.kills {
-        station.run_for(settle);
-        let at = station
-            .inject_kill("ses")
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        kills.push(at);
+        at += settle;
+        script.push(at, names::SES, FaultKind::Crash);
     }
+    let kills = station
+        .play(&script)
+        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
     station.run_for(settle);
     let window_s = station.now().saturating_since(start).as_secs_f64();
 
     let mut mttr_samples = Vec::new();
-    for at in &kills {
-        let m = measure_recovery(station.trace(), "ses", *at)
+    for (_, at) in &kills {
+        let m = measure_recovery(station.trace(), names::SES, *at)
             .unwrap_or_else(|e| panic!("{}: {e:?}", "ses must recover"));
         mttr_samples.push(m.recovery_s());
     }

@@ -25,7 +25,7 @@ use rr_core::optimize::{optimize_tree, OptimizerConfig};
 use rr_core::oracle::Oracle;
 use rr_core::render::render_tree;
 use rr_core::{FaultyOracle, LearningOracle, PerfectOracle};
-use rr_sim::{intern, Dist, Mark, SimDuration, SimRng, Summary};
+use rr_sim::{intern, Dist, FaultKind, FaultScript, Mark, SimDuration, SimRng, SimTime, Summary};
 
 use crate::par::par_map;
 use crate::tables::{secs, versus, Table};
@@ -248,6 +248,18 @@ pub enum CorrelatedKind {
 }
 
 impl CorrelatedKind {
+    /// The injections, times from the first.
+    fn script(self) -> FaultScript {
+        let [a, b] = self.components();
+        let stagger = match self {
+            CorrelatedKind::Pair(..) => SimTime::ZERO,
+            CorrelatedKind::FedrThenJointPbcom => SimTime::from_secs(1),
+        };
+        FaultScript::new()
+            .with_fault(SimTime::ZERO, a, FaultKind::Crash)
+            .with_fault(stagger, b, FaultKind::Crash)
+    }
+
     /// The injected components, for measurement.
     pub fn components(self) -> [&'static str; 2] {
         match self {
@@ -296,28 +308,13 @@ pub fn measure_correlated(
             .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
         station.warm_up();
         station.run_for(phases[i]);
-        let injected = match kind {
-            CorrelatedKind::Pair(a, b) => {
-                let at = station
-                    .inject_kill(a)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                station
-                    .inject_kill(b)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                at
-            }
-            CorrelatedKind::FedrThenJointPbcom => {
-                let at = station
-                    .inject_kill(names::FEDR)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                station.run_for(SimDuration::from_secs(1));
-                station.set_cure_hint(names::PBCOM, [names::FEDR, names::PBCOM]);
-                station
-                    .inject_kill(names::PBCOM)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-                at
-            }
-        };
+        if matches!(kind, CorrelatedKind::FedrThenJointPbcom) {
+            station.set_cure_hint(names::PBCOM, [names::FEDR, names::PBCOM]);
+        }
+        let injected = station.now();
+        station
+            .play(&kind.script())
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
         station.run_for(SimDuration::from_secs(200));
         // The group is recovered when its slowest member is functionally
         // ready for good. Readiness (not per-episode attribution) is the
@@ -1247,7 +1244,6 @@ pub fn ablation_optimizer(_run: RunConfig) -> Experiment {
 /// behind the paper's headline).
 pub fn endurance(run: RunConfig) -> Experiment {
     use mercury::measure::system_downtime;
-    use rr_sim::{FaultKind, FaultScript, SimTime};
 
     let mut exp = Experiment::new(
         "endurance",
@@ -1289,44 +1285,22 @@ pub fn endurance(run: RunConfig) -> Experiment {
         station.warm_up();
         let start = station.now();
         let horizon = start + SimDuration::from_secs_f64(horizon_s);
-        // Build the failure schedule from the model. (The joint pbcom
-        // mode needs the poison hook; its rate is small and it is
-        // exercised by table4, so endurance injects it as a plain kill.)
+        // Build the failure schedule from the model, times from `start`.
+        // (The joint pbcom mode needs the poison hook; its rate is small and
+        // it is exercised by table4, so endurance injects it as a plain
+        // kill.)
         let mut rng = SimRng::new(seed ^ 0xFA17);
         let mut script = FaultScript::new();
+        let end = SimTime::from_secs_f64(horizon_s);
         for mode in model.modes() {
             let d = Dist::exponential(mode.mttf_s());
-            let mut t = start;
-            loop {
-                t += d.sample(&mut rng);
-                if t >= horizon {
-                    break;
-                }
-                script.push(t, mode.trigger.clone(), FaultKind::Crash);
-            }
+            script.merge(FaultScript::poisson_like(&mode.trigger, &d, end, &mut rng));
         }
-        // Drive the schedule through the station's injection API so the
-        // trace carries inject marks.
-        let mut events: Vec<(SimTime, String)> = script
-            .faults()
-            .iter()
-            .map(|f| (f.at, f.target.clone()))
-            .collect();
-        events.sort_by_key(|&(t, _)| t);
-        for (at, target) in events {
-            let wait = at.saturating_since(station.now());
-            station.run_for(wait);
-            // Skip if the component is already down (overlapping faults).
-            if station
-                .state_of(&target)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-                == rr_sim::ProcessState::Running
-            {
-                station
-                    .inject_kill(&target)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            }
-        }
+        // Play it through the station so the trace carries inject marks; a
+        // fault on a component already down is skipped.
+        station
+            .play(&script)
+            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
         let rest = horizon.saturating_since(station.now());
         station.run_for(rest);
         // Let the final episode drain.

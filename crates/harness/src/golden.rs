@@ -94,38 +94,22 @@ pub fn diff(expected: &str, actual: &str) -> Option<String> {
     Some(out)
 }
 
-/// How a golden scenario injects its fault(s).
-#[derive(Debug, Clone, Copy)]
-pub enum ScenarioKind {
-    /// Kill one component.
-    Single(&'static str),
-    /// The §4.4 poisoned-fedr correlated failure (cured only by a joint
-    /// \[fedr, pbcom\] restart).
-    CorrelatedPbcom,
-    /// Two components in independent cells killed at the same instant.
-    IndependentPair(&'static str, &'static str),
-    /// Kill every listed component at once with the admission controller on
-    /// (see [`golden_admission_config`]): capacity 1 admits one restart, the
-    /// rest are deferred, duplicate FD reports for the parked components are
-    /// shed, and the queue drains as the capacity window recharges.
-    OverloadBurst(&'static [&'static str]),
-    /// Kill `first`; after `stagger_s`, kill `second` (optionally with a
-    /// joint \[fedr, pbcom\] cure hint) while the first episode is still in
-    /// flight — the overlap forces promotion to the least common ancestor.
-    OverlapPair {
-        /// First casualty.
-        first: &'static str,
-        /// Second casualty, injected `stagger_s` later.
-        second: &'static str,
-        /// Whether the oracle gets a joint \[fedr, pbcom\] cure hint.
-        joint_hint: bool,
-        /// Delay between the two kills, seconds.
-        stagger_s: f64,
-    },
+/// The §4.4 joint \[fedr, pbcom\] cure a scenario declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JointCure {
+    /// A perfect oracle is told that pbcom failures need fedr and pbcom
+    /// restarted together; the script's faults are plain crashes.
+    Hint,
+    /// fedr's session state is poisoned as well: the script's pbcom crash
+    /// is injected by [`Station::inject_correlated_pbcom`], which sets the
+    /// same hint. The poison is Mercury state, not a process fault, so the
+    /// script names only the crash it manifests as.
+    Poisoned,
 }
 
-/// One golden-trace scenario: a tree variant, a seed, and a fault pattern.
-#[derive(Debug, Clone, Copy)]
+/// One golden-trace scenario: a tree variant, a seed, and the faults the
+/// station plays after warm-up.
+#[derive(Debug, Clone)]
 pub struct GoldenScenario {
     /// Scenario (and golden file) name.
     pub name: &'static str,
@@ -133,187 +117,142 @@ pub struct GoldenScenario {
     pub variant: TreeVariant,
     /// Deterministic simulation seed.
     pub seed: u64,
-    /// The fault pattern injected after warm-up.
-    pub kind: ScenarioKind,
+    /// Whether the station runs [`golden_admission_config`] (capacity 1
+    /// admits one restart, the rest are deferred, duplicate FD reports for
+    /// parked components are shed, and the queue drains as the capacity
+    /// window recharges) instead of the paper calibration.
+    pub admission: bool,
+    /// The joint cure, if any.
+    pub joint: Option<JointCure>,
+    /// The injections, times relative to the post-warm-up instant: what
+    /// [`Station::play`] runs and what [`lint_scenario`] checks.
+    pub script: FaultScript,
 }
 
-impl GoldenScenario {
-    /// The scenario's injections as a declarative [`FaultScript`], times
-    /// relative to the post-warm-up injection instant. This is the form the
-    /// static analyzer checks: every target must be a component of the
-    /// scenario's tree variant. (The correlated-pbcom poison is scripted as
-    /// its initiating fedr crash — the cure hint is oracle state, not a
-    /// fault.)
-    pub fn fault_script(&self) -> FaultScript {
-        match self.kind {
-            ScenarioKind::Single(comp) => {
-                FaultScript::new().with_fault(SimTime::ZERO, comp, FaultKind::Crash)
-            }
-            ScenarioKind::CorrelatedPbcom => {
-                FaultScript::new().with_fault(SimTime::ZERO, names::FEDR, FaultKind::Crash)
-            }
-            ScenarioKind::IndependentPair(a, b) => FaultScript::new()
-                .with_fault(SimTime::ZERO, a, FaultKind::Crash)
-                .with_fault(SimTime::ZERO, b, FaultKind::Crash),
-            ScenarioKind::OverloadBurst(targets) => {
-                let mut script = FaultScript::new();
-                for target in targets {
-                    script.push(SimTime::ZERO, *target, FaultKind::Crash);
-                }
-                script
-            }
-            ScenarioKind::OverlapPair {
-                first,
-                second,
-                stagger_s,
-                ..
-            } => FaultScript::new()
-                .with_fault(SimTime::ZERO, first, FaultKind::Crash)
-                .with_fault(SimTime::from_secs_f64(stagger_s), second, FaultKind::Crash),
-        }
+/// A scenario crashing each `(offset_s, component)` on the paper
+/// calibration, with no joint cure.
+fn crashes(
+    name: &'static str,
+    variant: TreeVariant,
+    seed: u64,
+    crashes: &[(f64, &str)],
+) -> GoldenScenario {
+    let mut script = FaultScript::new();
+    for &(at_s, target) in crashes {
+        script.push(SimTime::from_secs_f64(at_s), target, FaultKind::Crash);
+    }
+    GoldenScenario {
+        name,
+        variant,
+        seed,
+        admission: false,
+        joint: None,
+        script,
     }
 }
 
 /// The canonical golden-trace scenario set: single faults on every variant
 /// plus the multi-fault patterns exercising the parallel scheduler.
 pub fn golden_scenarios() -> Vec<GoldenScenario> {
-    use ScenarioKind::*;
+    use names::{FEDR, FEDRCOM, PBCOM, RTU, SES, STR};
+    use TreeVariant::{I, II, III, IV, V};
+    let poisoned = Some(JointCure::Poisoned);
     vec![
         // Single-fault scenarios: recorded before the parallel scheduler
         // landed; byte-identity here is the "paper() unchanged on single
         // faults" guarantee.
+        crashes("tree1-kill-rtu", I, 0xD5_2002, &[(0.0, RTU)]),
+        crashes("tree2-kill-rtu", II, 0xD5_2012, &[(0.0, RTU)]),
+        crashes("tree3-kill-rtu", III, 0xD5_2022, &[(0.0, RTU)]),
+        crashes("tree4-kill-rtu", IV, 0xD5_2032, &[(0.0, RTU)]),
+        crashes("tree5-kill-rtu", V, 0xD5_2042, &[(0.0, RTU)]),
+        crashes("tree2-kill-fedrcom", II, 0xD5_2052, &[(0.0, FEDRCOM)]),
+        crashes("tree2-kill-ses", II, 0xD5_2062, &[(0.0, SES)]),
+        crashes("tree3-kill-pbcom", III, 0xD5_2072, &[(0.0, PBCOM)]),
         GoldenScenario {
-            name: "tree1-kill-rtu",
-            variant: TreeVariant::I,
-            seed: 0xD5_2002,
-            kind: Single(names::RTU),
+            joint: poisoned,
+            ..crashes("tree4-correlated-pbcom", IV, 0xD5_2082, &[(0.0, PBCOM)])
         },
         GoldenScenario {
-            name: "tree2-kill-rtu",
-            variant: TreeVariant::II,
-            seed: 0xD5_2012,
-            kind: Single(names::RTU),
-        },
-        GoldenScenario {
-            name: "tree3-kill-rtu",
-            variant: TreeVariant::III,
-            seed: 0xD5_2022,
-            kind: Single(names::RTU),
-        },
-        GoldenScenario {
-            name: "tree4-kill-rtu",
-            variant: TreeVariant::IV,
-            seed: 0xD5_2032,
-            kind: Single(names::RTU),
-        },
-        GoldenScenario {
-            name: "tree5-kill-rtu",
-            variant: TreeVariant::V,
-            seed: 0xD5_2042,
-            kind: Single(names::RTU),
-        },
-        GoldenScenario {
-            name: "tree2-kill-fedrcom",
-            variant: TreeVariant::II,
-            seed: 0xD5_2052,
-            kind: Single(names::FEDRCOM),
-        },
-        GoldenScenario {
-            name: "tree2-kill-ses",
-            variant: TreeVariant::II,
-            seed: 0xD5_2062,
-            kind: Single(names::SES),
-        },
-        GoldenScenario {
-            name: "tree3-kill-pbcom",
-            variant: TreeVariant::III,
-            seed: 0xD5_2072,
-            kind: Single(names::PBCOM),
-        },
-        GoldenScenario {
-            name: "tree4-correlated-pbcom",
-            variant: TreeVariant::IV,
-            seed: 0xD5_2082,
-            kind: CorrelatedPbcom,
-        },
-        GoldenScenario {
-            name: "tree5-correlated-pbcom",
-            variant: TreeVariant::V,
-            seed: 0xD5_2092,
-            kind: CorrelatedPbcom,
+            joint: poisoned,
+            ..crashes("tree5-correlated-pbcom", V, 0xD5_2092, &[(0.0, PBCOM)])
         },
         // Multi-fault scenarios: concurrent suspicions exercising the
-        // parallel scheduler (independent episodes and LCA merges).
+        // parallel scheduler. Same-instant crashes in independent cells
+        // open independent episodes; a second crash 1 s into the first
+        // episode forces promotion to the least common ancestor.
+        crashes(
+            "tree2-pair-rtu-ses",
+            II,
+            0xD5_20A2,
+            &[(0.0, RTU), (0.0, SES)],
+        ),
+        crashes(
+            "tree3-pair-fedr-pbcom",
+            III,
+            0xD5_20B2,
+            &[(0.0, FEDR), (0.0, PBCOM)],
+        ),
+        crashes(
+            "tree4-pair-rtu-fedr",
+            IV,
+            0xD5_20C2,
+            &[(0.0, RTU), (0.0, FEDR)],
+        ),
+        crashes(
+            "tree5-pair-rtu-ses",
+            V,
+            0xD5_20D2,
+            &[(0.0, RTU), (0.0, SES)],
+        ),
         GoldenScenario {
-            name: "tree2-pair-rtu-ses",
-            variant: TreeVariant::II,
-            seed: 0xD5_20A2,
-            kind: IndependentPair(names::RTU, names::SES),
+            joint: Some(JointCure::Hint),
+            ..crashes(
+                "tree4-merge-fedr-pbcom",
+                IV,
+                0xD5_20E2,
+                &[(0.0, FEDR), (1.0, PBCOM)],
+            )
         },
-        GoldenScenario {
-            name: "tree3-pair-fedr-pbcom",
-            variant: TreeVariant::III,
-            seed: 0xD5_20B2,
-            kind: IndependentPair(names::FEDR, names::PBCOM),
-        },
-        GoldenScenario {
-            name: "tree4-pair-rtu-fedr",
-            variant: TreeVariant::IV,
-            seed: 0xD5_20C2,
-            kind: IndependentPair(names::RTU, names::FEDR),
-        },
-        GoldenScenario {
-            name: "tree5-pair-rtu-ses",
-            variant: TreeVariant::V,
-            seed: 0xD5_20D2,
-            kind: IndependentPair(names::RTU, names::SES),
-        },
-        GoldenScenario {
-            name: "tree4-merge-fedr-pbcom",
-            variant: TreeVariant::IV,
-            seed: 0xD5_20E2,
-            kind: OverlapPair {
-                first: names::FEDR,
-                second: names::PBCOM,
-                joint_hint: true,
-                stagger_s: 1.0,
-            },
-        },
-        GoldenScenario {
-            name: "tree5-merge-fedr-pbcom",
-            variant: TreeVariant::V,
-            seed: 0xD5_20F2,
-            kind: OverlapPair {
-                first: names::FEDR,
-                second: names::PBCOM,
-                joint_hint: false,
-                stagger_s: 1.0,
-            },
-        },
+        crashes(
+            "tree5-merge-fedr-pbcom",
+            V,
+            0xD5_20F2,
+            &[(0.0, FEDR), (1.0, PBCOM)],
+        ),
         // Overload scenarios: simultaneous kills under the admission
         // controller (capacity 1), pinning the defer / shed / drain ordering.
         GoldenScenario {
-            name: "tree2-overload-pair",
-            variant: TreeVariant::II,
-            seed: 0xD5_2102,
-            kind: OverloadBurst(&[names::RTU, names::SES]),
+            admission: true,
+            ..crashes(
+                "tree2-overload-pair",
+                II,
+                0xD5_2102,
+                &[(0.0, RTU), (0.0, SES)],
+            )
         },
         GoldenScenario {
-            name: "tree4-overload-burst",
-            variant: TreeVariant::IV,
-            seed: 0xD5_2112,
-            kind: OverloadBurst(&[names::SES, names::STR, names::RTU]),
+            admission: true,
+            ..crashes(
+                "tree4-overload-burst",
+                IV,
+                0xD5_2112,
+                &[(0.0, SES), (0.0, STR), (0.0, RTU)],
+            )
         },
         GoldenScenario {
-            name: "tree5-overload-burst",
-            variant: TreeVariant::V,
-            seed: 0xD5_2122,
-            kind: OverloadBurst(&[names::SES, names::STR, names::RTU]),
+            admission: true,
+            ..crashes(
+                "tree5-overload-burst",
+                V,
+                0xD5_2122,
+                &[(0.0, SES), (0.0, STR), (0.0, RTU)],
+            )
         },
     ]
 }
 
-/// The configuration [`ScenarioKind::OverloadBurst`] scenarios run: the
+/// The configuration [admission](GoldenScenario::admission) scenarios run: the
 /// shipped admission preset with the pacing knobs shrunk so a full
 /// defer → shed → age-out → admit → cure cycle completes inside a golden
 /// window. Capacity 1 over a 20 s window keeps the admitted-restart spacing
@@ -329,8 +268,8 @@ pub fn golden_admission_config() -> StationConfig {
 
 /// Statically lints one scenario before anything runs: the station
 /// configuration and tree (via [`StationConfig::lint`]) plus the scenario's
-/// [fault script](GoldenScenario::fault_script) against the variant's
-/// component set.
+/// [fault script](GoldenScenario::script), the one the station plays,
+/// against the variant's component set.
 pub fn lint_scenario(sc: &GoldenScenario) -> rr_lint::Report {
     let cfg = scenario_config(sc);
     let mut report = match sc.variant.tree() {
@@ -348,7 +287,7 @@ pub fn lint_scenario(sc: &GoldenScenario) -> rr_lint::Report {
     let components = sc.variant.components();
     let infrastructure = [names::FD.to_string(), names::REC.to_string()];
     report.merge(rr_lint::lint_fault_script(
-        &sc.fault_script().to_text(),
+        &sc.script.to_text(),
         &rr_lint::ScriptContext {
             components: &components,
             infrastructure: &infrastructure,
@@ -358,13 +297,12 @@ pub fn lint_scenario(sc: &GoldenScenario) -> rr_lint::Report {
     report
 }
 
-/// The configuration a scenario records its golden under: the paper
-/// calibration, except that overload-burst scenarios need the admission
-/// controller and so run [`golden_admission_config`].
+/// The configuration a scenario records its golden under.
 fn scenario_config(sc: &GoldenScenario) -> StationConfig {
-    match sc.kind {
-        ScenarioKind::OverloadBurst(_) => golden_admission_config(),
-        _ => StationConfig::paper(),
+    if sc.admission {
+        golden_admission_config()
+    } else {
+        StationConfig::paper()
     }
 }
 
@@ -390,8 +328,8 @@ pub fn run_golden_scenario_telemetry(sc: &GoldenScenario) -> (String, rr_sim::Re
     run_scenario_with_config(sc, cfg)
 }
 
-/// Shared scenario driver: lints, warms up, injects per the scenario kind,
-/// runs to completion, and returns the normalized trace plus the station's
+/// Shared scenario driver: lints, warms up, plays the script, runs to
+/// completion, and returns the normalized trace plus the station's
 /// telemetry snapshot (a no-op registry unless the config enables it).
 fn run_scenario_with_config(
     sc: &GoldenScenario,
@@ -408,56 +346,18 @@ fn run_scenario_with_config(
         .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
     station.warm_up();
     let start = station.now();
-    match &sc.kind {
-        ScenarioKind::Single(comp) => {
-            station
-                .inject_kill(comp)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
+    let injected = match sc.joint {
+        Some(JointCure::Poisoned) => station.inject_correlated_pbcom().map(drop),
+        Some(JointCure::Hint) => {
+            station.set_cure_hint(names::PBCOM, [names::FEDR, names::PBCOM]);
+            station.play(&sc.script).map(drop)
         }
-        ScenarioKind::CorrelatedPbcom => {
-            station
-                .inject_correlated_pbcom()
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        }
-        ScenarioKind::IndependentPair(a, b) => {
-            station
-                .inject_kill(a)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            station
-                .inject_kill(b)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        }
-        ScenarioKind::OverloadBurst(targets) => {
-            for target in *targets {
-                station
-                    .inject_kill(target)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            }
-        }
-        ScenarioKind::OverlapPair {
-            first,
-            second,
-            joint_hint,
-            stagger_s,
-        } => {
-            station
-                .inject_kill(first)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            station.run_for(SimDuration::from_secs_f64(*stagger_s));
-            if *joint_hint {
-                station.set_cure_hint(second, [names::FEDR, names::PBCOM]);
-            }
-            station
-                .inject_kill(second)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        }
-    }
+        None => station.play(&sc.script).map(drop),
+    };
+    injected.unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
     // Overload bursts drain their deferral queue at the capacity-window
     // cadence, so they need a longer settle than a single recovery episode.
-    let settle_s = match sc.kind {
-        ScenarioKind::OverloadBurst(_) => 120,
-        _ => 80,
-    };
+    let settle_s = if sc.admission { 120 } else { 80 };
     station.run_for(SimDuration::from_secs(settle_s));
     (normalize(station.trace(), start), station.telemetry())
 }
@@ -530,9 +430,9 @@ mod tests {
     #[test]
     fn scenario_fault_scripts_are_parseable_and_on_target() {
         for sc in golden_scenarios() {
-            let script = sc.fault_script();
+            let script = &sc.script;
             let text = script.to_text();
-            assert_eq!(FaultScript::parse(&text).expect("round-trip"), script);
+            assert_eq!(&FaultScript::parse(&text).expect("round-trip"), script);
             let components = sc.variant.components();
             for fault in script.faults() {
                 assert!(
@@ -542,6 +442,13 @@ mod tests {
                     fault.target,
                     sc.variant
                 );
+            }
+            // A poisoned scenario injects through `inject_correlated_pbcom`,
+            // which crashes pbcom now: the linted script must say exactly that.
+            if sc.joint == Some(JointCure::Poisoned) {
+                let pbcom_now =
+                    FaultScript::new().with_fault(SimTime::ZERO, names::PBCOM, FaultKind::Crash);
+                assert_eq!(script, &pbcom_now, "{}", sc.name);
             }
         }
     }

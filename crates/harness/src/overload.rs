@@ -225,24 +225,11 @@ pub fn run_overload(variant: TreeVariant, admission: bool, cfg: &OverloadConfig)
 
     let targets: Vec<&str> = cfg.targets.iter().map(String::as_str).collect();
     let script = cfg.load.script(&targets, &mut rng);
-    let mut kills: Vec<(String, SimTime)> = Vec::new();
-    for fault in script.faults() {
-        let at = start + fault.at.since(SimTime::ZERO);
-        let wait = at.saturating_since(station.now());
-        station.run_for(wait);
-        // A kill landing on an already-dead component is the same failure
-        // still being recovered; skip it rather than double-book.
-        if station
-            .state_of(&fault.target)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-            == rr_sim::ProcessState::Running
-        {
-            let injected = station
-                .inject_kill(&fault.target)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            kills.push((fault.target.clone(), injected));
-        }
-    }
+    // A kill landing on an already-dead component is the same failure still
+    // being recovered; `play` skips it rather than double-book.
+    let kills = station
+        .play(&script)
+        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
     let horizon = start + SimDuration::from_secs_f64(cfg.load.overload_s() + cfg.quiet_s);
     let rest = horizon.saturating_since(station.now());
     station.run_for(rest);

@@ -17,7 +17,7 @@ use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
 use rr_harness::chaos::{run_campaign, ChaosConfig};
-use rr_sim::{intern, EpisodeStage, LinkQuality, Mark, SimDuration, TraceKind};
+use rr_sim::{intern, EpisodeStage, FaultKind, LinkQuality, Mark, SimDuration, TraceKind};
 
 /// Recovery actions that must never fire without a real failure.
 fn is_action(mark: &Mark) -> bool {
@@ -111,7 +111,7 @@ fn a_hard_failure_escalates_and_is_quarantined_within_budget() {
     .expect("valid station");
     station.warm_up();
     let at = station
-        .inject_hard_failure(names::RTU)
+        .inject(names::RTU, FaultKind::HardCrash)
         .expect("known component");
     // Each failed attempt burns the 45 s restart deadline plus backoff;
     // escalation_limit attempts fit comfortably in 20 simulated minutes.

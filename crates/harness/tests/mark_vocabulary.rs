@@ -26,7 +26,7 @@ fn design_md_states_the_mark_vocabulary() {
     let rows = [
         (
             Mark::Stage(EpisodeStage::Injected, c),
-            "station",
+            "`Station::inject` / `inject_correlated_pbcom`",
             "measure, chaos",
             "",
         ),

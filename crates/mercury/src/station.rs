@@ -22,8 +22,8 @@ use rr_core::tree::RestartTree;
 use rr_core::TreeError;
 use rr_sim::telemetry::Registry;
 use rr_sim::{
-    intern, CompId, EpisodeStage, LinkQuality, Mark, ProcessId, ProcessState, Sim, SimDuration,
-    SimTime, Trace,
+    intern, CompId, EpisodeStage, FaultKind, FaultScript, LinkQuality, Mark, ProcessId,
+    ProcessState, Sim, SimDuration, SimTime, Trace,
 };
 
 use crate::components::common::{Shared, Wire};
@@ -354,7 +354,7 @@ impl Station {
         let control = RecControl::new(recoverer);
 
         // Zombie processes answer liveness probes (ping/pong) and drop
-        // everything else — the fault model behind `inject_zombie`.
+        // everything else — the fault model behind `FaultKind::Zombie`.
         sim.set_zombie_filter(|payload: &Wire| {
             mercury_msg::Envelope::parse(payload)
                 .map(|env| env.body.is_liveness())
@@ -493,70 +493,97 @@ impl Station {
             .record_injected(now, component, kind);
     }
 
-    /// Injects a fail-silent crash of `component` (the paper's `SIGKILL`
-    /// experiment, §4.1) and marks the injection time in the trace.
+    /// Injects a fault of `kind` into `component` now, and marks the
+    /// injection time in the trace (§4.1: "we log the time when the signal
+    /// is sent"):
+    ///
+    /// - [`Crash`](FaultKind::Crash): fail-silent, state lost (`SIGKILL`).
+    /// - [`Hang`](FaultKind::Hang): fail-silent, state resident.
+    /// - [`Zombie`](FaultKind::Zombie): the component keeps answering FD's
+    ///   liveness pings but silently drops all real work (and stops its own
+    ///   timers, so its health beacons cease). Only REC's beacon-staleness
+    ///   defense ([`rr_lint::FdParams::beacon_timeout_s`]) can catch it.
+    /// - [`HardCrash`](FaultKind::HardCrash): a crash now, and every
+    ///   subsequent restart crashes again immediately, until
+    ///   [`clear_hard_failure`](Self::clear_hard_failure). Exercises the
+    ///   escalation → give-up → quarantine path.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StationError::UnknownComponent`] if the component does not
+    /// exist.
+    pub fn inject(&mut self, component: &str, kind: FaultKind) -> Result<SimTime, StationError> {
+        let pid = self.pid_of(component)?;
+        match kind {
+            FaultKind::Crash => {
+                self.note_injection(component, "kill");
+                self.sim.kill(pid);
+            }
+            FaultKind::Hang => {
+                self.note_injection(component, "hang");
+                self.sim.hang_after(SimDuration::ZERO, pid);
+            }
+            FaultKind::Zombie => {
+                self.note_injection(component, "zombie");
+                self.sim.zombie(pid);
+            }
+            FaultKind::HardCrash => {
+                self.sim.set_persistent_crash(pid, true);
+                self.note_injection(component, "hard");
+                self.sim.kill(pid);
+            }
+        }
+        Ok(self.sim.now())
+    }
+
+    /// Injects a fail-silent crash of `component`: the paper's `SIGKILL`
+    /// experiment (§4.1), [`inject`](Self::inject) with
+    /// [`FaultKind::Crash`].
     ///
     /// # Errors
     ///
     /// Returns [`StationError::UnknownComponent`] if the component does not
     /// exist.
     pub fn inject_kill(&mut self, component: &str) -> Result<SimTime, StationError> {
-        let pid = self.pid_of(component)?;
-        self.note_injection(component, "kill");
-        self.sim.kill(pid);
-        Ok(self.sim.now())
+        self.inject(component, FaultKind::Crash)
     }
 
-    /// Injects a hang (fail-silent, state-resident) instead of a crash.
+    /// Plays `script`, whose times are offsets from [`now`](Self::now):
+    /// runs to each fault in script order and [`inject`](Self::inject)s it.
+    /// Faults due at the same instant are injected back to back, with no
+    /// simulation step between them. A fault whose target is not
+    /// [`Running`](ProcessState::Running) is skipped: it is the same failure
+    /// still being recovered. Returns each injected `(target, time)`; the
+    /// station is left at the last fault's time, not settled.
     ///
     /// # Errors
     ///
-    /// Returns [`StationError::UnknownComponent`] if the component does not
-    /// exist.
-    pub fn inject_hang(&mut self, component: &str) -> Result<SimTime, StationError> {
-        let pid = self.pid_of(component)?;
-        self.note_injection(component, "hang");
-        self.sim.hang_after(SimDuration::ZERO, pid);
-        Ok(self.sim.now())
+    /// Returns [`StationError::UnknownComponent`] for the first target that
+    /// does not exist, before anything runs.
+    pub fn play(&mut self, script: &FaultScript) -> Result<Vec<(String, SimTime)>, StationError> {
+        for fault in script.faults() {
+            self.pid_of(&fault.target)?;
+        }
+        let base = self.sim.now();
+        let mut injected = Vec::new();
+        for fault in script.faults() {
+            let at = base + fault.at.since(SimTime::ZERO);
+            if at > self.sim.now() {
+                self.sim.run_until(at);
+            }
+            if self.state_of(&fault.target)? == ProcessState::Running {
+                injected.push((
+                    fault.target.clone(),
+                    self.inject(&fault.target, fault.kind)?,
+                ));
+            }
+        }
+        Ok(injected)
     }
 
-    /// Injects a *zombie* failure: the component keeps answering FD's
-    /// liveness pings but silently drops all real work (and stops its own
-    /// timers, so its health beacons cease). Only REC's beacon-staleness
-    /// defense ([`rr_lint::FdParams::beacon_timeout_s`]) can catch it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StationError::UnknownComponent`] if the component does not
-    /// exist.
-    pub fn inject_zombie(&mut self, component: &str) -> Result<SimTime, StationError> {
-        let pid = self.pid_of(component)?;
-        self.note_injection(component, "zombie");
-        self.sim.zombie(pid);
-        Ok(self.sim.now())
-    }
-
-    /// Injects a *hard* failure: the component crashes now and every
-    /// subsequent restart crashes again immediately, until
-    /// [`clear_hard_failure`](Self::clear_hard_failure). Exercises the
-    /// escalation → give-up → quarantine path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StationError::UnknownComponent`] if the component does not
-    /// exist.
-    pub fn inject_hard_failure(&mut self, component: &str) -> Result<SimTime, StationError> {
-        let pid = self.pid_of(component)?;
-        self.sim.set_persistent_crash(pid, true);
-        self.note_injection(component, "hard");
-        self.sim.kill(pid);
-        Ok(self.sim.now())
-    }
-
-    /// Lifts a hard failure injected by
-    /// [`inject_hard_failure`](Self::inject_hard_failure) (the operator
-    /// replaced the broken part). The component stays down until something
-    /// restarts it.
+    /// Lifts a [`FaultKind::HardCrash`] injected by [`inject`](Self::inject)
+    /// (the operator replaced the broken part). The component stays down
+    /// until something restarts it.
     ///
     /// # Errors
     ///

@@ -8,7 +8,7 @@
 use mercury::config::StationConfig;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{check, intern, Mark, SimDuration};
+use rr_sim::{check, intern, FaultKind, Mark, SimDuration};
 
 const VARIANTS: [TreeVariant; 5] = [
     TreeVariant::I,
@@ -133,10 +133,11 @@ fn quarantine_burst_does_not_starve_admission_of_healthy_components() {
     // The burst: two hard failures that blow the 1-restart storm budget and
     // quarantine, each leaving one spent launch charge and (pre-refund) one
     // dead charge in the 600 s window.
-    station.inject_hard_failure("ses").expect("known component");
-    station
-        .inject_hard_failure("fedr")
-        .expect("known component");
+    for comp in ["ses", "fedr"] {
+        station
+            .inject(comp, FaultKind::HardCrash)
+            .expect("known component");
+    }
     station.run_for(SimDuration::from_secs(300));
     for comp in ["ses", "fedr"] {
         assert!(
@@ -175,7 +176,9 @@ fn deferred_then_quarantined_leaves_no_stale_state() {
     let mut station = Station::new(cfg, TreeVariant::IV, Box::new(PerfectOracle::new()), 11)
         .expect("valid station");
     station.warm_up();
-    station.inject_hard_failure("ses").expect("known component");
+    station
+        .inject("ses", FaultKind::HardCrash)
+        .expect("known component");
     station.run_for(SimDuration::from_secs(900));
     let quarantine_at = station
         .trace()

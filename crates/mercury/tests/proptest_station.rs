@@ -7,7 +7,7 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{check, SimDuration, SimRng};
+use rr_sim::{check, FaultKind, SimDuration, SimRng};
 
 const VARIANTS: [TreeVariant; 5] = [
     TreeVariant::I,
@@ -40,7 +40,9 @@ fn any_single_failure_recovers() {
         let mut phase = SimRng::new(seed ^ 0xFEED);
         station.randomize_injection_phase(&mut phase);
         let injected = if hang {
-            station.inject_hang(&component).expect("known component")
+            station
+                .inject(&component, FaultKind::Hang)
+                .expect("known component")
         } else {
             station.inject_kill(&component).expect("known component")
         };

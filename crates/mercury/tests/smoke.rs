@@ -6,9 +6,9 @@
 
 use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
+use mercury::station::{Station, StationError, TreeVariant};
 use rr_core::{FaultyOracle, PerfectOracle};
-use rr_sim::{intern, Mark, SimDuration, SimRng};
+use rr_sim::{intern, EpisodeStage, FaultKind, FaultScript, Mark, SimDuration, SimRng, SimTime};
 
 fn station(variant: TreeVariant, seed: u64) -> Station {
     let mut s = Station::new(
@@ -191,7 +191,9 @@ fn rec_failure_is_recovered_by_fd() {
 #[test]
 fn hang_is_detected_and_cured_like_a_crash() {
     let mut s = station(TreeVariant::II, 11);
-    let injected = s.inject_hang(names::SES).expect("known component");
+    let injected = s
+        .inject(names::SES, FaultKind::Hang)
+        .expect("known component");
     s.run_for(SimDuration::from_secs(60));
     let m = measure_recovery(s.trace(), names::SES, injected).unwrap();
     assert!((8.5..11.5).contains(&m.recovery_s()), "{}", m.recovery_s());
@@ -209,4 +211,107 @@ fn deterministic_given_seed() {
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42), run(43), "different seeds see different jitter");
+}
+
+fn injected_marks(s: &Station, component: &str) -> usize {
+    s.trace()
+        .times_of(Mark::Stage(EpisodeStage::Injected, intern(component)))
+        .count()
+}
+
+#[test]
+fn inject_writes_one_mark_and_one_event_per_kind() {
+    for (kind, detail) in FaultKind::ALL
+        .into_iter()
+        .zip(["kill", "hang", "zombie", "hard"])
+    {
+        let mut cfg = StationConfig::paper();
+        cfg.telemetry_enabled = true;
+        let mut s = Station::new(cfg, TreeVariant::II, Box::new(PerfectOracle::new()), 21)
+            .expect("valid station");
+        s.warm_up();
+        let at = s.inject(names::RTU, kind).expect("known component");
+        assert_eq!(injected_marks(&s, names::RTU), 1, "{kind}");
+        let events: Vec<_> = s
+            .telemetry()
+            .events()
+            .iter()
+            .filter(|e| e.stage == EpisodeStage::Injected)
+            .map(|e| (e.at, e.component.clone(), e.detail.clone()))
+            .collect();
+        assert_eq!(
+            events,
+            [(at, names::RTU.to_string(), detail.to_string())],
+            "{kind}"
+        );
+    }
+}
+
+#[test]
+fn play_skips_a_fault_whose_target_is_already_down() {
+    let mut s = station(TreeVariant::II, 22);
+    let start = s.now();
+    let script = FaultScript::new()
+        .with_fault(SimTime::ZERO, names::RTU, FaultKind::Crash)
+        .with_fault(SimTime::from_secs_f64(0.5), names::RTU, FaultKind::Crash)
+        .with_fault(SimTime::from_secs(1), names::SES, FaultKind::Crash);
+    let injected = s.play(&script).expect("known components");
+    assert_eq!(
+        injected,
+        [
+            (names::RTU.to_string(), start),
+            (names::SES.to_string(), start + SimDuration::from_secs(1)),
+        ]
+    );
+    assert_eq!(injected_marks(&s, names::RTU), 1);
+    assert_eq!(
+        s.now(),
+        start + SimDuration::from_secs(1),
+        "play does not settle"
+    );
+}
+
+#[test]
+fn play_injects_same_offset_faults_in_script_order() {
+    let mut s = station(TreeVariant::II, 23);
+    let start = s.now();
+    let script = FaultScript::new()
+        .with_fault(SimTime::ZERO, names::SES, FaultKind::Crash)
+        .with_fault(SimTime::ZERO, names::RTU, FaultKind::Hang);
+    let injected = s.play(&script).expect("known components");
+    assert_eq!(
+        injected,
+        [
+            (names::SES.to_string(), start),
+            (names::RTU.to_string(), start)
+        ]
+    );
+    let marked: Vec<Mark> = s
+        .trace()
+        .marks()
+        .filter(|&(at, m)| at == start && matches!(m, Mark::Stage(EpisodeStage::Injected, _)))
+        .map(|(_, m)| m.clone())
+        .collect();
+    assert_eq!(
+        marked,
+        [
+            Mark::Stage(EpisodeStage::Injected, intern(names::SES)),
+            Mark::Stage(EpisodeStage::Injected, intern(names::RTU)),
+        ]
+    );
+}
+
+#[test]
+fn play_rejects_an_unknown_target_before_the_station_moves() {
+    let mut s = station(TreeVariant::II, 24);
+    let start = s.now();
+    let script = FaultScript::new()
+        .with_fault(SimTime::ZERO, names::RTU, FaultKind::Crash)
+        .with_fault(SimTime::from_secs(5), "nonesuch", FaultKind::Crash);
+    assert_eq!(
+        s.play(&script),
+        Err(StationError::UnknownComponent("nonesuch".into()))
+    );
+    assert_eq!(s.now(), start);
+    assert_eq!(injected_marks(&s, names::RTU), 0);
 }

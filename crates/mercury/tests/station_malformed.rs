@@ -9,7 +9,7 @@ use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
 use mercury::station::{Station, StationError, TreeVariant};
 use rr_core::PerfectOracle;
-use rr_sim::{check, ProcessState, SimDuration};
+use rr_sim::{check, FaultKind, ProcessState, SimDuration};
 
 /// The same adversarial corpus `msg/tests/malformed.rs` drives through the
 /// parser, here delivered as live bus traffic.
@@ -142,18 +142,12 @@ fn bad_arguments_yield_typed_errors_not_panics() {
         station.inject_kill("nonesuch"),
         Err(StationError::UnknownComponent(_))
     ));
-    assert!(matches!(
-        station.inject_hang("nonesuch"),
-        Err(StationError::UnknownComponent(_))
-    ));
-    assert!(matches!(
-        station.inject_zombie("nonesuch"),
-        Err(StationError::UnknownComponent(_))
-    ));
-    assert!(matches!(
-        station.inject_hard_failure("nonesuch"),
-        Err(StationError::UnknownComponent(_))
-    ));
+    for kind in FaultKind::ALL {
+        assert!(matches!(
+            station.inject("nonesuch", kind),
+            Err(StationError::UnknownComponent(_))
+        ));
+    }
     assert!(matches!(
         station.state_of("nonesuch"),
         Err(StationError::UnknownComponent(_))

@@ -2,15 +2,15 @@
 //!
 //! The paper's evaluation (§4.1) injects failures by sending `SIGKILL` to a
 //! chosen component and measuring time-to-recover. A [`FaultScript`] is the
-//! declarative equivalent: a list of (time, target, kind) records applied to a
-//! [`Sim`] before it runs. Scripts can be written by hand for
-//! targeted experiments or generated from failure-time distributions for
+//! declarative equivalent: a list of (time, target, kind) records that a
+//! station plays, marking each injection as it lands (Mercury's
+//! `Station::play`). Scripts can be written by hand for targeted
+//! experiments or generated from failure-time distributions for
 //! long-horizon availability runs.
 
 use crate::dist::Dist;
-use crate::engine::Sim;
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// The kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +22,7 @@ pub enum FaultKind {
     /// deadlock, livelock, infinite loop). Detected and cured identically.
     Hang,
     /// Zombie: the process keeps answering liveness pings (whatever the
-    /// simulation's [zombie filter](Sim::set_zombie_filter) admits) but
+    /// simulation's [zombie filter](crate::Sim::set_zombie_filter) admits) but
     /// drops all real work and its own timers. Invisible to naive
     /// ping-based detection.
     Zombie,
@@ -220,41 +220,6 @@ impl FaultScript {
             self.faults.insert(idx, f);
         }
     }
-
-    /// Schedules every fault onto `sim`. Targets that do not exist are
-    /// reported as errors rather than silently skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns the names of any targets not present in the simulation.
-    pub fn apply<M>(&self, sim: &mut Sim<M>) -> Result<(), UnknownTargets> {
-        let mut unknown = Vec::new();
-        for f in &self.faults {
-            let Some(id) = sim.lookup(&f.target) else {
-                if !unknown.contains(&f.target) {
-                    unknown.push(f.target.clone());
-                }
-                continue;
-            };
-            let delay = f.at.saturating_since(sim.now());
-            match f.kind {
-                FaultKind::Crash => sim.kill_after(delay, id),
-                FaultKind::Hang => sim.hang_after(delay, id),
-                FaultKind::Zombie => sim.zombie_after(delay, id),
-                FaultKind::HardCrash => {
-                    // The persistence mark is set now but only matters once
-                    // the scheduled crash lands.
-                    sim.set_persistent_crash(id, true);
-                    sim.kill_after(delay, id);
-                }
-            }
-        }
-        if unknown.is_empty() {
-            Ok(())
-        } else {
-            Err(UnknownTargets(unknown))
-        }
-    }
 }
 
 impl Extend<ScriptedFault> for FaultScript {
@@ -291,42 +256,9 @@ impl std::fmt::Display for ScriptParseError {
 
 impl std::error::Error for ScriptParseError {}
 
-/// Error: a fault script referenced processes that are not in the simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownTargets(pub Vec<String>);
-
-impl std::fmt::Display for UnknownTargets {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown fault targets: {}", self.0.join(", "))
-    }
-}
-
-impl std::error::Error for UnknownTargets {}
-
-/// Add two durations of jitter around scheduled injections — occasionally
-/// useful in ablations to decouple faults from timer phase. Returns a new
-/// script with each fault time shifted by a uniform offset in `±jitter`.
-pub fn jittered(script: &FaultScript, jitter: SimDuration, rng: &mut SimRng) -> FaultScript {
-    let mut out = FaultScript::new();
-    for f in script.faults() {
-        let span = 2.0 * jitter.as_secs_f64();
-        let offset = rng.next_f64() * span - jitter.as_secs_f64();
-        let base = f.at.as_secs_f64();
-        let t = SimTime::from_secs_f64((base + offset).max(0.0));
-        out.push(t, f.target.clone(), f.kind);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Actor, Context, Event, ProcessState};
-
-    struct Nop;
-    impl Actor<()> for Nop {
-        fn on_event(&mut self, _ev: Event<()>, _ctx: &mut Context<'_, ()>) {}
-    }
 
     #[test]
     fn push_keeps_time_order() {
@@ -336,33 +268,6 @@ mod tests {
             .with_fault(SimTime::from_secs(3), "c", FaultKind::Crash);
         let order: Vec<_> = s.faults().iter().map(|f| f.target.as_str()).collect();
         assert_eq!(order, vec!["a", "c", "b"]);
-    }
-
-    #[test]
-    fn apply_schedules_kills_and_hangs() {
-        let mut sim: Sim<()> = Sim::new(1);
-        let a = sim.spawn("a", || Box::new(Nop));
-        let b = sim.spawn("b", || Box::new(Nop));
-        let script = FaultScript::new()
-            .with_fault(SimTime::from_secs(1), "a", FaultKind::Crash)
-            .with_fault(SimTime::from_secs(2), "b", FaultKind::Hang);
-        script.apply(&mut sim).unwrap();
-        sim.run();
-        assert_eq!(sim.state(a), ProcessState::Crashed);
-        assert_eq!(sim.state(b), ProcessState::Hung);
-    }
-
-    #[test]
-    fn apply_reports_unknown_targets() {
-        let mut sim: Sim<()> = Sim::new(2);
-        sim.spawn("a", || Box::new(Nop));
-        let script = FaultScript::new()
-            .with_fault(SimTime::from_secs(1), "ghost", FaultKind::Crash)
-            .with_fault(SimTime::from_secs(2), "ghost", FaultKind::Crash)
-            .with_fault(SimTime::from_secs(2), "phantom", FaultKind::Hang);
-        let err = script.apply(&mut sim).unwrap_err();
-        assert_eq!(err.0, vec!["ghost".to_string(), "phantom".to_string()]);
-        assert!(err.to_string().contains("ghost"));
     }
 
     #[test]
@@ -393,36 +298,6 @@ mod tests {
         a.merge(b);
         let order: Vec<_> = a.faults().iter().map(|f| f.target.as_str()).collect();
         assert_eq!(order, vec!["b", "a", "c"]);
-    }
-
-    #[test]
-    fn jittered_stays_non_negative_and_same_len() {
-        let script = FaultScript::new()
-            .with_fault(SimTime::from_secs_f64(0.1), "a", FaultKind::Crash)
-            .with_fault(SimTime::from_secs(10), "a", FaultKind::Crash);
-        let mut rng = SimRng::new(5);
-        let j = jittered(&script, SimDuration::from_secs(1), &mut rng);
-        assert_eq!(j.faults().len(), 2);
-        assert!(j.faults().iter().all(|f| f.at >= SimTime::ZERO));
-    }
-
-    #[test]
-    fn apply_schedules_zombies_and_hard_crashes() {
-        let mut sim: Sim<()> = Sim::new(6);
-        let z = sim.spawn("z", || Box::new(Nop));
-        let h = sim.spawn("h", || Box::new(Nop));
-        let script = FaultScript::new()
-            .with_fault(SimTime::from_secs(1), "z", FaultKind::Zombie)
-            .with_fault(SimTime::from_secs(2), "h", FaultKind::HardCrash);
-        script.apply(&mut sim).unwrap();
-        sim.run();
-        assert_eq!(sim.state(z), ProcessState::Zombie);
-        assert_eq!(sim.state(h), ProcessState::Crashed);
-        assert!(sim.is_persistent_crash(h));
-        // A restart does not stick: the hard crash re-kills immediately.
-        sim.respawn_after(SimDuration::from_secs(1), h);
-        sim.run();
-        assert_eq!(sim.state(h), ProcessState::Crashed);
     }
 
     #[test]

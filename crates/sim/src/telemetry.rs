@@ -759,8 +759,9 @@ fn prom_bucket_label(label: &str, le: &str) -> String {
     }
 }
 
-/// A JSON string literal with the required escapes.
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal, quotes included. The one escaper
+/// every JSON writer in the workspace uses.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
