@@ -19,9 +19,55 @@ use rr_store::{RecoveryStats, StateStore};
 use crate::config::{calib, names, StationConfig};
 use crate::host::{HostLoad, RadioHardware};
 
-/// The simulation's wire type: envelopes in their XML form, exactly as the
-/// real station exchanges them over TCP.
-pub type Wire = String;
+/// The simulation's wire type: an envelope in its XML form, exactly as the
+/// real station exchanges it over TCP, plus the envelope mbus decoded from
+/// those bytes when it routed them.
+///
+/// mbus must parse an envelope to learn where it goes; handing that decode
+/// along spares the receiver a second parse of the same bytes. Only mbus
+/// fills it, when it forwards: a sender's own envelope is not what the
+/// receiver would decode (the decoder rejects some values the encoder
+/// writes, such as an infinite float), so every other hop is parsed where it
+/// lands. Boxed, because the engine stores payloads inline in every queued
+/// event.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Wire {
+    xml: String,
+    decoded: Option<Box<Envelope>>,
+}
+
+impl Wire {
+    /// The bytes on the wire.
+    pub fn xml(&self) -> &str {
+        &self.xml
+    }
+
+    /// The envelope mbus decoded from [`xml`](Wire::xml) when it routed
+    /// this message; `None` on a direct link or before the bus.
+    pub fn decoded(&self) -> Option<&Envelope> {
+        self.decoded.as_deref()
+    }
+
+    /// The same bytes, carrying `env`, the envelope mbus parsed them into.
+    pub(crate) fn with_decoded(self, env: Envelope) -> Wire {
+        Wire {
+            xml: self.xml,
+            decoded: Some(Box::new(env)),
+        }
+    }
+}
+
+impl From<String> for Wire {
+    fn from(xml: String) -> Wire {
+        Wire { xml, decoded: None }
+    }
+}
+
+impl From<&str> for Wire {
+    fn from(xml: &str) -> Wire {
+        Wire::from(xml.to_string())
+    }
+}
 
 /// Timer key for boot completion.
 pub const TIMER_BOOT: u64 = 1;
@@ -137,11 +183,6 @@ impl Lifecycle {
         self.phase = Phase::Initializing;
     }
 
-    /// Messages handled this incarnation.
-    pub fn handled(&self) -> u64 {
-        self.handled
-    }
-
     /// Seconds since this incarnation started.
     pub fn uptime_s(&self, now: SimTime) -> f64 {
         now.saturating_since(self.started_at).as_secs_f64()
@@ -199,7 +240,7 @@ impl Lifecycle {
             return;
         };
         let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
-        ctx.send_after(bus, latency, env.to_xml_string());
+        ctx.send_after(bus, latency, env.to_xml_string().into());
     }
 
     /// Sends `msg` to `dst` over a dedicated point-to-point connection
@@ -211,12 +252,21 @@ impl Lifecycle {
             return;
         };
         let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
-        ctx.send_after(pid, latency, env.to_xml_string());
+        ctx.send_after(pid, latency, env.to_xml_string().into());
     }
 
     /// Parses an incoming wire message; logs and drops malformed traffic.
-    pub fn parse(&mut self, ctx: &mut Context<'_, Wire>, wire: &str) -> Option<Envelope> {
-        match Envelope::parse(wire) {
+    /// Takes the envelope mbus already decoded from these bytes when there
+    /// is one (debug builds check it against a fresh parse).
+    pub fn parse(&mut self, ctx: &mut Context<'_, Wire>, wire: &mut Wire) -> Option<Envelope> {
+        let parsed = match wire.decoded.take() {
+            Some(handed) => {
+                debug_assert_eq!(Envelope::parse(wire.xml()).as_ref(), Ok(&*handed));
+                Ok(*handed)
+            }
+            None => Envelope::parse(wire.xml()),
+        };
+        match parsed {
             Ok(env) => {
                 self.handled += 1;
                 Some(env)

@@ -7,8 +7,8 @@
 //! why FD suppresses other components' failure reports while mbus is
 //! suspected: their silence is explained by the bus.
 
-use mercury_msg::{Envelope, Message};
-use rr_sim::{Actor, Context, Event, SimDuration};
+use mercury_msg::Message;
+use rr_sim::{Actor, Context, Event, ProcessId, SimDuration};
 
 use super::common::{Lifecycle, Shared, Wire, TIMER_BOOT};
 use crate::config::{calib, names};
@@ -17,7 +17,6 @@ use crate::config::{calib, names};
 #[derive(Debug)]
 pub struct Mbus {
     life: Lifecycle,
-    routed: u64,
 }
 
 impl Mbus {
@@ -25,19 +24,24 @@ impl Mbus {
     pub fn new(shared: Shared) -> Mbus {
         Mbus {
             life: Lifecycle::new(names::MBUS, shared),
-            routed: 0,
         }
     }
+}
 
-    fn route(&mut self, env: &Envelope, wire: Wire, ctx: &mut Context<'_, Wire>) {
-        let Some(dst) = ctx.lookup(&env.dst) else {
-            ctx.trace_mark(format!("route-error:{}", env.dst));
-            return;
-        };
-        let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
-        ctx.send_after(dst, latency, wire);
-        self.routed += 1;
+/// Resolves `dst`, logging a `route-error:` mark when no component has
+/// that name.
+fn next_hop(dst: &str, ctx: &mut Context<'_, Wire>) -> Option<ProcessId> {
+    let pid = ctx.lookup(dst);
+    if pid.is_none() {
+        ctx.trace_mark(format!("route-error:{dst}"));
     }
+    pid
+}
+
+/// Sends `wire` on its bus hop to `pid`.
+fn forward(pid: ProcessId, wire: Wire, ctx: &mut Context<'_, Wire>) {
+    let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
+    ctx.send_after(pid, latency, wire);
 }
 
 impl Actor<Wire> for Mbus {
@@ -51,11 +55,11 @@ impl Actor<Wire> for Mbus {
                     self.life.handle_beacon_timer(key, ctx, 0.0);
                 }
             }
-            Event::Message { payload, .. } => {
+            Event::Message { mut payload, .. } => {
                 if !self.life.is_ready() {
                     return; // booting: traffic is silently lost
                 }
-                let Some(env) = self.life.parse(ctx, &payload) else {
+                let Some(env) = self.life.parse(ctx, &mut payload) else {
                     return;
                 };
                 if env.dst == names::MBUS {
@@ -70,10 +74,13 @@ impl Actor<Wire> for Mbus {
                         );
                         // Deliver directly to the requester: the pong's bus
                         // hop is this very process.
-                        self.route(&pong, pong.to_xml_string(), ctx);
+                        if let Some(pid) = next_hop(&pong.dst, ctx) {
+                            forward(pid, pong.to_xml_string().into(), ctx);
+                        }
                     }
-                } else {
-                    self.route(&env, payload, ctx);
+                } else if let Some(pid) = next_hop(&env.dst, ctx) {
+                    // Forward the bytes unchanged, with what they decoded to.
+                    forward(pid, payload.with_decoded(env), ctx);
                 }
             }
         }

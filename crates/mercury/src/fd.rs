@@ -24,28 +24,32 @@
 //! configuration). At the paper's threshold of 1 the behaviour is exactly
 //! the original report-on-first-miss detector.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use mercury_msg::Message;
 use rr_sim::telemetry::LATENCY_BUCKETS;
-use rr_sim::{intern, Actor, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
+use rr_sim::{
+    intern, Actor, Context, EpisodeStage, Event, FxHashMap, FxHashSet, Mark, SimDuration, SimTime,
+};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
 
 const TIMER_PING_TICK: u64 = TIMER_ROLE_BASE;
 /// Zero-delay timer that flushes the suspects buffered within one instant.
-/// Same-instant pong timeouts are queued ahead of this timer (the engine is
-/// FIFO within an instant), so the flush sees the whole batch.
+/// It is armed while a round's deadline convicts, so it fires after that
+/// whole batch (the engine is FIFO within an instant).
 const TIMER_FLUSH_SUSPECTS: u64 = TIMER_ROLE_BASE + 1;
-/// Timeout timers carry `TIMER_TIMEOUT_BASE + round · TIMEOUT_STRIDE + slot`,
-/// one per pinged component per round: the slot names the component whose
-/// pong is overdue.
+/// Each round arms one pong deadline, keyed `TIMER_TIMEOUT_BASE + round`.
+/// When it fires, FD settles every monitored component in index order, then
+/// REC if REC was pinged that round: the order the per-component timeouts of
+/// one instant used to fire in, one event instead of one per ping.
 const TIMER_TIMEOUT_BASE: u64 = 1000;
-/// Slots per round in the timeout-timer key space.
-const TIMEOUT_STRIDE: u64 = 64;
-/// The slot reserved for the direct ping to REC.
-const REC_SLOT: u64 = TIMEOUT_STRIDE - 1;
+/// Pings carry `round · SEQ_PER_ROUND + index`: the component's index in
+/// the monitored list, or [`REC_SEQ_INDEX`] for the direct ping to REC.
+const SEQ_PER_ROUND: u64 = 1000;
+/// The seq index of the direct ping to REC.
+const REC_SEQ_INDEX: u64 = SEQ_PER_ROUND - 1;
 
 /// The failure-detector actor.
 #[derive(Debug)]
@@ -56,17 +60,17 @@ pub struct Fd {
     round: u64,
     /// Outstanding pings of the current round: component → (seq, sent-at),
     /// the send timestamp feeding the ping-latency telemetry.
-    outstanding: HashMap<String, (u64, SimTime)>,
+    outstanding: FxHashMap<String, (u64, SimTime)>,
     /// Components currently believed down.
-    down: HashMap<String, bool>,
+    down: FxHashMap<String, bool>,
     /// Components that missed at least one ping round (whether or not their
     /// silence was reported — it may have been suppressed while mbus was
     /// down). Their next pong triggers an Alive notice so REC can complete
     /// group restarts.
-    missing: HashSet<String>,
-    /// Sliding per-component hit/miss record (`true` = missed), newest last,
-    /// at most `suspicion_window` entries.
-    history: HashMap<String, VecDeque<bool>>,
+    missing: FxHashSet<String>,
+    /// Sliding hit/miss record (`true` = missed) of each monitored
+    /// component, by index: newest last, at most `suspicion_window` entries.
+    history: Vec<VecDeque<bool>>,
     /// Components convicted this instant, awaiting the zero-delay flush that
     /// reports them to REC in one batch (so REC can plan one antichain of
     /// recovery episodes instead of reacting to each suspect alone).
@@ -85,22 +89,22 @@ impl Fd {
     ///
     /// # Panics
     ///
-    /// Panics if more components are monitored than the timeout-timer key
-    /// space has slots (63).
+    /// Panics if more components are monitored than a round's ping seqs can
+    /// number (998).
     pub fn new(shared: Shared, monitored: Vec<String>) -> Fd {
         assert!(
-            monitored.len() < REC_SLOT as usize,
+            monitored.len() < REC_SEQ_INDEX as usize,
             "FD supports at most {} monitored components",
-            REC_SLOT - 1
+            REC_SEQ_INDEX - 1
         );
         Fd {
             life: Lifecycle::new(names::FD, shared),
+            history: vec![VecDeque::new(); monitored.len()],
             monitored,
             round: 0,
-            outstanding: HashMap::new(),
-            down: HashMap::new(),
-            missing: HashSet::new(),
-            history: HashMap::new(),
+            outstanding: FxHashMap::default(),
+            down: FxHashMap::default(),
+            missing: FxHashSet::default(),
             suspect_buffer: Vec::new(),
             rec_outstanding: None,
             rec_misses: 0,
@@ -109,47 +113,41 @@ impl Fd {
         }
     }
 
-    fn seq_for(&self, round: u64, idx: usize) -> u64 {
-        round * 1000 + idx as u64
+    fn seq_for(round: u64, idx: u64) -> u64 {
+        round * SEQ_PER_ROUND + idx
     }
 
     fn ping_tick(&mut self, ctx: &mut Context<'_, Wire>) {
         self.round += 1;
         self.outstanding.clear();
-        let timeout = SimDuration::from_secs_f64(self.life.config().fd.ping_timeout_s);
-        for (idx, comp) in self.monitored.clone().into_iter().enumerate() {
-            let seq = self.seq_for(self.round, idx);
-            self.life.send_bus(ctx, &comp, Message::Ping { seq });
+        for (idx, comp) in self.monitored.iter().enumerate() {
+            let seq = Self::seq_for(self.round, idx as u64);
+            self.life.send_bus(ctx, comp, Message::Ping { seq });
             ctx.telemetry().incr("fd_pings_sent");
-            ctx.set_timer(
-                timeout,
-                TIMER_TIMEOUT_BASE + self.round * TIMEOUT_STRIDE + idx as u64,
-            );
-            self.outstanding.insert(comp, (seq, ctx.now()));
+            self.outstanding.insert(comp.clone(), (seq, ctx.now()));
         }
         // REC is pinged over the dedicated connection — unless we just
         // restarted it and it is still booting.
         if ctx.now() >= self.rec_grace_until {
-            let rec_seq = self.seq_for(self.round, 999);
+            let rec_seq = Self::seq_for(self.round, REC_SEQ_INDEX);
             self.life
                 .send_direct(ctx, names::REC, Message::Ping { seq: rec_seq });
             self.rec_outstanding = Some(rec_seq);
-            ctx.set_timer(
-                timeout,
-                TIMER_TIMEOUT_BASE + self.round * TIMEOUT_STRIDE + REC_SLOT,
-            );
         }
+        let timeout = SimDuration::from_secs_f64(self.life.config().fd.ping_timeout_s);
+        ctx.set_timer(timeout, TIMER_TIMEOUT_BASE + self.round);
 
         let period = self.life.config().ping_period();
         ctx.set_timer(period, TIMER_PING_TICK);
     }
 
-    /// Records this round's hit/miss for `comp` and returns `true` when the
-    /// misses within the suspicion window reach the threshold.
-    fn note_round(&mut self, comp: &str, missed: bool) -> bool {
+    /// Records this round's hit/miss for monitored component `idx` and
+    /// returns `true` when the misses within the suspicion window reach the
+    /// threshold.
+    fn note_round(&mut self, idx: usize, missed: bool) -> bool {
         let window = self.life.config().fd.suspicion_window.max(1) as usize;
         let threshold = self.life.config().fd.suspicion_threshold.max(1) as usize;
-        let h = self.history.entry(comp.to_string()).or_default();
+        let h = &mut self.history[idx];
         h.push_back(missed);
         while h.len() > window {
             h.pop_front();
@@ -157,18 +155,22 @@ impl Fd {
         h.iter().filter(|m| **m).count() >= threshold
     }
 
-    fn handle_timeout(&mut self, round: u64, slot: u64, ctx: &mut Context<'_, Wire>) {
+    /// The round's pong deadline: settles every monitored component in
+    /// index order, then REC (a no-op unless REC's ping is outstanding,
+    /// which it only is when REC was pinged this round).
+    fn handle_deadline(&mut self, round: u64, ctx: &mut Context<'_, Wire>) {
         if round != self.round {
-            return; // stale timeout from an earlier round
+            return; // stale deadline from an earlier round
         }
-        if slot == REC_SLOT {
-            self.handle_rec_timeout(ctx);
-            return;
+        for idx in 0..self.monitored.len() {
+            self.handle_timeout(idx, ctx);
         }
-        let Some(comp) = self.monitored.get(slot as usize).cloned() else {
-            return;
-        };
-        let missed = self.outstanding.contains_key(&comp);
+        self.handle_rec_timeout(ctx);
+    }
+
+    fn handle_timeout(&mut self, idx: usize, ctx: &mut Context<'_, Wire>) {
+        let comp = &self.monitored[idx];
+        let missed = self.outstanding.contains_key(comp);
         let mbus_unresponsive = self.outstanding.contains_key(names::MBUS)
             || self.down.get(names::MBUS).copied().unwrap_or(false);
         if missed && comp != names::MBUS && mbus_unresponsive {
@@ -178,16 +180,17 @@ impl Fd {
             // genuine misses (a lost bus pong would then indefinitely delay
             // detection of a really-dead component). Remember the silence so
             // the next pong still produces an Alive notice.
-            self.missing.insert(comp);
+            self.missing.insert(comp.clone());
             return;
         }
         if missed {
-            ctx.telemetry().incr_labeled("fd_ping_timeouts", &comp);
+            ctx.telemetry().incr_labeled("fd_ping_timeouts", comp);
         }
-        let suspect = self.note_round(&comp, missed);
+        let suspect = self.note_round(idx, missed);
         if !missed || !suspect {
             return;
         }
+        let comp = self.monitored[idx].clone();
         self.missing.insert(comp.clone());
         let was_down = self.down.get(&comp).copied().unwrap_or(false);
         if !was_down {
@@ -265,12 +268,13 @@ impl Fd {
             }
             return;
         }
-        match self.outstanding.get(src) {
+        let idx = match self.outstanding.get(src) {
             Some(&(expected, sent_at)) if expected == seq => {
                 self.outstanding.remove(src);
                 let rtt = ctx.now().saturating_since(sent_at);
                 ctx.telemetry()
                     .observe("fd_ping_latency", src, rtt, LATENCY_BUCKETS);
+                (seq % SEQ_PER_ROUND) as usize
             }
             _ => {
                 // A pong whose seq does not match this round's outstanding
@@ -283,13 +287,15 @@ impl Fd {
                 ctx.telemetry().incr_labeled("fd_stale_pongs", src);
                 return;
             }
-        }
+        };
         let was_down = self.down.get(src).copied().unwrap_or(false);
         if was_down || self.missing.contains(src) {
             self.down.insert(src.to_string(), false);
             self.missing.remove(src);
             // A recovered component starts from a clean suspicion window.
-            self.history.remove(src);
+            if let Some(h) = self.history.get_mut(idx) {
+                h.clear();
+            }
             ctx.trace_mark(Mark::Alive(intern(src)));
             self.life.send_direct(
                 ctx,
@@ -319,14 +325,13 @@ impl Actor<Wire> for Fd {
                 key: TIMER_FLUSH_SUSPECTS,
             } => self.flush_suspects(ctx),
             Event::Timer { key } if key >= TIMER_TIMEOUT_BASE => {
-                let offset = key - TIMER_TIMEOUT_BASE;
-                self.handle_timeout(offset / TIMEOUT_STRIDE, offset % TIMEOUT_STRIDE, ctx);
+                self.handle_deadline(key - TIMER_TIMEOUT_BASE, ctx);
             }
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
             }
-            Event::Message { payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &payload) else {
+            Event::Message { mut payload, .. } => {
+                let Some(env) = self.life.parse(ctx, &mut payload) else {
                     return;
                 };
                 // Answer REC's direct liveness pings.
@@ -334,8 +339,7 @@ impl Actor<Wire> for Fd {
                     return;
                 }
                 if let Message::Pong { seq, .. } = env.body {
-                    let src = env.src.clone();
-                    self.handle_pong(&src, seq, ctx);
+                    self.handle_pong(&env.src, seq, ctx);
                 }
             }
         }

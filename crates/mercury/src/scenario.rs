@@ -10,6 +10,7 @@
 use mercury_msg::{Envelope, Message};
 use rr_sim::{SimDuration, SimTime};
 
+use crate::components::common::Wire;
 use crate::config::{calib, names};
 use crate::measure::telemetry_frames;
 use crate::orbit::{predict_passes, PassWindow};
@@ -101,7 +102,7 @@ impl PassScenario {
                     satellite: self.satellite.clone(),
                 },
             );
-            let wire = env.to_xml_string();
+            let wire = Wire::from(env.to_xml_string());
             let sim = station.sim_mut();
             let Some(bus) = sim.lookup(names::MBUS) else {
                 continue;

@@ -355,10 +355,11 @@ impl Station {
 
         // Zombie processes answer liveness probes (ping/pong) and drop
         // everything else — the fault model behind `FaultKind::Zombie`.
-        sim.set_zombie_filter(|payload: &Wire| {
-            mercury_msg::Envelope::parse(payload)
+        sim.set_zombie_filter(|payload: &Wire| match payload.decoded() {
+            Some(env) => env.body.is_liveness(),
+            None => mercury_msg::Envelope::parse(payload.xml())
                 .map(|env| env.body.is_liveness())
-                .unwrap_or(false)
+                .unwrap_or(false),
         });
 
         let fd_shared = shared.clone();
@@ -650,7 +651,7 @@ impl Station {
             },
         );
         self.sim
-            .send_external(fedr, fedr, SimDuration::ZERO, hook.to_xml_string());
+            .send_external(fedr, fedr, SimDuration::ZERO, hook.to_xml_string().into());
         self.note_injection(names::PBCOM, "correlated");
         self.sim.kill(pbcom);
         Ok(self.sim.now())
@@ -703,7 +704,7 @@ impl Station {
     ) -> Result<(), StationError> {
         let pid = self.pid_of(component)?;
         self.sim
-            .send_external(pid, pid, SimDuration::ZERO, payload.into());
+            .send_external(pid, pid, SimDuration::ZERO, Wire::from(payload.into()));
         Ok(())
     }
 
