@@ -8,10 +8,11 @@
 //! failure detector's XML liveness pings only once ready, and optionally
 //! broadcasts health-summary beacons (§7 future work).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mercury_msg::{ComponentStatus, Envelope, Message};
+use mercury_msg::{ComponentStatus, Envelope, Message, MsgError};
 use rr_core::RecoveryMode;
 use rr_sim::{intern, Context, Mark, SimDuration, SimTime};
 use rr_store::{RecoveryStats, StateStore};
@@ -19,47 +20,93 @@ use rr_store::{RecoveryStats, StateStore};
 use crate::config::{calib, names, StationConfig};
 use crate::host::{HostLoad, RadioHardware};
 
-/// The simulation's wire type: an envelope in its XML form, exactly as the
-/// real station exchanges it over TCP, plus the envelope mbus decoded from
-/// those bytes when it routed them.
+/// The simulation's wire type: one envelope on its way from sender to
+/// receiver.
 ///
-/// mbus must parse an envelope to learn where it goes; handing that decode
-/// along spares the receiver a second parse of the same bytes. Only mbus
-/// fills it, when it forwards: a sender's own envelope is not what the
-/// receiver would decode (the decoder rejects some values the encoder
-/// writes, such as an infinite float), so every other hop is parsed where it
-/// lands. Boxed, because the engine stores payloads inline in every queued
-/// event.
+/// A station envelope travels as itself whenever the decoder is certain to
+/// read it back exactly ([`Envelope::round_trips`]), so no hop encodes or
+/// parses it; anything else travels as the XML bytes the real station would
+/// put on its TCP links, and is read, or refused, where it lands. Building
+/// a wire from an envelope (`Wire::from(envelope)`) is the one place that
+/// chooses; text from outside the station (garbage, tests) is always bytes.
+/// The envelope is boxed because the engine stores payloads inline in every
+/// queued event.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Wire {
-    xml: String,
-    decoded: Option<Box<Envelope>>,
+pub struct Wire(Carried);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Carried {
+    /// An envelope that `Envelope::parse` reads back from its own encoding.
+    Envelope(Box<Envelope>),
+    /// Bytes, to be parsed at the next hop.
+    Bytes(String),
 }
 
 impl Wire {
-    /// The bytes on the wire.
-    pub fn xml(&self) -> &str {
-        &self.xml
-    }
-
-    /// The envelope mbus decoded from [`xml`](Wire::xml) when it routed
-    /// this message; `None` on a direct link or before the bus.
-    pub fn decoded(&self) -> Option<&Envelope> {
-        self.decoded.as_deref()
-    }
-
-    /// The same bytes, carrying `env`, the envelope mbus parsed them into.
-    pub(crate) fn with_decoded(self, env: Envelope) -> Wire {
-        Wire {
-            xml: self.xml,
-            decoded: Some(Box::new(env)),
+    /// The wire form: the bytes as they arrived, or the envelope's encoding,
+    /// rendered now.
+    pub fn xml(&self) -> Cow<'_, str> {
+        match &self.0 {
+            Carried::Envelope(env) => Cow::Owned(env.to_xml_string()),
+            Carried::Bytes(xml) => Cow::Borrowed(xml),
         }
+    }
+
+    /// The envelope, when it travels as one; `None` for bytes.
+    pub fn decoded(&self) -> Option<&Envelope> {
+        match &self.0 {
+            Carried::Envelope(env) => Some(env),
+            Carried::Bytes(_) => None,
+        }
+    }
+
+    /// The envelope this wire carries, parsing bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MsgError`] of [`Envelope::parse`] on bytes that are not
+    /// an envelope.
+    pub fn into_envelope(self) -> Result<Box<Envelope>, MsgError> {
+        match self.0 {
+            Carried::Envelope(env) => Ok(env),
+            Carried::Bytes(xml) => Envelope::parse(&xml).map(Box::new),
+        }
+    }
+}
+
+impl From<Box<Envelope>> for Wire {
+    /// Typed when the envelope [round-trips](Envelope::round_trips), else its
+    /// encoding. mbus forwards what it read through here.
+    fn from(env: Box<Envelope>) -> Wire {
+        if env.round_trips() {
+            Wire(Carried::Envelope(env))
+        } else {
+            Wire(Carried::Bytes(env.to_xml_string()))
+        }
+    }
+}
+
+impl From<Envelope> for Wire {
+    /// As for a boxed envelope; every message a station component sends
+    /// starts here. Debug builds check each one that travels typed against
+    /// a real encode and parse, floats compared by their shortest exact
+    /// form.
+    fn from(env: Envelope) -> Wire {
+        let wire = Wire::from(Box::new(env));
+        if let Some(env) = wire.decoded() {
+            debug_assert_eq!(
+                Envelope::parse(&env.to_xml_string()).map(|back| format!("{back:?}")),
+                Ok(format!("{env:?}")),
+                "a typed envelope must read back from its own encoding"
+            );
+        }
+        wire
     }
 }
 
 impl From<String> for Wire {
     fn from(xml: String) -> Wire {
-        Wire { xml, decoded: None }
+        Wire(Carried::Bytes(xml))
     }
 }
 
@@ -240,7 +287,7 @@ impl Lifecycle {
             return;
         };
         let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
-        ctx.send_after(bus, latency, env.to_xml_string().into());
+        ctx.send_after(bus, latency, Wire::from(env));
     }
 
     /// Sends `msg` to `dst` over a dedicated point-to-point connection
@@ -252,21 +299,13 @@ impl Lifecycle {
             return;
         };
         let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
-        ctx.send_after(pid, latency, env.to_xml_string().into());
+        ctx.send_after(pid, latency, Wire::from(env));
     }
 
-    /// Parses an incoming wire message; logs and drops malformed traffic.
-    /// Takes the envelope mbus already decoded from these bytes when there
-    /// is one (debug builds check it against a fresh parse).
-    pub fn parse(&mut self, ctx: &mut Context<'_, Wire>, wire: &mut Wire) -> Option<Envelope> {
-        let parsed = match wire.decoded.take() {
-            Some(handed) => {
-                debug_assert_eq!(Envelope::parse(wire.xml()).as_ref(), Ok(&*handed));
-                Ok(*handed)
-            }
-            None => Envelope::parse(wire.xml()),
-        };
-        match parsed {
+    /// Reads an incoming wire message, parsing it if it came as bytes, and
+    /// counts it in `handled`; logs and drops malformed traffic.
+    pub fn parse(&mut self, ctx: &mut Context<'_, Wire>, wire: Wire) -> Option<Box<Envelope>> {
+        match wire.into_envelope() {
             Ok(env) => {
                 self.handled += 1;
                 Some(env)

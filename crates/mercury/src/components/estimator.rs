@@ -125,7 +125,7 @@ impl SyncPeer {
                 let id = life.next_id();
                 let env = mercury_msg::Envelope::new(life.name(), peer, id, ack);
                 if let Some(bus) = ctx.lookup(names::MBUS) {
-                    ctx.send_after(bus, delay_dur, env.to_xml_string().into());
+                    ctx.send_after(bus, delay_dur, Wire::from(env));
                 }
                 if induced {
                     let crash_at = delay + calib::INDUCED_FAILURE_DELAY_S;
@@ -187,8 +187,8 @@ impl Actor<Wire> for Ses {
                     self.life.handle_beacon_timer(key, ctx, 0.0);
                 }
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 if self.life.handle_common(&env, ctx, 0.0) {

@@ -55,11 +55,11 @@ impl Actor<Wire> for Mbus {
                     self.life.handle_beacon_timer(key, ctx, 0.0);
                 }
             }
-            Event::Message { mut payload, .. } => {
+            Event::Message { payload, .. } => {
                 if !self.life.is_ready() {
                     return; // booting: traffic is silently lost
                 }
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 if env.dst == names::MBUS {
@@ -75,12 +75,13 @@ impl Actor<Wire> for Mbus {
                         // Deliver directly to the requester: the pong's bus
                         // hop is this very process.
                         if let Some(pid) = next_hop(&pong.dst, ctx) {
-                            forward(pid, pong.to_xml_string().into(), ctx);
+                            forward(pid, Wire::from(pong), ctx);
                         }
                     }
                 } else if let Some(pid) = next_hop(&env.dst, ctx) {
-                    // Forward the bytes unchanged, with what they decoded to.
-                    forward(pid, payload.with_decoded(env), ctx);
+                    // Forward what it read: a typed envelope as it came,
+                    // bytes as the envelope they decoded to.
+                    forward(pid, Wire::from(env), ctx);
                 }
             }
         }

@@ -114,8 +114,8 @@ impl Actor<Wire> for Fedrcom {
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 if self.life.handle_common(&env, ctx, 0.0) || !self.life.is_ready() {
@@ -223,8 +223,8 @@ impl Actor<Wire> for Fedr {
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 if self.life.handle_common(&env, ctx, 0.0) {
@@ -373,8 +373,8 @@ impl Actor<Wire> for Pbcom {
                 self.life
                     .handle_beacon_timer(key, ctx, self.aging_fraction());
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 let aging = self.aging_fraction();
@@ -410,7 +410,7 @@ impl Actor<Wire> for Pbcom {
                         let Some(pid) = ctx.lookup(&env.src) else {
                             return;
                         };
-                        ctx.send_after(pid, ack_delay, ack.to_xml_string().into());
+                        ctx.send_after(pid, ack_delay, Wire::from(ack));
                     }
                     "KEEPALIVE" => {
                         let id = self.life.next_id();
@@ -425,7 +425,7 @@ impl Actor<Wire> for Pbcom {
                             return;
                         };
                         let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
-                        ctx.send_after(pid, latency, ack.to_xml_string().into());
+                        ctx.send_after(pid, latency, Wire::from(ack));
                     }
                     "DATA" if arg == "corrupt" && !self.dying => {
                         // The poisoned session corrupts the bridge (§4.4).

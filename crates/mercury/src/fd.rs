@@ -28,9 +28,7 @@ use std::collections::VecDeque;
 
 use mercury_msg::Message;
 use rr_sim::telemetry::LATENCY_BUCKETS;
-use rr_sim::{
-    intern, Actor, Context, EpisodeStage, Event, FxHashMap, FxHashSet, Mark, SimDuration, SimTime,
-};
+use rr_sim::{intern, Actor, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -55,19 +53,22 @@ const REC_SEQ_INDEX: u64 = SEQ_PER_ROUND - 1;
 #[derive(Debug)]
 pub struct Fd {
     life: Lifecycle,
-    /// The components monitored via mbus.
+    /// The components monitored via mbus. The per-component state below is
+    /// indexed alike, by *slot*: a component's position in this list.
     monitored: Vec<String>,
+    /// mbus's slot, if mbus is monitored.
+    mbus_slot: Option<usize>,
     round: u64,
-    /// Outstanding pings of the current round: component → (seq, sent-at),
-    /// the send timestamp feeding the ping-latency telemetry.
-    outstanding: FxHashMap<String, (u64, SimTime)>,
-    /// Components currently believed down.
-    down: FxHashMap<String, bool>,
+    /// Outstanding pings of the current round, by slot: (seq, sent-at), the
+    /// send timestamp feeding the ping-latency telemetry.
+    outstanding: Vec<Option<(u64, SimTime)>>,
+    /// Components currently believed down, by slot.
+    down: Vec<bool>,
     /// Components that missed at least one ping round (whether or not their
     /// silence was reported — it may have been suppressed while mbus was
-    /// down). Their next pong triggers an Alive notice so REC can complete
-    /// group restarts.
-    missing: FxHashSet<String>,
+    /// down), by slot. Their next pong triggers an Alive notice so REC can
+    /// complete group restarts.
+    missing: Vec<bool>,
     /// Sliding hit/miss record (`true` = missed) of each monitored
     /// component, by index: newest last, at most `suspicion_window` entries.
     history: Vec<VecDeque<bool>>,
@@ -97,14 +98,16 @@ impl Fd {
             "FD supports at most {} monitored components",
             REC_SEQ_INDEX - 1
         );
+        let n = monitored.len();
         Fd {
             life: Lifecycle::new(names::FD, shared),
-            history: vec![VecDeque::new(); monitored.len()],
+            history: vec![VecDeque::new(); n],
+            mbus_slot: monitored.iter().position(|c| c == names::MBUS),
             monitored,
             round: 0,
-            outstanding: FxHashMap::default(),
-            down: FxHashMap::default(),
-            missing: FxHashSet::default(),
+            outstanding: vec![None; n],
+            down: vec![false; n],
+            missing: vec![false; n],
             suspect_buffer: Vec::new(),
             rec_outstanding: None,
             rec_misses: 0,
@@ -119,12 +122,11 @@ impl Fd {
 
     fn ping_tick(&mut self, ctx: &mut Context<'_, Wire>) {
         self.round += 1;
-        self.outstanding.clear();
         for (idx, comp) in self.monitored.iter().enumerate() {
             let seq = Self::seq_for(self.round, idx as u64);
             self.life.send_bus(ctx, comp, Message::Ping { seq });
             ctx.telemetry().incr("fd_pings_sent");
-            self.outstanding.insert(comp.clone(), (seq, ctx.now()));
+            self.outstanding[idx] = Some((seq, ctx.now()));
         }
         // REC is pinged over the dedicated connection — unless we just
         // restarted it and it is still booting.
@@ -169,38 +171,38 @@ impl Fd {
     }
 
     fn handle_timeout(&mut self, idx: usize, ctx: &mut Context<'_, Wire>) {
-        let comp = &self.monitored[idx];
-        let missed = self.outstanding.contains_key(comp);
-        let mbus_unresponsive = self.outstanding.contains_key(names::MBUS)
-            || self.down.get(names::MBUS).copied().unwrap_or(false);
-        if missed && comp != names::MBUS && mbus_unresponsive {
+        let missed = self.outstanding[idx].is_some();
+        let mbus_unresponsive = self
+            .mbus_slot
+            .is_some_and(|m| self.outstanding[m].is_some() || self.down[m]);
+        if missed && self.mbus_slot != Some(idx) && mbus_unresponsive {
             // The bus is down: this component's silence proves nothing.
             // Record nothing — a round with no evidence must neither fill
             // the suspicion window (false conviction) nor reset a run of
             // genuine misses (a lost bus pong would then indefinitely delay
             // detection of a really-dead component). Remember the silence so
             // the next pong still produces an Alive notice.
-            self.missing.insert(comp.clone());
+            self.missing[idx] = true;
             return;
         }
         if missed {
-            ctx.telemetry().incr_labeled("fd_ping_timeouts", comp);
+            ctx.telemetry()
+                .incr_labeled("fd_ping_timeouts", &self.monitored[idx]);
         }
         let suspect = self.note_round(idx, missed);
         if !missed || !suspect {
             return;
         }
-        let comp = self.monitored[idx].clone();
-        self.missing.insert(comp.clone());
-        let was_down = self.down.get(&comp).copied().unwrap_or(false);
-        if !was_down {
-            ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(&comp)));
+        let comp = &self.monitored[idx];
+        self.missing[idx] = true;
+        if !self.down[idx] {
+            ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(comp)));
         }
-        self.down.insert(comp.clone(), true);
+        self.down[idx] = true;
         if self.suspect_buffer.is_empty() {
             ctx.set_timer(SimDuration::ZERO, TIMER_FLUSH_SUSPECTS);
         }
-        self.suspect_buffer.push(comp);
+        self.suspect_buffer.push(comp.clone());
     }
 
     /// Reports everything convicted this instant. A lone suspect goes out as
@@ -268,18 +270,17 @@ impl Fd {
             }
             return;
         }
-        let idx = match self.outstanding.get(src) {
-            Some(&(expected, sent_at)) if expected == seq => {
-                self.outstanding.remove(src);
-                let rtt = ctx.now().saturating_since(sent_at);
-                ctx.telemetry()
-                    .observe("fd_ping_latency", src, rtt, LATENCY_BUCKETS);
-                (seq % SEQ_PER_ROUND) as usize
+        // The seq names the slot it was sent to; a pong from anyone else,
+        // or for a ping no longer outstanding, is stale.
+        let idx = (seq % SEQ_PER_ROUND) as usize;
+        let sent_at = match self.outstanding.get(idx) {
+            Some(&Some((expected, sent_at))) if expected == seq && self.monitored[idx] == src => {
+                sent_at
             }
             _ => {
                 // A pong whose seq does not match this round's outstanding
-                // ping (a delayed answer to an earlier epoch, or a duplicate
-                // of one already consumed). It is liveness evidence for a
+                // ping (a delayed answer to an earlier epoch, a duplicate of
+                // one already consumed, or another component's seq). It is liveness evidence for a
                 // round that already closed, not this one — counting it here
                 // would both skew the RTT histogram and, worse, let a stale
                 // answer produce an Alive notice for a component that has
@@ -288,14 +289,15 @@ impl Fd {
                 return;
             }
         };
-        let was_down = self.down.get(src).copied().unwrap_or(false);
-        if was_down || self.missing.contains(src) {
-            self.down.insert(src.to_string(), false);
-            self.missing.remove(src);
+        self.outstanding[idx] = None;
+        let rtt = ctx.now().saturating_since(sent_at);
+        ctx.telemetry()
+            .observe("fd_ping_latency", src, rtt, LATENCY_BUCKETS);
+        if self.down[idx] || self.missing[idx] {
+            self.down[idx] = false;
+            self.missing[idx] = false;
             // A recovered component starts from a clean suspicion window.
-            if let Some(h) = self.history.get_mut(idx) {
-                h.clear();
-            }
+            self.history[idx].clear();
             ctx.trace_mark(Mark::Alive(intern(src)));
             self.life.send_direct(
                 ctx,
@@ -330,8 +332,8 @@ impl Actor<Wire> for Fd {
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 // Answer REC's direct liveness pings.

@@ -859,8 +859,8 @@ impl Actor<Wire> for Rec {
             Event::Timer { key } => {
                 self.life.handle_beacon_timer(key, ctx, 0.0);
             }
-            Event::Message { mut payload, .. } => {
-                let Some(env) = self.life.parse(ctx, &mut payload) else {
+            Event::Message { payload, .. } => {
+                let Some(env) = self.life.parse(ctx, payload) else {
                     return;
                 };
                 if self.life.handle_common(&env, ctx, 0.0) {

@@ -102,7 +102,7 @@ impl PassScenario {
                     satellite: self.satellite.clone(),
                 },
             );
-            let wire = Wire::from(env.to_xml_string());
+            let wire = Wire::from(env);
             let sim = station.sim_mut();
             let Some(bus) = sim.lookup(names::MBUS) else {
                 continue;

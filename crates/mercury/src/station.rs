@@ -357,7 +357,7 @@ impl Station {
         // everything else — the fault model behind `FaultKind::Zombie`.
         sim.set_zombie_filter(|payload: &Wire| match payload.decoded() {
             Some(env) => env.body.is_liveness(),
-            None => mercury_msg::Envelope::parse(payload.xml())
+            None => mercury_msg::Envelope::parse(&payload.xml())
                 .map(|env| env.body.is_liveness())
                 .unwrap_or(false),
         });
@@ -651,7 +651,7 @@ impl Station {
             },
         );
         self.sim
-            .send_external(fedr, fedr, SimDuration::ZERO, hook.to_xml_string().into());
+            .send_external(fedr, fedr, SimDuration::ZERO, Wire::from(hook));
         self.note_injection(names::PBCOM, "correlated");
         self.sim.kill(pbcom);
         Ok(self.sim.now())

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mercury::components::common::{Shared, Wire};
+use mercury::components::common::{Lifecycle, Shared, Wire};
 use mercury::components::{Fedr, Mbus, Pbcom, Rtu, Ses, Str};
 use mercury::config::{names, StationConfig};
 use mercury_msg::{Envelope, Message};
@@ -19,15 +19,15 @@ struct Probe {
 impl Actor<Wire> for Probe {
     fn on_event(&mut self, ev: Event<Wire>, _ctx: &mut Context<'_, Wire>) {
         if let Event::Message { payload, .. } = ev {
-            if let Ok(env) = Envelope::parse(payload.xml()) {
-                self.seen.borrow_mut().push(env);
+            if let Ok(env) = payload.into_envelope() {
+                self.seen.borrow_mut().push(*env);
             }
         }
     }
 }
 
-/// A probe actor that keeps every wire it receives as it arrived: the bytes
-/// and the envelope handed along with them.
+/// A probe actor that keeps every wire it receives as it arrived, typed or
+/// bytes.
 struct WireProbe {
     seen: Rc<RefCell<Vec<Wire>>>,
 }
@@ -52,6 +52,42 @@ fn probe(sim: &mut Sim<Wire>, name: &str) -> Rc<RefCell<Vec<Envelope>>> {
     let s = seen.clone();
     sim.spawn(name, move || Box::new(Probe { seen: s.clone() }));
     seen
+}
+
+/// A component that, 10 s after it starts (mbus is up by then), sends each
+/// message of its script as a component does: through
+/// [`Lifecycle::send_bus`] when `routed`, else [`Lifecycle::send_direct`].
+struct Sender {
+    life: Lifecycle,
+    script: Vec<(bool, Message)>,
+}
+
+impl Actor<Wire> for Sender {
+    fn on_event(&mut self, ev: Event<Wire>, ctx: &mut Context<'_, Wire>) {
+        match ev {
+            Event::Start => ctx.set_timer(SimDuration::from_secs(10), 1),
+            Event::Timer { .. } => {
+                for (routed, msg) in std::mem::take(&mut self.script) {
+                    if routed {
+                        self.life.send_bus(ctx, "beta", msg);
+                    } else {
+                        self.life.send_direct(ctx, "beta", msg);
+                    }
+                }
+            }
+            Event::Message { .. } => {}
+        }
+    }
+}
+
+fn sender(sim: &mut Sim<Wire>, name: &'static str, script: Vec<(bool, Message)>) {
+    let sh = shared();
+    sim.spawn(name, move || {
+        Box::new(Sender {
+            life: Lifecycle::new(name, sh.clone()),
+            script: script.clone(),
+        })
+    });
 }
 
 fn send_env(sim: &mut Sim<Wire>, to: &str, env: Envelope) {
@@ -152,35 +188,66 @@ fn every_variant() -> Vec<Message> {
     ]
 }
 
+/// Every variant a component sends, routed through mbus and direct, arrives
+/// as the envelope that was sent: typed, never encoded or parsed on the way.
 #[test]
 fn mbus_hands_on_the_envelope_it_decoded() {
     let mut sim: Sim<Wire> = Sim::new(10);
     let sh = shared();
     sim.spawn(names::MBUS, move || Box::new(Mbus::new(sh.clone())));
     let beta = wire_probe(&mut sim, "beta");
-    sim.run_for(SimDuration::from_secs(10)); // mbus boots (~4.7s)
-
     let sent = every_variant();
     assert_eq!(sent.len(), 18);
-    for (id, msg) in sent.iter().enumerate() {
-        send_env(
-            &mut sim,
-            names::MBUS,
-            Envelope::new("alpha", "beta", id as u64, msg.clone()),
-        );
-    }
-    sim.run_for(SimDuration::from_secs(1));
+    let script: Vec<(bool, Message)> = [true, false]
+        .into_iter()
+        .flat_map(|routed| sent.iter().map(move |msg| (routed, msg.clone())))
+        .collect();
+    sender(&mut sim, "alpha", script.clone());
+    sim.run_for(SimDuration::from_secs(11)); // mbus boots (~4.7 s), alpha sends at 10 s
+
     let seen = beta.borrow();
-    assert_eq!(seen.len(), sent.len(), "every variant is routed");
-    for (wire, msg) in seen.iter().zip(&sent) {
-        let fresh = Envelope::parse(wire.xml()).expect("mbus forwards what it parsed");
-        assert_eq!(
-            wire.decoded(),
-            Some(&fresh),
-            "handed-on envelope of {msg:?}"
-        );
-        assert_eq!(&fresh.body, msg);
+    assert_eq!(seen.len(), script.len(), "every variant arrives both ways");
+    let mut got: Vec<&Envelope> = seen
+        .iter()
+        .map(|wire| {
+            wire.decoded()
+                .expect("a component's envelope arrives typed")
+        })
+        .collect();
+    got.sort_by_key(|env| env.id); // ids count from 1 in send order
+    for (i, (got, (_, msg))) in got.into_iter().zip(&script).enumerate() {
+        let want = Envelope::new("alpha", "beta", i as u64 + 1, msg.clone());
+        assert_eq!(got, &want);
     }
+}
+
+/// A sender cannot smuggle a value the decoder refuses past mbus: an
+/// infinite float travels as bytes and dies at the bus, logged.
+#[test]
+fn a_non_finite_float_sent_by_a_component_is_lost_at_mbus() {
+    let mut sim: Sim<Wire> = Sim::new(12);
+    *sim.telemetry_mut() = rr_sim::Registry::new();
+    let sh = shared();
+    sim.spawn(names::MBUS, move || Box::new(Mbus::new(sh.clone())));
+    let beta = wire_probe(&mut sim, "beta");
+    let unreadable = Message::PointAntenna {
+        azimuth_deg: f64::INFINITY,
+        elevation_deg: 0.0,
+    };
+    sender(&mut sim, "alpha", vec![(true, unreadable)]);
+    sim.run_for(SimDuration::from_secs(11));
+    assert!(
+        beta.borrow().is_empty(),
+        "mbus forwards nothing it cannot read"
+    );
+    assert_eq!(sim.telemetry().counter("parse_errors", names::MBUS), 1);
+    assert_eq!(
+        sim.trace()
+            .iter()
+            .filter(|e| e.text().is_some_and(|l| l.starts_with("parse-error:mbus:")))
+            .count(),
+        1
+    );
 }
 
 #[test]
@@ -524,14 +591,14 @@ fn ses_str_fresh_handshake_is_fast_and_mutual() {
 }
 
 /// The engine stores every queued event's payload inline, so the wire type's
-/// size is paid on every schedule, cascade and pop. A `String` is 24 B and
-/// the boxed envelope adds one pointer: 32 B. Holding the decoded envelope
-/// inline instead (`Option<Envelope>`, 120 B) makes every event 120 B
-/// larger, and that copying costs as much as the parse it saves. A quiet
-/// tree-V station run for an hour under `paper()` and `hardened()` (best of
-/// 8, five alternating runs on a 2-core x86 host) took 0.102–0.110 s with
-/// the box and 0.120–0.143 s inline: as slow as before the handoff existed
-/// (0.126–0.139 s, when FD also armed one timer per ping).
+/// size is paid on every schedule, cascade and pop. A wire is a `String` or
+/// one pointer to a boxed envelope: 24 B, the tag living in the string's
+/// capacity niche, and never more than the 32 B of the string-plus-pointer
+/// wire it replaced. Holding the envelope inline instead (120 B) makes every
+/// event that much larger, and that copying costs as much as the parse it
+/// saves. A quiet tree-V station run for an hour under `paper()` and
+/// `hardened()` (best of 8, five alternating runs on a 2-core x86 host)
+/// took 0.102–0.110 s with a boxed envelope and 0.120–0.143 s inline.
 #[test]
 fn wire_stays_two_words_of_string_and_one_pointer() {
     assert!(std::mem::size_of::<Wire>() <= 32);

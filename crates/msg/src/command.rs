@@ -523,6 +523,55 @@ impl Message {
         }
     }
 
+    /// Bytes of text in this message's strings, when the decoder reads every
+    /// value back as written; `None` when a float is not finite
+    /// (`req_f64` refuses it) or a `FailedBatch` would not split back into
+    /// its names (empty, or a name that is empty or holds the `+` joiner).
+    /// The mirror of [`Message::decode`] that
+    /// [`Envelope::round_trips`](crate::Envelope::round_trips) consults.
+    pub(crate) fn decodable_text_len(&self) -> Option<usize> {
+        let finite = |xs: &[f64]| xs.iter().all(|x| x.is_finite());
+        match self {
+            Message::Ping { .. }
+            | Message::Pong { .. }
+            | Message::SyncRequest { .. }
+            | Message::SyncAck { .. }
+            | Message::Ack { .. } => Some(0),
+            Message::TrackRequest { satellite } => Some(satellite.len()),
+            Message::PointAntenna {
+                azimuth_deg,
+                elevation_deg,
+            } => finite(&[*azimuth_deg, *elevation_deg]).then_some(0),
+            Message::EstimateRequest {
+                satellite,
+                at_epoch_s,
+            } => at_epoch_s.is_finite().then_some(satellite.len()),
+            Message::EstimateReply {
+                azimuth_deg,
+                elevation_deg,
+                range_km,
+                doppler_hz,
+            } => finite(&[*azimuth_deg, *elevation_deg, *range_km, *doppler_hz]).then_some(0),
+            Message::TuneRadio { frequency_hz, .. } => frequency_hz.is_finite().then_some(0),
+            Message::RadioCommand { verb, arg } => Some(verb.len() + arg.len()),
+            Message::SerialFrame { hex } => Some(hex.len()),
+            Message::Telemetry { satellite, hex, .. } => Some(satellite.len() + hex.len()),
+            Message::Beacon {
+                component,
+                uptime_s,
+                aging,
+                ..
+            } => finite(&[*uptime_s, *aging]).then_some(component.len()),
+            Message::Failed { component } | Message::Alive { component } => Some(component.len()),
+            Message::FailedBatch { components } => {
+                let splits = !components.is_empty()
+                    && components.iter().all(|c| !c.is_empty() && !c.contains('+'));
+                splits.then(|| components.iter().map(|c| c.len() + 1).sum())
+            }
+            Message::TestHook { action } => Some(action.len()),
+        }
+    }
+
     /// `true` for the failure-detection probe messages (ping/pong), which the
     /// bus prioritizes and which components must answer even while busy.
     pub fn is_liveness(&self) -> bool {

@@ -11,6 +11,14 @@ use crate::command::Message;
 use crate::error::MsgError;
 use crate::xml::{self, Element, ElementRef, XmlRead, XmlWrite};
 
+/// The longest escape of one byte of text (`&quot;`, `&apos;`).
+const ESCAPE_MAX_BYTES: usize = 6;
+
+/// A bound on an envelope's wire bytes other than its text: tags, keys,
+/// quotes, status and band words, and at most five numbers of at most 24
+/// bytes each. The widest envelopes (`beacon`, `state`) stay under 200.
+const MARKUP_MAX_BYTES: usize = 512;
+
 /// An addressed command-language message.
 ///
 /// ```
@@ -145,6 +153,31 @@ impl Envelope {
             Some(decoded) => decoded,
             None => Envelope::decode(&ElementRef::parse(wire)?),
         }
+    }
+
+    /// `true` only when the decoder is certain to read this envelope back
+    /// exactly: [`Envelope::parse`] of [`to_xml_string`](Self::to_xml_string)
+    /// returns an envelope equal to `self`, every float equal to the bit.
+    ///
+    /// The mirror of the decoder's refusals: every float is finite, a
+    /// `FailedBatch` is non-empty with no empty or `+`-holding name, and the
+    /// wire stays within [`MAX_WIRE_BYTES`](Self::MAX_WIRE_BYTES). The rest
+    /// always reads back: escaping and the attribute reader are inverses on
+    /// every string (the reader normalises no whitespace), integers and enum
+    /// words are exact, and a finite float is written in the shortest form
+    /// that parses to the same bits. The size check is conservative: it
+    /// bounds every byte of text by its longest escape, so an envelope with
+    /// more than about 43 KB of text answers `false` without being encoded.
+    /// A `false` costs nothing but speed: the envelope then travels as the
+    /// bytes it encodes to, and is read (or refused) where it lands.
+    pub fn round_trips(&self) -> bool {
+        self.body.decodable_text_len().is_some_and(|body_text| {
+            let text = body_text + self.src.len() + self.dst.len();
+            ESCAPE_MAX_BYTES
+                .saturating_mul(text)
+                .saturating_add(MARKUP_MAX_BYTES)
+                <= Envelope::MAX_WIRE_BYTES
+        })
     }
 
     /// A reply envelope: src/dst swapped, given id and body.

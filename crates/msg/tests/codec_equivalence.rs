@@ -18,6 +18,10 @@
 //! variant and on every single-edit neighbour of the canonical wires; and
 //! those wires, committed as `tests/golden/wire-corpus.txt`, pin the bytes
 //! both encoders emit independently of either.
+//!
+//! [`Envelope::round_trips`], which lets a station envelope skip the codec,
+//! is locked against the codec itself: wherever it answers `true`, encoding
+//! and parsing give back the envelope, every float to the bit.
 
 use mercury_msg::frame::{FrameError, TelemetryFrame};
 use mercury_msg::xml::{Element, ElementRef, ParseXmlError, MAX_NESTING_DEPTH};
@@ -484,6 +488,8 @@ fn readers_agree_on_generated_envelopes_of_every_variant() {
             assert_eq!(common::variant_index(&env.body), variant);
             let wire = env.to_xml_string();
             assert_readers_agree(&wire);
+            // Finite floats, well-formed batches and short text: all typed.
+            assert!(assert_round_trips_sound(&env), "refused {env:?}");
             assert_eq!(Envelope::parse(&wire), Ok(env), "on {wire:?}");
         });
     }
@@ -766,6 +772,297 @@ fn readers_agree_on_every_single_edit_neighbour_of_the_corpus() {
         ] {
             assert_readers_agree(&edited);
         }
+    }
+}
+
+// ----------------------------------------------- the round-trip predicate --
+
+/// Every float of `m`, as bits, in field order.
+fn float_bits(m: &Message) -> Vec<u64> {
+    let floats: Vec<f64> = match m {
+        Message::PointAntenna {
+            azimuth_deg,
+            elevation_deg,
+        } => vec![*azimuth_deg, *elevation_deg],
+        Message::EstimateRequest { at_epoch_s, .. } => vec![*at_epoch_s],
+        Message::EstimateReply {
+            azimuth_deg,
+            elevation_deg,
+            range_km,
+            doppler_hz,
+        } => vec![*azimuth_deg, *elevation_deg, *range_km, *doppler_hz],
+        Message::TuneRadio { frequency_hz, .. } => vec![*frequency_hz],
+        Message::Beacon {
+            uptime_s, aging, ..
+        } => vec![*uptime_s, *aging],
+        _ => vec![],
+    };
+    floats.into_iter().map(f64::to_bits).collect()
+}
+
+/// `true` when the codec gives `env` back exactly: the parse of its encoding
+/// equals it, and every float has the same bits (`==` alone would take
+/// `-0.0` for `0.0`).
+fn reads_back_exactly(env: &Envelope) -> bool {
+    Envelope::parse(&env.to_xml_string())
+        .is_ok_and(|back| back == *env && float_bits(&back.body) == float_bits(&env.body))
+}
+
+/// Asserts the predicate's one promise on `env`, and returns its answer.
+fn assert_round_trips_sound(env: &Envelope) -> bool {
+    let typed = env.round_trips();
+    if typed {
+        assert!(
+            reads_back_exactly(env),
+            "round_trips() but inexact: {env:?}"
+        );
+    }
+    typed
+}
+
+/// Every float field of the vocabulary, set to `x`, the others to ordinary
+/// values.
+fn every_float_field(x: f64) -> Vec<Message> {
+    let beacon = |uptime_s, aging| Message::Beacon {
+        component: "ses".into(),
+        status: ComponentStatus::Ok,
+        uptime_s,
+        aging,
+        handled: 3,
+    };
+    let state = |v: [f64; 4]| Message::EstimateReply {
+        azimuth_deg: v[0],
+        elevation_deg: v[1],
+        range_km: v[2],
+        doppler_hz: v[3],
+    };
+    vec![
+        Message::PointAntenna {
+            azimuth_deg: x,
+            elevation_deg: 1.0,
+        },
+        Message::PointAntenna {
+            azimuth_deg: 1.0,
+            elevation_deg: x,
+        },
+        Message::EstimateRequest {
+            satellite: "opal".into(),
+            at_epoch_s: x,
+        },
+        state([x, 1.0, 1.0, 1.0]),
+        state([1.0, x, 1.0, 1.0]),
+        state([1.0, 1.0, x, 1.0]),
+        state([1.0, 1.0, 1.0, x]),
+        Message::TuneRadio {
+            frequency_hz: x,
+            band: RadioBand::Vhf,
+        },
+        beacon(x, 0.5),
+        beacon(1.0, x),
+    ]
+}
+
+/// Every string field of the vocabulary, the addresses included, set to `s`.
+fn every_string_field(s: &str) -> Vec<Envelope> {
+    let bodies = vec![
+        Message::TrackRequest {
+            satellite: s.into(),
+        },
+        Message::EstimateRequest {
+            satellite: s.into(),
+            at_epoch_s: 1.0,
+        },
+        Message::RadioCommand {
+            verb: s.into(),
+            arg: s.into(),
+        },
+        Message::SerialFrame { hex: s.into() },
+        Message::Telemetry {
+            satellite: s.into(),
+            frame: 1,
+            hex: s.into(),
+        },
+        Message::Beacon {
+            component: s.into(),
+            status: ComponentStatus::Starting,
+            uptime_s: 1.0,
+            aging: 0.0,
+            handled: 0,
+        },
+        Message::Failed {
+            component: s.into(),
+        },
+        Message::FailedBatch {
+            components: vec!["fedr".into(), s.into()],
+        },
+        Message::Alive {
+            component: s.into(),
+        },
+        Message::TestHook { action: s.into() },
+    ];
+    let mut envs: Vec<Envelope> = bodies
+        .into_iter()
+        .map(|body| Envelope::new("fd", "rec", 1, body))
+        .collect();
+    envs.push(Envelope::new(s, s, 1, Message::Ping { seq: 1 }));
+    envs
+}
+
+/// The decoder's edges, each with the answer the predicate must give. A
+/// `true` must read back exactly; a `false` here is also what the codec says.
+#[test]
+fn round_trips_on_the_edge_table() {
+    let mut table: Vec<(Envelope, bool)> = Vec::new();
+    for (x, typed) in [
+        (f64::INFINITY, false),
+        (f64::NEG_INFINITY, false),
+        (f64::NAN, false),
+        (-0.0, true),
+        (f64::MIN_POSITIVE / 4.0, true), // subnormal
+        (f64::from_bits(1), true),       // the smallest subnormal
+        (f64::MAX, true),
+        (f64::MIN, true),
+    ] {
+        for body in every_float_field(x) {
+            table.push((Envelope::new("fd", "rec", 1, body), typed));
+        }
+    }
+    for names in [vec![], vec![""], vec!["a+b"], vec!["a", ""], vec!["+"]] {
+        let components = names.into_iter().map(String::from).collect();
+        let body = Message::FailedBatch { components };
+        table.push((Envelope::new("fd", "rec", 1, body), false));
+    }
+    for s in [
+        "&",
+        "<",
+        ">",
+        "\"",
+        "'",
+        "\t",
+        "\n",
+        "\r",
+        "\0",
+        "ünï → \u{1F6F0}",
+        "",
+    ] {
+        for env in every_string_field(&format!("x{s}y")) {
+            table.push((env, true));
+        }
+    }
+    let past = "ab".repeat(Envelope::MAX_WIRE_BYTES / 2 + 1);
+    table.push((
+        Envelope::new("pbcom", "fedr", 1, Message::SerialFrame { hex: past }),
+        false,
+    ));
+    for (env, typed) in &table {
+        assert_eq!(assert_round_trips_sound(env), *typed, "on {env:?}");
+        assert_eq!(reads_back_exactly(env), *typed, "the codec on {env:?}");
+    }
+}
+
+/// The size check is conservative, never loose. At the longest text it
+/// types, text that is all escapes (six bytes each) still reads back; one
+/// byte more is sent as bytes although it would still parse.
+#[test]
+fn round_trips_size_bound_is_conservative() {
+    let frame = |hex: String| Envelope::new("a", "b", 1, Message::SerialFrame { hex });
+    let (mut typed, mut refused) = (0, Envelope::MAX_WIRE_BYTES);
+    while refused - typed > 1 {
+        let mid = (typed + refused) / 2;
+        if frame("0".repeat(mid)).round_trips() {
+            typed = mid;
+        } else {
+            refused = mid;
+        }
+    }
+    assert!(typed > 40_000, "the bound types text up to {typed} bytes");
+    assert!(assert_round_trips_sound(&frame("0".repeat(typed))));
+    assert!(assert_round_trips_sound(&frame("\"".repeat(typed))));
+    assert!(!frame("0".repeat(refused)).round_trips());
+    assert!(reads_back_exactly(&frame("0".repeat(refused))));
+}
+
+/// What the station sends on every steady-state path must be typed, or the
+/// fast path has silently switched off.
+#[test]
+fn the_stations_own_messages_are_typed() {
+    use ComponentStatus::{Degraded, Ok as Up};
+    let radio = |verb: &str, arg: &str| Message::RadioCommand {
+        verb: verb.into(),
+        arg: arg.into(),
+    };
+    for (src, dst, body) in [
+        ("fd", "ses", Message::Ping { seq: 42_003 }),
+        (
+            "ses",
+            "fd",
+            Message::Pong {
+                seq: 42_003,
+                status: Up,
+            },
+        ),
+        (
+            "pbcom",
+            "fd",
+            Message::Pong {
+                seq: 7,
+                status: Degraded,
+            },
+        ),
+        (
+            "fedr",
+            "rec",
+            Message::Beacon {
+                component: "fedr".into(),
+                status: Up,
+                uptime_s: 1_234.567_891,
+                aging: 0.3125,
+                handled: 98_765,
+            },
+        ),
+        (
+            "fd",
+            "rec",
+            Message::Failed {
+                component: "rtu".into(),
+            },
+        ),
+        (
+            "fd",
+            "rec",
+            Message::FailedBatch {
+                components: vec!["fedr".into(), "pbcom".into()],
+            },
+        ),
+        (
+            "fd",
+            "rec",
+            Message::Alive {
+                component: "rtu".into(),
+            },
+        ),
+        ("ses", "str", Message::SyncRequest { incarnation: 2 }),
+        ("str", "ses", Message::SyncAck { incarnation: 2 }),
+        ("pbcom", "fedr", radio("OPEN-ACK", "")),
+        ("pbcom", "fedr", radio("KA-ACK", "")),
+        ("fedr", "pbcom", radio("KEEPALIVE", "")),
+        (
+            "injector",
+            "fedr",
+            Message::TestHook {
+                action: "poison".into(),
+            },
+        ),
+        (
+            "operator",
+            "str",
+            Message::TrackRequest {
+                satellite: "opal".into(),
+            },
+        ),
+    ] {
+        let env = Envelope::new(src, dst, 1, body);
+        assert!(assert_round_trips_sound(&env), "{env:?} must be typed");
     }
 }
 
