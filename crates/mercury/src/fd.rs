@@ -125,8 +125,13 @@ impl Fd {
         for (idx, comp) in self.monitored.iter().enumerate() {
             let seq = Self::seq_for(self.round, idx as u64);
             self.life.send_bus(ctx, comp, Message::Ping { seq });
-            ctx.telemetry().incr("fd_pings_sent");
             self.outstanding[idx] = Some((seq, ctx.now()));
+        }
+        // One counter write per round; none for an empty round, so that no
+        // zero-valued counter is exported.
+        let pinged = self.monitored.len() as u64;
+        if pinged > 0 {
+            ctx.telemetry().incr_by("fd_pings_sent", "", pinged);
         }
         // REC is pinged over the dedicated connection — unless we just
         // restarted it and it is still booting.

@@ -19,7 +19,7 @@
 use std::fmt;
 
 use crate::error::MsgError;
-use crate::xml::{self, Element, XmlRead, XmlWrite};
+use crate::xml::{self, ElementRef, WireWriter};
 
 /// Component self-reported status carried in pongs and beacons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -137,9 +137,7 @@ impl fmt::Display for TrackingState {
 /// ```
 /// use mercury_msg::Message;
 /// let m = Message::TuneRadio { frequency_hz: 437_100_000.0, band: mercury_msg::RadioBand::Uhf };
-/// let el = m.to_element();
-/// assert_eq!(Message::from_element(&el)?, m);
-/// # Ok::<(), mercury_msg::MsgError>(())
+/// assert_eq!(m.to_string(), r#"<tune freq="437100000.0" band="uhf"/>"#);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
@@ -272,12 +270,12 @@ pub enum Message {
     },
 }
 
-fn req_attr<'a, E: XmlRead>(el: &'a E, key: &str) -> Result<&'a str, MsgError> {
+fn req_attr<'a>(el: &'a ElementRef<'_>, key: &str) -> Result<&'a str, MsgError> {
     el.attr(key)
         .ok_or_else(|| MsgError::schema(format!("<{}> missing attribute {key:?}", el.name())))
 }
 
-fn req_u64<E: XmlRead>(el: &E, key: &str) -> Result<u64, MsgError> {
+fn req_u64(el: &ElementRef<'_>, key: &str) -> Result<u64, MsgError> {
     let raw = req_attr(el, key)?;
     raw.parse().map_err(|_| {
         MsgError::schema(format!(
@@ -287,7 +285,7 @@ fn req_u64<E: XmlRead>(el: &E, key: &str) -> Result<u64, MsgError> {
     })
 }
 
-fn req_f64<E: XmlRead>(el: &E, key: &str) -> Result<f64, MsgError> {
+fn req_f64(el: &ElementRef<'_>, key: &str) -> Result<f64, MsgError> {
     let raw = req_attr(el, key)?;
     let v: f64 = raw.parse().map_err(|_| {
         MsgError::schema(format!(
@@ -316,14 +314,9 @@ impl fmt::Display for RoundTrip {
 }
 
 impl Message {
-    /// Encodes the message as an XML element.
-    pub fn to_element(&self) -> Element {
-        xml::build_element(|w| self.write_xml(w))
-    }
-
     /// Writes the message's one attribute-only element to `w`: the encode
-    /// side of the vocabulary, whatever the sink produces.
-    pub(crate) fn write_xml<W: XmlWrite>(&self, w: &mut W) {
+    /// side of the vocabulary.
+    pub(crate) fn write_xml(&self, w: &mut WireWriter) {
         match self {
             Message::Ping { seq } => w.start("ping").attr_display("seq", seq).end("ping"),
             Message::Pong { seq, status } => w
@@ -421,25 +414,13 @@ impl Message {
         }
     }
 
-    /// Decodes a message from an owned XML element. Equivalent to
-    /// [`Message::decode`]; kept as the familiar named entry point.
+    /// Decodes a message from its element, straight off the parse.
     ///
     /// # Errors
     ///
     /// Returns [`MsgError::Schema`] if the element name is unknown or a
     /// required attribute is missing or malformed.
-    pub fn from_element(el: &Element) -> Result<Message, MsgError> {
-        Message::decode(el)
-    }
-
-    /// Decodes a message from any XML tree — the owned [`Element`] or the
-    /// zero-copy [`crate::ElementRef`] straight off the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MsgError::Schema`] if the element name is unknown or a
-    /// required attribute is missing or malformed.
-    pub fn decode<E: XmlRead>(el: &E) -> Result<Message, MsgError> {
+    pub(crate) fn decode(el: &ElementRef<'_>) -> Result<Message, MsgError> {
         match el.name() {
             "ping" => Ok(Message::Ping {
                 seq: req_u64(el, "seq")?,
@@ -590,11 +571,14 @@ mod tests {
     use super::*;
 
     fn round_trip(m: &Message) {
-        let el = m.to_element();
-        let wire = el.to_xml_string();
-        let parsed = Element::parse(&wire).expect("reparse");
-        let back = Message::from_element(&parsed).expect("decode");
+        let wire = m.to_string();
+        let parsed = ElementRef::parse(&wire).expect("reparse");
+        let back = Message::decode(&parsed).expect("decode");
         assert_eq!(&back, m, "wire: {wire}");
+    }
+
+    fn decode(wire: &str) -> Result<Message, MsgError> {
+        Message::decode(&ElementRef::parse(wire).expect("well-formed"))
     }
 
     #[test]
@@ -690,42 +674,27 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_element() {
-        let el = Element::new("warp-drive");
-        let err = Message::from_element(&el).unwrap_err();
+        let err = decode("<warp-drive/>").unwrap_err();
         assert!(err.to_string().contains("unknown message element"));
     }
 
     #[test]
     fn decode_rejects_missing_attribute() {
-        let el = Element::new("ping");
-        let err = Message::from_element(&el).unwrap_err();
+        let err = decode("<ping/>").unwrap_err();
         assert!(err.to_string().contains("missing attribute"));
     }
 
     #[test]
     fn decode_rejects_malformed_numbers() {
-        let el = Element::new("ping").with_attr("seq", "-1");
-        assert!(Message::from_element(&el).is_err());
-        let el = Element::new("point")
-            .with_attr("az", "north")
-            .with_attr("el", "1");
-        assert!(Message::from_element(&el).is_err());
-        let el = Element::new("point")
-            .with_attr("az", "inf")
-            .with_attr("el", "1");
-        assert!(Message::from_element(&el).is_err());
+        assert!(decode(r#"<ping seq="-1"/>"#).is_err());
+        assert!(decode(r#"<point az="north" el="1"/>"#).is_err());
+        assert!(decode(r#"<point az="inf" el="1"/>"#).is_err());
     }
 
     #[test]
     fn decode_rejects_bad_enums() {
-        let el = Element::new("pong")
-            .with_attr("seq", "1")
-            .with_attr("status", "zombie");
-        assert!(Message::from_element(&el).is_err());
-        let el = Element::new("tune")
-            .with_attr("freq", "1")
-            .with_attr("band", "x-ray");
-        assert!(Message::from_element(&el).is_err());
+        assert!(decode(r#"<pong seq="1" status="zombie"/>"#).is_err());
+        assert!(decode(r#"<tune freq="1" band="x-ray"/>"#).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 use crate::command::Message;
 use crate::error::MsgError;
-use crate::xml::{self, Element, ElementRef, XmlRead, XmlWrite};
+use crate::xml::{self, ElementRef, WireWriter};
 
 /// The longest escape of one byte of text (`&quot;`, `&apos;`).
 const ESCAPE_MAX_BYTES: usize = 6;
@@ -63,17 +63,12 @@ impl Envelope {
         }
     }
 
-    /// Encodes as an XML element.
-    pub fn to_element(&self) -> Element {
-        xml::build_element(|w| self.write_xml(w))
-    }
-
     /// Serializes to the single-line wire form.
     pub fn to_xml_string(&self) -> String {
         xml::wire_string(|w| self.write_xml(w))
     }
 
-    fn write_xml<W: XmlWrite>(&self, w: &mut W) {
+    fn write_xml(&self, w: &mut WireWriter) {
         w.start("msg")
             .attr("src", &self.src)
             .attr("dst", &self.dst)
@@ -82,23 +77,8 @@ impl Envelope {
         w.end("msg");
     }
 
-    /// Decodes an envelope from an owned XML element. Equivalent to
-    /// [`Envelope::decode`]; kept as the familiar named entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MsgError`] if the element is not a well-formed envelope.
-    pub fn from_element(el: &Element) -> Result<Envelope, MsgError> {
-        Envelope::decode(el)
-    }
-
-    /// Decodes an envelope from any XML tree — the owned [`Element`] or the
-    /// zero-copy [`ElementRef`] straight off the wire.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MsgError`] if the element is not a well-formed envelope.
-    pub fn decode<E: XmlRead>(el: &E) -> Result<Envelope, MsgError> {
+    /// Decodes an envelope from its parsed tree.
+    fn decode(el: &ElementRef<'_>) -> Result<Envelope, MsgError> {
         if el.name() != "msg" {
             return Err(MsgError::schema(format!(
                 "expected <msg>, found <{}>",
@@ -146,13 +126,7 @@ impl Envelope {
                 limit: Envelope::MAX_WIRE_BYTES,
             });
         }
-        // What our own encoder emits is read in place, without a tree; the
-        // input alone decides, and everything else (and every XML error)
-        // goes through the tree parser.
-        match xml::with_flat_document(wire, |el| Envelope::decode(el)) {
-            Some(decoded) => decoded,
-            None => Envelope::decode(&ElementRef::parse(wire)?),
-        }
+        Envelope::decode(&ElementRef::parse(wire)?)
     }
 
     /// `true` only when the decoder is certain to read this envelope back

@@ -72,7 +72,7 @@ mod tests {
     #[test]
     fn display_and_source() {
         use std::error::Error as _;
-        let xml_err = crate::xml::Element::parse("<a").unwrap_err();
+        let xml_err = crate::xml::ElementRef::parse("<a").unwrap_err();
         let e = MsgError::from(xml_err);
         assert!(e.to_string().contains("malformed"));
         assert!(e.source().is_some());

@@ -9,7 +9,8 @@
 //! This crate implements that command language from scratch:
 //!
 //! * [`xml`] — a small, dependency-free XML subset: elements, attributes,
-//!   text, escaping, comments. Enough to encode every Mercury message, small
+//!   text, escaping, comments. One reader ([`ElementRef::parse`]) and one
+//!   crate-private writer: enough to encode every Mercury message, small
 //!   enough to audit.
 //! * [`command`] — the message vocabulary: liveness pings and replies (the
 //!   application-level failure-detection probes of §2.2), tracking, tuning,
@@ -44,4 +45,4 @@ pub use command::{ComponentStatus, Message, RadioBand, TrackingState};
 pub use envelope::Envelope;
 pub use error::MsgError;
 pub use frame::{crc32, FrameError, TelemetryFrame};
-pub use xml::{Element, ElementRef, Node, NodeRef, ParseXmlError, XmlRead};
+pub use xml::{ElementRef, NodeRef, ParseXmlError};

@@ -1,303 +1,36 @@
 #![allow(clippy::disallowed_methods)]
-//! Differential lock for the zero-copy XML codec.
+//! Differential lock for the XML codec.
 //!
-//! The parse path was rewritten to produce a borrowed [`ElementRef`] tree
-//! (with [`Element::parse`] now defined as borrowed-parse + deep
-//! `into_owned`). This suite keeps a **verbatim reference copy of the old
-//! owned recursive-descent parser** and drives both implementations —
-//! plus the borrowed path — through fixed malformed corpora, every
-//! truncation of a representative document, random garbage, and random
-//! valid documents, asserting *identical* `Result` values (same trees,
-//! same error messages, same byte offsets). It also re-checks the two
-//! hardening properties the rewrite must not lose: the
-//! [`Envelope::MAX_WIRE_BYTES`] ceiling and non-ASCII hex rejection.
+//! The library has one reader, the zero-copy `ElementRef::parse`, and one
+//! writer. This suite drives the reader and the **reference** in
+//! `common/reference.rs` (a verbatim copy of the original owned parser and
+//! its owned `Element` tree) through fixed malformed corpora, every
+//! truncation of a representative document, random garbage, random valid
+//! documents and every single-edit neighbour of the canonical wires,
+//! asserting identical results: the same trees, or the same error text at
+//! the same byte offset. `Envelope::parse` must return that very XML error,
+//! and on every input the reference accepts it must read the reference's
+//! re-serialization the same way. It also re-checks the two hardening
+//! properties: the [`Envelope::MAX_WIRE_BYTES`] ceiling and non-ASCII hex
+//! rejection.
 //!
-//! The streamed envelope codec is locked the same way. `Envelope::parse`
-//! (which reads the encoder's own shape in place and falls back to the tree
-//! parser) must equal tree-parse-then-decode on generated envelopes of every
-//! variant and on every single-edit neighbour of the canonical wires; and
-//! those wires, committed as `tests/golden/wire-corpus.txt`, pin the bytes
-//! both encoders emit independently of either.
+//! The wires the encoder emits are committed as
+//! `tests/golden/wire-corpus.txt`; the reference reads each line and writes
+//! it back byte for byte.
 //!
 //! [`Envelope::round_trips`], which lets a station envelope skip the codec,
 //! is locked against the codec itself: wherever it answers `true`, encoding
 //! and parsing give back the envelope, every float to the bit.
 
 use mercury_msg::frame::{FrameError, TelemetryFrame};
-use mercury_msg::xml::{Element, ElementRef, ParseXmlError, MAX_NESTING_DEPTH};
+use mercury_msg::xml::MAX_NESTING_DEPTH;
 use mercury_msg::{ComponentStatus, Envelope, Message, MsgError, RadioBand};
 use rr_sim::{check, SimRng};
 
 mod common;
-
-// ------------------------------------------------- reference parser (old) --
-// A faithful copy of the pre-rewrite owned parser, adapted only to build
-// `Element` through its public API (the old code touched private fields).
-// Do not "fix" or modernize this code: its job is to be the old behaviour.
-
-struct RefParser<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-fn ref_parse(input: &str) -> Result<Element, ParseXmlError> {
-    let mut p = RefParser { input, pos: 0 };
-    p.skip_prolog();
-    let el = p.parse_element(0)?;
-    p.skip_misc();
-    if !p.at_end() {
-        return Err(p.error("trailing content after document element"));
-    }
-    Ok(el)
-}
-
-impl<'a> RefParser<'a> {
-    fn error(&self, message: impl Into<String>) -> ParseXmlError {
-        ParseXmlError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn eat(&mut self, prefix: &str) -> bool {
-        if self.rest().starts_with(prefix) {
-            self.pos += prefix.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, prefix: &str) -> Result<(), ParseXmlError> {
-        if self.eat(prefix) {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected {prefix:?}")))
-        }
-    }
-
-    fn skip_whitespace(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-
-    fn skip_comment(&mut self) -> Result<bool, ParseXmlError> {
-        if !self.eat("<!--") {
-            return Ok(false);
-        }
-        match self.rest().find("-->") {
-            Some(idx) => {
-                self.pos += idx + 3;
-                Ok(true)
-            }
-            None => Err(self.error("unterminated comment")),
-        }
-    }
-
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_whitespace();
-            match self.skip_comment() {
-                Ok(true) => continue,
-                _ => break,
-            }
-        }
-    }
-
-    fn skip_prolog(&mut self) {
-        self.skip_whitespace();
-        if self.eat("<?xml") {
-            if let Some(idx) = self.rest().find("?>") {
-                self.pos += idx + 2;
-            } else {
-                return;
-            }
-        }
-        self.skip_misc();
-    }
-
-    fn parse_name(&mut self) -> Result<String, ParseXmlError> {
-        let start = self.pos;
-        match self.peek() {
-            Some(c) if c.is_ascii_alphabetic() || c == '_' => {
-                self.bump();
-            }
-            _ => return Err(self.error("expected name")),
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
-        {
-            self.bump();
-        }
-        Ok(self.input[start..self.pos].to_string())
-    }
-
-    fn parse_attr_value(&mut self) -> Result<String, ParseXmlError> {
-        let quote = match self.bump() {
-            Some(q @ ('"' | '\'')) => q,
-            _ => return Err(self.error("expected quoted attribute value")),
-        };
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated attribute value")),
-                Some(c) if c == quote => {
-                    self.bump();
-                    return Ok(out);
-                }
-                Some('<') => return Err(self.error("'<' in attribute value")),
-                Some('&') => out.push(self.parse_entity()?),
-                Some(c) => {
-                    out.push(c);
-                    self.bump();
-                }
-            }
-        }
-    }
-
-    fn parse_entity(&mut self) -> Result<char, ParseXmlError> {
-        debug_assert_eq!(self.peek(), Some('&'));
-        for (entity, ch) in [
-            ("&amp;", '&'),
-            ("&lt;", '<'),
-            ("&gt;", '>'),
-            ("&quot;", '"'),
-            ("&apos;", '\''),
-        ] {
-            if self.eat(entity) {
-                return Ok(ch);
-            }
-        }
-        if self.eat("&#") {
-            let hex = self.eat("x");
-            let start = self.pos;
-            while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric()) {
-                self.bump();
-            }
-            let digits = &self.input[start..self.pos];
-            self.expect(";")?;
-            let code = u32::from_str_radix(digits, if hex { 16 } else { 10 })
-                .map_err(|_| self.error("bad character reference"))?;
-            return char::from_u32(code).ok_or_else(|| self.error("bad character reference"));
-        }
-        Err(self.error("unknown entity"))
-    }
-
-    fn parse_element(&mut self, depth: usize) -> Result<Element, ParseXmlError> {
-        if depth >= MAX_NESTING_DEPTH {
-            return Err(self.error(format!(
-                "element nesting deeper than {MAX_NESTING_DEPTH} levels"
-            )));
-        }
-        self.expect("<")?;
-        let name = self.parse_name()?;
-        let mut el = Element::new(name);
-        loop {
-            self.skip_whitespace();
-            match self.peek() {
-                Some('/') => {
-                    self.expect("/")?;
-                    self.expect(">")?;
-                    return Ok(el);
-                }
-                Some('>') => {
-                    self.bump();
-                    break;
-                }
-                Some(c) if c.is_ascii_alphabetic() || c == '_' => {
-                    let key = self.parse_name()?;
-                    self.skip_whitespace();
-                    self.expect("=")?;
-                    self.skip_whitespace();
-                    let value = self.parse_attr_value()?;
-                    if el.attr(&key).is_some() {
-                        return Err(self.error(format!("duplicate attribute {key:?}")));
-                    }
-                    el.set_attr(key, value);
-                }
-                _ => return Err(self.error("expected attribute, '>' or '/>'")),
-            }
-        }
-        loop {
-            if self.rest().starts_with("</") {
-                self.expect("</")?;
-                let close = self.parse_name()?;
-                if close != el.name() {
-                    return Err(self.error(format!(
-                        "mismatched close tag: expected </{}>, found </{close}>",
-                        el.name()
-                    )));
-                }
-                self.skip_whitespace();
-                self.expect(">")?;
-                return Ok(el);
-            }
-            if self.skip_comment()? {
-                continue;
-            }
-            match self.peek() {
-                None => return Err(self.error(format!("unterminated element <{}>", el.name()))),
-                Some('<') => {
-                    let child = self.parse_element(depth + 1)?;
-                    el.push_child(child);
-                }
-                Some(_) => {
-                    let mut text = String::new();
-                    loop {
-                        match self.peek() {
-                            None | Some('<') => break,
-                            Some('&') => text.push(self.parse_entity()?),
-                            Some(c) => {
-                                text.push(c);
-                                self.bump();
-                            }
-                        }
-                    }
-                    if !text.trim().is_empty() {
-                        el.push_text(text);
-                    }
-                }
-            }
-        }
-    }
-}
+use common::reference::{assert_reader_matches_reference, ref_parse, Element, NESTING_DEPTH};
 
 // ----------------------------------------------------------- equivalence --
-
-/// Asserts all three parse paths agree on `input`: the reference owned
-/// parser, the rewritten [`Element::parse`], and the zero-copy
-/// [`ElementRef::parse`] (compared after `into_owned`).
-fn assert_all_paths_agree(input: &str) {
-    let want = ref_parse(input);
-    assert_eq!(
-        Element::parse(input),
-        want,
-        "Element::parse diverged from reference on {input:?}"
-    );
-    assert_eq!(
-        ElementRef::parse(input).map(ElementRef::into_owned),
-        want,
-        "ElementRef::parse diverged from reference on {input:?}"
-    );
-}
 
 #[test]
 fn fixed_malformed_corpus_matches_reference() {
@@ -336,25 +69,24 @@ fn fixed_malformed_corpus_matches_reference() {
         "<a Ω=\"v\"/>",
         "<a/>\u{feff}",
     ] {
-        assert_all_paths_agree(input);
+        assert_reader_matches_reference(input);
     }
 }
 
 #[test]
 fn deep_nesting_rejected_identically() {
-    let deep = "<d>".repeat(MAX_NESTING_DEPTH + 1);
-    assert_all_paths_agree(&deep);
-    let just_ok = format!(
-        "{}{}",
-        "<d>".repeat(MAX_NESTING_DEPTH - 1),
-        "</d>".repeat(MAX_NESTING_DEPTH - 1)
-    );
-    assert_all_paths_agree(&just_ok);
+    assert_eq!(MAX_NESTING_DEPTH, NESTING_DEPTH);
+    let deep = "<d>".repeat(NESTING_DEPTH + 1);
+    assert_reader_matches_reference(&deep);
+    for levels in [NESTING_DEPTH - 1, NESTING_DEPTH, NESTING_DEPTH + 1] {
+        let nested = format!("{}{}", "<d>".repeat(levels), "</d>".repeat(levels));
+        assert_reader_matches_reference(&nested);
+    }
 }
 
 /// Every char-boundary prefix of a representative document (attributes,
 /// both quote styles, entities, numeric references, comments, nesting,
-/// mixed text) produces the identical error from all three paths.
+/// mixed text) reads the same through the reader and the reference.
 #[test]
 fn every_truncation_matches_reference() {
     let wire = "<?xml version=\"1.0\"?><!-- c --><msg src=\"fd\" dst='rec' id=\"12\">\
@@ -363,7 +95,7 @@ fn every_truncation_matches_reference() {
         if !wire.is_char_boundary(cut) {
             continue;
         }
-        assert_all_paths_agree(&wire[..cut]);
+        assert_reader_matches_reference(&wire[..cut]);
     }
 }
 
@@ -406,7 +138,7 @@ fn arb_garbage(rng: &mut SimRng) -> String {
 #[test]
 fn random_garbage_matches_reference() {
     check::run("codec garbage differential", 512, |rng| {
-        assert_all_paths_agree(&arb_garbage(rng));
+        assert_reader_matches_reference(&arb_garbage(rng));
     });
 }
 
@@ -443,12 +175,12 @@ fn random_valid_documents_match_reference() {
         let wire = doc.to_xml_string();
         let want = ref_parse(&wire);
         assert_eq!(want.as_ref(), Ok(&doc), "reference must accept own output");
-        assert_all_paths_agree(&wire);
+        assert_reader_matches_reference(&wire);
     });
 }
 
-/// The full envelope decode path (now zero-copy) agrees with the old
-/// two-step owned path: reference-parse then `Envelope::from_element`.
+/// Generated envelopes and garbage read the same through `Envelope::parse`
+/// and through the reference.
 #[test]
 fn envelope_parse_matches_reference_two_step() {
     check::run("envelope decode differential", 256, |rng| {
@@ -458,25 +190,29 @@ fn envelope_parse_matches_reference_two_step() {
         } else {
             arb_garbage(rng)
         };
-        let want = ref_parse(&wire)
-            .map_err(MsgError::Xml)
-            .and_then(|el| Envelope::from_element(&el));
-        assert_eq!(Envelope::parse(&wire), want, "on {wire:?}");
+        assert_readers_agree(&wire);
     });
 }
 
-// ------------------------------------------- streamed envelope codec --
+// ------------------------------------------------------ envelope codec --
 
-/// `Envelope::parse` against the tree parser followed by the generic decode:
-/// equal values, which for errors means equal variant, text and byte offset.
+/// The reader and the reference agree on `wire` (tree, or error text and
+/// byte offset); `Envelope::parse` returns the reference's XML error, and on
+/// a document the reference accepts it reads `wire` exactly as it reads the
+/// reference's canonical re-serialization of it.
 fn assert_readers_agree(wire: &str) {
+    assert_reader_matches_reference(wire);
     let got = Envelope::parse(wire);
-    let want = ElementRef::parse(wire)
-        .map_err(MsgError::Xml)
-        .and_then(|el| Envelope::decode(&el));
-    assert_eq!(got, want, "on {wire:?}");
-    if let (Err(got), Err(want)) = (got, want) {
-        assert_eq!(got.to_string(), want.to_string(), "on {wire:?}");
+    match ref_parse(wire) {
+        Err(e) => assert_eq!(got, Err(MsgError::Xml(e)), "on {wire:?}"),
+        Ok(tree) => {
+            let canonical = tree.to_xml_string();
+            assert_eq!(
+                got,
+                Envelope::parse(&canonical),
+                "on {wire:?} as {canonical:?}"
+            );
+        }
     }
 }
 
@@ -672,13 +408,14 @@ fn corpus_lines() -> Vec<String> {
         .collect()
 }
 
-/// The committed corpus, not an encoder, says what the wire is: both
-/// encoders and `Display` must produce each line from its envelope and the
-/// reader must produce the envelope from the line. Re-record after an
-/// intentional wire change with
-/// `GOLDEN_RECORD=1 cargo test -p mercury-msg --test codec_equivalence`.
+/// The committed corpus, not the encoder, says what the wire is: the encoder
+/// and both `Display`s must produce each line from its envelope, the reader
+/// must produce the envelope from the line, and the reference must read the
+/// line and write it back byte for byte. Re-record after an intentional wire
+/// change with `GOLDEN_RECORD=1 cargo test -p mercury-msg --test
+/// codec_equivalence`.
 #[test]
-fn wire_corpus_pins_both_encoders_and_the_reader() {
+fn wire_corpus_pins_the_encoder_and_the_reader() {
     let envelopes = corpus_envelopes();
     for variant in 0..common::VARIANTS {
         assert_eq!(
@@ -698,19 +435,19 @@ fn wire_corpus_pins_both_encoders_and_the_reader() {
     assert_eq!(lines.len(), envelopes.len(), "one line per corpus envelope");
     for (env, line) in envelopes.iter().zip(&lines) {
         assert_eq!(&env.to_xml_string(), line);
-        assert_eq!(&env.to_element().to_xml_string(), line);
         assert_eq!(&env.to_string(), line);
         assert_eq!(Envelope::parse(line).as_ref(), Ok(env), "on {line:?}");
-        assert_eq!(Element::parse(line), Ok(env.to_element()), "on {line:?}");
-        let body = env.body.to_element();
+        assert_reader_matches_reference(line);
+        let tree = ref_parse(line).expect("the reference reads the corpus");
+        assert_eq!(&tree.to_xml_string(), line);
+        let body = tree.child_elements().next().expect("one body");
         assert_eq!(env.body.to_string(), body.to_xml_string());
-        assert_eq!(env.to_element().child_elements().next(), Some(&body));
     }
 }
 
 /// Every single-edit neighbour of every corpus line reads the same through
-/// both readers, so the in-place reader accepts nothing the tree parser
-/// rejects or reads differently, and each error keeps its text and offset.
+/// the reader and the reference: the same tree, or the same error text at
+/// the same byte offset.
 #[test]
 fn readers_agree_on_every_single_edit_neighbour_of_the_corpus() {
     const REPLACEMENTS: [&str; 10] = [" ", "\t", "\"", "'", "<", ">", "&", "/", "=", "é"];
@@ -744,7 +481,7 @@ fn readers_agree_on_every_single_edit_neighbour_of_the_corpus() {
         let extra = |n: usize| -> String { (0..n).map(|i| format!(" x{i}=\"{i}\"")).collect() };
         let body_attrs = body_tag.matches("=\"").count();
         for edited in [
-            // Eight attributes are still read in place; the ninth is not.
+            // Wider elements than any message: eight and nine attributes.
             format!("{msg_tag}{}><{rest}", extra(5)),
             format!("{msg_tag}{}><{rest}", extra(6)),
             format!("{msg_tag}><{body_tag}{}/></msg>", extra(8 - body_attrs)),

@@ -1,5 +1,8 @@
-//! Message and envelope generators shared by the integration suites.
+//! Message and envelope generators shared by the integration suites, and
+//! the reference XML tree and parser they check the library against.
 #![allow(dead_code)] // each suite uses a different subset
+
+pub mod reference;
 
 use mercury_msg::{ComponentStatus, Envelope, Message, RadioBand};
 use rr_sim::{check, SimRng};

@@ -7,8 +7,10 @@
 //! and oversized envelopes — always with an error, never a panic.
 
 use mercury_msg::frame::{crc32, FrameError, TelemetryFrame};
-use mercury_msg::xml::Element;
-use mercury_msg::{Envelope, Message, MsgError};
+use mercury_msg::{ElementRef, Envelope, Message, MsgError};
+
+mod common;
+use common::reference::assert_reader_matches_reference;
 
 // ---------------------------------------------------------------- frames --
 
@@ -114,7 +116,8 @@ fn forged_length_with_valid_crc_is_rejected() {
 
 // ------------------------------------------------------------------- xml --
 
-/// Assorted garbage none of which is a well-formed document element.
+/// Assorted garbage none of which is a well-formed document element, refused
+/// with the reference's error text and offset.
 #[test]
 fn xml_garbage_is_rejected() {
     for bad in [
@@ -138,7 +141,8 @@ fn xml_garbage_is_rejected() {
         "</a>",
         "<1tag/>",
     ] {
-        assert!(Element::parse(bad).is_err(), "{bad:?} parsed");
+        assert!(ElementRef::parse(bad).is_err(), "{bad:?} parsed");
+        assert_reader_matches_reference(bad);
     }
 }
 
@@ -156,7 +160,8 @@ fn deeply_nested_xml_is_an_error_not_a_stack_overflow() {
         for _ in 0..depth {
             doc.push_str("</a>");
         }
-        let err = Element::parse(&doc).expect_err("deep nesting must be refused");
+        let err = ElementRef::parse(&doc).expect_err("deep nesting must be refused");
+        assert_reader_matches_reference(&doc);
         assert!(
             err.message.contains("nesting"),
             "depth {depth}: unexpected error {err}"
@@ -172,7 +177,8 @@ fn deeply_nested_xml_is_an_error_not_a_stack_overflow() {
     for _ in 0..ok_depth {
         doc.push_str("</a>");
     }
-    assert!(Element::parse(&doc).is_ok(), "cap is off by one");
+    assert!(ElementRef::parse(&doc).is_ok(), "cap is off by one");
+    assert_reader_matches_reference(&doc);
 }
 
 /// Unterminated constructs at every syntactic position: each must produce a
@@ -191,7 +197,8 @@ fn unterminated_xml_is_rejected_with_an_error() {
         ("<a></a", "expected"),
         ("<a><b/>", "unterminated element"),
     ] {
-        let err = Element::parse(bad).expect_err(bad);
+        let err = ElementRef::parse(bad).expect_err(bad);
+        assert_reader_matches_reference(bad);
         assert!(
             !err.message.is_empty() && err.message.contains(needle),
             "{bad:?}: expected error mentioning {needle:?}, got {err}"

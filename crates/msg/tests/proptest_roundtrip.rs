@@ -1,22 +1,26 @@
 #![allow(clippy::disallowed_methods)]
 //! Property tests: every generatable message and envelope survives a
-//! serialize → parse round trip, and the XML layer round-trips arbitrary
-//! attribute/text content (including characters that need escaping).
+//! serialize → parse round trip, and the XML reader reads arbitrary
+//! attribute/text content (including characters that need escaping) as the
+//! reference in `common/reference.rs` wrote it.
 
-use mercury_msg::{Element, Envelope, Message};
+use mercury_msg::{ElementRef, Envelope};
 use rr_sim::check;
 
 mod common;
+use common::reference::{assert_reader_matches_reference, ref_parse, Element};
 use common::{arb_message, arb_name, arb_text, arb_unicode};
 
 #[test]
 fn message_round_trips() {
     check::run("message_round_trips", 512, |rng| {
         let m = arb_message(rng);
-        let wire = m.to_element().to_xml_string();
-        let el = Element::parse(&wire).expect("reparse");
-        let back = Message::from_element(&el).expect("decode");
-        assert_eq!(back, m);
+        let wire = m.to_string();
+        let el = ref_parse(&wire).expect("the reference reads the body");
+        assert_eq!(el.to_xml_string(), wire);
+        let env = Envelope::parse(&format!(r#"<msg src="a" dst="b" id="1">{wire}</msg>"#))
+            .expect("decode");
+        assert_eq!(env.body, m);
     });
 }
 
@@ -38,8 +42,10 @@ fn xml_attr_values_round_trip() {
     check::run("xml_attr_values_round_trip", 256, |rng| {
         let value = arb_text(rng);
         let el = Element::new("t").with_attr("v", value.clone());
-        let back = Element::parse(&el.to_xml_string()).expect("parse");
+        let wire = el.to_xml_string();
+        let back = ElementRef::parse(&wire).expect("parse");
         assert_eq!(back.attr("v"), Some(value.as_str()));
+        assert_eq!(Element::from_ref(&back), el);
     });
 }
 
@@ -48,7 +54,8 @@ fn xml_text_round_trips_modulo_whitespace() {
     check::run("xml_text_round_trips_modulo_whitespace", 256, |rng| {
         let text = arb_text(rng);
         let el = Element::new("t").with_text(text.clone());
-        let back = Element::parse(&el.to_xml_string()).expect("parse");
+        let wire = el.to_xml_string();
+        let back = ElementRef::parse(&wire).expect("parse");
         // Pure-whitespace runs are dropped by the parser (they carry no
         // message content); anything else must round-trip exactly.
         if text.trim().is_empty() {
@@ -56,6 +63,7 @@ fn xml_text_round_trips_modulo_whitespace() {
         } else {
             assert_eq!(back.text(), text);
         }
+        assert_reader_matches_reference(&wire);
     });
 }
 
@@ -63,7 +71,7 @@ fn xml_text_round_trips_modulo_whitespace() {
 fn parser_never_panics_on_arbitrary_input() {
     check::run("parser_never_panics_on_arbitrary_input", 512, |rng| {
         let input = arb_unicode(rng, 64);
-        let _ = Element::parse(&input);
+        assert_reader_matches_reference(&input);
     });
 }
 
@@ -82,7 +90,8 @@ fn nested_elements_round_trip() {
         for _ in 0..depth {
             el = Element::new(name.clone()).with_child(el);
         }
-        let back = Element::parse(&el.to_xml_string()).expect("parse");
-        assert_eq!(back, el);
+        let wire = el.to_xml_string();
+        let back = ElementRef::parse(&wire).expect("parse");
+        assert_eq!(Element::from_ref(&back), el);
     });
 }
