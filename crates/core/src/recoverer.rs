@@ -5,8 +5,8 @@
 //! the actual restarts." The [`Recoverer`] here is execution-agnostic: it
 //! owns the tree, an [`Oracle`] and a [`RestartPolicy`], tracks failure
 //! *episodes*, and returns [`RecoveryDecision`]s. The caller (Mercury's `REC`
-//! process, or the threaded runtime's supervisor) actually kills and respawns
-//! processes and reports back.
+//! process, or rr-model's state machine) actually kills and respawns processes
+//! and reports back.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -179,19 +179,6 @@ impl<O: Oracle> Recoverer<O> {
     /// The oracle (e.g. to inspect learned estimates).
     pub fn oracle(&self) -> &O {
         &self.oracle
-    }
-
-    /// Replaces the tree (e.g. after an offline transformation). Open
-    /// episodes are cleared, since their node ids referred to the old tree.
-    pub fn set_tree(&mut self, tree: RestartTree) {
-        self.tree = Arc::new(tree);
-        self.episodes.clear();
-    }
-
-    /// Replaces the restart policy. Existing restart history is discarded;
-    /// the new policy governs subsequent decisions.
-    pub fn set_policy(&mut self, policy: RestartPolicy) {
-        self.policy = policy;
     }
 
     /// Replaces the deadline model ([`crate::deadline`]). Batch plans are
@@ -801,15 +788,6 @@ mod tests {
             rec.tree(),
             &rec.in_flight_cells()
         ));
-    }
-
-    #[test]
-    fn set_tree_clears_episodes() {
-        let mut rec = Recoverer::new(tree_iv(), PerfectOracle::new(), RestartPolicy::new());
-        rec.on_failure(Failure::solo("rtu"), t(0));
-        assert!(rec.is_recovering("rtu"));
-        rec.set_tree(tree_iv());
-        assert!(!rec.is_recovering("rtu"));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! * [`mercury_msg`] — the XML command language.
 //! * [`mercury`] — the simulated Mercury ground station (components, FD,
 //!   REC, orbit model, fault injection, measurement).
-//! * [`rr_runtime`] — the live threaded supervision runtime.
 //! * [`rr_harness`] — the experiment harness regenerating every table and
 //!   figure of the paper.
 //!
@@ -24,7 +23,6 @@
 //! cargo run --example ground_station --release
 //! cargo run --example faulty_oracle --release
 //! cargo run --example learning_oracle --release
-//! cargo run --example live_supervision
 //! ```
 
 #![forbid(unsafe_code)]
@@ -34,5 +32,4 @@ pub use mercury;
 pub use mercury_msg;
 pub use rr_core;
 pub use rr_harness;
-pub use rr_runtime;
 pub use rr_sim;
