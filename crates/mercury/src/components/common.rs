@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use mercury_msg::{ComponentStatus, Envelope, Message, MsgError};
 use rr_core::RecoveryMode;
-use rr_sim::{intern, Context, Mark, SimDuration, SimTime};
+use rr_sim::{intern, Context, Mark, ProcessId, SimDuration, SimTime};
 use rr_store::{RecoveryStats, StateStore};
 
 use crate::config::{calib, names, StationConfig};
@@ -76,7 +76,9 @@ impl Wire {
 
 impl From<Box<Envelope>> for Wire {
     /// Typed when the envelope [round-trips](Envelope::round_trips), else its
-    /// encoding. mbus forwards what it read through here.
+    /// encoding. mbus forwards the envelopes it parsed from bytes through
+    /// here; a typed wire it forwards as it came, unchecked, because its
+    /// sender built it through here.
     fn from(env: Box<Envelope>) -> Wire {
         if env.round_trips() {
             Wire(Carried::Envelope(env))
@@ -179,8 +181,12 @@ pub enum Phase {
 /// Per-component lifecycle helper embedded in each actor.
 #[derive(Debug)]
 pub struct Lifecycle {
-    name: String,
+    name: &'static str,
     shared: Shared,
+    /// mbus's process id, once [`send_bus`](Lifecycle::send_bus) has
+    /// resolved it. The engine never despawns, so an id outlives every kill
+    /// and respawn of its process.
+    bus: Option<ProcessId>,
     phase: Phase,
     started_at: SimTime,
     handled: u64,
@@ -189,10 +195,11 @@ pub struct Lifecycle {
 
 impl Lifecycle {
     /// Creates the lifecycle for component `name`.
-    pub fn new(name: impl Into<String>, shared: Shared) -> Lifecycle {
+    pub fn new(name: &'static str, shared: Shared) -> Lifecycle {
         Lifecycle {
-            name: name.into(),
+            name,
             shared,
+            bus: None,
             phase: Phase::Booting,
             started_at: SimTime::ZERO,
             handled: 0,
@@ -201,8 +208,8 @@ impl Lifecycle {
     }
 
     /// The component name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The shared station state.
@@ -249,8 +256,8 @@ impl Lifecycle {
         self.phase = Phase::Booting;
         self.started_at = ctx.now();
         self.handled = 0;
-        let base = calib::timing_for(&self.name).boot_dist();
-        let k = self.shared.load.borrow_mut().begin_boot(&self.name);
+        let base = calib::timing_for(self.name).boot_dist();
+        let k = self.shared.load.borrow_mut().begin_boot(self.name);
         let factor = if k <= 1 {
             1.0
         } else {
@@ -265,8 +272,8 @@ impl Lifecycle {
     /// load slot and schedules the first beacon.
     pub fn set_ready(&mut self, ctx: &mut Context<'_, Wire>) {
         self.phase = Phase::Ready;
-        self.shared.load.borrow_mut().end_boot(&self.name);
-        ctx.trace_mark(Mark::Ready(intern(&self.name)));
+        self.shared.load.borrow_mut().end_boot(self.name);
+        ctx.trace_mark(Mark::Ready(intern(self.name)));
         let period = self.config().fd.beacon_period_s;
         if period > 0.0 {
             ctx.set_timer(SimDuration::from_secs_f64(period), TIMER_BEACON);
@@ -279,27 +286,42 @@ impl Lifecycle {
         self.next_id
     }
 
+    /// Counts one envelope in `handled` that was read without
+    /// [`parse`](Lifecycle::parse): mbus forwarding a typed wire.
+    pub(super) fn count_handled(&mut self) {
+        self.handled += 1;
+    }
+
     /// Sends `msg` to `dst` through the message bus.
-    pub fn send_bus(&mut self, ctx: &mut Context<'_, Wire>, dst: &str, msg: Message) {
+    pub fn send_bus(
+        &mut self,
+        ctx: &mut Context<'_, Wire>,
+        dst: impl Into<Cow<'static, str>>,
+        msg: Message,
+    ) {
         let id = self.next_id();
-        let env = Envelope::new(self.name.clone(), dst, id, msg);
-        let Some(bus) = ctx.lookup(names::MBUS) else {
+        let Some(bus) = self.bus.or_else(|| ctx.lookup(names::MBUS)) else {
             return;
         };
-        let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
-        ctx.send_after(bus, latency, Wire::from(env));
+        self.bus = Some(bus);
+        let env = Envelope::new(self.name, dst, id, msg);
+        ctx.send_after(bus, calib::BUS_LATENCY, Wire::from(env));
     }
 
     /// Sends `msg` to `dst` over a dedicated point-to-point connection
     /// (FD↔REC, fedr↔pbcom).
-    pub fn send_direct(&mut self, ctx: &mut Context<'_, Wire>, dst: &str, msg: Message) {
+    pub fn send_direct(
+        &mut self,
+        ctx: &mut Context<'_, Wire>,
+        dst: impl Into<Cow<'static, str>>,
+        msg: Message,
+    ) {
         let id = self.next_id();
-        let env = Envelope::new(self.name.clone(), dst, id, msg);
-        let Some(pid) = ctx.lookup(dst) else {
+        let env = Envelope::new(self.name, dst, id, msg);
+        let Some(pid) = ctx.lookup(&env.dst) else {
             return;
         };
-        let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
-        ctx.send_after(pid, latency, Wire::from(env));
+        ctx.send_after(pid, calib::DIRECT_LATENCY, Wire::from(env));
     }
 
     /// Reads an incoming wire message, parsing it if it came as bytes, and
@@ -312,7 +334,7 @@ impl Lifecycle {
             }
             Err(e) => {
                 ctx.trace_mark(format!("parse-error:{}:{e}", self.name));
-                ctx.telemetry().incr_labeled("parse_errors", &self.name);
+                ctx.telemetry().incr_labeled("parse_errors", self.name);
                 None
             }
         }
@@ -343,9 +365,9 @@ impl Lifecycle {
                     // and must answer the same way.
                     let src = env.src.clone();
                     if self.name == names::FD || self.name == names::REC {
-                        self.send_direct(ctx, &src, pong);
+                        self.send_direct(ctx, src, pong);
                     } else {
-                        self.send_bus(ctx, &src, pong);
+                        self.send_bus(ctx, src, pong);
                     }
                 }
                 true
@@ -367,7 +389,7 @@ impl Lifecycle {
         }
         if self.phase == Phase::Ready {
             let beacon = Message::Beacon {
-                component: self.name.clone(),
+                component: self.name.to_string(),
                 status: if aging >= 0.75 {
                     ComponentStatus::Degraded
                 } else {

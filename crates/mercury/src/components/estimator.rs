@@ -223,8 +223,7 @@ impl Actor<Wire> for Ses {
                         range_km: la.range_km,
                         doppler_hz: doppler,
                     };
-                    let src = env.src.clone();
-                    self.life.send_bus(ctx, &src, reply);
+                    self.life.send_bus(ctx, env.src.clone(), reply);
                 }
             }
         }

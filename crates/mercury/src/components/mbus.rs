@@ -8,7 +8,7 @@
 //! suspected: their silence is explained by the bus.
 
 use mercury_msg::Message;
-use rr_sim::{Actor, Context, Event, ProcessId, SimDuration};
+use rr_sim::{Actor, Context, Event, ProcessId};
 
 use super::common::{Lifecycle, Shared, Wire, TIMER_BOOT};
 use crate::config::{calib, names};
@@ -40,8 +40,7 @@ fn next_hop(dst: &str, ctx: &mut Context<'_, Wire>) -> Option<ProcessId> {
 
 /// Sends `wire` on its bus hop to `pid`.
 fn forward(pid: ProcessId, wire: Wire, ctx: &mut Context<'_, Wire>) {
-    let latency = SimDuration::from_secs_f64(calib::BUS_LATENCY_S);
-    ctx.send_after(pid, latency, wire);
+    ctx.send_after(pid, calib::BUS_LATENCY, wire);
 }
 
 impl Actor<Wire> for Mbus {
@@ -58,6 +57,15 @@ impl Actor<Wire> for Mbus {
             Event::Message { payload, .. } => {
                 if !self.life.is_ready() {
                     return; // booting: traffic is silently lost
+                }
+                // A typed envelope for another component goes on as it
+                // came: its sender built the wire, which checked it.
+                if let Some(env) = payload.decoded().filter(|env| env.dst != names::MBUS) {
+                    self.life.count_handled();
+                    if let Some(pid) = next_hop(&env.dst, ctx) {
+                        forward(pid, payload, ctx);
+                    }
+                    return;
                 }
                 let Some(env) = self.life.parse(ctx, payload) else {
                     return;
@@ -79,8 +87,7 @@ impl Actor<Wire> for Mbus {
                         }
                     }
                 } else if let Some(pid) = next_hop(&env.dst, ctx) {
-                    // Forward what it read: a typed envelope as it came,
-                    // bytes as the envelope they decoded to.
+                    // Bytes travel on as the envelope they decoded to.
                     forward(pid, Wire::from(env), ctx);
                 }
             }

@@ -424,8 +424,7 @@ impl Actor<Wire> for Pbcom {
                         let Some(pid) = ctx.lookup(&env.src) else {
                             return;
                         };
-                        let latency = SimDuration::from_secs_f64(calib::DIRECT_LATENCY_S);
-                        ctx.send_after(pid, latency, Wire::from(ack));
+                        ctx.send_after(pid, calib::DIRECT_LATENCY, Wire::from(ack));
                     }
                     "DATA" if arg == "corrupt" && !self.dying => {
                         // The poisoned session corrupts the bridge (§4.4).

@@ -104,15 +104,21 @@ impl ComponentTiming {
 /// rest are protocol timings of the simulated station. DESIGN.md §5
 /// tabulates every constant and a unit test holds that table to these values.
 pub mod calib {
-    use super::{names, ComponentTiming};
+    use super::{names, ComponentTiming, SimDuration};
 
     /// One-way latency of an envelope hop over mbus.
     pub const BUS_LATENCY_S: f64 = 0.002;
+    /// [`BUS_LATENCY_S`] as a duration: what every bus hop waits.
+    pub const BUS_LATENCY: SimDuration = SimDuration::from_millis(2);
     /// One-way latency of the dedicated FD↔REC / fedr↔pbcom connections.
     pub const DIRECT_LATENCY_S: f64 = 0.001;
+    /// [`DIRECT_LATENCY_S`] as a duration.
+    pub const DIRECT_LATENCY: SimDuration = SimDuration::from_millis(1);
     /// Delay from REC issuing a restart to the new process's start event
     /// (process spawn cost).
     pub const EXEC_DELAY_S: f64 = 0.10;
+    /// [`EXEC_DELAY_S`] as a duration.
+    pub const EXEC_DELAY: SimDuration = SimDuration::from_millis(100);
     /// Quadratic restart-contention coefficient: k concurrently booting
     /// components are each slowed by `1 + q·(k−1)²`.
     pub const CONTENTION_QUADRATIC: f64 = 0.0119;
@@ -934,6 +940,28 @@ mod tests {
             design.contains(&table),
             "DESIGN.md §5 must contain this table verbatim:\n{table}"
         );
+    }
+
+    /// Each duration constant is its `_S` value converted exactly as a
+    /// caller would, so the `_S` value in the table above stays the one
+    /// source of each.
+    #[test]
+    fn calib_durations_are_their_seconds() {
+        for (name, duration, secs) in [
+            ("BUS_LATENCY", calib::BUS_LATENCY, calib::BUS_LATENCY_S),
+            (
+                "DIRECT_LATENCY",
+                calib::DIRECT_LATENCY,
+                calib::DIRECT_LATENCY_S,
+            ),
+            ("EXEC_DELAY", calib::EXEC_DELAY, calib::EXEC_DELAY_S),
+        ] {
+            assert_eq!(
+                duration.as_nanos(),
+                SimDuration::from_secs_f64(secs).as_nanos(),
+                "calib::{name}"
+            );
+        }
     }
 
     #[test]

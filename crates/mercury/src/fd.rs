@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use mercury_msg::Message;
 use rr_sim::telemetry::LATENCY_BUCKETS;
-use rr_sim::{intern, Actor, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
+use rr_sim::{intern, Actor, CompId, Context, EpisodeStage, Event, Mark, SimDuration, SimTime};
 
 use crate::components::common::{Lifecycle, Shared, Wire, TIMER_BOOT, TIMER_ROLE_BASE};
 use crate::config::{calib, names};
@@ -55,7 +55,9 @@ pub struct Fd {
     life: Lifecycle,
     /// The components monitored via mbus. The per-component state below is
     /// indexed alike, by *slot*: a component's position in this list.
-    monitored: Vec<String>,
+    monitored: Vec<&'static str>,
+    /// Each monitored component's telemetry and mark label, by slot.
+    monitored_ids: Vec<CompId>,
     /// mbus's slot, if mbus is monitored.
     mbus_slot: Option<usize>,
     round: u64,
@@ -83,6 +85,10 @@ pub struct Fd {
     rec_down: bool,
     /// Do not watch REC before this time (it is rebooting on our orders).
     rec_grace_until: SimTime,
+    /// How long a round waits for its pongs.
+    ping_timeout: SimDuration,
+    /// Time between the starts of two rounds.
+    ping_period: SimDuration,
 }
 
 impl Fd {
@@ -92,18 +98,22 @@ impl Fd {
     ///
     /// Panics if more components are monitored than a round's ping seqs can
     /// number (998).
-    pub fn new(shared: Shared, monitored: Vec<String>) -> Fd {
+    pub fn new(shared: Shared, monitored: &[String]) -> Fd {
         assert!(
             monitored.len() < REC_SEQ_INDEX as usize,
             "FD supports at most {} monitored components",
             REC_SEQ_INDEX - 1
         );
         let n = monitored.len();
+        let monitored_ids: Vec<CompId> = monitored.iter().map(|c| intern(c)).collect();
+        let ping_timeout = SimDuration::from_secs_f64(shared.config.fd.ping_timeout_s);
+        let ping_period = shared.config.ping_period();
         Fd {
             life: Lifecycle::new(names::FD, shared),
             history: vec![VecDeque::new(); n],
             mbus_slot: monitored.iter().position(|c| c == names::MBUS),
-            monitored,
+            monitored: monitored_ids.iter().map(|id| id.resolve()).collect(),
+            monitored_ids,
             round: 0,
             outstanding: vec![None; n],
             down: vec![false; n],
@@ -113,6 +123,8 @@ impl Fd {
             rec_misses: 0,
             rec_down: false,
             rec_grace_until: SimTime::ZERO,
+            ping_timeout,
+            ping_period,
         }
     }
 
@@ -122,7 +134,7 @@ impl Fd {
 
     fn ping_tick(&mut self, ctx: &mut Context<'_, Wire>) {
         self.round += 1;
-        for (idx, comp) in self.monitored.iter().enumerate() {
+        for (idx, &comp) in self.monitored.iter().enumerate() {
             let seq = Self::seq_for(self.round, idx as u64);
             self.life.send_bus(ctx, comp, Message::Ping { seq });
             self.outstanding[idx] = Some((seq, ctx.now()));
@@ -131,7 +143,8 @@ impl Fd {
         // zero-valued counter is exported.
         let pinged = self.monitored.len() as u64;
         if pinged > 0 {
-            ctx.telemetry().incr_by("fd_pings_sent", "", pinged);
+            ctx.telemetry()
+                .incr_by("fd_pings_sent", CompId::EMPTY, pinged);
         }
         // REC is pinged over the dedicated connection — unless we just
         // restarted it and it is still booting.
@@ -141,11 +154,8 @@ impl Fd {
                 .send_direct(ctx, names::REC, Message::Ping { seq: rec_seq });
             self.rec_outstanding = Some(rec_seq);
         }
-        let timeout = SimDuration::from_secs_f64(self.life.config().fd.ping_timeout_s);
-        ctx.set_timer(timeout, TIMER_TIMEOUT_BASE + self.round);
-
-        let period = self.life.config().ping_period();
-        ctx.set_timer(period, TIMER_PING_TICK);
+        ctx.set_timer(self.ping_timeout, TIMER_TIMEOUT_BASE + self.round);
+        ctx.set_timer(self.ping_period, TIMER_PING_TICK);
     }
 
     /// Records this round's hit/miss for monitored component `idx` and
@@ -192,22 +202,24 @@ impl Fd {
         }
         if missed {
             ctx.telemetry()
-                .incr_labeled("fd_ping_timeouts", &self.monitored[idx]);
+                .incr_labeled("fd_ping_timeouts", self.monitored_ids[idx]);
         }
         let suspect = self.note_round(idx, missed);
         if !missed || !suspect {
             return;
         }
-        let comp = &self.monitored[idx];
         self.missing[idx] = true;
         if !self.down[idx] {
-            ctx.trace_mark(Mark::Stage(EpisodeStage::Suspected, intern(comp)));
+            ctx.trace_mark(Mark::Stage(
+                EpisodeStage::Suspected,
+                self.monitored_ids[idx],
+            ));
         }
         self.down[idx] = true;
         if self.suspect_buffer.is_empty() {
             ctx.set_timer(SimDuration::ZERO, TIMER_FLUSH_SUSPECTS);
         }
-        self.suspect_buffer.push(comp.clone());
+        self.suspect_buffer.push(self.monitored[idx].to_string());
     }
 
     /// Reports everything convicted this instant. A lone suspect goes out as
@@ -249,8 +261,7 @@ impl Fd {
             ctx.trace_mark("fd-restarts:rec");
             ctx.telemetry().incr("fd_restarts_rec");
             ctx.kill_after(SimDuration::ZERO, rec);
-            let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
-            ctx.respawn_after(exec, rec);
+            ctx.respawn_after(calib::EXEC_DELAY, rec);
             let grace = SimDuration::from_secs_f64(calib::WATCHDOG_GRACE_S);
             self.rec_grace_until = ctx.now() + grace;
             self.rec_misses = 0;
@@ -296,14 +307,15 @@ impl Fd {
         };
         self.outstanding[idx] = None;
         let rtt = ctx.now().saturating_since(sent_at);
+        let id = self.monitored_ids[idx];
         ctx.telemetry()
-            .observe("fd_ping_latency", src, rtt, LATENCY_BUCKETS);
+            .observe("fd_ping_latency", id, rtt, LATENCY_BUCKETS);
         if self.down[idx] || self.missing[idx] {
             self.down[idx] = false;
             self.missing[idx] = false;
             // A recovered component starts from a clean suspicion window.
             self.history[idx].clear();
-            ctx.trace_mark(Mark::Alive(intern(src)));
+            ctx.trace_mark(Mark::Alive(id));
             self.life.send_direct(
                 ctx,
                 names::REC,

@@ -585,14 +585,13 @@ impl Rec {
             .load
             .borrow_mut()
             .announce(components.iter().cloned());
-        let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
         for comp in components {
             let Some(pid) = ctx.lookup(comp) else {
                 ctx.trace_mark(format!("restart-error:unknown:{comp}"));
                 continue;
             };
             ctx.kill_after(delay, pid);
-            ctx.respawn_after(delay + exec, pid);
+            ctx.respawn_after(delay + calib::EXEC_DELAY, pid);
         }
         // The cell members will not beacon while rebooting: restart their
         // staleness clocks from the button push so the zombie defense does
@@ -844,8 +843,7 @@ impl Actor<Wire> for Rec {
                             ctx.trace_mark("rec-restarts:fd");
                             ctx.telemetry().incr("rec_restarts_fd");
                             ctx.kill_after(SimDuration::ZERO, fd);
-                            let exec = SimDuration::from_secs_f64(calib::EXEC_DELAY_S);
-                            ctx.respawn_after(exec, fd);
+                            ctx.respawn_after(calib::EXEC_DELAY, fd);
                             let grace = SimDuration::from_secs_f64(calib::WATCHDOG_GRACE_S);
                             self.fd_grace_until = ctx.now() + grace;
                             self.fd_misses = 0;

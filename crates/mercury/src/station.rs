@@ -365,7 +365,7 @@ impl Station {
         let fd_shared = shared.clone();
         let monitored = components.clone();
         sim.spawn(names::FD, move || {
-            Box::new(Fd::new(fd_shared.clone(), monitored.clone()))
+            Box::new(Fd::new(fd_shared.clone(), &monitored))
         });
         let rec_shared = shared.clone();
         let rec_control = control.clone();

@@ -331,17 +331,114 @@ fn mbus_drops_traffic_while_booting() {
     let sh = shared();
     sim.spawn(names::MBUS, move || Box::new(Mbus::new(sh.clone())));
     let beta = probe(&mut sim, "beta");
-    // Send before mbus is ready (boot ≈ 4.7 s).
+    // Send before mbus is ready (boot ≈ 4.7 s), as bytes and typed.
     sim.run_for(SimDuration::from_secs(1));
     send_env(
         &mut sim,
         names::MBUS,
         Envelope::new("alpha", "beta", 1, Message::Ack { of: 1 }),
     );
+    let bus = sim.lookup(names::MBUS).expect("mbus exists");
+    let typed = Wire::from(Envelope::new("alpha", "beta", 2, Message::Ack { of: 2 }));
+    assert!(typed.decoded().is_some());
+    sim.send_external(bus, bus, SimDuration::ZERO, typed);
     sim.run_for(SimDuration::from_secs(10));
     assert!(
         beta.borrow().is_empty(),
         "booting bus loses traffic (fail-silent)"
+    );
+}
+
+/// What one run of [`through_mbus`] saw.
+struct BusRun {
+    sim: Sim<Wire>,
+    /// Every wire that reached `beta`, as it arrived.
+    beta: Vec<Wire>,
+    /// The `handled` count of mbus's beacon to REC at about 14.7 s.
+    handled: u64,
+}
+
+/// Boots mbus beside a `beta` and a `rec` probe, hands mbus `wires` at
+/// 10 s, after its first beacon, and runs to 15 s, past its second.
+fn through_mbus(wires: Vec<Wire>) -> BusRun {
+    let mut sim: Sim<Wire> = Sim::new(13);
+    let sh = shared();
+    sim.spawn(names::MBUS, move || Box::new(Mbus::new(sh.clone())));
+    let beta = wire_probe(&mut sim, "beta");
+    let rec = probe(&mut sim, names::REC);
+    sim.run_for(SimDuration::from_secs(10));
+    let bus = sim.lookup(names::MBUS).expect("mbus exists");
+    for wire in wires {
+        sim.send_external(bus, bus, SimDuration::ZERO, wire);
+    }
+    sim.run_until(SimTime::from_secs(15));
+    let handled = rec
+        .borrow()
+        .iter()
+        .rev()
+        .find_map(|env| match env.body {
+            Message::Beacon { handled, .. } => Some(handled),
+            _ => None,
+        })
+        .expect("mbus beacons to REC");
+    let beta = beta.borrow().clone();
+    BusRun { sim, beta, handled }
+}
+
+/// A typed envelope for another component leaves mbus as it came, typed
+/// and equal, and counts once in `handled`.
+#[test]
+fn mbus_forwards_a_typed_wire_as_it_came() {
+    let env = Envelope::new("alpha", "beta", 5, Message::Ack { of: 4 });
+    let wire = Wire::from(env.clone());
+    assert!(wire.decoded().is_some());
+    let quiet = through_mbus(Vec::new());
+    let run = through_mbus(vec![wire]);
+    assert_eq!(run.beta.len(), 1);
+    assert_eq!(run.beta[0].decoded(), Some(&env));
+    assert_eq!(run.handled, quiet.handled + 1);
+}
+
+/// Bytes are parsed at mbus, once: the envelope they decode to travels on
+/// typed, so the addressee does not parse them again.
+#[test]
+fn mbus_parses_a_bytes_wire_once() {
+    let env = Envelope::new("alpha", "beta", 6, Message::Ack { of: 5 });
+    let wire = Wire::from(env.to_xml_string());
+    assert!(wire.decoded().is_none());
+    let quiet = through_mbus(Vec::new());
+    let run = through_mbus(vec![wire]);
+    assert_eq!(run.beta.len(), 1);
+    assert_eq!(run.beta[0].decoded(), Some(&env));
+    assert_eq!(run.handled, quiet.handled + 1);
+}
+
+/// A typed envelope to a name no process has is logged once and goes
+/// nowhere.
+#[test]
+fn mbus_flags_a_typed_wire_to_an_unknown_name() {
+    let wire = Wire::from(Envelope::new(
+        "alpha",
+        "nonexistent",
+        7,
+        Message::Ack { of: 6 },
+    ));
+    assert!(wire.decoded().is_some());
+    let quiet = through_mbus(Vec::new());
+    let run = through_mbus(vec![wire]);
+    assert!(run.beta.is_empty());
+    let errors: Vec<&str> = run
+        .sim
+        .trace()
+        .iter()
+        .filter_map(|e| e.text())
+        .filter(|l| l.starts_with("route-error:"))
+        .collect();
+    assert_eq!(errors, ["route-error:nonexistent"]);
+    assert_eq!(
+        run.sim.events_processed(),
+        quiet.sim.events_processed() + 1,
+        "the wire's delivery to mbus, and no hop after it"
     );
 }
 

@@ -5,6 +5,7 @@
 //! exception in the paper — the dedicated FD↔REC connection (§2.2) — uses the
 //! same envelope format over its own channel.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::command::Message;
@@ -33,10 +34,11 @@ const MARKUP_MAX_BYTES: usize = 512;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
-    /// Name of the sending component.
-    pub src: String,
-    /// Name of the destination component.
-    pub dst: String,
+    /// Name of the sending component: borrowed when a component names itself
+    /// or a peer by a `'static` name, so addressing allocates nothing.
+    pub src: Cow<'static, str>,
+    /// Name of the destination component (borrowed or owned, as `src`).
+    pub dst: Cow<'static, str>,
     /// Sender-assigned envelope id (used by [`Message::Ack`]).
     pub id: u64,
     /// The payload.
@@ -54,7 +56,12 @@ impl Envelope {
     pub const MAX_WIRE_BYTES: usize = 256 * 1024;
 
     /// Creates an envelope.
-    pub fn new(src: impl Into<String>, dst: impl Into<String>, id: u64, body: Message) -> Envelope {
+    pub fn new(
+        src: impl Into<Cow<'static, str>>,
+        dst: impl Into<Cow<'static, str>>,
+        id: u64,
+        body: Message,
+    ) -> Envelope {
         Envelope {
             src: src.into(),
             dst: dst.into(),
@@ -106,8 +113,8 @@ impl Envelope {
         }
         let body = Message::decode(body_el)?;
         Ok(Envelope {
-            src: src.to_string(),
-            dst: dst.to_string(),
+            src: Cow::Owned(src.to_string()),
+            dst: Cow::Owned(dst.to_string()),
             id,
             body,
         })

@@ -641,7 +641,12 @@ fn every_string_field(s: &str) -> Vec<Envelope> {
         .into_iter()
         .map(|body| Envelope::new("fd", "rec", 1, body))
         .collect();
-    envs.push(Envelope::new(s, s, 1, Message::Ping { seq: 1 }));
+    envs.push(Envelope::new(
+        s.to_string(),
+        s.to_string(),
+        1,
+        Message::Ping { seq: 1 },
+    ));
     envs
 }
 

@@ -547,6 +547,13 @@ impl<M> Sim<M> {
         let Some((time, _seq, action)) = self.queue.pop() else {
             return false;
         };
+        self.dispatch(time, action);
+        true
+    }
+
+    /// Advances the clock to `time` and carries out `action`, the event
+    /// just popped.
+    fn dispatch(&mut self, time: SimTime, action: Action<M>) {
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
         self.events_processed += 1;
@@ -562,7 +569,6 @@ impl<M> Sim<M> {
             Action::Zombify(id) => self.do_zombify(id),
             Action::Respawn(id) => self.do_respawn(id),
         }
-        true
     }
 
     /// Runs until the event queue is empty. Returns the number of events
@@ -578,11 +584,8 @@ impl<M> Sim<M> {
     /// exactly at `deadline` are processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let start = self.events_processed;
-        while let Some(head_time) = self.queue.peek_time() {
-            if head_time > deadline {
-                break;
-            }
-            self.step();
+        while let Some((time, _seq, action)) = self.queue.pop_until(deadline) {
+            self.dispatch(time, action);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -1116,6 +1119,111 @@ mod tests {
         let mut sim: Sim<Msg> = Sim::new(6);
         sim.run_until(SimTime::from_secs(42));
         assert_eq!(sim.now(), SimTime::from_secs(42));
+    }
+
+    /// A name keeps its process id through every fault and restart, because
+    /// the engine never despawns; a component may therefore resolve a peer
+    /// once and keep the id.
+    #[test]
+    fn lookup_is_stable_across_kill_hang_and_respawn() {
+        let (mut sim, responder, _) = ping_sim();
+        sim.run_until(SimTime::from_secs(2));
+        for hang in [false, true] {
+            if hang {
+                sim.hang_after(SimDuration::ZERO, responder);
+            } else {
+                sim.kill(responder);
+            }
+            sim.run_for(SimDuration::from_secs(1));
+            assert_ne!(sim.state(responder), ProcessState::Running);
+            assert_eq!(sim.lookup("responder"), Some(responder));
+            sim.respawn_after(SimDuration::ZERO, responder);
+            sim.run_for(SimDuration::from_secs(1));
+            assert_eq!(sim.state(responder), ProcessState::Running);
+            assert_eq!(sim.lookup("responder"), Some(responder));
+        }
+    }
+
+    /// Logs every event it sees. Cycles timer keys 0, 1, 2 (250 or 500 ms
+    /// apart) and pings its peer on each with a delay of 100 ms per key, so
+    /// a key-0 timer and both zero-delay pings share an instant. Quiet after
+    /// 3 s.
+    struct Chatter {
+        peer: &'static str,
+        log: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, ProcessId, String)>>>,
+    }
+    impl Actor<Msg> for Chatter {
+        fn on_event(&mut self, ev: Event<Msg>, ctx: &mut Context<'_, Msg>) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), ctx.id(), format!("{ev:?}")));
+            let key = match ev {
+                Event::Start => 0,
+                Event::Timer { key } => key,
+                Event::Message { .. } => return,
+            };
+            if ctx.now() < SimTime::from_secs(3) {
+                ctx.set_timer(SimDuration::from_millis(250 * (1 + key % 2)), (key + 1) % 3);
+                let peer = ctx.lookup(self.peer).unwrap();
+                ctx.send_after(peer, SimDuration::from_millis(100 * key), Msg::Ping);
+            }
+        }
+    }
+
+    /// The peek-then-step loop `run_until` replaced.
+    fn peek_then_step_until(sim: &mut Sim<Msg>, deadline: SimTime) -> u64 {
+        let start = sim.events_processed;
+        while let Some(head) = sim.queue.peek_time() {
+            if head > deadline {
+                break;
+            }
+            sim.step();
+        }
+        if sim.now < deadline {
+            sim.now = deadline;
+        }
+        sim.events_processed - start
+    }
+
+    /// `run_until` dispatches what the peek-then-step loop dispatches, in
+    /// the same order, at deadlines on an event, between two events and
+    /// past the last one, and leaves the same clock and count.
+    #[test]
+    fn run_until_dispatches_what_peek_then_step_dispatches() {
+        type Log = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, ProcessId, String)>>>;
+        let chatter = |log: &Log| {
+            let mut sim: Sim<Msg> = Sim::new(12);
+            for (name, peer) in [("a", "b"), ("b", "a")] {
+                let log = log.clone();
+                sim.spawn(name, move || {
+                    Box::new(Chatter {
+                        peer,
+                        log: log.clone(),
+                    })
+                });
+            }
+            sim
+        };
+        let (fast_log, slow_log) = (Log::default(), Log::default());
+        let (mut fast, mut slow) = (chatter(&fast_log), chatter(&slow_log));
+        let ms = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+        let deadlines = [
+            SimTime::ZERO,                    // the spawn instant
+            ms(250),                          // a timer instant
+            SimTime::from_nanos(620_000_001), // between pings at 350 and timers at 750 ms
+            ms(1000),                         // timers and pings together
+            SimTime::from_secs(60),           // past the last event
+        ];
+        for deadline in deadlines {
+            let ran = fast.run_until(deadline);
+            assert_eq!(ran, peek_then_step_until(&mut slow, deadline));
+            assert_eq!(fast.now(), slow.now());
+            assert_eq!(fast.events_processed(), slow.events_processed());
+            assert_eq!(fast.seq, slow.seq, "the same events were scheduled");
+            assert_eq!(*fast_log.borrow(), *slow_log.borrow());
+        }
+        assert!(fast.queue.is_empty());
+        assert!(fast.events_processed() > 30, "{}", fast.events_processed());
     }
 
     #[test]

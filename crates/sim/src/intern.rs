@@ -39,8 +39,8 @@ fn pool() -> &'static RwLock<Pool> {
     static POOL: OnceLock<RwLock<Pool>> = OnceLock::new();
     POOL.get_or_init(|| {
         RwLock::new(Pool {
-            by_name: FxHashMap::default(),
-            names: Vec::new(),
+            by_name: [("", CompId::EMPTY)].into_iter().collect(),
+            names: vec![""],
         })
     })
 }
@@ -72,6 +72,10 @@ pub fn intern(name: &str) -> CompId {
 }
 
 impl CompId {
+    /// The empty name, interned before any other: the label of every
+    /// unlabelled metric, usable without a trip through the pool.
+    pub const EMPTY: CompId = CompId(0);
+
     /// The interned string this handle stands for.
     pub fn resolve(self) -> &'static str {
         let pool = pool().read().unwrap_or_else(|e| e.into_inner());
@@ -98,6 +102,12 @@ impl From<&str> for CompId {
     }
 }
 
+impl From<&String> for CompId {
+    fn from(name: &String) -> CompId {
+        intern(name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +117,12 @@ mod tests {
         let id = intern("pbcom-test-roundtrip");
         assert_eq!(id.resolve(), "pbcom-test-roundtrip");
         assert_eq!(id.to_string(), "pbcom-test-roundtrip");
+    }
+
+    #[test]
+    fn empty_is_the_empty_name() {
+        assert_eq!(intern(""), CompId::EMPTY);
+        assert_eq!(CompId::EMPTY.resolve(), "");
     }
 
     #[test]

@@ -158,8 +158,7 @@ impl DurationHistogram {
 }
 
 /// Metric identity: a static metric name plus an optional label (the
-/// component, interned; [`intern`] of the empty string for unlabelled
-/// metrics). Hot-path lookups hash two words instead of a `String`;
+/// component, interned; [`CompId::EMPTY`] for unlabelled metrics). Hot-path lookups hash two words instead of a `String`;
 /// exporters re-sort by resolved name so output order never depends on
 /// interning order.
 type MetricKey = (&'static str, CompId);
@@ -251,20 +250,24 @@ impl Registry {
 
     /// Increments the unlabelled counter `name`.
     pub fn incr(&mut self, name: &'static str) {
-        self.incr_by(name, "", 1);
+        self.incr_by(name, CompId::EMPTY, 1);
     }
 
     /// Increments the counter `name` labelled with `label`.
-    pub fn incr_labeled(&mut self, name: &'static str, label: &str) {
+    pub fn incr_labeled(&mut self, name: &'static str, label: impl Into<CompId>) {
         self.incr_by(name, label, 1);
     }
 
     /// Adds `by` to the counter `(name, label)`.
-    pub fn incr_by(&mut self, name: &'static str, label: &str, by: u64) {
+    ///
+    /// A label is a component name, as text or as the [`CompId`] it interns
+    /// to; both name one series. A caller that holds the id saves the
+    /// intern pool's lock and hash.
+    pub fn incr_by(&mut self, name: &'static str, label: impl Into<CompId>, by: u64) {
         if !self.enabled {
             return;
         }
-        *self.counters.entry((name, intern(label))).or_insert(0) += by;
+        *self.counters.entry((name, label.into())).or_insert(0) += by;
     }
 
     /// Current value of the counter `(name, label)` (0 if never touched).
@@ -276,11 +279,11 @@ impl Registry {
     }
 
     /// Sets the gauge `(name, label)` to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, label: &str, value: f64) {
+    pub fn set_gauge(&mut self, name: &'static str, label: impl Into<CompId>, value: f64) {
         if !self.enabled {
             return;
         }
-        self.gauges.insert((name, intern(label)), value);
+        self.gauges.insert((name, label.into()), value);
     }
 
     /// Current value of the gauge `(name, label)`, if ever set.
@@ -293,7 +296,7 @@ impl Registry {
     pub fn observe(
         &mut self,
         name: &'static str,
-        label: &str,
+        label: impl Into<CompId>,
         d: SimDuration,
         spec: (f64, f64, usize),
     ) {
@@ -301,7 +304,7 @@ impl Registry {
             return;
         }
         self.durations
-            .entry((name, intern(label)))
+            .entry((name, label.into()))
             .or_insert_with(|| DurationHistogram::new(spec.0, spec.1, spec.2))
             .observe(d);
     }
@@ -404,7 +407,7 @@ impl Registry {
             // fact: no mark carries it, so `record_injected` records it.
             Mark::Stage(EpisodeStage::Injected, _) => {}
             Mark::Stage(EpisodeStage::Suspected, c) => {
-                self.incr_labeled("fd_suspicions", c.resolve());
+                self.incr_labeled("fd_suspicions", c);
                 self.record_stage(at, c.resolve(), EpisodeStage::Suspected, "");
             }
             // Deferral keeps the injection timer open: the delay counts
@@ -418,7 +421,7 @@ impl Registry {
             // A shed request is a duplicate of one already queued.
             Mark::Stage(EpisodeStage::Shed, c) => {
                 self.incr("admission_shed");
-                self.incr_labeled("admission_shed_component", c.resolve());
+                self.incr_labeled("admission_shed_component", c);
                 self.record_stage(at, c.resolve(), EpisodeStage::Shed, "duplicate-of-deferred");
             }
             Mark::Stage(EpisodeStage::Quarantined, c) => self.quarantined(at, c),
@@ -493,7 +496,7 @@ impl Registry {
         self.record_stage(at, owner, EpisodeStage::Planned, &detail);
 
         self.incr("restarts_issued");
-        for c in &components {
+        for &c in &components {
             self.incr_labeled("component_restarts", c);
         }
         let detail = format!("attempt={attempt} set={}", components.join("+"));
@@ -828,6 +831,47 @@ mod tests {
             r.to_json(),
             "{\"counters\":{},\"gauges\":{},\"durations\":{},\"events\":[]}"
         );
+    }
+
+    /// A label given as text and one given as its `CompId` name one series,
+    /// and a registry filled either way exports the same bytes.
+    #[test]
+    fn text_and_id_labels_are_one_series() {
+        let fill = |by_id: bool| {
+            let mut r = Registry::new();
+            for (name, label) in [("pings", "rtu"), ("pings", "ses"), ("pings", "rtu")] {
+                if by_id {
+                    r.incr_by(name, intern(label), 2);
+                    r.incr_labeled(name, intern(label));
+                    r.set_gauge("aging", intern(label), 0.5);
+                    r.observe(
+                        "rtt",
+                        intern(label),
+                        SimDuration::from_millis(4),
+                        LATENCY_BUCKETS,
+                    );
+                } else {
+                    r.incr_by(name, label, 2);
+                    r.incr_labeled(name, label);
+                    r.set_gauge("aging", label, 0.5);
+                    r.observe("rtt", label, SimDuration::from_millis(4), LATENCY_BUCKETS);
+                }
+            }
+            r
+        };
+        let (by_text, by_id) = (fill(false), fill(true));
+        let mut mixed = fill(false);
+        mixed.incr_labeled("pings", intern("rtu"));
+        mixed.incr_labeled("pings", "rtu");
+        assert_eq!(mixed.counter("pings", "rtu"), 8);
+        assert_eq!(mixed.counters().count(), 2, "one series per label");
+        assert_eq!(by_id.counter("pings", "rtu"), 6);
+        assert_eq!(
+            by_id.duration("rtt", "rtu").map(DurationHistogram::count),
+            Some(2)
+        );
+        assert_eq!(by_text.to_json(), by_id.to_json());
+        assert_eq!(by_text.to_prometheus(), by_id.to_prometheus());
     }
 
     #[test]

@@ -335,7 +335,22 @@ impl<T> TimerWheel<T> {
 
     /// Removes and returns the next entry in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let (_, in_arrivals) = self.head()?;
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the next entry if it is due at or before
+    /// `deadline`; `None`, removing nothing, if it is later or there is none.
+    ///
+    /// One call finds the head once, where [`peek_time`] followed by
+    /// [`pop`] finds it twice.
+    ///
+    /// [`peek_time`]: TimerWheel::peek_time
+    /// [`pop`]: TimerWheel::pop
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, u64, T)> {
+        let ((time, _), in_arrivals) = self.head()?;
+        if time > deadline.as_nanos() {
+            return None;
+        }
         let e = self.take_head(in_arrivals);
         self.len -= 1;
         if let Some(live) = self.live.as_mut() {

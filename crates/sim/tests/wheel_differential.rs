@@ -179,6 +179,23 @@ impl Pair {
     fn pop(&mut self) -> bool {
         let got = self.wheel.pop();
         assert_eq!(got, self.heap.pop(), "wheel and heap disagree on pop");
+        self.popped(got)
+    }
+
+    /// Pops the next entry due by `deadline`: the wheel in one
+    /// `pop_until`, the heap by the peek-then-pop that `Sim::run_until` used
+    /// to do. Asserts they agree; `false` once nothing is due.
+    fn pop_until(&mut self, deadline: SimTime) -> bool {
+        let want = match self.heap.peek() {
+            Some((time, _)) if time <= deadline => self.heap.pop(),
+            _ => None,
+        };
+        let got = self.wheel.pop_until(deadline);
+        assert_eq!(got, want, "pop_until disagrees with peek-then-pop");
+        self.popped(got)
+    }
+
+    fn popped(&mut self, got: Option<(SimTime, u64, u64)>) -> bool {
         let Some((time, seq, _)) = got else {
             return false;
         };
@@ -231,8 +248,22 @@ fn differential_case(rng: &mut SimRng) {
                     p.cancel_at(i);
                 }
             }
+            // Drain to a deadline: the next entry's exact time, a time after
+            // it (usually between two entries), or past everything.
+            8 => {
+                let head = p.heap.peek().map_or(p.last_popped, |(t, _)| t);
+                let deadline = match rng.next_below(8) {
+                    0..=2 => head,
+                    7 => SimTime::MAX,
+                    _ => head + SimDuration::from_nanos(rng.next_below(1 << 22)),
+                };
+                while p.pop_until(deadline) {}
+                if let Some((next, _)) = p.heap.peek() {
+                    assert!(next > deadline, "pop_until stopped early");
+                }
+            }
             // Drain a few entries, asserting identical pops.
-            7..=8 => {
+            7 => {
                 let n = 1 + rng.next_below(24);
                 for _ in 0..n {
                     if !p.pop() {
