@@ -460,20 +460,19 @@ impl StoreClient {
         if !self.mode.is_rehydrate() {
             return false;
         }
-        let recovery = {
-            let store = life.shared().store.clone();
-            let mut store = store.borrow_mut();
-            store.component(life.name()).recover()
+        let (verified, stats) = {
+            let mut store = life.shared().store.borrow_mut();
+            let recovery = store.component(life.name()).recover();
+            (recovery.state.is_some(), recovery.stats)
         };
-        let Some(_state) = recovery.state else {
+        if !verified {
             ctx.trace_mark(format!("rehydrate-miss:{}", life.name()));
             return false;
-        };
+        }
         life.set_initializing();
-        let replayed_kb =
-            (recovery.stats.snapshot_bytes + recovery.stats.update_bytes) as f64 / 1024.0;
+        let replayed_kb = (stats.snapshot_bytes + stats.update_bytes) as f64 / 1024.0;
         let replay_s = replayed_kb / calib::STORE_THROUGHPUT_KBPS;
-        self.pending = Some(recovery.stats);
+        self.pending = Some(stats);
         ctx.set_timer(SimDuration::from_secs_f64(replay_s), TIMER_REHYDRATE);
         true
     }

@@ -102,9 +102,16 @@ fn corrupt_update_rehydrates_from_the_durable_prefix() {
     let mut s = station(StationConfig::checkpointed(), 11);
     // Let update records accumulate past the last checkpoint.
     s.run_for(SimDuration::from_secs(20));
-    let clean = s.store().borrow().get("ses").expect("journaling").recover();
+    let journaled = s
+        .store()
+        .borrow()
+        .get("ses")
+        .expect("journaling")
+        .recover()
+        .updates
+        .len();
     assert!(
-        !clean.updates.is_empty(),
+        journaled > 0,
         "updates must have accumulated for the test to bite"
     );
     // Rot a byte inside the first update record, past the snapshot frame

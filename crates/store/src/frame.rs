@@ -53,16 +53,16 @@ impl RecordKind {
     }
 }
 
-/// A decoded journal record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// A decoded journal record, its payload borrowed from the journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record<'j> {
     /// Monotonically increasing sequence number (strictly increasing
     /// within a journal; replay treats a regression as corruption).
     pub seq: u64,
     /// What the record carries.
     pub kind: RecordKind,
     /// The record body.
-    pub payload: Vec<u8>,
+    pub payload: &'j [u8],
 }
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
@@ -190,9 +190,9 @@ pub enum StopReason {
 
 /// The outcome of replaying a journal's valid prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Replay {
+pub struct Replay<'j> {
     /// The records of the valid prefix, in append order.
-    pub records: Vec<Record>,
+    pub records: Vec<Record<'j>>,
     /// Why the walk stopped.
     pub stop: StopReason,
     /// Bytes of the valid prefix (magic included); the journal can be
@@ -207,14 +207,10 @@ pub struct Replay {
 /// Replay never fails: damage is reported in [`Replay::stop`] and the
 /// records before it are returned. A journal with bad magic yields no
 /// records and a zero-length valid prefix.
-pub fn replay(journal: &[u8]) -> Replay {
+pub fn replay(journal: &[u8]) -> Replay<'_> {
     let mut records = Vec::new();
     let (stop, valid_len) = walk(journal, |seq, kind, payload| {
-        records.push(Record {
-            seq,
-            kind,
-            payload: payload.to_vec(),
-        });
+        records.push(Record { seq, kind, payload });
     });
     Replay {
         records,
@@ -297,7 +293,7 @@ mod tests {
         assert_eq!(r.discarded_bytes, 0);
         assert_eq!(r.records.len(), 2);
         assert_eq!(r.records[0].kind, RecordKind::Snapshot);
-        assert_eq!(parse_snapshot_payload(&r.records[0].payload), Some((42, 3)));
+        assert_eq!(parse_snapshot_payload(r.records[0].payload), Some((42, 3)));
         assert_eq!(r.records[1].payload, b"delta");
     }
 

@@ -35,4 +35,4 @@ pub mod frame;
 pub mod store;
 
 pub use frame::{content_hash, crc32, replay, Record, RecordKind, Replay, StopReason};
-pub use store::{ComponentStore, JournalFault, Recovery, RecoveryStats, StateStore};
+pub use store::{ComponentStore, JournalFault, Payload, Recovery, RecoveryStats, StateStore};

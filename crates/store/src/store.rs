@@ -44,16 +44,29 @@ pub enum JournalFault {
     CorruptByte(usize),
 }
 
-/// What [`ComponentStore::recover`] reconstructed.
+/// What [`ComponentStore::recover`] reconstructed, lent from the store: the
+/// state is the verified blob itself and each update a slice of the
+/// journal, so a recovery copies no payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovery {
+pub struct Recovery<'j> {
     /// The verified snapshot state, or `None` for a cold start (no
     /// snapshot in the valid prefix verified against its blob).
-    pub state: Option<Vec<u8>>,
+    pub state: Option<&'j [u8]>,
     /// Update payloads to replay on top of `state`, in append order.
-    pub updates: Vec<Vec<u8>>,
+    pub updates: Vec<Payload<'j>>,
     /// Accounting for telemetry and cost models.
     pub stats: RecoveryStats,
+}
+
+/// One update record's payload, borrowed from the journal it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Payload<'j>(&'j [u8]);
+
+impl<'j> Payload<'j> {
+    /// The payload bytes.
+    pub fn as_slice(&self) -> &'j [u8] {
+        self.0
+    }
 }
 
 /// Accounting for a recovery pass.
@@ -128,49 +141,43 @@ impl ComponentStore {
     /// Reconstructs the last durable state from the journal's valid
     /// prefix. Infallible by design: damage shrinks the result (down to
     /// a cold start) rather than erroring.
-    pub fn recover(&self) -> Recovery {
-        let mut frames = Vec::new();
-        let (stop, valid_len) = walk(&self.journal, |_, kind, payload| {
-            frames.push((kind, payload));
+    pub fn recover(&self) -> Recovery<'_> {
+        let mut updates = Vec::new();
+        // Each snapshot reference with the number of updates before it.
+        let mut snapshots = Vec::new();
+        let (stop, valid_len) = walk(&self.journal, |_, kind, payload| match kind {
+            RecordKind::Update => updates.push(Payload(payload)),
+            RecordKind::Snapshot => snapshots.push((updates.len(), payload)),
         });
-        let is_snapshot = |&(kind, _): &(RecordKind, &[u8])| kind == RecordKind::Snapshot;
         // Newest snapshot reference whose blob is present and verifies.
-        let chosen = frames.iter().enumerate().rev().find_map(|(i, frame)| {
-            if !is_snapshot(frame) {
-                return None;
-            }
-            let (hash, len) = parse_snapshot_payload(frame.1)?;
+        let chosen = snapshots.iter().rev().find_map(|&(at, payload)| {
+            let (hash, len) = parse_snapshot_payload(payload)?;
             let blob = self.blobs.get(&hash)?;
-            if blob.len() as u64 == len && content_hash(blob) == hash {
-                Some((i, blob))
-            } else {
-                None
-            }
+            (blob.len() as u64 == len && content_hash(blob) == hash).then_some((at, blob))
         });
         let mut stats = RecoveryStats {
             discarded_bytes: (self.journal.len() - valid_len) as u64,
             clean: stop == StopReason::Clean,
             ..RecoveryStats::default()
         };
-        let (state, replayed) = match chosen {
-            Some((i, blob)) => {
+        let state = match chosen {
+            Some((at, blob)) => {
+                updates.drain(..at);
                 stats.snapshot_bytes = blob.len() as u64;
                 stats.replayed_records = 1;
-                (Some(blob.clone()), &frames[i + 1..])
+                Some(blob.as_slice())
             }
             None => {
-                let first_snapshot = frames.iter().position(is_snapshot);
-                (None, &frames[..first_snapshot.unwrap_or(frames.len())])
+                // Updates after the first reference are deltas against the
+                // state it stood for, which is gone.
+                if let Some(&(first, _)) = snapshots.first() {
+                    updates.truncate(first);
+                }
+                None
             }
         };
-        let mut updates = Vec::with_capacity(replayed.len());
-        for &(kind, payload) in replayed {
-            if kind == RecordKind::Update {
-                stats.replayed_records += 1;
-                stats.update_bytes += payload.len() as u64;
-                updates.push(payload.to_vec());
-            }
-        }
+        stats.replayed_records += updates.len() as u64;
+        stats.update_bytes = updates.iter().map(|u| u.0.len() as u64).sum();
         Recovery {
             state,
             updates,
@@ -261,6 +268,10 @@ impl StateStore {
 mod tests {
     use super::*;
 
+    fn payloads<'j>(r: &Recovery<'j>) -> Vec<&'j [u8]> {
+        r.updates.iter().map(Payload::as_slice).collect()
+    }
+
     #[test]
     fn empty_store_cold_starts() {
         let s = ComponentStore::new();
@@ -279,8 +290,8 @@ mod tests {
         s.append_update(b"d1");
         s.append_update(b"d2");
         let r = s.recover();
-        assert_eq!(r.state.as_deref(), Some(&b"STATE-v1"[..]));
-        assert_eq!(r.updates, vec![b"d1".to_vec(), b"d2".to_vec()]);
+        assert_eq!(r.state, Some(&b"STATE-v1"[..]));
+        assert_eq!(payloads(&r), [b"d1", b"d2"]);
         assert_eq!(r.stats.replayed_records, 3); // snapshot + 2 updates
         assert_eq!(r.stats.snapshot_bytes, 8);
         assert_eq!(r.stats.update_bytes, 4);
@@ -298,18 +309,17 @@ mod tests {
         assert!(s.journal_len() < grown, "compaction must shrink");
         s.checkpoint(b"v2");
         assert_eq!(s.blobs().len(), 1, "old snapshot blob pruned");
-        assert_eq!(s.recover().state.as_deref(), Some(&b"v2"[..]));
+        assert_eq!(s.recover().state, Some(&b"v2"[..]));
     }
 
     #[test]
     fn identical_state_is_stored_once() {
         let mut s = ComponentStore::new();
         s.checkpoint(b"same");
-        let seq1 = s.recover();
+        let first = s.recover().state.map(<[u8]>::to_vec);
         s.checkpoint(b"same");
         assert_eq!(s.blobs().len(), 1, "content addressing dedups");
-        let seq2 = s.recover();
-        assert_eq!(seq1.state, seq2.state);
+        assert_eq!(s.recover().state, first.as_deref());
     }
 
     #[test]
@@ -322,8 +332,8 @@ mod tests {
         let torn = s.journal_len() - durable - 4; // leave a partial frame
         assert!(s.inject(JournalFault::TruncateTail(torn)));
         let r = s.recover();
-        assert_eq!(r.state.as_deref(), Some(&b"base"[..]));
-        assert_eq!(r.updates, vec![b"keep".to_vec()]);
+        assert_eq!(r.state, Some(&b"base"[..]));
+        assert_eq!(payloads(&r), [b"keep"]);
         assert!(!r.stats.clean);
         assert!(r.stats.discarded_bytes > 0);
     }
@@ -337,8 +347,8 @@ mod tests {
         s.append_update(b"bad-after-flip");
         assert!(s.inject(JournalFault::CorruptByte(good_end + 10)));
         let r = s.recover();
-        assert_eq!(r.state.as_deref(), Some(&b"base"[..]));
-        assert_eq!(r.updates, vec![b"good".to_vec()]);
+        assert_eq!(r.state, Some(&b"base"[..]));
+        assert_eq!(payloads(&r), [b"good"]);
         assert!(!r.stats.clean);
     }
 
@@ -388,8 +398,48 @@ mod tests {
         let rebuilt = ComponentStore::from_parts(s.journal().to_vec(), s.blobs().clone());
         let mut rebuilt = rebuilt;
         rebuilt.append_update(b"b");
-        let r = rebuilt.recover();
-        assert_eq!(r.updates, vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!(payloads(&rebuilt.recover()), [b"a", b"b"]);
+    }
+
+    /// `inner` lies within `outer`'s address range.
+    fn lies_inside(inner: &[u8], outer: &[u8]) -> bool {
+        let outer = outer.as_ptr_range();
+        let inner = inner.as_ptr_range();
+        outer.start <= inner.start && inner.end <= outer.end
+    }
+
+    #[test]
+    fn recovery_lends_the_journal_and_the_verified_blob() {
+        let mut clean = ComponentStore::new();
+        for i in 0..20 {
+            clean.append_update(format!("update-{i}").as_bytes());
+        }
+        let mut torn = clean.clone();
+        assert!(torn.inject(JournalFault::TruncateTail(5)));
+        let mut checkpointed = clean.clone();
+        checkpointed.checkpoint(b"full state");
+        for i in 0..20 {
+            checkpointed.append_update(format!("delta-{i}").as_bytes());
+        }
+        for (case, s, updates) in [
+            ("clean", &clean, 20),
+            ("torn", &torn, 19),
+            ("checkpointed", &checkpointed, 20),
+        ] {
+            let r = s.recover();
+            assert_eq!(r.updates.len(), updates, "{case}");
+            for u in &r.updates {
+                assert!(
+                    lies_inside(u.as_slice(), s.journal()),
+                    "{case}: a copied update"
+                );
+            }
+            if let Some(state) = r.state {
+                let blob = s.blobs().values().next().expect("the verified blob");
+                assert!(lies_inside(state, blob), "{case}: a copied state");
+            }
+        }
+        assert!(checkpointed.recover().state.is_some());
     }
 
     #[test]
@@ -402,7 +452,7 @@ mod tests {
             vec!["ses", "str"]
         );
         assert_eq!(
-            hub.get("ses").unwrap().recover().state.as_deref(),
+            hub.get("ses").unwrap().recover().state,
             Some(&b"ses-state"[..])
         );
         hub.clear("ses");

@@ -16,6 +16,9 @@ use std::path::PathBuf;
 use rr_store::fixture;
 use rr_store::{ComponentStore, JournalFault};
 
+mod common;
+use common::reference::assert_recovery_matches_reference;
+
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/store-fixtures")
@@ -63,7 +66,9 @@ fn check_fixture(name: &str, store: &ComponentStore, comment: &str) -> Component
         "{name}: journal format drifted from the committed fixture; if the \
          change is intentional, re-record with STORE_RECORD=1"
     );
-    fixture::decode(&committed).unwrap_or_else(|e| panic!("{name}: {e}"))
+    let loaded = fixture::decode(&committed).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_recovery_matches_reference(&loaded, name);
+    loaded
 }
 
 #[test]
@@ -78,7 +83,7 @@ fn clean_fixture_replays_end_to_end() {
     assert!(r.stats.clean, "clean journal must parse end to end");
     assert_eq!(r.stats.discarded_bytes, 0);
     assert_eq!(
-        r.state.as_deref(),
+        r.state,
         Some(&b"session: opal pass 17, lock acquired, epoch 4213.7"[..])
     );
     assert_eq!(r.updates.len(), 6);
@@ -98,7 +103,7 @@ fn torn_fixture_recovers_to_last_durable_prefix() {
     assert!(!r.stats.clean, "damage must be detected");
     assert!(r.stats.discarded_bytes > 0);
     assert_eq!(
-        r.state.as_deref(),
+        r.state,
         Some(&b"session: opal pass 17, lock acquired, epoch 4213.7"[..]),
         "the checkpoint predates the damage and must survive"
     );
