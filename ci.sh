@@ -7,9 +7,10 @@
 # fixture and exit-code contract (crates/harness/tests/audit_cli.rs), the
 # journal crash fixtures (crates/store/tests/crash_fixtures.rs), recovery
 # from every crash point of a journal (crates/store/tests/crash_points.rs),
-# and that no library code takes a trace label apart
+# that no library code takes a trace label apart
 # (crates/harness/tests/label_parsing.rs; a `! grep` line here could never
-# fail under `set -e`).
+# fail under `set -e`), and that every `pub` library item has a user in
+# another file (crates/harness/tests/pub_surface.rs).
 # A golden that moved fails with the changed lines in the panic message and
 # leaves the actual output beside the recording as
 # tests/golden/<stem>.actual.<ext>; re-record on purpose with GOLDEN_RECORD=1.

@@ -13,17 +13,11 @@
 
 use std::fmt;
 
-use rr_core::advisor::OracleAssumption;
-
 use crate::interval::Interval;
 
 /// Mirror of the concrete advisor's consolidation threshold: consolidation
 /// applies when `f_A + f_B ≤ CONSOLIDATE_RATIO · f_{A,B}`.
-pub const CONSOLIDATE_RATIO: f64 = 0.25;
-
-/// Mirror of the concrete advisor's disparate-cost threshold: promotion
-/// applies when `restart(expensive) / restart(cheap) ≥ DISPARATE_COST_RATIO`.
-pub const DISPARATE_COST_RATIO: f64 = 2.0;
+const CONSOLIDATE_RATIO: f64 = 0.25;
 
 /// A three-valued answer about a condition quantified over a box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,39 +94,6 @@ pub fn consolidation_verdict(solo_sum: Interval, joint: Interval) -> Verdict {
     }
 }
 
-/// Abstract Table-3 promotion condition: the oracle may err **and** the
-/// pair's restart costs are disparate,
-/// `restart(expensive) ≥ DISPARATE_COST_RATIO · restart(cheap)`.
-pub fn promotion_verdict(
-    expensive_restart: Interval,
-    cheap_restart: Interval,
-    oracle: OracleAssumption,
-) -> Verdict {
-    if oracle == OracleAssumption::Perfect {
-        // Table 3: promotion is useful only "when oracle is faulty".
-        return Verdict::Never;
-    }
-    let threshold = cheap_restart.scale(DISPARATE_COST_RATIO);
-    if expensive_restart.lo() >= threshold.hi() {
-        Verdict::Always
-    } else if expensive_restart.hi() < threshold.lo() {
-        Verdict::Never
-    } else {
-        Verdict::Depends
-    }
-}
-
-/// Abstract Table-3 grouping condition `f_{A,B} > 0` over a rate interval.
-pub fn grouping_verdict(joint: Interval) -> Verdict {
-    if joint.strictly_positive() {
-        Verdict::Always
-    } else if joint.non_positive() {
-        Verdict::Never
-    } else {
-        Verdict::Depends
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,34 +144,5 @@ mod tests {
             consolidation_verdict(iv(0.05, 0.15), iv(0.32, 0.48)),
             Verdict::Depends
         );
-    }
-
-    #[test]
-    fn promotion_requires_errable_oracle_and_disparity() {
-        let pbcom = iv(16.0, 25.0);
-        let fedr = iv(3.8, 5.9);
-        assert_eq!(
-            promotion_verdict(pbcom, fedr, OracleAssumption::MayErr),
-            Verdict::Always
-        );
-        assert_eq!(
-            promotion_verdict(pbcom, fedr, OracleAssumption::Perfect),
-            Verdict::Never
-        );
-        assert_eq!(
-            promotion_verdict(iv(4.0, 5.0), fedr, OracleAssumption::MayErr),
-            Verdict::Never
-        );
-        assert_eq!(
-            promotion_verdict(iv(8.0, 13.0), fedr, OracleAssumption::MayErr),
-            Verdict::Depends
-        );
-    }
-
-    #[test]
-    fn grouping_is_signed_rate() {
-        assert_eq!(grouping_verdict(iv(0.1, 0.5)), Verdict::Always);
-        assert_eq!(grouping_verdict(iv(0.0, 0.0)), Verdict::Never);
-        assert_eq!(grouping_verdict(iv(-0.1, 0.1)), Verdict::Depends);
     }
 }

@@ -44,24 +44,6 @@ pub fn availability(mttf_s: Interval, mttr_s: Interval) -> Result<Interval, AbsE
     Interval::new(lo, hi)
 }
 
-/// Abstract downtime seconds per year implied by an availability interval.
-///
-/// # Errors
-///
-/// Returns [`AbsError::NonPositive`] unless the interval lies in `(0, 1]`.
-pub fn downtime_s_per_year(availability: Interval) -> Result<Interval, AbsError> {
-    if !availability.strictly_positive() || availability.hi() > 1.0 {
-        return Err(AbsError::NonPositive {
-            what: "availability in (0, 1]",
-            lo: availability.lo(),
-        });
-    }
-    let one = Interval::point(1.0)?;
-    let down = one.sub(availability).scale(365.25 * 24.0 * 3600.0);
-    // Downtime cannot be negative; outward rounding may dip a hair below 0.
-    Interval::new(down.lo().max(0.0), down.hi().max(0.0))
-}
-
 /// Abstract group MTTF bound of §3.2: pointwise minimum over members.
 ///
 /// # Errors
@@ -92,28 +74,6 @@ pub fn group_mttr_bound_s(member_mttrs_s: &[Interval]) -> Result<Interval, AbsEr
                 what: "group_mttr_bound_s",
             }))?;
     Ok(rest.iter().fold(*first, |acc, iv| acc.max(*iv)))
-}
-
-/// Abstract §4.1 weighted group MTTR: `Σ f_ci · MTTR_ci` over
-/// `(probability, mttr)` interval pairs.
-///
-/// # Errors
-///
-/// Returns [`AbsError::Analysis`] wrapping
-/// [`AnalysisError::UnnormalizedCures`] if the probability intervals cannot
-/// sum to 1 — i.e. no point of the box satisfies the `A_cure` normalization
-/// the concrete formula enforces.
-pub fn weighted_group_mttr_s(cures: &[(Interval, Interval)]) -> Result<Interval, AbsError> {
-    let zero = Interval::point(0.0)?;
-    let total = cures.iter().fold(zero, |acc, (p, _)| acc.add(*p));
-    if !total.contains(1.0) {
-        return Err(AbsError::Analysis(AnalysisError::UnnormalizedCures {
-            total: total.midpoint(),
-        }));
-    }
-    Ok(cures
-        .iter()
-        .fold(zero, |acc, (p, mttr)| acc.add(p.mul(*mttr))))
 }
 
 /// Interval mode probabilities `p_i = r_i / Σ r_j` from per-mode rate
@@ -187,16 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn downtime_encloses_concrete() {
-        let a = iv(0.99, 0.999);
-        let d = downtime_s_per_year(a).unwrap();
-        for x in [0.99, 0.995, 0.999] {
-            assert!(d.contains(concrete::downtime_s_per_year(x).unwrap()));
-        }
-        assert!(downtime_s_per_year(iv(0.5, 1.5)).is_err());
-    }
-
-    #[test]
     fn group_bounds_mirror_concrete() {
         let mttfs = [iv(90.0, 110.0), iv(40.0, 60.0), iv(70.0, 80.0)];
         let g = group_mttf_bound_s(&mttfs).unwrap();
@@ -206,21 +156,6 @@ mod tests {
         assert!(m.contains(concrete::group_mttr_bound_s(&[5.0, 21.0, 9.0]).unwrap()));
         assert!(group_mttf_bound_s(&[]).is_err());
         assert!(group_mttr_bound_s(&[]).is_err());
-    }
-
-    #[test]
-    fn weighted_mttr_encloses_and_guards_normalization() {
-        let cures = [
-            (iv(0.45, 0.55), iv(9.0, 11.0)),
-            (iv(0.25, 0.35), iv(18.0, 22.0)),
-            (iv(0.15, 0.25), iv(4.0, 6.0)),
-        ];
-        let w = weighted_group_mttr_s(&cures).unwrap();
-        let c = concrete::weighted_group_mttr_s(&[(0.5, 10.0), (0.3, 20.0), (0.2, 5.0)]).unwrap();
-        assert!(w.contains(c));
-        // Probabilities that cannot sum to 1 are rejected.
-        let bad = [(iv(0.1, 0.2), iv(1.0, 2.0))];
-        assert!(weighted_group_mttr_s(&bad).is_err());
     }
 
     #[test]

@@ -136,9 +136,8 @@ impl IntervalCostModel {
     }
 
     /// The contention multiplier interval for `k` concurrent restarts:
-    /// `1 + q·(k−1)²`, mirroring
-    /// [`SimpleCostModel::contention_factor`].
-    pub fn contention_factor(&self, k: usize) -> Interval {
+    /// `1 + q·(k−1)²`, mirroring [`SimpleCostModel`]'s.
+    fn contention_factor(&self, k: usize) -> Interval {
         let one = Interval::point(1.0).unwrap_or_else(|e| unreachable!("1 is finite: {e}"));
         if k <= 1 {
             return one;

@@ -19,7 +19,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rr_core::analysis::{CostModel, OracleQuality};
+use rr_core::analysis::OracleQuality;
 use rr_core::model::FailureMode;
 use rr_core::tree::RestartTree;
 use rr_core::TreeError;
@@ -54,7 +54,7 @@ impl CostForm {
 
     /// Adds `weight · term`, dropping the term if its weight cancels to
     /// exactly zero.
-    pub fn add_term(&mut self, term: Term, weight: f64) {
+    fn add_term(&mut self, term: Term, weight: f64) {
         use std::collections::btree_map::Entry;
         match self.terms.entry(term) {
             Entry::Vacant(slot) => {
@@ -72,7 +72,7 @@ impl CostForm {
     }
 
     /// Adds `scale · other` term-wise.
-    pub fn add_scaled(&mut self, other: &CostForm, scale: f64) {
+    fn add_scaled(&mut self, other: &CostForm, scale: f64) {
         for (term, w) in &other.terms {
             self.add_term(term.clone(), w * scale);
         }
@@ -113,26 +113,6 @@ impl CostForm {
             };
             acc.add(iv.scale(*w))
         })
-    }
-
-    /// Concrete evaluation at a point cost model (the value
-    /// [`eval`](Self::eval) must enclose whenever `cost` encloses `point`).
-    pub fn eval_point(&self, point: &dyn CostModel) -> f64 {
-        self.terms
-            .iter()
-            .map(|(term, w)| {
-                let v = match term {
-                    Term::Detect => point.detection_s(),
-                    Term::Redetect => point.redetection_s(),
-                    Term::Restart(comps) => {
-                        let comps: Vec<String> = comps.iter().cloned().collect();
-                        point.restart_s(&comps)
-                    }
-                    Term::Rapid(c) => point.rapid_restart_penalty_s(c),
-                };
-                w * v
-            })
-            .sum()
     }
 }
 
@@ -200,10 +180,30 @@ pub fn mode_recovery_form(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rr_core::analysis::{expected_mode_recovery_s, SimpleCostModel};
+    use rr_core::analysis::{expected_mode_recovery_s, CostModel, SimpleCostModel};
     use rr_core::tree::TreeSpec;
 
     use crate::boxes::ParamBox;
+
+    /// Concrete evaluation at a point cost model: the value
+    /// [`CostForm::eval`] must enclose whenever its cost encloses `point`.
+    fn eval_point(form: &CostForm, point: &dyn CostModel) -> f64 {
+        form.terms
+            .iter()
+            .map(|(term, w)| {
+                let v = match term {
+                    Term::Detect => point.detection_s(),
+                    Term::Redetect => point.redetection_s(),
+                    Term::Restart(comps) => {
+                        let comps: Vec<String> = comps.iter().cloned().collect();
+                        point.restart_s(&comps)
+                    }
+                    Term::Rapid(c) => point.rapid_restart_penalty_s(c),
+                };
+                w * v
+            })
+            .sum()
+    }
 
     fn cost() -> SimpleCostModel {
         SimpleCostModel::new(0.9, 2.0)
@@ -247,7 +247,7 @@ mod tests {
             for mode in [&FailureMode::solo("ses", "ses", 1.0).unwrap(), &joint] {
                 let form = mode_recovery_form(&tree, mode, quality).unwrap();
                 let direct = expected_mode_recovery_s(&tree, mode, &c, quality).unwrap();
-                let via_form = form.eval_point(&c);
+                let via_form = eval_point(&form, &c);
                 assert!(
                     (direct - via_form).abs() < 1e-9,
                     "{}/{quality:?}: {direct} vs {via_form}",
@@ -271,7 +271,7 @@ mod tests {
         for t in [0.0, 0.3, 0.5, 0.8, 1.0] {
             let point = pbox.sample_with(|_, lo, hi| lo + t * (hi - lo));
             let concrete = IntervalCostModel::concrete_at(&base, &point);
-            assert!(abs.contains(form.eval_point(&concrete)), "t = {t}");
+            assert!(abs.contains(eval_point(&form, &concrete)), "t = {t}");
         }
     }
 
@@ -311,6 +311,6 @@ mod tests {
         let c = cost();
         let solo = c.restart_s(&["ses".to_string()]);
         let joint = c.restart_s(&["ses".to_string(), "str".to_string()]);
-        assert!((delta.eval_point(&c) - (solo - joint)).abs() < 1e-9);
+        assert!((eval_point(&delta, &c) - (solo - joint)).abs() < 1e-9);
     }
 }

@@ -92,16 +92,6 @@ impl Scenario {
         self.quality
     }
 
-    /// The base (calibrated, undrifted) failure modes.
-    pub fn base_modes(&self) -> &[FailureMode] {
-        &self.base_modes
-    }
-
-    /// The base (calibrated, undrifted) cost model.
-    pub fn base_cost(&self) -> &SimpleCostModel {
-        &self.base_cost
-    }
-
     /// Every parameter dimension this scenario reads: the cost dimensions of
     /// the base model plus one `rate:<mode>` dimension per failure mode, in
     /// sorted order. A drift box over these covers the scenario completely.
@@ -153,7 +143,7 @@ impl Scenario {
     }
 
     /// The concrete failure model at a sampled point of the box.
-    pub fn concrete_model(&self, point: &BTreeMap<String, f64>) -> FailureModel {
+    fn concrete_model(&self, point: &BTreeMap<String, f64>) -> FailureModel {
         self.base_modes
             .iter()
             .map(|m| {

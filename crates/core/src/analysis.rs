@@ -45,21 +45,6 @@ pub fn availability(mttf_s: f64, mttr_s: f64) -> Result<f64, AnalysisError> {
     Ok(mttf_s / (mttf_s + mttr_s))
 }
 
-/// Downtime per year (in seconds) implied by an availability figure.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::OutOfRange`] unless `availability` is in `(0, 1]`.
-pub fn downtime_s_per_year(availability: f64) -> Result<f64, AnalysisError> {
-    if !(availability > 0.0 && availability <= 1.0) {
-        return Err(AnalysisError::OutOfRange {
-            what: "availability",
-            value: availability,
-        });
-    }
-    Ok((1.0 - availability) * 365.25 * 24.0 * 3600.0)
-}
-
 /// Group MTTF bound of §3.2: a group fails when any member fails.
 ///
 /// # Errors
@@ -87,22 +72,6 @@ pub fn group_mttr_bound_s(member_mttrs_s: &[f64]) -> Result<f64, AnalysisError> 
         });
     }
     Ok(member_mttrs_s.iter().copied().fold(0.0, f64::max))
-}
-
-/// The §4.1 expected MTTR of a depth-augmented group:
-/// `Σ f_ci · MTTR_ci` over `(probability, mttr)` pairs.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::UnnormalizedCures`] if the probabilities do not
-/// sum to 1 (within 1e-6) — the `A_cure` assumption that every failure is
-/// restart-curable.
-pub fn weighted_group_mttr_s(cures: &[(f64, f64)]) -> Result<f64, AnalysisError> {
-    let total: f64 = cures.iter().map(|(p, _)| p).sum();
-    if (total - 1.0).abs() >= 1e-6 {
-        return Err(AnalysisError::UnnormalizedCures { total });
-    }
-    Ok(cures.iter().map(|(p, mttr)| p * mttr).sum())
 }
 
 /// Restart-cost model: how long restarts and detections take.
@@ -213,7 +182,7 @@ impl SimpleCostModel {
     }
 
     /// The contention multiplier for `k` concurrent restarts.
-    pub fn contention_factor(&self, k: usize) -> f64 {
+    fn contention_factor(&self, k: usize) -> f64 {
         if k <= 1 {
             1.0
         } else {
@@ -242,8 +211,8 @@ impl SimpleCostModel {
             .map(|(c, s)| (c.as_str(), *s))
     }
 
-    /// The quadratic contention coefficient `q` of
-    /// [`contention_factor`](Self::contention_factor).
+    /// The quadratic contention coefficient `q`: `k` concurrent restarts
+    /// each slow by `1 + q·(k−1)²`.
     pub fn contention_quadratic(&self) -> f64 {
         self.contention_quadratic
     }
@@ -505,8 +474,6 @@ mod tests {
     #[test]
     fn availability_basics() {
         assert!((availability(99.0, 1.0).unwrap() - 0.99).abs() < 1e-12);
-        let d = downtime_s_per_year(0.99).unwrap();
-        assert!((d - 0.01 * 365.25 * 24.0 * 3600.0).abs() < 1e-6);
     }
 
     #[test]
@@ -518,14 +485,6 @@ mod tests {
         assert!(matches!(
             availability(99.0, f64::NAN),
             Err(AnalysisError::NonPositive { what: "MTTR", .. })
-        ));
-        assert!(matches!(
-            downtime_s_per_year(1.5),
-            Err(AnalysisError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            downtime_s_per_year(0.0),
-            Err(AnalysisError::OutOfRange { .. })
         ));
     }
 
@@ -541,20 +500,6 @@ mod tests {
             group_mttr_bound_s(&[]),
             Err(AnalysisError::EmptyGroup { .. })
         ));
-    }
-
-    #[test]
-    fn weighted_mttr_formula() {
-        // §4.1: MTTR ≤ Σ f_ci · MTTR_ci with Σ f_ci = 1.
-        let v = weighted_group_mttr_s(&[(0.5, 10.0), (0.3, 20.0), (0.2, 5.0)]).unwrap();
-        assert!((v - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mttr_requires_probabilities_summing_to_one() {
-        let err = weighted_group_mttr_s(&[(0.5, 10.0)]).unwrap_err();
-        assert!(matches!(err, AnalysisError::UnnormalizedCures { .. }));
-        assert!(err.to_string().contains("A_cure"));
     }
 
     #[test]

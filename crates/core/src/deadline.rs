@@ -41,7 +41,7 @@ pub struct Urgency {
 
 impl Urgency {
     /// The least urgent possible key: no deadline, criticality 0.
-    pub const RELAXED: Urgency = Urgency {
+    const RELAXED: Urgency = Urgency {
         inverted_criticality: u8::MAX,
         slack_nanos: u64::MAX,
     };
@@ -63,11 +63,6 @@ impl DeadlineModel {
         self.deadlines.insert(component.into(), at);
     }
 
-    /// Removes `component`'s deadline (infinite slack again).
-    pub fn clear_deadline(&mut self, component: &str) {
-        self.deadlines.remove(component);
-    }
-
     /// Sets `component`'s criticality (higher = more important).
     pub fn set_criticality(&mut self, component: impl Into<String>, level: u8) {
         self.criticality.insert(component.into(), level);
@@ -79,7 +74,7 @@ impl DeadlineModel {
     }
 
     /// `component`'s criticality (0 if never set).
-    pub fn criticality_of(&self, component: &str) -> u8 {
+    fn criticality_of(&self, component: &str) -> u8 {
         self.criticality.get(component).copied().unwrap_or(0)
     }
 
@@ -145,8 +140,7 @@ mod tests {
         m.set_deadline("fedr", t(100));
         assert_eq!(m.slack("fedr", t(40)), Some(SimDuration::from_secs(60)));
         assert_eq!(m.slack("fedr", t(150)), Some(SimDuration::ZERO));
-        m.clear_deadline("fedr");
-        assert_eq!(m.slack("fedr", t(40)), None);
+        assert_eq!(m.slack("rtu", t(40)), None);
     }
 
     #[test]

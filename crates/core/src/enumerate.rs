@@ -17,9 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::analysis::{expected_system_mttr_s, CostModel, OracleQuality};
-use crate::error::AnalysisError;
-use crate::model::FailureModel;
 use crate::transform::group_label;
 use crate::tree::{RestartTree, TreeSpec};
 
@@ -131,41 +128,30 @@ fn set_partitions(items: &[String]) -> Vec<Vec<Vec<String>>> {
     out
 }
 
-/// The globally optimal restart tree over `components` for the given model,
-/// cost and oracle quality, found by exhaustive enumeration.
-///
-/// Returns `(tree, expected MTTR seconds)`.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError`] if the model is empty or references unknown
-/// components.
-///
-/// # Panics
-///
-/// Panics if more than 5 components are given.
-pub fn exhaustive_best(
-    components: &[String],
-    model: &FailureModel,
-    cost: &dyn CostModel,
-    quality: OracleQuality,
-) -> Result<(RestartTree, f64), AnalysisError> {
-    let mut best: Option<(RestartTree, f64)> = None;
-    for tree in enumerate_trees(components) {
-        let c = expected_system_mttr_s(&tree, model, cost, quality)?;
-        if best.as_ref().is_none_or(|(_, b)| c < *b) {
-            best = Some((tree, c));
-        }
-    }
-    Ok(best.unwrap_or_else(|| unreachable!("at least one tree enumerated")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::SimpleCostModel;
-    use crate::model::FailureMode;
+    use crate::analysis::{expected_system_mttr_s, CostModel, OracleQuality, SimpleCostModel};
+    use crate::model::{FailureMode, FailureModel};
     use crate::optimize::{optimize_tree, OptimizerConfig};
+
+    /// The globally optimal restart tree over `components`, found by
+    /// trying every one: `(tree, expected MTTR seconds)`.
+    fn exhaustive_best(
+        components: &[String],
+        model: &FailureModel,
+        cost: &dyn CostModel,
+        quality: OracleQuality,
+    ) -> (RestartTree, f64) {
+        enumerate_trees(components)
+            .into_iter()
+            .map(|tree| {
+                let c = expected_system_mttr_s(&tree, model, cost, quality).unwrap();
+                (tree, c)
+            })
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .expect("at least one tree enumerated")
+    }
 
     fn comps(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -231,7 +217,7 @@ mod tests {
             OracleQuality::Perfect,
             OracleQuality::Faulty { undershoot: 0.3 },
         ] {
-            let (best_tree, best_cost) = exhaustive_best(&set, &model, &cost, quality).unwrap();
+            let (best_tree, best_cost) = exhaustive_best(&set, &model, &cost, quality);
             let start = TreeSpec::cell("root")
                 .with_components(set.clone())
                 .build()

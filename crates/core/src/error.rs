@@ -91,22 +91,10 @@ pub enum AnalysisError {
         /// The offending value.
         value: f64,
     },
-    /// A parameter fell outside its valid range.
-    OutOfRange {
-        /// Which parameter.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// A group aggregate was asked of an empty member list.
     EmptyGroup {
         /// Which aggregate hit the empty group.
         what: &'static str,
-    },
-    /// §4.1 cure probabilities do not sum to 1 (the `A_cure` assumption).
-    UnnormalizedCures {
-        /// What the probabilities actually summed to.
-        total: f64,
     },
 }
 
@@ -130,13 +118,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::NonPositive { what, value } => {
                 write!(f, "{what} must be positive and finite, got {value}")
             }
-            AnalysisError::OutOfRange { what, value } => {
-                write!(f, "{what} is out of range: {value}")
-            }
             AnalysisError::EmptyGroup { what } => write!(f, "{what} on an empty group"),
-            AnalysisError::UnnormalizedCures { total } => {
-                write!(f, "cure probabilities sum to {total}, expected 1 (A_cure)")
-            }
         }
     }
 }

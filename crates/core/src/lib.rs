@@ -64,7 +64,6 @@ pub mod optimize;
 pub mod oracle;
 pub mod policy;
 pub mod recoverer;
-pub mod recovery;
 pub mod render;
 pub mod schedule;
 pub mod transform;
@@ -78,7 +77,6 @@ pub use model::{FailureMode, FailureModel};
 pub use oracle::{Failure, FaultyOracle, LearningOracle, NaiveOracle, Oracle, PerfectOracle};
 pub use policy::{GiveUpReason, RecoveryMode, RestartPolicy};
 pub use recoverer::{DecisionTally, EpisodeView, Recoverer, RecoveryDecision};
-pub use recovery::{ProcedureKind, RecoveryLadder, RecoveryProcedure};
 pub use schedule::{
     is_antichain, plan_episodes, EpisodePlan, PlanStats, PlannedEpisode, Suspicion,
 };

@@ -8,7 +8,6 @@
 //! computation in [`analysis`](crate::analysis).
 
 use crate::error::ModelError;
-use crate::oracle::Failure;
 use crate::tree::RestartTree;
 
 /// One class of failure.
@@ -82,14 +81,6 @@ impl FailureMode {
         })
     }
 
-    /// The [`Failure`] event this mode injects.
-    pub fn to_failure(&self) -> Failure {
-        Failure {
-            component: self.trigger.clone(),
-            cure_set: self.cure_set.clone(),
-        }
-    }
-
     /// The mode's mean time to failure, in seconds.
     pub fn mttf_s(&self) -> f64 {
         3600.0 / self.rate_per_hour
@@ -126,7 +117,7 @@ impl FailureModel {
     }
 
     /// Total failure rate (per hour) across all modes.
-    pub fn total_rate_per_hour(&self) -> f64 {
+    fn total_rate_per_hour(&self) -> f64 {
         self.modes.iter().map(|m| m.rate_per_hour).sum()
     }
 
@@ -166,7 +157,7 @@ impl FailureModel {
 
     /// The aggregate failure rate attributed to one component (sum over the
     /// modes that manifest in it), per hour.
-    pub fn component_rate_per_hour(&self, component: &str) -> f64 {
+    fn component_rate_per_hour(&self, component: &str) -> f64 {
         self.modes
             .iter()
             .filter(|m| m.trigger == component)
@@ -298,14 +289,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(model.validate_against(&full).is_ok());
-    }
-
-    #[test]
-    fn to_failure_carries_cure_set() {
-        let m = FailureMode::correlated("j", "a", ["a", "b"], 1.0).unwrap();
-        let f = m.to_failure();
-        assert_eq!(f.component, "a");
-        assert_eq!(f.cure_set, vec!["a", "b"]);
     }
 
     #[test]

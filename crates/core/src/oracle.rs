@@ -253,11 +253,6 @@ impl FaultyOracle {
         }
     }
 
-    /// How many guess-too-low mistakes it has made so far.
-    pub fn mistakes(&self) -> u64 {
-        self.mistakes
-    }
-
     /// How many first-attempt recommendations it has made.
     pub fn recommendations(&self) -> u64 {
         self.recommendations
@@ -464,7 +459,7 @@ mod tests {
         }
         let rate = low as f64 / n as f64;
         assert!((0.27..0.33).contains(&rate), "mistake rate {rate}");
-        assert_eq!(oracle.mistakes(), low);
+        assert_eq!(oracle.mistakes, low);
         assert_eq!(oracle.recommendations(), n);
     }
 
@@ -479,7 +474,7 @@ mod tests {
             let cell = oracle.recommend(&tree, &joint, 0, None);
             assert_eq!(tree.components_under(cell), vec!["fedr", "pbcom"]);
         }
-        assert_eq!(oracle.mistakes(), 0);
+        assert_eq!(oracle.mistakes, 0);
     }
 
     #[test]
@@ -489,7 +484,7 @@ mod tests {
         let solo = Failure::solo("rtu");
         let cell = oracle.recommend(&tree, &solo, 0, None);
         assert_eq!(tree.label(cell), "R_rtu");
-        assert_eq!(oracle.mistakes(), 0);
+        assert_eq!(oracle.mistakes, 0);
     }
 
     #[test]

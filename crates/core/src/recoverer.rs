@@ -181,12 +181,6 @@ impl<O: Oracle> Recoverer<O> {
         &self.oracle
     }
 
-    /// Replaces the deadline model ([`crate::deadline`]). Batch plans are
-    /// thereafter issued most-urgent first instead of in tree pre-order.
-    pub fn set_deadline_model(&mut self, deadlines: DeadlineModel) {
-        self.deadlines = deadlines;
-    }
-
     /// The deadline model (empty unless one was set).
     pub fn deadline_model(&self) -> &DeadlineModel {
         &self.deadlines
@@ -701,7 +695,6 @@ mod tests {
 
     #[test]
     fn batch_issues_in_deadline_order_when_model_set() {
-        use crate::deadline::DeadlineModel;
         let mut rec = Recoverer::new(tree_iv(), PerfectOracle::new(), RestartPolicy::new());
         let batch = vec![Failure::solo("fedr"), Failure::solo("rtu")];
         // Pre-order baseline: fedr's cell precedes rtu's.
@@ -717,10 +710,9 @@ mod tests {
 
         // With rtu holding the tighter pass deadline, it is issued first.
         let mut rec = Recoverer::new(tree_iv(), PerfectOracle::new(), RestartPolicy::new());
-        let mut model = DeadlineModel::new();
+        let model = rec.deadline_model_mut();
         model.set_deadline("rtu", t(40));
         model.set_deadline("fedr", t(400));
-        rec.set_deadline_model(model);
         let decisions = rec.on_failures(batch, t(0));
         let order: Vec<_> = decisions
             .iter()

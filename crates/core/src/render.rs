@@ -54,32 +54,6 @@ fn render_node(tree: &RestartTree, id: NodeId, prefix: &str, child_prefix: &str,
     }
 }
 
-/// Renders a one-line summary of the tree's restart groups, e.g.
-/// `mercury[mbus+fedr/pbcom+ses,str+rtu]` — compact enough for table cells.
-pub fn render_compact(tree: &RestartTree) -> String {
-    fn rec(tree: &RestartTree, id: NodeId, out: &mut String) {
-        let comps = tree.components_at(id);
-        out.push_str(&comps.join(","));
-        let children = tree.children(id);
-        if !children.is_empty() {
-            if !comps.is_empty() {
-                out.push('/');
-            }
-            out.push('(');
-            for (i, &c) in children.iter().enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                rec(tree, c, out);
-            }
-            out.push(')');
-        }
-    }
-    let mut out = String::new();
-    rec(tree, tree.root(), &mut out);
-    out
-}
-
 /// Renders a tree in Graphviz DOT format: restart cells as boxes, attached
 /// components as ellipses — the publishable version of Figures 2–6.
 ///
@@ -184,13 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_form_is_single_line() {
-        let c = render_compact(&tree_v());
-        assert!(!c.contains('\n'));
-        assert!(c.contains("pbcom/(fedr)"), "{c}");
-    }
-
-    #[test]
     fn dot_output_is_well_formed() {
         let dot = render_dot(&tree_v());
         assert!(dot.starts_with("digraph restart_tree {"));
@@ -217,6 +184,5 @@ mod tests {
     fn single_cell_tree_renders() {
         let tree = TreeSpec::cell("solo").with_component("x").build().unwrap();
         assert_eq!(render_tree(&tree), "solo {x}\n");
-        assert_eq!(render_compact(&tree), "x");
     }
 }

@@ -26,7 +26,7 @@ use mercury::station::TreeVariant;
 /// The drift applied to every parameter dimension in the built-in audit:
 /// each calibrated rate and cost may sit anywhere within ±20% of its
 /// measured value, independently.
-pub const DRIFT_FRAC: f64 = 0.2;
+const DRIFT_FRAC: f64 = 0.2;
 
 /// One §4 decision: the transformation scenario plus the verdict the paper
 /// (and the committed decision table) expects the certification to produce.
@@ -118,7 +118,7 @@ fn scenario(
 ///   oracle (30% guess-too-low) and the advisory model — promotion deletes
 ///   the wrong-guess restart+re-detect+rapid-penalty path for the dominant
 ///   correlated mode.
-pub fn paper_decisions() -> Vec<Decision> {
+fn paper_decisions() -> Vec<Decision> {
     let cfg = StationConfig::paper();
     vec![
         Decision {
@@ -157,7 +157,7 @@ pub fn paper_decisions() -> Vec<Decision> {
     ]
 }
 
-/// Certifies every built-in decision over a ±[`DRIFT_FRAC`] drift box
+/// Certifies every built-in decision over a ±20 % drift box
 /// covering all of its parameter dimensions.
 pub fn certify_decisions(config: RefineConfig) -> Vec<CertifiedDecision> {
     paper_decisions()

@@ -264,7 +264,7 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
 ///
 /// The fixpoint is needed because a member's or owner's own marks may
 /// precede (in scan order) the episode that legitimizes them.
-pub fn attributable_components(trace: &Trace, injected: &BTreeSet<String>) -> BTreeSet<String> {
+fn attributable_components(trace: &Trace, injected: &BTreeSet<String>) -> BTreeSet<String> {
     let mut genuine: BTreeSet<String> = injected.clone();
     for (_, mark) in trace.marks().filter(|(_, m)| certifies_failure(m)) {
         genuine.insert(mark.head().1.to_string());

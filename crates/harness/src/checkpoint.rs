@@ -58,7 +58,7 @@ impl Default for CheckpointConfig {
 /// The station configuration one arm runs: the checkpointed preset at the
 /// given state size, with the rehydrate policy stripped for the cold arm so
 /// both arms differ in recovery mode only.
-pub fn arm_config(rehydrate: bool, state_kb: f64, interval_s: f64) -> StationConfig {
+fn arm_config(rehydrate: bool, state_kb: f64, interval_s: f64) -> StationConfig {
     let mut cfg = StationConfig::checkpointed();
     cfg.session_state_kb = state_kb;
     if rehydrate {
@@ -107,7 +107,7 @@ impl CheckpointReport {
     /// Fraction of the campaign window the store spent stalled on
     /// checkpoint writes — the availability tax journaling charges even
     /// when nothing fails.
-    pub fn stall_fraction(&self) -> f64 {
+    fn stall_fraction(&self) -> f64 {
         if self.window_s <= 0.0 {
             0.0
         } else {
@@ -117,13 +117,13 @@ impl CheckpointReport {
 
     /// Expected downtime fraction at `failures_per_hour`: per-failure MTTR
     /// amortized over the failure rate, plus the steady checkpoint stall.
-    pub fn expected_downtime(&self, failures_per_hour: f64) -> f64 {
+    fn expected_downtime(&self, failures_per_hour: f64) -> f64 {
         failures_per_hour / 3600.0 * self.mean_mttr_s() + self.stall_fraction()
     }
 }
 
 /// Runs one arm: sequential ses kills at one state size, cold or rehydrate.
-pub fn run_arm(rehydrate: bool, state_kb: f64, cfg: &CheckpointConfig) -> CheckpointReport {
+fn run_arm(rehydrate: bool, state_kb: f64, cfg: &CheckpointConfig) -> CheckpointReport {
     let station_cfg = arm_config(rehydrate, state_kb, cfg.checkpoint_interval_s);
     let mut station = Station::new(
         station_cfg,

@@ -238,7 +238,7 @@ fn cell_trial(cell: Cell, base_seed: u64, i: usize, phase: SimDuration) -> f64 {
 
 /// How a correlated-fault scenario injects its failures.
 #[derive(Debug, Clone, Copy)]
-pub enum CorrelatedKind {
+enum CorrelatedKind {
     /// Two components in independent cells killed at the same instant.
     Pair(&'static str, &'static str),
     /// Kill fedr, then 1 s later the §4.4 correlated pbcom failure while
@@ -261,7 +261,7 @@ impl CorrelatedKind {
     }
 
     /// The injected components, for measurement.
-    pub fn components(self) -> [&'static str; 2] {
+    fn components(self) -> [&'static str; 2] {
         match self {
             CorrelatedKind::Pair(a, b) => [a, b],
             CorrelatedKind::FedrThenJointPbcom => [names::FEDR, names::PBCOM],
@@ -293,7 +293,7 @@ impl CorrelatedKind {
 /// Measures group recovery (seconds until *both* injected failures are
 /// recovered, per the §4.1 definition applied per component) for a
 /// correlated-fault scenario, serially or in parallel.
-pub fn measure_correlated(
+fn measure_correlated(
     variant: TreeVariant,
     kind: CorrelatedKind,
     serial: bool,
@@ -1143,7 +1143,7 @@ pub fn ablation_ping_period(run: RunConfig) -> Experiment {
 
 /// **Ablation** — the learning oracle (§7 future work): does it converge to
 /// the minimal restart policy for the correlated pbcom failure?
-pub fn ablation_learning(run: RunConfig) -> Experiment {
+fn ablation_learning(run: RunConfig) -> Experiment {
     let mut exp = Experiment::new(
         "ablation-learning",
         "Learning oracle: estimating f_ci from restart outcomes",
@@ -1360,7 +1360,7 @@ fn expected_availability_for(
 
 /// **Ablation** — proactive rejuvenation (§3/§7): beacon-driven preventive
 /// restarts pre-empt pbcom's aging failures.
-pub fn ablation_rejuvenation(run: RunConfig) -> Experiment {
+fn ablation_rejuvenation(run: RunConfig) -> Experiment {
     let mut exp = Experiment::new(
         "ablation-rejuvenation",
         "Beacon-driven rejuvenation vs aging failures",

@@ -117,10 +117,10 @@ pub struct GoldenScenario {
     pub variant: TreeVariant,
     /// Deterministic simulation seed.
     pub seed: u64,
-    /// Whether the station runs [`golden_admission_config`] (capacity 1
-    /// admits one restart, the rest are deferred, duplicate FD reports for
-    /// parked components are shed, and the queue drains as the capacity
-    /// window recharges) instead of the paper calibration.
+    /// Whether the station runs the capacity-1 admission preset (one
+    /// restart admitted, the rest deferred, duplicate FD reports for parked
+    /// components shed, and the queue drained as the capacity window
+    /// recharges) instead of the paper calibration.
     pub admission: bool,
     /// The joint cure, if any.
     pub joint: Option<JointCure>,
@@ -257,7 +257,7 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
 /// defer → shed → age-out → admit → cure cycle completes inside a golden
 /// window. Capacity 1 over a 20 s window keeps the admitted-restart spacing
 /// under the 30 s aging bound (RRL802), so the configuration lints clean.
-pub fn golden_admission_config() -> StationConfig {
+fn golden_admission_config() -> StationConfig {
     let mut cfg = StationConfig::admission();
     cfg.admission_capacity = 1;
     cfg.admission_window_s = 20.0;

@@ -147,7 +147,7 @@ impl Default for OverloadConfig {
 /// The station configuration an overload arm runs: the admission preset with
 /// a storm budget the default burst can exhaust, and pacing knobs that keep
 /// the paced arm under it. `admission` selects the arm.
-pub fn arm_config(admission: bool) -> StationConfig {
+fn arm_config(admission: bool) -> StationConfig {
     let mut cfg = StationConfig::admission();
     cfg.admission_enabled = admission;
     cfg.policy.max_restarts_per_window = 5;
@@ -187,7 +187,7 @@ pub struct OverloadReport {
 
 impl OverloadReport {
     /// Fraction of scheduled passes missed.
-    pub fn miss_rate(&self) -> f64 {
+    fn miss_rate(&self) -> f64 {
         if self.passes == 0 {
             0.0
         } else {
@@ -206,7 +206,7 @@ impl OverloadReport {
 }
 
 /// Runs one overload campaign arm against a fresh station on `variant`.
-pub fn run_overload(variant: TreeVariant, admission: bool, cfg: &OverloadConfig) -> OverloadReport {
+fn run_overload(variant: TreeVariant, admission: bool, cfg: &OverloadConfig) -> OverloadReport {
     let station_cfg = arm_config(admission);
     let critical: Vec<String> = station_cfg.critical_components.clone();
     let mut rng = SimRng::new(

@@ -144,7 +144,7 @@ impl Report {
     }
 
     /// Number of deny-severity findings.
-    pub fn deny_count(&self) -> usize {
+    fn deny_count(&self) -> usize {
         self.diags
             .iter()
             .filter(|d| d.severity() == Severity::Deny)
@@ -152,7 +152,7 @@ impl Report {
     }
 
     /// Number of warn-severity findings.
-    pub fn warn_count(&self) -> usize {
+    fn warn_count(&self) -> usize {
         self.diags
             .iter()
             .filter(|d| d.severity() == Severity::Warn)

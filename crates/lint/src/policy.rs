@@ -1,6 +1,5 @@
 //! Restart-policy soundness lints (`RRL1xx`).
 
-use rr_core::policy::RestartPolicy;
 use rr_core::tree::RestartTree;
 
 use crate::catalog;
@@ -12,9 +11,8 @@ const MAX_SANE_ESCALATION: u32 = 1_000;
 const MAX_SANE_RESTARTS_PER_WINDOW: u32 = 10_000;
 
 /// The restart-policy knobs: the one definition, embedded in mercury's
-/// `StationConfig` as its `policy` field (REC builds its [`RestartPolicy`]
-/// from it) and extracted from a built policy by
-/// [`from_policy`](Self::from_policy).
+/// `StationConfig` as its `policy` field (REC builds its
+/// [`RestartPolicy`](rr_core::policy::RestartPolicy) from it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyParams {
     /// How many times a cure for the same failure may escalate (fail and be
@@ -35,21 +33,6 @@ pub struct PolicyParams {
     pub backoff_base_s: f64,
     /// Upper bound on the exponential restart backoff, in seconds.
     pub backoff_cap_s: f64,
-}
-
-impl PolicyParams {
-    /// Extracts the knobs from a built [`RestartPolicy`].
-    pub fn from_policy(policy: &RestartPolicy) -> PolicyParams {
-        let (max_restarts, window) = policy.rate_limit();
-        let (base, cap) = policy.backoff();
-        PolicyParams {
-            escalation_limit: policy.escalation_limit(),
-            max_restarts_per_window: max_restarts,
-            restart_window_s: window.as_secs_f64(),
-            backoff_base_s: base.as_secs_f64(),
-            backoff_cap_s: cap.as_secs_f64(),
-        }
-    }
 }
 
 /// Lints a restart policy: escalation must be able to reach the root of
@@ -130,6 +113,7 @@ pub fn lint_policy(params: &PolicyParams, tree: Option<&RestartTree>) -> Report 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rr_core::policy::RestartPolicy;
     use rr_core::tree::TreeSpec;
 
     fn deep_tree() -> RestartTree {
@@ -143,8 +127,18 @@ mod tests {
             .unwrap()
     }
 
+    /// The knobs of the default [`RestartPolicy`].
     fn sane() -> PolicyParams {
-        PolicyParams::from_policy(&RestartPolicy::new())
+        let policy = RestartPolicy::new();
+        let (max_restarts, window) = policy.rate_limit();
+        let (base, cap) = policy.backoff();
+        PolicyParams {
+            escalation_limit: policy.escalation_limit(),
+            max_restarts_per_window: max_restarts,
+            restart_window_s: window.as_secs_f64(),
+            backoff_base_s: base.as_secs_f64(),
+            backoff_cap_s: cap.as_secs_f64(),
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl From<&str> for Wire {
 /// Timer key for boot completion.
 pub const TIMER_BOOT: u64 = 1;
 /// Timer key for the periodic health beacon.
-pub const TIMER_BEACON: u64 = 2;
+const TIMER_BEACON: u64 = 2;
 /// First timer key available to component-specific logic.
 pub const TIMER_ROLE_BASE: u64 = 10;
 /// Timer key for rehydrate-replay completion ([`StoreClient`]).
@@ -376,7 +376,7 @@ impl Lifecycle {
         }
     }
 
-    /// Handles [`TIMER_BEACON`]: emits a health-summary beacon to REC and
+    /// Handles the beacon timer: emits a health-summary beacon to REC and
     /// re-arms. Returns `true` if the timer key was consumed.
     pub fn handle_beacon_timer(
         &mut self,

@@ -49,11 +49,6 @@ impl HostLoad {
     pub fn end_boot(&mut self, component: &str) {
         self.booting.remove(component);
     }
-
-    /// The number of components currently booting.
-    pub fn booting_count(&self) -> usize {
-        self.booting.len()
-    }
 }
 
 /// The radio hardware behind pbcom's serial port. Hardware state survives
@@ -62,7 +57,6 @@ impl HostLoad {
 #[derive(Debug, Default)]
 pub struct RadioHardware {
     last_negotiation_at: Option<SimTime>,
-    negotiations: u64,
 }
 
 impl RadioHardware {
@@ -79,13 +73,7 @@ impl RadioHardware {
             _ => 0.0,
         };
         self.last_negotiation_at = Some(now);
-        self.negotiations += 1;
         penalty
-    }
-
-    /// Total serial negotiations performed (diagnostics).
-    pub fn negotiations(&self) -> u64 {
-        self.negotiations
     }
 }
 
@@ -97,12 +85,12 @@ mod tests {
     fn host_load_counts_concurrent_boots() {
         let load = HostLoad::new_shared();
         load.borrow_mut().announce(["a", "b", "c"]);
-        assert_eq!(load.borrow().booting_count(), 3);
+        assert_eq!(load.borrow().booting.len(), 3);
         // begin_boot is idempotent w.r.t. the announce.
         assert_eq!(load.borrow_mut().begin_boot("a"), 3);
         load.borrow_mut().end_boot("a");
         load.borrow_mut().end_boot("b");
-        assert_eq!(load.borrow().booting_count(), 1);
+        assert_eq!(load.borrow().booting.len(), 1);
         assert_eq!(load.borrow_mut().begin_boot("d"), 2);
     }
 
@@ -116,6 +104,5 @@ mod tests {
         assert_eq!(p, 4.0, "30s later: inside the back-off window");
         let p = hw.borrow_mut().begin_negotiation(t(300), 60.0, 4.0);
         assert_eq!(p, 0.0, "well outside the window again");
-        assert_eq!(hw.borrow().negotiations(), 3);
     }
 }

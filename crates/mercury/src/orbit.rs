@@ -89,22 +89,17 @@ impl Satellite {
     }
 
     /// Orbital radius, km.
-    pub fn orbit_radius_km(&self) -> f64 {
+    fn orbit_radius_km(&self) -> f64 {
         R_EARTH + self.altitude_km
     }
 
     /// Mean motion, rad/s.
-    pub fn mean_motion_rad_s(&self) -> f64 {
+    fn mean_motion_rad_s(&self) -> f64 {
         (MU_EARTH / self.orbit_radius_km().powi(3)).sqrt()
     }
 
-    /// Orbital period, seconds.
-    pub fn period_s(&self) -> f64 {
-        std::f64::consts::TAU / self.mean_motion_rad_s()
-    }
-
     /// ECI position (km) and velocity (km/s) at `t` seconds after epoch.
-    pub fn eci_state(&self, t_s: f64) -> ([f64; 3], [f64; 3]) {
+    fn eci_state(&self, t_s: f64) -> ([f64; 3], [f64; 3]) {
         let n = self.mean_motion_rad_s();
         let r = self.orbit_radius_km();
         let u = self.phase_deg.to_radians() + n * t_s; // argument of latitude
@@ -143,11 +138,6 @@ pub struct LookAngle {
 }
 
 impl LookAngle {
-    /// `true` if the satellite is above the horizon.
-    pub fn is_visible(&self) -> bool {
-        self.elevation_deg > 0.0
-    }
-
     /// Downlink Doppler shift in Hz for a carrier at `downlink_hz`:
     /// positive while the satellite approaches.
     pub fn doppler_hz(&self, downlink_hz: f64) -> f64 {
@@ -295,7 +285,7 @@ mod tests {
     #[test]
     fn leo_period_is_about_100_minutes() {
         let sat = Satellite::opal();
-        let p = sat.period_s();
+        let p = std::f64::consts::TAU / sat.mean_motion_rad_s();
         assert!((5400.0..6600.0).contains(&p), "period {p}");
     }
 
@@ -360,10 +350,10 @@ mod tests {
         let passes = predict_passes(&site, &sat, 0.0, 86_400.0);
         let p = passes.first().expect("at least one pass");
         let mid = (p.rise_s + p.set_s) / 2.0;
-        assert!(look_angle(&site, &sat, mid).is_visible());
+        assert!(look_angle(&site, &sat, mid).elevation_deg > 0.0);
         // Just outside the window the satellite is below the horizon.
-        assert!(!look_angle(&site, &sat, p.rise_s - 30.0).is_visible());
-        assert!(!look_angle(&site, &sat, p.set_s + 30.0).is_visible());
+        assert!(look_angle(&site, &sat, p.rise_s - 30.0).elevation_deg <= 0.0);
+        assert!(look_angle(&site, &sat, p.set_s + 30.0).elevation_deg <= 0.0);
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl RecControl {
     }
 
     /// Launches admitted within the capacity window ending at `now`.
-    pub fn admitted_in_window(&mut self, now: SimTime, window_s: f64) -> usize {
+    fn admitted_in_window(&mut self, now: SimTime, window_s: f64) -> usize {
         self.prune_admitted(now, window_s);
         self.admitted.len()
     }
@@ -141,7 +141,7 @@ impl RecControl {
     /// and without a refund the dead charge would keep counting against
     /// `admitted_in_window` for the rest of the window — a quarantine burst
     /// could starve admission of perfectly healthy components.
-    pub fn refund_admitted(&mut self, component: &str) {
+    fn refund_admitted(&mut self, component: &str) {
         if let Some(i) = self.admitted.iter().rposition(|(_, c)| c == component) {
             self.admitted.remove(i);
         }

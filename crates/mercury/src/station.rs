@@ -505,8 +505,7 @@ impl Station {
     ///   timers, so its health beacons cease). Only REC's beacon-staleness
     ///   defense ([`rr_lint::FdParams::beacon_timeout_s`]) can catch it.
     /// - [`HardCrash`](FaultKind::HardCrash): a crash now, and every
-    ///   subsequent restart crashes again immediately, until
-    ///   [`clear_hard_failure`](Self::clear_hard_failure). Exercises the
+    ///   subsequent restart crashes again immediately. Exercises the
     ///   escalation → give-up → quarantine path.
     ///
     /// # Errors
@@ -529,7 +528,7 @@ impl Station {
                 self.sim.zombie(pid);
             }
             FaultKind::HardCrash => {
-                self.sim.set_persistent_crash(pid, true);
+                self.sim.set_persistent_crash(pid);
                 self.note_injection(component, "hard");
                 self.sim.kill(pid);
             }
@@ -582,42 +581,8 @@ impl Station {
         Ok(injected)
     }
 
-    /// Lifts a [`FaultKind::HardCrash`] injected by [`inject`](Self::inject)
-    /// (the operator replaced the broken part). The component stays down
-    /// until something restarts it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StationError::UnknownComponent`] if the component does not
-    /// exist.
-    pub fn clear_hard_failure(&mut self, component: &str) -> Result<(), StationError> {
-        let pid = self.pid_of(component)?;
-        self.sim.set_persistent_crash(pid, false);
-        Ok(())
-    }
-
-    /// Degrades the link between two processes (components, `fd`, or `rec`)
-    /// with message loss, delay, jitter, or duplication. The quality applies
-    /// to both directions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StationError::UnknownComponent`] if either process does not
-    /// exist.
-    pub fn inject_flaky_link(
-        &mut self,
-        a: &str,
-        b: &str,
-        quality: LinkQuality,
-    ) -> Result<(), StationError> {
-        let pa = self.pid_of(a)?;
-        let pb = self.pid_of(b)?;
-        self.sim.set_link_quality(pa, pb, quality);
-        Ok(())
-    }
-
-    /// Applies `quality` to **every** link in the station that has no
-    /// per-pair override; `None` restores perfect communication.
+    /// Applies `quality` to **every** link in the station; `None` restores
+    /// perfect communication.
     pub fn degrade_all_links(&mut self, quality: Option<LinkQuality>) {
         self.sim.set_default_link_quality(quality);
     }

@@ -334,15 +334,6 @@ impl State {
         }
     }
 
-    /// The episode owners with a restart currently in flight, sorted.
-    pub fn in_flight_owners(&self) -> Vec<String> {
-        self.rec
-            .open_episodes()
-            .filter(|ep| ep.in_flight)
-            .map(|ep| ep.owner.to_string())
-            .collect()
-    }
-
     /// Components quarantined so far.
     pub fn quarantined(&self) -> &BTreeSet<String> {
         &self.quarantined
@@ -1018,8 +1009,14 @@ mod tests {
         ] {
             s = m.apply(&s, &action).unwrap();
         }
-        assert_eq!(s.in_flight_owners().len(), 1, "one merged episode");
-        let owner = s.in_flight_owners().remove(0);
+        let mut in_flight: Vec<String> = s
+            .rec
+            .open_episodes()
+            .filter(|ep| ep.in_flight)
+            .map(|ep| ep.owner.to_string())
+            .collect();
+        assert_eq!(in_flight.len(), 1, "one merged episode");
+        let owner = in_flight.remove(0);
         let s = m
             .apply(
                 &s,

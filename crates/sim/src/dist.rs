@@ -49,14 +49,6 @@ pub enum Dist {
         /// Standard deviation in seconds.
         std_dev: f64,
     },
-    /// Log-normal parameterized by the underlying normal's `mu`/`sigma`.
-    /// Useful for heavy-tailed ablations.
-    LogNormal {
-        /// Mean of the underlying normal.
-        mu: f64,
-        /// Standard deviation of the underlying normal.
-        sigma: f64,
-    },
 }
 
 impl Dist {
@@ -113,19 +105,6 @@ impl Dist {
         Dist::Normal { mean, std_dev }
     }
 
-    /// A log-normal distribution with underlying normal `(mu, sigma)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or either parameter is not finite.
-    pub fn log_normal(mu: f64, sigma: f64) -> Dist {
-        assert!(
-            mu.is_finite() && sigma.is_finite() && sigma >= 0.0,
-            "invalid log_normal({mu}, {sigma})"
-        );
-        Dist::LogNormal { mu, sigma }
-    }
-
     /// The theoretical mean of the distribution, in seconds.
     pub fn mean(&self) -> f64 {
         match *self {
@@ -136,7 +115,6 @@ impl Dist {
             // distributions we use (std_dev << mean) the effect is negligible,
             // so we report the untruncated mean.
             Dist::Normal { mean, .. } => mean,
-            Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
         }
     }
 
@@ -156,7 +134,6 @@ impl Dist {
                 -mean * u.ln()
             }
             Dist::Normal { mean, std_dev } => mean + std_dev * sample_standard_normal(rng),
-            Dist::LogNormal { mu, sigma } => (mu + sigma * sample_standard_normal(rng)).exp(),
         };
         x.max(0.0)
     }
@@ -246,17 +223,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(d.sample_secs(&mut rng) >= 0.0);
         }
-    }
-
-    #[test]
-    fn log_normal_mean_matches_formula() {
-        let d = Dist::log_normal(1.0, 0.25);
-        let m = empirical_mean(&d, 200_000, 9);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.02,
-            "mean {m} vs {}",
-            d.mean()
-        );
     }
 
     #[test]

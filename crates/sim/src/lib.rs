@@ -85,5 +85,5 @@ pub use stats::{Histogram, OnlineStats, Summary};
 pub use telemetry::{DurationHistogram, EpisodeEvent, EpisodeStage, Registry};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Label, Mark, Trace, TraceEvent, TraceKind};
-pub use vclock::{Causality, VectorClock};
+pub use vclock::VectorClock;
 pub use wheel::TimerWheel;

@@ -16,7 +16,7 @@
 ///     s.push(x);
 /// }
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
+/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -106,20 +106,15 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn population_std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
     /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
+    fn sample_std_dev(&self) -> f64 {
         self.sample_variance().sqrt()
     }
 
     /// Coefficient of variation (sample std dev / mean; 0 for zero mean).
     /// The paper's §3.2 assumption is that this is small for both failure and
     /// recovery time distributions.
-    pub fn coefficient_of_variation(&self) -> f64 {
+    fn coefficient_of_variation(&self) -> f64 {
         let m = self.mean();
         if m == 0.0 {
             0.0
@@ -130,7 +125,7 @@ impl OnlineStats {
 
     /// Half-width of the normal-approximation 95% confidence interval of the
     /// mean.
-    pub fn ci95_half_width(&self) -> f64 {
+    fn ci95_half_width(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {

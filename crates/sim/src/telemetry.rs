@@ -43,7 +43,7 @@ use crate::vclock::VectorClock;
 
 /// Default bucket range for recovery-time histograms: 0–60 s in 2 s steps,
 /// wide enough for every Table 1–4 value with room for escalated episodes.
-pub const RECOVERY_BUCKETS: (f64, f64, usize) = (0.0, 60.0, 30);
+const RECOVERY_BUCKETS: (f64, f64, usize) = (0.0, 60.0, 30);
 
 /// Default bucket range for message-latency histograms (FD ping RTT):
 /// 0–1 s in 25 ms steps.
@@ -286,11 +286,6 @@ impl Registry {
         self.gauges.insert((name, label.into()), value);
     }
 
-    /// Current value of the gauge `(name, label)`, if ever set.
-    pub fn gauge(&self, name: &'static str, label: &str) -> Option<f64> {
-        self.gauges.get(&(name, intern(label))).copied()
-    }
-
     /// Records `d` into the histogram `(name, label)`, creating it with the
     /// `(lo_s, hi_s, buckets)` spec on first use.
     pub fn observe(
@@ -326,13 +321,6 @@ impl Registry {
             .map(|(name, label, v)| ((name, label), *v))
     }
 
-    /// All gauges, in sorted `(name, label)` order.
-    pub fn gauges(&self) -> impl Iterator<Item = ((&'static str, &str), f64)> {
-        sorted_metrics(&self.gauges)
-            .into_iter()
-            .map(|(name, label, v)| ((name, label), *v))
-    }
-
     /// The episode-event stream, in recording order.
     pub fn events(&self) -> &[EpisodeEvent] {
         &self.events
@@ -342,12 +330,6 @@ impl Registry {
     /// [`Registry::events`].
     pub fn clocks(&self) -> &[VectorClock] {
         &self.clocks
-    }
-
-    /// The episode-event stream zipped with its clock snapshots — the input
-    /// the happens-before trace verifier consumes.
-    pub fn clocked_events(&self) -> impl Iterator<Item = (&EpisodeEvent, &VectorClock)> {
-        self.events.iter().zip(self.clocks.iter())
     }
 
     // ----------------------------------------------------------- episodes --

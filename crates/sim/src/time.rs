@@ -97,11 +97,6 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a duration of `micros` microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
-    }
-
     /// Creates a duration of `millis` milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * NANOS_PER_MILLI)

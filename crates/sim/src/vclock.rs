@@ -10,7 +10,8 @@
 //!
 //! Clocks compare with the classic partial order: `a` happens before `b`
 //! when every entry of `a` is ≤ the matching entry of `b` and at least one
-//! is strictly smaller. Incomparable clocks are [`Causality::Concurrent`].
+//! is strictly smaller. Clocks neither of which happens before the other are
+//! concurrent.
 //!
 //! Internally entries are keyed by interned [`CompId`] handles in a small
 //! sorted vec — a clone is one flat `memcpy` instead of a `BTreeMap` of
@@ -22,19 +23,6 @@
 use std::fmt;
 
 use crate::intern::{intern, CompId};
-
-/// The causal relation between two vector clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Causality {
-    /// The clocks are identical.
-    Equal,
-    /// The left clock happens strictly before the right.
-    Before,
-    /// The left clock happens strictly after the right.
-    After,
-    /// Neither clock dominates the other.
-    Concurrent,
-}
 
 /// A vector clock: one monotone counter per logical process.
 ///
@@ -77,7 +65,7 @@ impl VectorClock {
     }
 
     /// [`VectorClock::get`] for a pre-interned handle.
-    pub fn get_id(&self, id: CompId) -> u64 {
+    fn get_id(&self, id: CompId) -> u64 {
         match self.position(id) {
             Ok(i) => self.entries[i].1,
             Err(_) => 0,
@@ -118,16 +106,6 @@ impl VectorClock {
     pub fn happens_before(&self, other: &VectorClock) -> bool {
         other.dominates(self) && self != other
     }
-
-    /// The causal relation between `self` and `other`.
-    pub fn compare(&self, other: &VectorClock) -> Causality {
-        match (other.dominates(self), self.dominates(other)) {
-            (true, true) => Causality::Equal,
-            (true, false) => Causality::Before,
-            (false, true) => Causality::After,
-            (false, false) => Causality::Concurrent,
-        }
-    }
 }
 
 impl fmt::Display for VectorClock {
@@ -149,10 +127,9 @@ mod tests {
 
     #[test]
     fn fresh_clocks_are_equal() {
-        assert_eq!(
-            VectorClock::new().compare(&VectorClock::new()),
-            Causality::Equal
-        );
+        let (a, b) = (VectorClock::new(), VectorClock::new());
+        assert_eq!(a, b);
+        assert!(!a.happens_before(&b));
     }
 
     #[test]
@@ -163,8 +140,6 @@ mod tests {
         b.tick("x");
         assert!(a.happens_before(&b));
         assert!(!b.happens_before(&a));
-        assert_eq!(a.compare(&b), Causality::Before);
-        assert_eq!(b.compare(&a), Causality::After);
     }
 
     #[test]
@@ -173,7 +148,6 @@ mod tests {
         a.tick("x");
         let mut b = VectorClock::new();
         b.tick("y");
-        assert_eq!(a.compare(&b), Causality::Concurrent);
         assert!(!a.happens_before(&b));
         assert!(!b.happens_before(&a));
     }

@@ -10,7 +10,7 @@
 //! ## Layout
 //!
 //! Virtual time is quantized into **ticks** of `2^16` ns (~65.5 µs). The
-//! wheel has [`LEVELS`] = 6 levels of [`SLOTS`] = 64 slots; level `L` slot
+//! wheel has `LEVELS` = 6 levels of `SLOTS` = 64 slots; level `L` slot
 //! `i` holds entries whose tick agrees with the current tick above bit
 //! `6·(L+1)` and has `i` in bits `[6L, 6L+6)` — i.e. slots are indexed by
 //! *absolute* tick bits, not relative offsets, so re-filing needs no index
@@ -69,9 +69,9 @@ const TICK_BITS: u32 = 16;
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
-pub const SLOTS: usize = 1 << SLOT_BITS;
+const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels; `SLOT_BITS * LEVELS` bits of tick are representable.
-pub const LEVELS: usize = 6;
+const LEVELS: usize = 6;
 /// Mask of the in-wheel tick bits; ticks differing from `now` beyond this
 /// go to the overflow rung.
 const HORIZON_MASK: u64 = (1 << (SLOT_BITS * LEVELS as u32)) - 1;

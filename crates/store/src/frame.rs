@@ -23,7 +23,7 @@
 pub const MAGIC: [u8; 4] = *b"RRJ1";
 
 /// Fixed bytes per record before the payload: len + crc + seq + kind.
-pub const HEADER_LEN: usize = 4 + 4 + 8 + 1;
+const HEADER_LEN: usize = 4 + 4 + 8 + 1;
 
 /// What a journal record carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

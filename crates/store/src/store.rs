@@ -256,11 +256,6 @@ impl StateStore {
     pub fn clear(&mut self, component: &str) {
         self.components.remove(component);
     }
-
-    /// Component names with durable state, in sorted order.
-    pub fn component_names(&self) -> impl Iterator<Item = &str> {
-        self.components.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -448,7 +443,7 @@ mod tests {
         hub.component("ses").checkpoint(b"ses-state");
         hub.component("str").checkpoint(b"str-state");
         assert_eq!(
-            hub.component_names().collect::<Vec<_>>(),
+            hub.components.keys().collect::<Vec<_>>(),
             vec!["ses", "str"]
         );
         assert_eq!(
