@@ -26,14 +26,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
+use mercury::station::{Station, StationError, TreeVariant};
 use rr_sim::{
     intern, EpisodeStage, FaultKind, LinkQuality, Mark, Registry, SimDuration, SimRng, SimTime,
     Trace,
 };
 
 use crate::tables::Table;
+use crate::trial::Trial;
 
 /// `true` for a recovery action that needs attribution: a detection, a
 /// stale beacon, a restart, a give-up or a quarantine.
@@ -141,41 +141,50 @@ impl ChaosReport {
 /// The station is cold-started and settled, link degradation is switched on,
 /// and `cfg.faults` randomized faults are injected one at a time, each given
 /// `cure_deadline_s` to cure or quarantine. The trace is then audited for the
-/// module-level invariants.
+/// module-level invariants. A station that cannot be built (an invalid
+/// configuration, an rr-lint denial) runs nothing: the refusal is the
+/// report's violations, not a panic deep inside the simulation.
 pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
-    // Static verification gate: an ill-formed configuration is refused
-    // before anything runs, reported through the campaign's own violation
-    // channel rather than a panic deep inside the simulation.
-    if let Ok(tree) = variant.tree() {
-        let lint = cfg.station.lint(&tree);
-        if lint.has_deny() {
-            return ChaosReport {
-                variant,
-                injections: Vec::new(),
-                restarts: BTreeMap::new(),
-                violations: lint
-                    .diagnostics()
-                    .iter()
-                    .filter(|d| d.severity() == rr_lint::Severity::Deny)
-                    .map(|d| format!("rr-lint {} at {}: {}", d.code(), d.path, d.message))
-                    .collect(),
-                telemetry: Registry::new(),
-            };
-        }
-    }
     let mut rng = SimRng::new(
         cfg.seed
             .wrapping_add((variant as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
     );
-    let station_seed = rng.next_u64();
-    let mut station = Station::new(
-        cfg.station.clone(),
+    let trial = Trial::new(cfg.station.clone(), variant, rng.next_u64());
+    campaign(&trial, cfg, &mut rng).unwrap_or_else(|refused| ChaosReport {
         variant,
-        Box::new(PerfectOracle::new()),
-        station_seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
+        injections: Vec::new(),
+        restarts: BTreeMap::new(),
+        violations: refusal(refused),
+        telemetry: Registry::new(),
+    })
+}
+
+/// A station error as campaign violations: each rr-lint denial as
+/// `rr-lint {code} at {path}: {message}`, each violated configuration
+/// constraint on its own line, anything else as its message.
+fn refusal(error: StationError) -> Vec<String> {
+    match error {
+        StationError::Lint(diagnostics) => diagnostics
+            .iter()
+            .filter(|d| d.severity() == rr_lint::Severity::Deny)
+            .map(|d| format!("rr-lint {} at {}: {}", d.code(), d.path, d.message))
+            .collect(),
+        StationError::InvalidConfig(errors) => errors
+            .into_iter()
+            .map(|e| format!("invalid station configuration: {e}"))
+            .collect(),
+        error => vec![error.to_string()],
+    }
+}
+
+/// [`run_campaign`] on the trial's station, drawing targets and kinds from
+/// `rng`.
+fn campaign(
+    trial: &Trial,
+    cfg: &ChaosConfig,
+    rng: &mut SimRng,
+) -> Result<ChaosReport, StationError> {
+    let mut station = trial.start()?;
     if cfg.link_loss > 0.0 {
         station.degrade_all_links(Some(LinkQuality::lossy(cfg.link_loss)));
     }
@@ -198,9 +207,7 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
                 break c;
             }
         };
-        let at = station
-            .inject(&component, kind)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
+        let at = station.inject(&component, kind)?;
         let deadline = at + SimDuration::from_secs_f64(cfg.cure_deadline_s);
         let comp = intern(&component);
         let (cured, quarantined) = loop {
@@ -237,14 +244,14 @@ pub fn run_campaign(variant: TreeVariant, cfg: &ChaosConfig) -> ChaosReport {
     // finish before the audit.
     station.run_for(SimDuration::from_secs_f64(cfg.settle_s));
     let telemetry = station.telemetry();
-    audit(
-        variant,
+    Ok(audit(
+        trial.variant,
         cfg,
         &station,
         campaign_start,
         injections,
         telemetry,
-    )
+    ))
 }
 
 /// Computes the set of components whose recovery actions are attributable to
@@ -413,22 +420,17 @@ pub fn experiment(run: crate::RunConfig) -> crate::Experiment {
 
     // The headline hardening claim: one simulated hour at 5% loss on every
     // link, hardened preset, zero recovery actions of any kind.
-    let mut station = Station::new(
-        StationConfig::hardened(),
-        TreeVariant::II,
-        Box::new(PerfectOracle::new()),
-        run.seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    station.degrade_all_links(Some(LinkQuality::lossy(0.05)));
-    let start = station.now();
-    station.run_for(SimDuration::from_secs(3600));
-    let false_positives = station
-        .trace()
-        .marks()
-        .filter(|&(at, mark)| at >= start && is_action(mark))
-        .count();
+    let hour = Trial::new(StationConfig::hardened(), TreeVariant::II, run.seed);
+    let false_positives = hour.value(0, |trial| {
+        let mut station = trial.start()?;
+        station.degrade_all_links(Some(LinkQuality::lossy(0.05)));
+        let start = station.now();
+        station.run_for(SimDuration::from_secs(3600));
+        let marks = station.trace().marks();
+        Ok(marks
+            .filter(|&(at, mark)| at >= start && is_action(mark))
+            .count())
+    });
 
     crate::Experiment {
         id: "chaos".into(),

@@ -19,12 +19,12 @@
 //! price tag on state.
 
 use mercury::config::{names, StationConfig};
-use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
-use rr_core::{PerfectOracle, RecoveryMode};
+use mercury::station::TreeVariant;
+use rr_core::RecoveryMode;
 use rr_sim::{intern, FaultKind, FaultScript, Mark, SimDuration, SimTime};
 
 use crate::tables::Table;
+use crate::trial::{settle_after, Trial};
 
 /// Campaign parameters. The defaults straddle the analytic crossover
 /// (`state_kb ≈ resync_s * throughput ≈ 6.9 MiB`): the small sizes
@@ -125,53 +125,44 @@ impl CheckpointReport {
 /// Runs one arm: sequential ses kills at one state size, cold or rehydrate.
 fn run_arm(rehydrate: bool, state_kb: f64, cfg: &CheckpointConfig) -> CheckpointReport {
     let station_cfg = arm_config(rehydrate, state_kb, cfg.checkpoint_interval_s);
-    let mut station = Station::new(
-        station_cfg,
-        TreeVariant::III,
-        Box::new(PerfectOracle::new()),
-        cfg.seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    let start = station.now();
     let settle = SimDuration::from_secs_f64(cfg.settle_s);
-
     let mut script = FaultScript::new();
     let mut at = SimTime::ZERO;
     for _ in 0..cfg.kills {
         at += settle;
         script.push(at, names::SES, FaultKind::Crash);
     }
-    let kills = station
-        .play(&script)
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-    station.run_for(settle);
-    let window_s = station.now().saturating_since(start).as_secs_f64();
-
-    let mut mttr_samples = Vec::new();
-    for (_, at) in &kills {
-        let m = measure_recovery(station.trace(), names::SES, *at)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "ses must recover"));
-        mttr_samples.push(m.recovery_s());
-    }
-    let induced_str_crashes = station
-        .trace()
-        .times_of(Mark::InducedCrash(intern(names::STR)))
-        .filter(|&t| t > start)
-        .count();
-
-    let t = station.telemetry();
-    let sum = |name: &'static str| t.counter(name, "ses") + t.counter(name, "str");
-    CheckpointReport {
-        state_kb,
-        rehydrate,
-        mttr_samples,
-        rehydrated: sum("rehydrated"),
-        replayed_records: sum("replayed_records"),
-        checkpoint_stall_ms: sum("checkpoint_stall_ms"),
-        induced_str_crashes,
-        window_s,
-    }
+    let trial = Trial {
+        horizon: settle_after(&script, settle),
+        script,
+        ..Trial::new(station_cfg, TreeVariant::III, cfg.seed)
+    };
+    trial.value(0, |trial| {
+        let outcome = trial.run()?;
+        let (station, start) = (&outcome.station, outcome.start);
+        let mttr_samples = outcome
+            .measurements()
+            .into_iter()
+            .map(|m| m.map(|m| m.recovery_s()))
+            .collect::<Result<Vec<f64>, _>>()?;
+        let induced_str_crashes = station
+            .trace()
+            .times_of(Mark::InducedCrash(intern(names::STR)))
+            .filter(|&t| t > start)
+            .count();
+        let t = station.telemetry();
+        let sum = |name: &'static str| t.counter(name, "ses") + t.counter(name, "str");
+        Ok(CheckpointReport {
+            state_kb,
+            rehydrate,
+            mttr_samples,
+            rehydrated: sum("rehydrated"),
+            replayed_records: sum("replayed_records"),
+            checkpoint_stall_ms: sum("checkpoint_stall_ms"),
+            induced_str_crashes,
+            window_s: station.now().saturating_since(start).as_secs_f64(),
+        })
+    })
 }
 
 /// Runs both arms at one state size — cold, then rehydrate, same seed and

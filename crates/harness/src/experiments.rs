@@ -13,48 +13,28 @@
 //! hands the next is drawn before the fan-out, and sums fold the
 //! index-ordered results (DESIGN.md §18).
 
+use std::error::Error;
+
 use mercury::config::{calib, names, StationConfig};
-use mercury::measure::{measure_recovery, telemetry_frames};
+use mercury::measure::{measure_recovery, telemetry_frames, MeasureError};
 use mercury::scenario::PassScenario;
-use mercury::station::{Station, TreeVariant};
+use mercury::station::TreeVariant;
 use rr_core::analysis::{
     availability, expected_mode_recovery_s, expected_system_mttr_s, OracleQuality,
 };
 use rr_core::model::FailureMode;
 use rr_core::optimize::{optimize_tree, OptimizerConfig};
-use rr_core::oracle::Oracle;
 use rr_core::render::render_tree;
-use rr_core::{FaultyOracle, LearningOracle, PerfectOracle};
 use rr_sim::{intern, Dist, FaultKind, FaultScript, Mark, SimDuration, SimRng, SimTime, Summary};
 
 use crate::par::par_map;
 use crate::tables::{secs, versus, Table};
+use crate::trial::{settle_after, JointCure, OracleKind, Trial, TrialOutcome};
 
 /// Unwraps a failure mode built from literal experiment rates, which are
 /// valid by construction.
 fn mode(m: Result<FailureMode, rr_core::ModelError>) -> FailureMode {
     m.unwrap_or_else(|e| unreachable!("literal experiment rates are valid: {e}"))
-}
-
-/// Which oracle a run uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OracleKind {
-    /// The minimal restart policy (`A_oracle`).
-    Perfect,
-    /// The §4.4 faulty oracle with the given guess-too-low probability.
-    Faulty(f64),
-    /// The learning oracle (future work §7).
-    Learning,
-}
-
-impl OracleKind {
-    fn build(self, seed: u64) -> Box<dyn Oracle> {
-        match self {
-            OracleKind::Perfect => Box::new(PerfectOracle::new()),
-            OracleKind::Faulty(p) => Box::new(FaultyOracle::new(p, SimRng::new(seed))),
-            OracleKind::Learning => Box::new(LearningOracle::new(0.5)),
-        }
-    }
 }
 
 /// Experiment parameters.
@@ -148,6 +128,11 @@ pub fn measure_cell(
 }
 
 /// Like [`measure_cell`], but returns the raw per-trial recovery times.
+///
+/// # Panics
+///
+/// If a trial cannot be built, played or measured, with its reason and its
+/// index (`trial {i} (…): {reason}`, [`Trial::value`]).
 pub fn measure_cell_samples(
     variant: TreeVariant,
     oracle: OracleKind,
@@ -155,85 +140,69 @@ pub fn measure_cell_samples(
     correlated_pbcom: bool,
     run: RunConfig,
 ) -> Vec<f64> {
-    let cell = Cell {
-        variant,
-        oracle,
-        component,
-        correlated_pbcom,
-    };
-    measure_cells(&[cell], run)
+    measure_cells(&[cell(variant, oracle, component, correlated_pbcom)], run)
 }
 
-/// One measured cell: what is killed, under which tree and oracle.
-#[derive(Clone, Copy)]
-struct Cell<'a> {
+/// One measured cell: `component` killed (or, `correlated_pbcom`, the §4.4
+/// joint pbcom failure injected) on a paper station under the tree and
+/// oracle, and measured 150 s on: long enough for the worst escalated
+/// episode (≈48 s) plus slack. [`measure_cells`] sets each trial's seed and
+/// phase.
+fn cell(
     variant: TreeVariant,
     oracle: OracleKind,
-    component: &'a str,
+    component: &str,
     correlated_pbcom: bool,
+) -> Trial {
+    Trial {
+        oracle,
+        script: FaultScript::new().with_fault(SimTime::ZERO, component, FaultKind::Crash),
+        joint: correlated_pbcom.then_some(JointCure::Poisoned),
+        horizon: SimDuration::from_secs(150),
+        ..Trial::new(StationConfig::paper(), variant, 0)
+    }
 }
 
 /// The recovery times of `run.trials` trials of every cell, cell after cell
-/// (`chunks(run.trials)` takes them apart again). Cell × trial is one job
-/// list, so a table of short cells still fills every core and nothing fans
-/// out twice.
-fn measure_cells(cells: &[Cell], run: RunConfig) -> Vec<f64> {
-    let phases = phase_offsets(run.seed ^ 0x9E3779B97F4A7C15, run.trials);
-    par_map(cells.len() * run.trials, |job| {
-        let (cell, i) = (cells[job / run.trials], job % run.trials);
-        cell_trial(cell, run.seed, i, phases[i])
+/// (`chunks(run.trials)` takes them apart again).
+fn measure_cells(cells: &[Trial], run: RunConfig) -> Vec<f64> {
+    fan_out(cells, run, run.seed ^ 0x9E3779B97F4A7C15, Trial::recovery_s)
+}
+
+/// What `read` makes of `run.trials` trials of every template, template
+/// after template. Trial `i` of a template runs on seed
+/// `(seed + i) · 2654435761` at phase `i` of `phase_offsets(phase_seed)`.
+/// Template × trial is one job list, so a table of short cells still fills
+/// every core and nothing fans out twice.
+fn fan_out<T: Send>(
+    templates: &[Trial],
+    run: RunConfig,
+    phase_seed: u64,
+    read: impl Fn(&Trial) -> Result<T, Box<dyn Error>> + Sync,
+) -> Vec<T> {
+    let phases = phase_offsets(phase_seed, run.trials);
+    par_map(templates.len() * run.trials, |job| {
+        let i = job % run.trials;
+        let trial = Trial {
+            seed: run.seed.wrapping_add(i as u64).wrapping_mul(2654435761),
+            phase: phases[i],
+            ..templates[job / run.trials].clone()
+        };
+        trial.value(i, &read)
     })
 }
 
 /// One injection-phase offset per trial: a uniformly random fraction of the
 /// FD ping period, so that repeated trials inject at a uniformly random phase
-/// of the detection cycle (what `Station::randomize_injection_phase` draws).
-/// The generator is the one value a trial hands the next, so the offsets are
-/// drawn here, in trial order, before the trials fan out.
+/// of the detection cycle. The generator is the one value a trial hands the
+/// next, so the offsets are drawn here, in trial order, before the trials
+/// fan out.
 fn phase_offsets(rng_seed: u64, trials: usize) -> Vec<SimDuration> {
     let period = StationConfig::paper().fd.ping_period_s;
     let mut rng = SimRng::new(rng_seed);
     (0..trials)
         .map(|_| SimDuration::from_secs_f64(rng.uniform(0.0, period)))
         .collect()
-}
-
-/// Trial `i` of a cell: a fresh station, cold-started and settled, one
-/// injected failure at `phase` into the ping round, measured as in §4.1.
-fn cell_trial(cell: Cell, base_seed: u64, i: usize, phase: SimDuration) -> f64 {
-    let Cell {
-        variant,
-        oracle,
-        component,
-        correlated_pbcom,
-    } = cell;
-    let seed = base_seed.wrapping_add(i as u64).wrapping_mul(2654435761);
-    let mut station = Station::new(
-        StationConfig::paper(),
-        variant,
-        oracle.build(seed ^ 0xBEEF),
-        seed,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    station.run_for(phase);
-    let injected = if correlated_pbcom {
-        station
-            .inject_correlated_pbcom()
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-    } else {
-        station
-            .inject_kill(component)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-    };
-    // Long enough for the worst escalated episode (≈48 s) plus slack.
-    station.run_for(SimDuration::from_secs(150));
-    match measure_recovery(station.trace(), component, injected) {
-        Ok(m) => m.recovery_s(),
-        Err(e) => {
-            panic!("trial {i} ({variant}, {component}, correlated={correlated_pbcom}): {e}")
-        }
-    }
 }
 
 /// How a correlated-fault scenario injects its failures.
@@ -299,47 +268,43 @@ fn measure_correlated(
     serial: bool,
     run: RunConfig,
 ) -> Summary {
-    let phases = phase_offsets(run.seed ^ 0x5EB1A1, run.trials);
-    let samples = par_map(run.trials, |i| {
-        let seed = run.seed.wrapping_add(i as u64).wrapping_mul(2654435761);
-        let mut cfg = StationConfig::paper();
-        cfg.serial_recovery = serial;
-        let mut station = Station::new(cfg, variant, Box::new(PerfectOracle::new()), seed)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-        station.warm_up();
-        station.run_for(phases[i]);
-        if matches!(kind, CorrelatedKind::FedrThenJointPbcom) {
-            station.set_cure_hint(names::PBCOM, [names::FEDR, names::PBCOM]);
-        }
-        let injected = station.now();
-        station
-            .play(&kind.script())
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        station.run_for(SimDuration::from_secs(200));
-        // The group is recovered when its slowest member is functionally
-        // ready for good. Readiness (not per-episode attribution) is the
-        // metric because the serial baseline can recover a deferred
-        // component through another episode's deadline escalation, which
-        // never issues a restart under the deferred component's own name.
-        let comps = kind.components().map(intern);
-        let mut last_ready = [None; 2];
-        for (at, mark) in station.trace().marks().filter(|&(at, _)| at >= injected) {
-            for (comp, last) in comps.iter().zip(&mut last_ready) {
-                if *mark == Mark::Ready(*comp) {
-                    *last = Some(at);
-                }
-            }
-        }
-        let mut group = 0.0f64;
-        for (comp, ready) in comps.iter().zip(last_ready) {
-            let ready = ready.unwrap_or_else(|| {
-                panic!("trial {i} ({variant}, {comp}, serial={serial}): never became ready")
-            });
-            group = group.max(ready.saturating_since(injected).as_secs_f64());
-        }
-        group
+    let mut config = StationConfig::paper();
+    config.serial_recovery = serial;
+    let script = kind.script();
+    let scenario = Trial {
+        joint: matches!(kind, CorrelatedKind::FedrThenJointPbcom).then_some(JointCure::Hint),
+        horizon: settle_after(&script, SimDuration::from_secs(200)),
+        script,
+        ..Trial::new(config, variant, 0)
+    };
+    let samples = fan_out(&[scenario], run, run.seed ^ 0x5EB1A1, |trial| {
+        Ok(group_recovery_s(&trial.run()?, kind)?)
     });
     Summary::of(&samples)
+}
+
+/// Seconds from the start until the slower of `kind`'s two components is
+/// functionally ready for good. Readiness (not per-episode attribution) is
+/// the metric because the serial baseline can recover a deferred component
+/// through another episode's deadline escalation, which never issues a
+/// restart under the deferred component's own name.
+fn group_recovery_s(outcome: &TrialOutcome, kind: CorrelatedKind) -> Result<f64, MeasureError> {
+    let comps = kind.components().map(intern);
+    let mut last_ready = [None; 2];
+    let marks = outcome.station.trace().marks();
+    for (at, mark) in marks.filter(|&(at, _)| at >= outcome.start) {
+        for (comp, last) in comps.iter().zip(&mut last_ready) {
+            if *mark == Mark::Ready(*comp) {
+                *last = Some(at);
+            }
+        }
+    }
+    let mut group = 0.0f64;
+    for (comp, ready) in comps.iter().zip(last_ready) {
+        let ready = ready.ok_or_else(|| MeasureError::NeverReady(comp.to_string()))?;
+        group = group.max(ready.saturating_since(outcome.start).as_secs_f64());
+    }
+    Ok(group)
 }
 
 /// **Correlated faults** — sequential vs parallel recovery of concurrent
@@ -515,15 +480,11 @@ pub fn table2(run: RunConfig) -> Experiment {
         ],
     );
     // Each component under tree I, then under tree II.
-    let cells: Vec<Cell> = components
+    let cells: Vec<Trial> = components
         .iter()
         .flat_map(|&component| {
-            [TreeVariant::I, TreeVariant::II].map(|variant| Cell {
-                variant,
-                oracle: OracleKind::Perfect,
-                component,
-                correlated_pbcom: false,
-            })
+            [TreeVariant::I, TreeVariant::II]
+                .map(|variant| cell(variant, OracleKind::Perfect, component, false))
         })
         .collect();
     let samples = measure_cells(&cells, run);
@@ -674,13 +635,10 @@ pub fn table4(run: RunConfig) -> Experiment {
         .iter()
         .flat_map(|row| row.cells.iter().map(move |entry| (row, entry)))
         .collect();
-    let cells: Vec<Cell> = entries
+    let cells: Vec<Trial> = entries
         .iter()
-        .map(|&(row, &(component, _, correlated_pbcom))| Cell {
-            variant: row.variant,
-            oracle: row.oracle,
-            component,
-            correlated_pbcom,
+        .map(|&(row, &(component, _, correlated))| {
+            cell(row.variant, row.oracle, component, correlated)
         })
         .collect();
     let samples = measure_cells(&cells, run);
@@ -966,26 +924,20 @@ pub fn pass_data_loss(run: RunConfig) -> Experiment {
             let mut cfg = StationConfig::paper();
             let plan = PassScenario::plan(&cfg, "opal", 120.0, 30.0, 20.0);
             cfg.pass_epoch_offset_s = plan.epoch_offset_s;
-            let mut station =
-                Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-            station.warm_up();
-            let start = station.now();
-            plan.start_tracking(&mut station);
-            if inject {
-                // Fail rtu two minutes into the pass.
-                let rise = plan.rise_sim_time();
-                let until = rise + SimDuration::from_secs(120);
-                let dur = until.saturating_since(station.now());
-                station.run_for(dur);
-                station
-                    .inject_kill(names::RTU)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            }
-            let end = plan.set_sim_time() + SimDuration::from_secs(10);
-            let dur = end.saturating_since(station.now());
-            station.run_for(dur);
-            telemetry_frames(station.trace(), start, station.now()) as f64
+            Trial::new(cfg, variant, seed).value(pass, |trial| {
+                let mut station = trial.start()?;
+                let start = station.now();
+                plan.start_tracking(&mut station);
+                if inject {
+                    // Fail rtu two minutes into the pass.
+                    let until = plan.rise_sim_time() + SimDuration::from_secs(120);
+                    station.run_for(until.saturating_since(station.now()));
+                    station.inject_kill(names::RTU)?;
+                }
+                let end = plan.set_sim_time() + SimDuration::from_secs(10);
+                station.run_for(end.saturating_since(station.now()));
+                Ok(telemetry_frames(station.trace(), start, station.now()) as f64)
+            })
         });
         let mean_from = |first: usize| {
             let passes = frames.iter().skip(first).step_by(2);
@@ -1106,25 +1058,22 @@ pub fn ablation_ping_period(run: RunConfig) -> Experiment {
     for period in [0.25, 0.5, 1.0, 2.0, 4.0] {
         let samples = par_map(trials, |i| {
             let seed = run.seed + 7000 + i as u64;
-            let mut cfg = StationConfig::paper();
-            cfg.fd.ping_period_s = period;
-            cfg.fd.ping_timeout_s = (0.4 * period).clamp(0.1, 2.0);
+            let mut config = StationConfig::paper();
+            config.fd.ping_period_s = period;
+            config.fd.ping_timeout_s = (0.4 * period).clamp(0.1, 2.0);
             // The cure-confirmation window must scale with detection latency
             // (config validation enforces this ordering).
-            cfg.cure_confirm_s = calib::POISON_CRASH_DELAY_S + cfg.fd.mean_detection_s() + 1.0;
-            let mut station =
-                Station::new(cfg, TreeVariant::II, Box::new(PerfectOracle::new()), seed)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-            station.warm_up();
-            let mut phase_rng = SimRng::new(seed ^ 0xA5A5);
-            station.randomize_injection_phase(&mut phase_rng);
-            let injected = station
-                .inject_kill(names::RTU)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            station.run_for(SimDuration::from_secs(90));
-            measure_recovery(station.trace(), names::RTU, injected)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "recovered"))
-                .recovery_s()
+            config.cure_confirm_s =
+                calib::POISON_CRASH_DELAY_S + config.fd.mean_detection_s() + 1.0;
+            let phase = SimRng::new(seed ^ 0xA5A5).uniform(0.0, period);
+            let trial = Trial {
+                config,
+                seed,
+                phase: SimDuration::from_secs_f64(phase),
+                horizon: SimDuration::from_secs(90),
+                ..cell(TreeVariant::II, OracleKind::Perfect, names::RTU, false)
+            };
+            trial.value(i, Trial::recovery_s)
         });
         let s = Summary::of(&samples);
         let pings_per_minute = 60.0 / period * names::UNSPLIT.len() as f64;
@@ -1153,36 +1102,31 @@ fn ablation_learning(run: RunConfig) -> Experiment {
         vec!["Episode".into(), "Attempts".into(), "Recovery (s)".into()],
     );
     // One long-lived station; repeated episodes teach the oracle.
-    let mut station = Station::new(
-        StationConfig::paper(),
-        TreeVariant::IV,
-        Box::new(LearningOracle::new(0.5)),
-        run.seed + 31,
-    )
-    .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    let episodes = 6;
-    let mut first_attempts = 0;
-    let mut last_attempts = 0;
-    for ep in 0..episodes {
-        let injected = station
-            .inject_correlated_pbcom()
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        station.run_for(SimDuration::from_secs(150));
-        let m = measure_recovery(station.trace(), names::PBCOM, injected)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "recovered"));
+    let trial = Trial {
+        oracle: OracleKind::Learning,
+        ..Trial::new(StationConfig::paper(), TreeVariant::IV, run.seed + 31)
+    };
+    let episodes = trial.value(0, |trial| {
+        let mut station = trial.start()?;
+        let mut episodes = Vec::new();
+        for _ in 0..6 {
+            let injected = station.inject_correlated_pbcom()?;
+            station.run_for(SimDuration::from_secs(150));
+            episodes.push(measure_recovery(station.trace(), names::PBCOM, injected)?);
+            // Let the system settle (and incarnations age) between episodes.
+            station.run_for(SimDuration::from_secs(60));
+        }
+        Ok(episodes)
+    });
+    for (ep, m) in episodes.iter().enumerate() {
         table.push_row(vec![
             (ep + 1).to_string(),
             m.attempts.to_string(),
             secs(m.recovery_s()),
         ]);
-        if ep == 0 {
-            first_attempts = m.attempts;
-        }
-        last_attempts = m.attempts;
-        // Let the system settle (and incarnations age) between episodes.
-        station.run_for(SimDuration::from_secs(60));
     }
+    let first_attempts = episodes.first().map_or(0, |m| m.attempts);
+    let last_attempts = episodes.last().map_or(0, |m| m.attempts);
     exp.blocks.push(format!(
         "First episode took {first_attempts} attempts; after learning, episodes take \
          {last_attempts} (the oracle now recommends the joint cell directly).\n"
@@ -1276,38 +1220,38 @@ pub fn endurance(run: RunConfig) -> Experiment {
     // Tree × trial is one job list: a trial is six simulated hours, and three
     // of them would not fill the cores. Each yields (failures injected,
     // downtime in seconds, availability).
+    let horizon = SimDuration::from_secs_f64(horizon_s);
     let runs = par_map(variants.len() * trials, |job| {
         let (variant, t) = (variants[job / trials], job % trials);
-        let model = model_of(variant);
         let seed = run.seed + 100 + t as u64;
-        let mut station = Station::new(cfg.clone(), variant, Box::new(PerfectOracle::new()), seed)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-        station.warm_up();
-        let start = station.now();
-        let horizon = start + SimDuration::from_secs_f64(horizon_s);
-        // Build the failure schedule from the model, times from `start`.
-        // (The joint pbcom mode needs the poison hook; its rate is small and
-        // it is exercised by table4, so endurance injects it as a plain
-        // kill.)
+        // The failure schedule from the model, times from the start. (The
+        // joint pbcom mode needs the poison hook; its rate is small and it is
+        // exercised by table4, so endurance injects it as a plain kill.) A
+        // fault on a component already down is skipped.
         let mut rng = SimRng::new(seed ^ 0xFA17);
         let mut script = FaultScript::new();
         let end = SimTime::from_secs_f64(horizon_s);
-        for mode in model.modes() {
+        for mode in model_of(variant).modes() {
             let d = Dist::exponential(mode.mttf_s());
             script.merge(FaultScript::poisson_like(&mode.trigger, &d, end, &mut rng));
         }
-        // Play it through the station so the trace carries inject marks; a
-        // fault on a component already down is skipped.
-        station
-            .play(&script)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-        let rest = horizon.saturating_since(station.now());
-        station.run_for(rest);
-        // Let the final episode drain.
-        station.run_for(SimDuration::from_secs(60));
-        let comps = station.components().to_vec();
-        let (down, avail) = system_downtime(station.trace(), &comps, start, horizon);
-        (script.faults().len(), down.as_secs_f64(), avail)
+        let trial = Trial {
+            script,
+            // Let the final episode drain.
+            horizon: horizon + SimDuration::from_secs(60),
+            ..Trial::new(cfg.clone(), variant, seed)
+        };
+        trial.value(t, |trial| {
+            let outcome = trial.run()?;
+            let (station, start) = (&outcome.station, outcome.start);
+            let (down, avail) = system_downtime(
+                station.trace(),
+                station.components(),
+                start,
+                start + horizon,
+            );
+            Ok((trial.script.faults().len(), down.as_secs_f64(), avail))
+        })
     });
 
     for (variant, runs) in variants.into_iter().zip(runs.chunks(trials)) {
@@ -1376,38 +1320,26 @@ fn ablation_rejuvenation(run: RunConfig) -> Experiment {
     for (threshold, label) in [(None, "off"), (Some(0.5), "aging >= 0.5")] {
         let mut cfg = StationConfig::paper();
         cfg.rejuvenation_aging_threshold = threshold;
-        let mut station = Station::new(
-            cfg,
-            TreeVariant::III,
-            Box::new(PerfectOracle::new()),
-            run.seed + 55,
-        )
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-        station.warm_up();
+        // fedr crashes with a 10-minute MTTF for two hours; a crash due while
+        // fedr is already down is skipped.
         let mut rng = SimRng::new(run.seed ^ 0x0DD);
-        let d = Dist::exponential(600.0); // fedr MTTF: 10 minutes
-        let horizon = station.now() + SimDuration::from_secs(2 * 3600);
-        loop {
-            let gap = d.sample(&mut rng);
-            let next = station.now() + gap;
-            if next >= horizon {
-                break;
-            }
-            station.run_for(gap);
-            if station
-                .state_of(names::FEDR)
-                .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"))
-                == rr_sim::ProcessState::Running
-            {
-                station
-                    .inject_kill(names::FEDR)
-                    .unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-            }
-        }
-        station.run_for(SimDuration::from_secs(120));
-        let pbcom = intern(names::PBCOM);
-        let aging = station.trace().times_of(Mark::AgingCrash(pbcom)).count();
-        let rejuv = station.trace().times_of(Mark::Rejuvenate(pbcom)).count();
+        let two_hours = SimTime::from_secs(2 * 3600);
+        let fedr = Dist::exponential(600.0);
+        let script = FaultScript::poisson_like(names::FEDR, &fedr, two_hours, &mut rng);
+        let trial = Trial {
+            horizon: settle_after(&script, SimDuration::from_secs(120)),
+            script,
+            ..Trial::new(cfg, TreeVariant::III, run.seed + 55)
+        };
+        let (aging, rejuv) = trial.value(0, |trial| {
+            let outcome = trial.run()?;
+            let pbcom = intern(names::PBCOM);
+            let count = |mark| outcome.station.trace().times_of(mark).count();
+            Ok((
+                count(Mark::AgingCrash(pbcom)),
+                count(Mark::Rejuvenate(pbcom)),
+            ))
+        });
         table.push_row(vec![
             label.to_string(),
             aging.to_string(),

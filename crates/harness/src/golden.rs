@@ -16,9 +16,10 @@
 use std::path::PathBuf;
 
 use mercury::config::{names, StationConfig};
-use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
+use mercury::station::TreeVariant;
 use rr_sim::{FaultKind, FaultScript, SimDuration, SimTime, Trace, TraceEvent, TraceKind};
+
+use crate::trial::{settle_after, JointCure, Trial};
 
 /// Lifecycle kinds included in a normalized trace. `Spawned` is excluded
 /// (cold-start noise) and `Dropped` is excluded (incidental routing detail).
@@ -94,43 +95,18 @@ pub fn diff(expected: &str, actual: &str) -> Option<String> {
     Some(out)
 }
 
-/// The §4.4 joint \[fedr, pbcom\] cure a scenario declares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JointCure {
-    /// A perfect oracle is told that pbcom failures need fedr and pbcom
-    /// restarted together; the script's faults are plain crashes.
-    Hint,
-    /// fedr's session state is poisoned as well: the script's pbcom crash
-    /// is injected by [`Station::inject_correlated_pbcom`], which sets the
-    /// same hint. The poison is Mercury state, not a process fault, so the
-    /// script names only the crash it manifests as.
-    Poisoned,
-}
-
-/// One golden-trace scenario: a tree variant, a seed, and the faults the
-/// station plays after warm-up.
+/// One golden-trace scenario: a named [`Trial`]. Its script is what the
+/// station plays after warm-up and what [`lint_scenario`] checks.
 #[derive(Debug, Clone)]
 pub struct GoldenScenario {
     /// Scenario (and golden file) name.
     pub name: &'static str,
-    /// The tree variant the station operates.
-    pub variant: TreeVariant,
-    /// Deterministic simulation seed.
-    pub seed: u64,
-    /// Whether the station runs the capacity-1 admission preset (one
-    /// restart admitted, the rest deferred, duplicate FD reports for parked
-    /// components shed, and the queue drained as the capacity window
-    /// recharges) instead of the paper calibration.
-    pub admission: bool,
-    /// The joint cure, if any.
-    pub joint: Option<JointCure>,
-    /// The injections, times relative to the post-warm-up instant: what
-    /// [`Station::play`] runs and what [`lint_scenario`] checks.
-    pub script: FaultScript,
+    /// What runs, and for how long.
+    pub trial: Trial,
 }
 
 /// A scenario crashing each `(offset_s, component)` on the paper
-/// calibration, with no joint cure.
+/// calibration, with no joint cure, settled 80 s after the last crash.
 fn crashes(
     name: &'static str,
     variant: TreeVariant,
@@ -141,14 +117,37 @@ fn crashes(
     for &(at_s, target) in crashes {
         script.push(SimTime::from_secs_f64(at_s), target, FaultKind::Crash);
     }
-    GoldenScenario {
-        name,
-        variant,
-        seed,
-        admission: false,
-        joint: None,
+    let trial = Trial {
+        horizon: settle_after(&script, SimDuration::from_secs(80)),
         script,
-    }
+        ..Trial::new(StationConfig::paper(), variant, seed)
+    };
+    GoldenScenario { name, trial }
+}
+
+/// `sc` with a joint cure.
+fn joint(mut sc: GoldenScenario, joint: JointCure) -> GoldenScenario {
+    sc.trial.joint = Some(joint);
+    sc
+}
+
+/// `sc` on the capacity-1 admission preset: one restart admitted, the rest
+/// deferred, duplicate FD reports for parked components shed, and the queue
+/// drained as the capacity window recharges. The shipped preset's pacing
+/// knobs are shrunk so a full defer → shed → age-out → admit → cure cycle
+/// completes inside a golden window: capacity 1 over a 20 s window keeps the
+/// admitted-restart spacing under the 30 s aging bound (RRL802), so the
+/// configuration lints clean. The queue drains at the capacity-window
+/// cadence, so the burst settles 120 s, not 80.
+fn paced(mut sc: GoldenScenario) -> GoldenScenario {
+    let cfg = &mut sc.trial.config;
+    *cfg = StationConfig::admission();
+    cfg.admission_capacity = 1;
+    cfg.admission_window_s = 20.0;
+    cfg.defer_max_age_s = 30.0;
+    cfg.admission_retry_s = 5.0;
+    sc.trial.horizon = settle_after(&sc.trial.script, SimDuration::from_secs(120));
+    sc
 }
 
 /// The canonical golden-trace scenario set: single faults on every variant
@@ -156,7 +155,6 @@ fn crashes(
 pub fn golden_scenarios() -> Vec<GoldenScenario> {
     use names::{FEDR, FEDRCOM, PBCOM, RTU, SES, STR};
     use TreeVariant::{I, II, III, IV, V};
-    let poisoned = Some(JointCure::Poisoned);
     vec![
         // Single-fault scenarios: recorded before the parallel scheduler
         // landed; byte-identity here is the "paper() unchanged on single
@@ -169,14 +167,14 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
         crashes("tree2-kill-fedrcom", II, 0xD5_2052, &[(0.0, FEDRCOM)]),
         crashes("tree2-kill-ses", II, 0xD5_2062, &[(0.0, SES)]),
         crashes("tree3-kill-pbcom", III, 0xD5_2072, &[(0.0, PBCOM)]),
-        GoldenScenario {
-            joint: poisoned,
-            ..crashes("tree4-correlated-pbcom", IV, 0xD5_2082, &[(0.0, PBCOM)])
-        },
-        GoldenScenario {
-            joint: poisoned,
-            ..crashes("tree5-correlated-pbcom", V, 0xD5_2092, &[(0.0, PBCOM)])
-        },
+        joint(
+            crashes("tree4-correlated-pbcom", IV, 0xD5_2082, &[(0.0, PBCOM)]),
+            JointCure::Poisoned,
+        ),
+        joint(
+            crashes("tree5-correlated-pbcom", V, 0xD5_2092, &[(0.0, PBCOM)]),
+            JointCure::Poisoned,
+        ),
         // Multi-fault scenarios: concurrent suspicions exercising the
         // parallel scheduler. Same-instant crashes in independent cells
         // open independent episodes; a second crash 1 s into the first
@@ -205,15 +203,15 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
             0xD5_20D2,
             &[(0.0, RTU), (0.0, SES)],
         ),
-        GoldenScenario {
-            joint: Some(JointCure::Hint),
-            ..crashes(
+        joint(
+            crashes(
                 "tree4-merge-fedr-pbcom",
                 IV,
                 0xD5_20E2,
                 &[(0.0, FEDR), (1.0, PBCOM)],
-            )
-        },
+            ),
+            JointCure::Hint,
+        ),
         crashes(
             "tree5-merge-fedr-pbcom",
             V,
@@ -222,88 +220,58 @@ pub fn golden_scenarios() -> Vec<GoldenScenario> {
         ),
         // Overload scenarios: simultaneous kills under the admission
         // controller (capacity 1), pinning the defer / shed / drain ordering.
-        GoldenScenario {
-            admission: true,
-            ..crashes(
-                "tree2-overload-pair",
-                II,
-                0xD5_2102,
-                &[(0.0, RTU), (0.0, SES)],
-            )
-        },
-        GoldenScenario {
-            admission: true,
-            ..crashes(
-                "tree4-overload-burst",
-                IV,
-                0xD5_2112,
-                &[(0.0, SES), (0.0, STR), (0.0, RTU)],
-            )
-        },
-        GoldenScenario {
-            admission: true,
-            ..crashes(
-                "tree5-overload-burst",
-                V,
-                0xD5_2122,
-                &[(0.0, SES), (0.0, STR), (0.0, RTU)],
-            )
-        },
+        paced(crashes(
+            "tree2-overload-pair",
+            II,
+            0xD5_2102,
+            &[(0.0, RTU), (0.0, SES)],
+        )),
+        paced(crashes(
+            "tree4-overload-burst",
+            IV,
+            0xD5_2112,
+            &[(0.0, SES), (0.0, STR), (0.0, RTU)],
+        )),
+        paced(crashes(
+            "tree5-overload-burst",
+            V,
+            0xD5_2122,
+            &[(0.0, SES), (0.0, STR), (0.0, RTU)],
+        )),
     ]
-}
-
-/// The configuration [admission](GoldenScenario::admission) scenarios run: the
-/// shipped admission preset with the pacing knobs shrunk so a full
-/// defer → shed → age-out → admit → cure cycle completes inside a golden
-/// window. Capacity 1 over a 20 s window keeps the admitted-restart spacing
-/// under the 30 s aging bound (RRL802), so the configuration lints clean.
-fn golden_admission_config() -> StationConfig {
-    let mut cfg = StationConfig::admission();
-    cfg.admission_capacity = 1;
-    cfg.admission_window_s = 20.0;
-    cfg.defer_max_age_s = 30.0;
-    cfg.admission_retry_s = 5.0;
-    cfg
 }
 
 /// Statically lints one scenario before anything runs: the station
 /// configuration and tree (via [`StationConfig::lint`]) plus the scenario's
-/// [fault script](GoldenScenario::script), the one the station plays,
-/// against the variant's component set.
+/// fault script, the one the station plays, against the variant's component
+/// set.
 pub fn lint_scenario(sc: &GoldenScenario) -> rr_lint::Report {
-    let cfg = scenario_config(sc);
-    let mut report = match sc.variant.tree() {
-        Ok(tree) => cfg.lint(&tree),
+    let Trial {
+        config, variant, ..
+    } = &sc.trial;
+    let mut report = match variant.tree() {
+        Ok(tree) => config.lint(&tree),
         Err(e) => {
             let mut r = rr_lint::Report::new();
             r.push(rr_lint::Diagnostic::new(
                 &rr_lint::catalog::TREE_MALFORMED,
                 sc.name,
-                format!("tree variant {} does not build: {e}", sc.variant),
+                format!("tree variant {variant} does not build: {e}"),
             ));
             r
         }
     };
-    let components = sc.variant.components();
+    let components = variant.components();
     let infrastructure = [names::FD.to_string(), names::REC.to_string()];
     report.merge(rr_lint::lint_fault_script(
-        &sc.script.to_text(),
+        &sc.trial.script.to_text(),
         &rr_lint::ScriptContext {
             components: &components,
             infrastructure: &infrastructure,
-            fd: Some(&cfg.fd),
+            fd: Some(&config.fd),
         },
     ));
     report
-}
-
-/// The configuration a scenario records its golden under.
-fn scenario_config(sc: &GoldenScenario) -> StationConfig {
-    if sc.admission {
-        golden_admission_config()
-    } else {
-        StationConfig::paper()
-    }
 }
 
 /// Runs one scenario to completion and returns its normalized trace.
@@ -314,7 +282,7 @@ fn scenario_config(sc: &GoldenScenario) -> StationConfig {
 /// [`lint_scenario`] produces a deny diagnostic — the golden suite must
 /// never record a trace from a configuration the analyzer rejects.
 pub fn run_golden_scenario(sc: &GoldenScenario) -> String {
-    run_scenario_with_config(sc, scenario_config(sc)).0
+    run_scenario(sc, &sc.trial).0
 }
 
 /// Runs one scenario with recovery-episode telemetry enabled, returning the
@@ -323,18 +291,15 @@ pub fn run_golden_scenario(sc: &GoldenScenario) -> String {
 /// observation-only, so the trace is byte-identical to
 /// [`run_golden_scenario`]'s.
 pub fn run_golden_scenario_telemetry(sc: &GoldenScenario) -> (String, rr_sim::Registry) {
-    let mut cfg = scenario_config(sc);
-    cfg.telemetry_enabled = true;
-    run_scenario_with_config(sc, cfg)
+    let mut trial = sc.trial.clone();
+    trial.config.telemetry_enabled = true;
+    run_scenario(sc, &trial)
 }
 
-/// Shared scenario driver: lints, warms up, plays the script, runs to
-/// completion, and returns the normalized trace plus the station's
+/// Shared scenario driver: lints, runs `trial` (the scenario's, perhaps with
+/// telemetry on), and returns the normalized trace plus the station's
 /// telemetry snapshot (a no-op registry unless the config enables it).
-fn run_scenario_with_config(
-    sc: &GoldenScenario,
-    config: StationConfig,
-) -> (String, rr_sim::Registry) {
+fn run_scenario(sc: &GoldenScenario, trial: &Trial) -> (String, rr_sim::Registry) {
     let lint = lint_scenario(sc);
     assert!(
         !lint.has_deny(),
@@ -342,24 +307,14 @@ fn run_scenario_with_config(
         sc.name,
         lint.to_human()
     );
-    let mut station = Station::new(config, sc.variant, Box::new(PerfectOracle::new()), sc.seed)
-        .unwrap_or_else(|e| panic!("{}: {e:?}", "valid station"));
-    station.warm_up();
-    let start = station.now();
-    let injected = match sc.joint {
-        Some(JointCure::Poisoned) => station.inject_correlated_pbcom().map(drop),
-        Some(JointCure::Hint) => {
-            station.set_cure_hint(names::PBCOM, [names::FEDR, names::PBCOM]);
-            station.play(&sc.script).map(drop)
-        }
-        None => station.play(&sc.script).map(drop),
-    };
-    injected.unwrap_or_else(|e| panic!("{}: {e:?}", "known component"));
-    // Overload bursts drain their deferral queue at the capacity-window
-    // cadence, so they need a longer settle than a single recovery episode.
-    let settle_s = if sc.admission { 120 } else { 80 };
-    station.run_for(SimDuration::from_secs(settle_s));
-    (normalize(station.trace(), start), station.telemetry())
+    trial.value(0, |trial| {
+        let outcome = trial.run()?;
+        let station = &outcome.station;
+        Ok((
+            normalize(station.trace(), outcome.start),
+            station.telemetry(),
+        ))
+    })
 }
 
 /// The repository-level directory holding the recorded golden traces.
@@ -430,22 +385,24 @@ mod tests {
     #[test]
     fn scenario_fault_scripts_are_parseable_and_on_target() {
         for sc in golden_scenarios() {
-            let script = &sc.script;
+            let Trial {
+                variant, script, ..
+            } = &sc.trial;
             let text = script.to_text();
             assert_eq!(&FaultScript::parse(&text).expect("round-trip"), script);
-            let components = sc.variant.components();
+            let components = variant.components();
             for fault in script.faults() {
                 assert!(
                     components.contains(&fault.target),
                     "{}: target {:?} not in variant {}",
                     sc.name,
                     fault.target,
-                    sc.variant
+                    variant
                 );
             }
             // A poisoned scenario injects through `inject_correlated_pbcom`,
             // which crashes pbcom now: the linted script must say exactly that.
-            if sc.joint == Some(JointCure::Poisoned) {
+            if sc.trial.joint == Some(JointCure::Poisoned) {
                 let pbcom_now =
                     FaultScript::new().with_fault(SimTime::ZERO, names::PBCOM, FaultKind::Crash);
                 assert_eq!(script, &pbcom_now, "{}", sc.name);

@@ -7,7 +7,9 @@
 //! 1, 2 and 4, Table 3 with Figures 2–6, the "factor of four" headline, the
 //! §5.2 pass, the §2.2/§4.4/§7 ablations, and the beyond-the-paper campaigns
 //! (correlated faults, endurance, chaos, overload, checkpoint, por, abs);
-//! each function's own doc names the artifact it regenerates.
+//! each function's own doc names the artifact it regenerates. Every one of
+//! them builds, warms, injects, runs and measures its stations through
+//! [`trial::Trial`].
 //!
 //! The `repro` binary drives the suite, and `rr-audit` the four audits
 //! (`lint`, `model`, `flow`, `abs`):
@@ -32,10 +34,12 @@ pub mod overload;
 mod par;
 pub mod report;
 pub mod tables;
+pub mod trial;
 
 pub use abs::{abs_params, certify_decisions, decision_table_json, parse_abs_fixture};
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use checkpoint::{CheckpointConfig, CheckpointReport};
-pub use experiments::{Experiment, OracleKind, RunConfig};
+pub use experiments::{Experiment, RunConfig};
 pub use flow::flow_params;
 pub use overload::{OverloadConfig, OverloadLoad, OverloadReport};
+pub use trial::{OracleKind, Trial};

@@ -14,9 +14,9 @@
 
 use mercury::config::{names, StationConfig};
 use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
+use mercury::station::TreeVariant;
 use rr_harness::chaos::{run_campaign, ChaosConfig};
+use rr_harness::Trial;
 use rr_sim::{intern, EpisodeStage, FaultKind, LinkQuality, Mark, SimDuration, TraceKind};
 
 /// Recovery actions that must never fire without a real failure.
@@ -32,14 +32,9 @@ fn is_action(mark: &Mark) -> bool {
 
 #[test]
 fn an_hour_of_five_percent_loss_causes_no_false_positives() {
-    let mut station = Station::new(
-        StationConfig::hardened(),
-        TreeVariant::II,
-        Box::new(PerfectOracle::new()),
-        0xA11CE,
-    )
-    .expect("valid station");
-    station.warm_up();
+    let mut station = Trial::new(StationConfig::hardened(), TreeVariant::II, 0xA11CE)
+        .start()
+        .expect("valid station");
     station.degrade_all_links(Some(LinkQuality::lossy(0.05)));
     let start = station.now();
     station.run_for(SimDuration::from_secs(3600));
@@ -77,14 +72,9 @@ fn the_paper_detector_convicts_innocents_under_the_same_loss() {
     // Contrast case: the paper's single-missed-ping detector (threshold 1)
     // false-positives within minutes under the loss the hardened detector
     // shrugs off — this is exactly why the suspicion knobs exist.
-    let mut station = Station::new(
-        StationConfig::paper(),
-        TreeVariant::II,
-        Box::new(PerfectOracle::new()),
-        0xA11CE,
-    )
-    .expect("valid station");
-    station.warm_up();
+    let mut station = Trial::new(StationConfig::paper(), TreeVariant::II, 0xA11CE)
+        .start()
+        .expect("valid station");
     station.degrade_all_links(Some(LinkQuality::lossy(0.05)));
     let start = station.now();
     station.run_for(SimDuration::from_secs(300));
@@ -102,14 +92,9 @@ fn the_paper_detector_convicts_innocents_under_the_same_loss() {
 #[test]
 fn a_hard_failure_escalates_and_is_quarantined_within_budget() {
     let cfg = StationConfig::hardened();
-    let mut station = Station::new(
-        cfg.clone(),
-        TreeVariant::II,
-        Box::new(PerfectOracle::new()),
-        0xB0B,
-    )
-    .expect("valid station");
-    station.warm_up();
+    let mut station = Trial::new(cfg.clone(), TreeVariant::II, 0xB0B)
+        .start()
+        .expect("valid station");
     let at = station
         .inject(names::RTU, FaultKind::HardCrash)
         .expect("known component");
@@ -202,5 +187,33 @@ fn chaos_campaigns_cure_every_fault_across_all_trees() {
                 inj.at
             );
         }
+    }
+}
+
+/// A station the campaign cannot build is refused before anything runs and
+/// reported as violations, not a panic: a configuration `validate` rejects,
+/// and an rr-lint denial (RRL101: an escalation limit below the tree height)
+/// that passes `validate`.
+#[test]
+fn a_refused_station_is_a_violation_not_a_panic() {
+    let mut invalid = StationConfig::hardened();
+    invalid.admission_capacity = 0;
+    let mut denied = StationConfig::hardened();
+    denied.policy.escalation_limit = 1;
+    for (station, expected) in [
+        (invalid, "invalid station configuration: admission_capacity"),
+        (denied, "rr-lint RRL101 at "),
+    ] {
+        let cfg = ChaosConfig {
+            station,
+            ..ChaosConfig::default()
+        };
+        let report = run_campaign(TreeVariant::III, &cfg);
+        assert!(report.injections.is_empty());
+        assert!(
+            report.violations.iter().any(|v| v.starts_with(expected)),
+            "{expected}: {:?}",
+            report.violations
+        );
     }
 }

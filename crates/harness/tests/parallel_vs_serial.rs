@@ -19,8 +19,8 @@
 
 use mercury::config::{calib, names, StationConfig};
 use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
-use rr_sim::{check, SimDuration, SimRng, SimTime};
+use rr_harness::Trial;
+use rr_sim::{check, FaultKind, FaultScript, SimDuration, SimRng, SimTime};
 
 /// Independent-cell pairs per tree variant (both components live in disjoint
 /// restart cells, so the parallel plan keeps two concurrent episodes).
@@ -42,17 +42,19 @@ fn per_component_recovery(
     serial: bool,
     seed: u64,
 ) -> [f64; 2] {
-    let mut cfg = StationConfig::paper();
-    cfg.serial_recovery = serial;
-    let mut station =
-        Station::new(cfg, variant, Box::new(PerfectOracle::new()), seed).expect("valid station");
-    station.warm_up();
-    let mut phase = SimRng::new(seed ^ 0xA5A5);
-    station.randomize_injection_phase(&mut phase);
-    let injected = station.inject_kill(a).expect("known component");
-    station.inject_kill(b).expect("known component");
-    station.run_for(SimDuration::from_secs(200));
-    [a, b].map(|comp| recovery_of(&station, comp, injected, serial))
+    let mut config = StationConfig::paper();
+    config.serial_recovery = serial;
+    let phase = SimRng::new(seed ^ 0xA5A5).uniform(0.0, config.fd.ping_period_s);
+    let trial = Trial {
+        phase: SimDuration::from_secs_f64(phase),
+        script: FaultScript::new()
+            .with_fault(SimTime::ZERO, a, FaultKind::Crash)
+            .with_fault(SimTime::ZERO, b, FaultKind::Crash),
+        horizon: SimDuration::from_secs(200),
+        ..Trial::new(config, variant, seed)
+    };
+    let outcome = trial.run().expect("valid station");
+    [a, b].map(|comp| recovery_of(&outcome.station, comp, outcome.start, serial))
 }
 
 fn recovery_of(station: &Station, comp: &str, injected: SimTime, serial: bool) -> f64 {

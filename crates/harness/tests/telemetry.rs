@@ -5,12 +5,11 @@
 
 use rr_harness::chaos::{run_campaign, ChaosConfig};
 use rr_harness::report::render_timeline;
+use rr_harness::trial::{Trial, TrialOutcome};
 
 use mercury::config::StationConfig;
-use mercury::measure::measure_recovery;
-use mercury::station::{Station, TreeVariant};
-use rr_core::PerfectOracle;
-use rr_sim::{EpisodeStage, Registry, SimDuration};
+use mercury::station::TreeVariant;
+use rr_sim::{EpisodeStage, FaultKind, FaultScript, Registry, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// §4.1 has two implementations that differ in one case. The registry's
@@ -101,6 +100,16 @@ fn online_and_offline_recovery_differ_only_on_cure_before_ready() {
     }
 }
 
+/// `component` killed on a settled tree III station, 90 s on.
+fn killed(component: &str, config: StationConfig, seed: u64) -> TrialOutcome {
+    let trial = Trial {
+        script: FaultScript::new().with_fault(SimTime::ZERO, component, FaultKind::Crash),
+        horizon: SimDuration::from_secs(90),
+        ..Trial::new(config, TreeVariant::III, seed)
+    };
+    trial.run().expect("valid station")
+}
+
 /// The single-fault case, checked to sub-millisecond agreement: the online
 /// registry and the offline scan read the *same* ready instant.
 #[test]
@@ -108,20 +117,12 @@ fn single_fault_telemetry_matches_measure_exactly() {
     let mut cfg = StationConfig::paper();
     cfg.telemetry_enabled = true;
     for component in ["pbcom", "rtu", "mbus"] {
-        let mut station = Station::new(
-            cfg.clone(),
-            TreeVariant::III,
-            Box::new(PerfectOracle::new()),
-            0x7E1E_0001,
-        )
-        .expect("valid station");
-        station.warm_up();
-        let injected = station.inject_kill(component).expect("known component");
-        station.run_for(SimDuration::from_secs(90));
-        let offline = measure_recovery(station.trace(), component, injected)
+        let outcome = killed(component, cfg.clone(), 0x7E1E_0001);
+        let offline = outcome.measurements()[0]
+            .as_ref()
             .expect("single failures recover")
             .recovery_s();
-        let telemetry = station.telemetry();
+        let telemetry = outcome.station.telemetry();
         let hist = telemetry
             .duration("recovery_time", component)
             .expect("telemetry observed the recovery");
@@ -139,17 +140,7 @@ fn single_fault_telemetry_matches_measure_exactly() {
 fn exporters_and_timeline_cover_the_episode() {
     let mut cfg = StationConfig::paper();
     cfg.telemetry_enabled = true;
-    let mut station = Station::new(
-        cfg,
-        TreeVariant::III,
-        Box::new(PerfectOracle::new()),
-        0x7E1E_0002,
-    )
-    .expect("valid station");
-    station.warm_up();
-    station.inject_kill("ses").expect("known component");
-    station.run_for(SimDuration::from_secs(90));
-    let telemetry = station.telemetry();
+    let telemetry = killed("ses", cfg, 0x7E1E_0002).station.telemetry();
 
     let timeline = render_timeline(&telemetry);
     for needle in [
@@ -198,17 +189,9 @@ fn exporters_and_timeline_cover_the_episode() {
 /// through a full recovery episode — the zero-overhead-when-off contract.
 #[test]
 fn disabled_telemetry_records_nothing() {
-    let mut station = Station::new(
-        StationConfig::paper(),
-        TreeVariant::III,
-        Box::new(PerfectOracle::new()),
-        0x7E1E_0003,
-    )
-    .expect("valid station");
-    station.warm_up();
-    station.inject_kill("rtu").expect("known component");
-    station.run_for(SimDuration::from_secs(90));
-    let telemetry = station.telemetry();
+    let telemetry = killed("rtu", StationConfig::paper(), 0x7E1E_0003)
+        .station
+        .telemetry();
     assert!(!telemetry.is_enabled());
     assert!(telemetry.events().is_empty());
     assert_eq!(telemetry.counter("restarts_issued", ""), 0);

@@ -11,7 +11,8 @@ use rr_core::analysis::{expected_mode_recovery_s, expected_system_mttr_s, Oracle
 use rr_core::model::FailureMode;
 use rr_core::optimize::{find_group, optimize_tree, OptimizerConfig};
 use rr_core::TreeSpec;
-use rr_harness::experiments::{measure_cell, OracleKind, RunConfig};
+use rr_harness::experiments::{measure_cell, RunConfig};
+use rr_harness::OracleKind;
 
 fn run() -> RunConfig {
     RunConfig {
