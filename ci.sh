@@ -33,7 +33,11 @@ echo "suite wall: $(($(date +%s) - suite_start)) s"
 # check of each golden telemetry stream, the action-dependence tables, and
 # the three section-4 profitability verdicts.
 target/release/rr-audit lint --deny-warnings
+model_start=$(date +%s%N)
 target/release/rr-audit model
+# Printed, not gated: a host-time bound would fail on a slow host, and
+# benchmark/'s model_audit is where a change to it is judged.
+echo "rr-audit model wall: $((($(date +%s%N) - model_start) / 1000000)) ms"
 target/release/rr-audit flow --deny-warnings --quiet
 target/release/rr-audit abs --deny-warnings --quiet
 

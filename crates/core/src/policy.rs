@@ -262,12 +262,11 @@ impl RestartPolicy {
         }
     }
 
-    /// Total recorded restarts of a component still inside the window as of
-    /// the last [`record_restart`](Self::record_restart) call.
-    pub fn recent_restarts(&self, component: &str) -> usize {
-        self.history
-            .get(&intern(component))
-            .map_or(0, VecDeque::len)
+    /// Total recorded restarts of a component (by its interned handle) still
+    /// inside the window as of the last
+    /// [`record_restart`](Self::record_restart) call.
+    pub fn recent_restarts(&self, component: CompId) -> usize {
+        self.history.get(&component).map_or(0, VecDeque::len)
     }
 
     /// Forgets all restart history (e.g. after maintenance).
@@ -309,7 +308,7 @@ mod tests {
             policy.record_restart(&c, t(i * 10));
         }
         assert_eq!(policy.check(0, &c, t(30)), Err(GiveUpReason::RestartStorm));
-        assert_eq!(policy.recent_restarts("x"), 3);
+        assert_eq!(policy.recent_restarts(intern("x")), 3);
     }
 
     #[test]
@@ -340,7 +339,7 @@ mod tests {
         assert!(policy.check(0, &comps(&["x"]), t(1)).is_err());
         policy.reset();
         assert!(policy.check(0, &comps(&["x"]), t(1)).is_ok());
-        assert_eq!(policy.recent_restarts("x"), 0);
+        assert_eq!(policy.recent_restarts(intern("x")), 0);
     }
 
     #[test]
@@ -437,7 +436,7 @@ mod tests {
             assert!(policy.check(0, &c, later).is_ok());
             // record_restart also trims the aged-out history.
             policy.record_restart(&c, later);
-            assert_eq!(policy.recent_restarts("x"), 1);
+            assert_eq!(policy.recent_restarts(intern("x")), 1);
         });
     }
 
@@ -455,7 +454,7 @@ mod tests {
                 policy.record_restart(&c, now);
             }
             policy.reset();
-            assert_eq!(policy.recent_restarts("x"), 0);
+            assert_eq!(policy.recent_restarts(intern("x")), 0);
             assert_eq!(policy.restart_delay(&c, now), SimDuration::ZERO);
             assert!(policy.check(0, &c, now).is_ok());
         });

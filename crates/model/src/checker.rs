@@ -12,9 +12,12 @@
 //! One table of distinct states, keyed by the full signature and kept across
 //! all bounds, remembers what each state does (its enabled actions, their
 //! successors or the violation one raised, the ample choice), so a state is
-//! forked, stepped and signed once however often it is visited. That rests
-//! on one assumption, the one deduplication always rested on: states of
-//! equal signature behave equally (`tests/signature_equivalence.rs`).
+//! forked, stepped and signed once however often it is visited. The
+//! signature is a byte key written into one reused buffer and matched by
+//! equality on every byte. That rests on one assumption, the one
+//! deduplication always rested on: states of equal signature behave equally
+//! (`tests/signature_equivalence.rs`, which also holds the key to the text
+//! form it replaced).
 //!
 //! With [`CheckConfig::por`] on (the default) the search consults
 //! [`FlowContext::ample`] at every expanded state: when the static analysis
@@ -149,13 +152,14 @@ struct Search<'m> {
     model: &'m Model,
     /// The ample-set oracle; `None` explores every interleaving.
     flow: Option<&'m FlowContext>,
-    /// The table, and its index by full signature: equality on the whole
-    /// string, so no two states are ever merged by a hash. Lookup-only
-    /// (never iterated), so the deterministic `FxHashMap` is safe.
+    /// The table, and its index by full signature: the hash only picks a
+    /// bucket, and a key matches by equality on all its bytes, so no two
+    /// states are ever merged by a hash. Lookup-only (never iterated), so
+    /// the deterministic `FxHashMap` is safe.
     nodes: Vec<Node>,
-    index: FxHashMap<String, usize>,
+    index: FxHashMap<Box<[u8]>, usize>,
     /// The one buffer every generated state is named in.
-    key: String,
+    key: Vec<u8>,
     /// Per bound, by node id: the most remaining depth the node was entered
     /// with; re-enter only with strictly more.
     seen: Vec<Option<usize>>,
@@ -176,11 +180,11 @@ impl Search<'_> {
     fn intern(&mut self, state: State) -> usize {
         self.key.clear();
         state.write_signature(self.model, &mut self.key);
-        if let Some(&id) = self.index.get(self.key.as_str()) {
+        if let Some(&id) = self.index.get(self.key.as_slice()) {
             return id;
         }
         let id = self.nodes.len();
-        self.index.insert(self.key.clone(), id);
+        self.index.insert(self.key.as_slice().into(), id);
         self.nodes.push(Node {
             state: Some(state),
             actions: Vec::new(),
@@ -318,7 +322,7 @@ fn explore(
         flow,
         nodes: Vec::new(),
         index: FxHashMap::default(),
-        key: String::new(),
+        key: Vec::new(),
         seen: Vec::new(),
         on_stack: Vec::new(),
         trace: Vec::new(),

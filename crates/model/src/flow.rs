@@ -381,13 +381,12 @@ impl FlowContext {
             // transient latch set.
             if flights.is_empty() {
                 let latched_terminal = state.suspected().iter().all(|comp| {
-                    match model.faults().iter().position(|f| f.component == *comp) {
-                        Some(j) => !matches!(
+                    model.fault_of(comp).is_none_or(|j| {
+                        !matches!(
                             state.fault_status(j),
                             FaultStatus::Pending | FaultStatus::Active
-                        ),
-                        None => true,
-                    }
+                        )
+                    })
                 });
                 if latched_terminal {
                     if let Some(i) = actions.iter().position(|a| matches!(a, Action::Rollover)) {

@@ -7,6 +7,8 @@
 //! environment the recoverer reacts to: which faults are pending / active /
 //! resolved, which components the failure detector has convicted this ping
 //! epoch, and which suspicions a mutated (buggy) driver has mishandled.
+//! Those component sets are [`CompSet`] bitmasks over the model's sorted
+//! components, so forking a state copies words, not strings.
 //!
 //! [`Model::enabled`] enumerates the atomic protocol steps possible in a
 //! state; [`Model::apply`] executes one and checks every safety invariant on
@@ -20,7 +22,7 @@ use rr_core::recoverer::{Recoverer, RecoveryDecision};
 use rr_core::schedule::is_antichain;
 use rr_core::tree::{NodeId, RestartTree};
 use rr_core::{NaiveOracle, PerfectOracle};
-use rr_sim::SimTime;
+use rr_sim::{intern, CompId, SimTime};
 
 use crate::scenario::{Mutation, OracleKind, PorAssumption, Scenario};
 
@@ -93,14 +95,59 @@ pub enum FaultStatus {
     Quarantined,
 }
 
-impl FaultStatus {
-    fn sig_char(self) -> char {
-        match self {
-            FaultStatus::Pending => 'p',
-            FaultStatus::Active => 'a',
-            FaultStatus::Cured => 'c',
-            FaultStatus::Quarantined => 'q',
-        }
+/// A set of one [`Model`]'s components: bit `i` stands for
+/// `model.components()[i]`. The components are sorted, so a set iterates
+/// its members in name order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompSet(u64);
+
+impl CompSet {
+    /// The most components a set holds; [`Model::new`] refuses a larger tree.
+    const CAPACITY: usize = u64::BITS as usize;
+
+    /// `true` if component `i` is a member.
+    pub fn contains(self, i: usize) -> bool {
+        self.0 >> i & 1 == 1
+    }
+
+    /// `true` if the set has no member.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The number of members.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The members' indices, ascending.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        let mut rest = self.0;
+        std::iter::from_fn(move || {
+            let i = rest.trailing_zeros() as usize;
+            rest &= rest.checked_sub(1)?;
+            Some(i)
+        })
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0 |= 1 << i;
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0 &= !(1 << i);
+    }
+
+    fn union(self, other: CompSet) -> CompSet {
+        CompSet(self.0 | other.0)
+    }
+
+    fn minus(self, other: CompSet) -> CompSet {
+        CompSet(self.0 & !other.0)
+    }
+
+    fn is_subset(self, other: CompSet) -> bool {
+        self.minus(other).is_empty()
     }
 }
 
@@ -261,18 +308,18 @@ pub struct State {
     fault_status: Vec<FaultStatus>,
     /// Components the FD has convicted this ping epoch (cleared by
     /// [`Action::Rollover`]); a latched component is not re-reported.
-    suspected: BTreeSet<String>,
+    suspected: CompSet,
     /// Components whose conviction was ever accepted for reporting.
-    reported: BTreeSet<String>,
+    reported: CompSet,
     /// Components the policy gave up on (monotone).
-    quarantined: BTreeSet<String>,
+    quarantined: CompSet,
     /// Components whose accepted report sits in the admission controller's
     /// deferral queue, awaiting an [`Action::Admit`] drain step.
-    deferred: BTreeSet<String>,
+    deferred: CompSet,
     /// Components resurrected from a stale checkpoint by the
     /// [`Mutation::StaleRehydrate`] driver: they beacon healthily, so the FD
     /// can no longer convict them, but their fault is still active.
-    masked: BTreeSet<String>,
+    masked: CompSet,
     /// Cells restarted by a mutated driver behind the planner's back.
     rogue_cells: Vec<NodeId>,
     /// Logical step counter: step *n*'s action executes at *n* seconds.
@@ -287,56 +334,67 @@ impl State {
     /// fewer than 3600 steps), so the policy sees only the restart *counts*,
     /// which the signature includes via the open episodes and per-component
     /// history lengths.
-    pub fn signature(&self, model: &Model) -> String {
-        let mut sig = String::new();
-        self.write_signature(model, &mut sig);
-        sig
+    ///
+    /// The signature is a byte key, meaningful only against other states of
+    /// the same `model`: components are named by their index into
+    /// [`Model::components`], cells by their rank among the tree's cells,
+    /// and every variable-length part carries its length, so two keys are
+    /// equal exactly when the states agree on all of the above.
+    pub fn signature(&self, model: &Model) -> Vec<u8> {
+        let mut key = Vec::new();
+        self.write_signature(model, &mut key);
+        key
     }
 
-    /// Appends [`State::signature`] to `sig` (the checker names every
+    /// Appends [`State::signature`] to `key` (the checker names every
     /// generated state through one reused buffer).
-    pub(crate) fn write_signature(&self, model: &Model, sig: &mut String) {
-        use std::fmt::Write as _;
-        let tree = model.tree();
+    pub(crate) fn write_signature(&self, model: &Model, key: &mut Vec<u8>) {
+        // Episodes, by owner: owner, attempt, cell (0 for none, else rank
+        // + 1), in-flight flag, then the origins with their count first.
+        // Component indices and counts of components fit a byte, because
+        // `Model::new` refuses a tree of more than 64 components.
+        let count_at = key.len();
+        key.push(0);
         for ep in self.rec.open_episodes() {
-            let cell = ep.cell.map_or("-", |n| tree.label(n));
-            let _ = write!(
-                sig,
-                "e{}:{}:{cell}:{}:",
-                ep.owner,
-                ep.attempt,
-                u8::from(ep.in_flight)
-            );
-            push_joined(sig, ep.origins);
-            sig.push(';');
+            key[count_at] += 1;
+            key.push(model.component_index(ep.owner) as u8);
+            push_varint(key, u64::from(ep.attempt));
+            push_varint(key, ep.cell.map_or(0, |n| model.cell_rank(n) as u64 + 1));
+            key.push(u8::from(ep.in_flight));
+            key.push(ep.origins.len() as u8);
+            for origin in ep.origins {
+                key.push(model.component_index(origin) as u8);
+            }
         }
-        sig.push('|');
-        for status in &self.fault_status {
-            sig.push(status.sig_char());
-        }
-        sig.push('|');
-        for (tag, set) in [
-            ('s', &self.suspected),
-            ('r', &self.reported),
-            ('q', &self.quarantined),
-            ('d', &self.deferred),
-            ('m', &self.masked),
+        key.extend(self.fault_status.iter().map(|&status| status as u8));
+        for set in [
+            self.suspected,
+            self.reported,
+            self.quarantined,
+            self.deferred,
+            self.masked,
         ] {
-            sig.push(tag);
-            push_joined(sig, set);
-            sig.push('|');
+            key.extend_from_slice(&set.0.to_le_bytes()[..model.mask_bytes]);
         }
-        let mut rogue: Vec<&str> = self.rogue_cells.iter().map(|&n| tree.label(n)).collect();
+        let mut rogue: Vec<usize> = self
+            .rogue_cells
+            .iter()
+            .map(|&n| model.cell_rank(n))
+            .collect();
         rogue.sort_unstable();
-        let _ = write!(sig, "g{}|h", rogue.join(","));
-        for component in &model.components {
-            let _ = write!(sig, "{}", self.rec.policy().recent_restarts(component));
+        push_varint(key, rogue.len() as u64);
+        for rank in rogue {
+            push_varint(key, rank as u64);
+        }
+        let policy = self.rec.policy();
+        for &id in &model.comp_ids {
+            push_varint(key, policy.recent_restarts(id) as u64);
         }
     }
 
-    /// Components quarantined so far.
-    pub fn quarantined(&self) -> &BTreeSet<String> {
-        &self.quarantined
+    /// The real recoverer this state forks.
+    pub fn recoverer(&self) -> &Recoverer<ModelOracle> {
+        &self.rec
     }
 
     /// Status of the fault at `index`.
@@ -344,20 +402,35 @@ impl State {
         self.fault_status[index]
     }
 
+    /// Components the FD has convicted this ping epoch (latched until the
+    /// next rollover).
+    pub fn suspected(&self) -> CompSet {
+        self.suspected
+    }
+
+    /// Components whose conviction was ever accepted for reporting.
+    pub fn reported(&self) -> CompSet {
+        self.reported
+    }
+
+    /// Components quarantined so far.
+    pub fn quarantined(&self) -> CompSet {
+        self.quarantined
+    }
+
     /// Components currently parked in the admission deferral queue.
-    pub fn deferred(&self) -> &BTreeSet<String> {
-        &self.deferred
+    pub fn deferred(&self) -> CompSet {
+        self.deferred
     }
 
     /// Components a stale-rehydrate driver has hidden from the FD.
-    pub fn masked(&self) -> &BTreeSet<String> {
-        &self.masked
+    pub fn masked(&self) -> CompSet {
+        self.masked
     }
 
-    /// Components the FD has convicted this ping epoch (latched until the
-    /// next rollover).
-    pub(crate) fn suspected(&self) -> &BTreeSet<String> {
-        &self.suspected
+    /// Cells a planner-bypassing driver restarted, in the order it did.
+    pub fn rogue_cells(&self) -> &[NodeId] {
+        &self.rogue_cells
     }
 
     /// The cells of all restarts currently in flight.
@@ -381,24 +454,43 @@ impl State {
     }
 }
 
-/// Appends the members of `set`, comma-separated, to `out`.
-fn push_joined(out: &mut String, set: &BTreeSet<String>) {
-    for (i, member) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(member);
+/// Appends `n` to `key` in seven-bit groups, low first, the high bit set on
+/// all but the last: small numbers take one byte, and no encoding is a
+/// prefix of another.
+fn push_varint(key: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        key.push(n as u8 | 0x80);
+        n >>= 7;
     }
+    key.push(n as u8);
+}
+
+/// The index of `name` in the sorted `components`, if it is one.
+fn index_in(components: &[String], name: &str) -> Option<usize> {
+    components.binary_search_by(|c| c.as_str().cmp(name)).ok()
 }
 
 /// A restart tree bound to a scenario: the transition system the checker
 /// explores.
 pub struct Model {
     tree: RestartTree,
-    /// Every component of `tree`, sorted: the order of the restart counts in
-    /// a [`State::signature`].
+    /// Every component of `tree`, sorted: bit `i` of a [`CompSet`] and the
+    /// `i`-th restart count in a [`State::signature`] stand for the `i`-th.
     components: Vec<String>,
+    /// `components`' interned handles, for the restart counts.
+    comp_ids: Vec<CompId>,
+    /// The bytes of a [`CompSet`] a signature writes: enough for every
+    /// component.
+    mask_bytes: usize,
+    /// Every live cell, by id, with the components restarting it restarts.
+    /// A cell's position here is its rank in a signature.
+    cells: Vec<(NodeId, CompSet)>,
     faults: Vec<Failure>,
+    /// Per fault: the index of its component, and its cure set.
+    fault_comps: Vec<usize>,
+    cure_sets: Vec<CompSet>,
+    /// Per component: the first fault manifesting in it, if any.
+    fault_of: Vec<Option<usize>>,
     oracle: ModelOracle,
     policy: RestartPolicy,
     mutation: Option<Mutation>,
@@ -413,11 +505,37 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Returns a [`ModelError`] naming the first unknown component.
+    /// Returns a [`ModelError`] naming the first unknown component, or if the
+    /// tree has more components than a [`CompSet`] holds (64).
     pub fn new(tree: RestartTree, scenario: &Scenario) -> Result<Model, ModelError> {
+        let components = tree.components();
+        if components.len() > CompSet::CAPACITY {
+            return Err(ModelError {
+                message: format!(
+                    "the tree has {} components; a model holds at most {}",
+                    components.len(),
+                    CompSet::CAPACITY
+                ),
+                depth: None,
+            });
+        }
+        let index = |name: &str| {
+            index_in(&components, name)
+                .unwrap_or_else(|| unreachable!("`{name}` is a component of the tree"))
+        };
+        let set_of = |names: &[String]| {
+            let mut set = CompSet::default();
+            for name in names {
+                set.insert(index(name));
+            }
+            set
+        };
         let mut faults = Vec::new();
+        let mut fault_comps = Vec::new();
+        let mut cure_sets = Vec::new();
+        let mut fault_of = vec![None; components.len()];
         for spec in &scenario.faults {
-            for member in &spec.cure_set {
+            for member in std::iter::once(&spec.component).chain(&spec.cure_set) {
                 if tree.cell_of_component(member).is_none() {
                     return Err(ModelError {
                         message: format!(
@@ -428,6 +546,10 @@ impl Model {
                     });
                 }
             }
+            let comp = index(&spec.component);
+            fault_of[comp].get_or_insert(faults.len());
+            fault_comps.push(comp);
+            cure_sets.push(set_of(&spec.cure_set));
             faults.push(Failure::correlated(&spec.component, spec.cure_set.clone()));
         }
         if scenario.mutation == Some(Mutation::StarveDeferred) && !scenario.admission {
@@ -448,10 +570,22 @@ impl Model {
         // absolute times from state signatures sound (see
         // [`State::signature`]).
         let policy = RestartPolicy::new().with_escalation_limit(MODEL_ESCALATION_LIMIT);
+        let mut cells: Vec<(NodeId, CompSet)> = tree
+            .cells()
+            .into_iter()
+            .map(|cell| (cell, set_of(&tree.components_under(cell))))
+            .collect();
+        cells.sort_unstable_by_key(|&(cell, _)| cell);
         Ok(Model {
-            components: tree.components(),
+            comp_ids: components.iter().map(|name| intern(name)).collect(),
+            mask_bytes: components.len().div_ceil(8),
+            components,
+            cells,
             tree,
             faults,
+            fault_comps,
+            cure_sets,
+            fault_of,
             oracle: ModelOracle::new(scenario.oracle),
             policy,
             mutation: scenario.mutation,
@@ -469,6 +603,39 @@ impl Model {
     /// The scenario faults, in declaration order.
     pub fn faults(&self) -> &[Failure] {
         &self.faults
+    }
+
+    /// Every component of the tree, sorted: the members a [`CompSet`]'s
+    /// indices name.
+    pub fn components(&self) -> &[String] {
+        &self.components
+    }
+
+    /// The index of component `name` into [`Model::components`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a component of the tree.
+    pub(crate) fn component_index(&self, name: &str) -> usize {
+        index_in(&self.components, name)
+            .unwrap_or_else(|| panic!("`{name}` is not a component of the tree"))
+    }
+
+    /// The first fault manifesting in component `comp`, if any.
+    pub(crate) fn fault_of(&self, comp: usize) -> Option<usize> {
+        self.fault_of[comp]
+    }
+
+    /// The rank of `cell` among the tree's live cells.
+    fn cell_rank(&self, cell: NodeId) -> usize {
+        self.cells
+            .binary_search_by_key(&cell, |&(id, _)| id)
+            .unwrap_or_else(|_| panic!("not a live cell: {cell}"))
+    }
+
+    /// The components restarting `cell` restarts.
+    fn under(&self, cell: NodeId) -> CompSet {
+        self.cells[self.cell_rank(cell)].1
     }
 
     /// The oracle this model binds (stateless, so freely copyable — which is
@@ -502,11 +669,11 @@ impl Model {
         State {
             rec: Recoverer::new(self.tree.clone(), self.oracle, self.policy.clone()),
             fault_status: vec![FaultStatus::Pending; self.faults.len()],
-            suspected: BTreeSet::new(),
-            reported: BTreeSet::new(),
-            quarantined: BTreeSet::new(),
-            deferred: BTreeSet::new(),
-            masked: BTreeSet::new(),
+            suspected: CompSet::default(),
+            reported: CompSet::default(),
+            quarantined: CompSet::default(),
+            deferred: CompSet::default(),
+            masked: CompSet::default(),
             rogue_cells: Vec::new(),
             step: 0,
         }
@@ -518,15 +685,17 @@ impl Model {
 
     /// The components currently down and eligible for (re-)conviction.
     fn suspect_targets(&self, state: &State) -> Vec<String> {
+        let ineligible = state
+            .suspected
+            .union(state.quarantined)
+            .union(state.deferred)
+            .union(state.masked);
         self.faults
             .iter()
             .enumerate()
-            .filter(|(i, f)| {
-                state.fault_status[*i] == FaultStatus::Active
-                    && !state.suspected.contains(&f.component)
-                    && !state.quarantined.contains(&f.component)
-                    && !state.deferred.contains(&f.component)
-                    && !state.masked.contains(&f.component)
+            .filter(|&(i, _)| {
+                state.fault_status[i] == FaultStatus::Active
+                    && !ineligible.contains(self.fault_comps[i])
             })
             .map(|(_, f)| f.component.clone())
             .collect()
@@ -559,9 +728,9 @@ impl Model {
             });
         }
         if self.mutation != Some(Mutation::StarveDeferred) {
-            for component in &state.deferred {
+            for comp in state.deferred.iter() {
                 actions.push(Action::Admit {
-                    component: component.clone(),
+                    component: self.components[comp].clone(),
                 });
             }
         }
@@ -617,9 +786,9 @@ impl Model {
                 next.fault_status[i] = FaultStatus::Active;
             }
             Action::Suspect { component } => {
-                next.suspected.insert(component.clone());
-                next.reported.insert(component.clone());
                 let i = self.expect_fault(component);
+                next.suspected.insert(self.fault_comps[i]);
+                next.reported.insert(self.fault_comps[i]);
                 match self.mutation {
                     Some(Mutation::DropReport) => {}
                     Some(Mutation::BypassPlanner) => {
@@ -637,9 +806,9 @@ impl Model {
             Action::SuspectBatch { components } => {
                 let mut batch = Vec::new();
                 for component in components {
-                    next.suspected.insert(component.clone());
-                    next.reported.insert(component.clone());
                     let i = self.expect_fault(component);
+                    next.suspected.insert(self.fault_comps[i]);
+                    next.reported.insert(self.fault_comps[i]);
                     match self.mutation {
                         Some(Mutation::DropReport) => {}
                         Some(Mutation::BypassPlanner) => {
@@ -660,36 +829,30 @@ impl Model {
                     .in_flight_cell_of(owner)
                     .unwrap_or_else(|| panic!("complete enabled for {owner}"));
                 next.rec.on_restart_complete(owner, now);
-                let covered = self.tree.components_under(cell);
-                for (i, fault) in self.faults.iter().enumerate() {
-                    if next.fault_status[i] == FaultStatus::Active
-                        && fault.cure_set.iter().all(|c| covered.contains(c))
-                    {
+                let covered = self.under(cell);
+                for (i, cure) in self.cure_sets.iter().enumerate() {
+                    if next.fault_status[i] == FaultStatus::Active && cure.is_subset(covered) {
                         next.fault_status[i] = FaultStatus::Cured;
                     }
                 }
                 // A cold boot rebuilds state from scratch, so it also cures
                 // whatever a stale rehydration left masked in this cell.
-                for component in &covered {
-                    next.masked.remove(component);
-                }
+                next.masked = next.masked.minus(covered);
             }
             Action::CompleteRehydrated { owner } => {
                 let cell = next
                     .in_flight_cell_of(owner)
                     .unwrap_or_else(|| panic!("rehydrated complete enabled for {owner}"));
                 next.rec.on_restart_complete(owner, now);
-                let covered = self.tree.components_under(cell);
-                for (i, fault) in self.faults.iter().enumerate() {
-                    if next.fault_status[i] == FaultStatus::Active
-                        && fault.cure_set.iter().all(|c| covered.contains(c))
-                    {
+                let covered = self.under(cell);
+                for (i, cure) in self.cure_sets.iter().enumerate() {
+                    if next.fault_status[i] == FaultStatus::Active && cure.is_subset(covered) {
                         if self.mutation == Some(Mutation::StaleRehydrate) {
                             // Unverified replay: the component resumes from
                             // a stale checkpoint and beacons healthily, but
                             // the fault survives in the resurrected state —
                             // the FD can no longer see it.
-                            next.masked.insert(fault.component.clone());
+                            next.masked.insert(self.fault_comps[i]);
                         } else {
                             // A verified checkpoint replays to exactly the
                             // pre-crash state the cure semantics promise.
@@ -702,18 +865,19 @@ impl Model {
                 next.rec.on_cured(owner, now);
             }
             Action::Rollover => {
-                next.suspected.clear();
+                next.suspected = CompSet::default();
             }
             Action::Defer { component } => {
-                next.suspected.insert(component.clone());
-                next.reported.insert(component.clone());
-                next.deferred.insert(component.clone());
+                let comp = self.fault_comps[self.expect_fault(component)];
+                next.suspected.insert(comp);
+                next.reported.insert(comp);
+                next.deferred.insert(comp);
             }
             Action::Admit { component } => {
-                next.deferred.remove(component);
                 let i = self.expect_fault(component);
+                next.deferred.remove(self.fault_comps[i]);
                 if next.fault_status[i] == FaultStatus::Active
-                    && !next.quarantined.contains(component)
+                    && !next.quarantined.contains(self.fault_comps[i])
                 {
                     decisions.push(next.rec.on_failure(self.faults[i].clone(), now));
                 }
@@ -754,7 +918,7 @@ impl Model {
                     ..
                 } => {
                     for origin in origins {
-                        if next.quarantined.contains(origin) {
+                        if next.quarantined.contains(self.component_index(origin)) {
                             return Err(Violation {
                                 kind: ViolationKind::RestartAfterQuarantine,
                                 detail: format!("restart issued for quarantined origin `{origin}`"),
@@ -779,11 +943,11 @@ impl Model {
             // The recoverer dropped the abandoned episodes wholesale; every
             // origin that was tracked before and is tracked no longer has
             // been given up on.
-            let tracked_before = Self::tracked_origins(before);
-            let tracked_after = Self::tracked_origins(next);
-            for origin in tracked_before.difference(&tracked_after) {
-                next.quarantined.insert(origin.clone());
-                if let Some(i) = self.fault_index(origin) {
+            let tracked_before = self.tracked_origins(before);
+            let tracked_after = self.tracked_origins(next);
+            for comp in tracked_before.minus(tracked_after).iter() {
+                next.quarantined.insert(comp);
+                if let Some(i) = self.fault_of[comp] {
                     if next.fault_status[i] == FaultStatus::Active {
                         next.fault_status[i] = FaultStatus::Quarantined;
                     }
@@ -791,14 +955,14 @@ impl Model {
             }
             // A suspicion refused on arrival never had an episode: the
             // give-up decision's component covers it below via `reported`.
-            for (i, fault) in self.faults.iter().enumerate() {
+            for (i, &comp) in self.fault_comps.iter().enumerate() {
                 if next.fault_status[i] == FaultStatus::Active
-                    && next.reported.contains(&fault.component)
-                    && !next.deferred.contains(&fault.component)
-                    && !tracked_after.contains(&fault.component)
-                    && !self.covered_in_flight(next, &fault.component)
+                    && next.reported.contains(comp)
+                    && !next.deferred.contains(comp)
+                    && !tracked_after.contains(comp)
+                    && !self.covered_in_flight(next, comp)
                 {
-                    next.quarantined.insert(fault.component.clone());
+                    next.quarantined.insert(comp);
                     next.fault_status[i] = FaultStatus::Quarantined;
                 }
             }
@@ -806,21 +970,21 @@ impl Model {
         Ok(())
     }
 
-    fn tracked_origins(state: &State) -> BTreeSet<String> {
+    fn tracked_origins(&self, state: &State) -> CompSet {
+        let mut tracked = CompSet::default();
+        for ep in state.rec.open_episodes() {
+            for origin in ep.origins {
+                tracked.insert(self.component_index(origin));
+            }
+        }
+        tracked
+    }
+
+    fn covered_in_flight(&self, state: &State, comp: usize) -> bool {
         state
             .rec
             .open_episodes()
-            .flat_map(|ep| ep.origins.iter().cloned())
-            .collect()
-    }
-
-    fn covered_in_flight(&self, state: &State, component: &str) -> bool {
-        state.rec.in_flight_cells().into_iter().any(|cell| {
-            self.tree
-                .components_under(cell)
-                .iter()
-                .any(|c| c == component)
-        })
+            .any(|ep| ep.in_flight && ep.cell.is_some_and(|cell| self.under(cell).contains(comp)))
     }
 
     /// The global safety invariants, checked on every successor state.
@@ -846,14 +1010,10 @@ impl Model {
             });
         }
         // I2: quarantine is monotone.
-        if let Some(escapee) = before
-            .quarantined
-            .iter()
-            .find(|c| !next.quarantined.contains(*c))
-        {
+        if let Some(escapee) = before.quarantined.minus(next.quarantined).iter().next() {
             return Err(Violation {
                 kind: ViolationKind::QuarantineRegressed,
-                detail: format!("`{escapee}` left quarantine"),
+                detail: format!("`{}` left quarantine", self.components[escapee]),
             });
         }
         // I3: an accepted suspicion is never lost. Checked right after the
@@ -868,13 +1028,13 @@ impl Model {
             _ => &[],
         };
         for component in reported_now {
-            let resolved = self
-                .fault_index(component)
+            let comp = self.component_index(component);
+            let resolved = self.fault_of[comp]
                 .is_some_and(|i| matches!(next.fault_status[i], FaultStatus::Cured));
             if !next.tracks(component)
-                && !self.covered_in_flight(next, component)
-                && !next.quarantined.contains(component)
-                && !next.deferred.contains(component)
+                && !self.covered_in_flight(next, comp)
+                && !next.quarantined.contains(comp)
+                && !next.deferred.contains(comp)
                 && !resolved
             {
                 return Err(Violation {
@@ -895,16 +1055,14 @@ impl Model {
         // The starvation invariant: a quiescent state must not park an
         // unresolved component in the deferral queue — under fairness the
         // drain step would otherwise have admitted it by now.
-        for component in &state.deferred {
-            if self
-                .fault_index(component)
-                .is_some_and(|i| state.fault_status[i] == FaultStatus::Active)
-            {
+        for comp in state.deferred.iter() {
+            if self.fault_of[comp].is_some_and(|i| state.fault_status[i] == FaultStatus::Active) {
                 return Err(Violation {
                     kind: ViolationKind::Starvation,
                     detail: format!(
-                        "deferred restart for `{component}` was never admitted; the \
-                         component starves in the queue"
+                        "deferred restart for `{}` was never admitted; the component starves \
+                         in the queue",
+                        self.components[comp]
                     ),
                 });
             }
@@ -952,6 +1110,37 @@ mod tests {
     fn rejects_unknown_components() {
         let s = scenario::parse("tree IV\nfault nosuch\n").unwrap();
         assert!(Model::new(tree_iv(), &s).is_err());
+    }
+
+    /// A tree of `n` components `c00`, `c01`, ... under one cell.
+    fn flat_tree(n: usize) -> RestartTree {
+        TreeSpec::cell("root")
+            .with_components((0..n).map(|i| format!("c{i:02}")))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_tree_wider_than_a_component_set_is_refused() {
+        let s = scenario::parse("tree IV\nfault c00\n").unwrap();
+        let err = Model::new(flat_tree(65), &s).err().expect("65 components");
+        assert!(err.message.contains("65 components"), "{err}");
+        // The widest tree a set holds keeps its last component's bit.
+        let s = scenario::parse("tree IV\nfault c63\n").unwrap();
+        let m = Model::new(flat_tree(64), &s).unwrap();
+        let mut state = m.initial();
+        for action in [
+            Action::Inject {
+                component: "c63".into(),
+            },
+            Action::Suspect {
+                component: "c63".into(),
+            },
+        ] {
+            state = m.apply(&state, &action).unwrap();
+        }
+        assert_eq!(state.reported().iter().collect::<Vec<_>>(), [63]);
+        assert!(state.suspected().contains(m.component_index("c63")));
     }
 
     #[test]
@@ -1109,7 +1298,7 @@ mod tests {
         s = m.apply(&s, &defer).unwrap();
         // While deferred the component is neither re-suspected nor lost, and
         // the drain step is enabled.
-        assert!(s.deferred().contains("pbcom"));
+        assert!(s.deferred().contains(m.component_index("pbcom")));
         assert!(!m
             .enabled(&s)
             .iter()
@@ -1230,7 +1419,7 @@ mod tests {
         }
         // The component beacons healthily from stale state: the FD cannot
         // re-convict it, and the fault is neither cured nor quarantined.
-        assert!(s.masked().contains("rtu"));
+        assert!(s.masked().contains(m.component_index("rtu")));
         assert_eq!(s.fault_status(0), FaultStatus::Active);
         assert!(m.enabled(&s).is_empty(), "masked fault is quiescent");
         let violation = m.check_quiescent(&s).unwrap_err();
