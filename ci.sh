@@ -10,9 +10,10 @@
 # that no library code takes a trace label apart
 # (crates/harness/tests/label_parsing.rs; a `! grep` line here could never
 # fail under `set -e`), that every `pub` library item has a user in
-# another file (crates/harness/tests/pub_surface.rs), and that only
+# another file (crates/harness/tests/pub_surface.rs), that only
 # rr_harness::trial builds and warms a station in the harness
-# (crates/harness/tests/trial_sites.rs).
+# (crates/harness/tests/trial_sites.rs), and that DESIGN.md §11 tabulates
+# every rr-lint catalog code (crates/lint/tests/design_catalog.rs).
 # A golden that moved fails with the changed lines in the panic message and
 # leaves the actual output beside the recording as
 # tests/golden/<stem>.actual.<ext>; re-record on purpose with GOLDEN_RECORD=1.

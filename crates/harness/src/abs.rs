@@ -1,17 +1,17 @@
-//! Bridge between rr-abs profitability certification and rr-lint's `RRL97x`
-//! checks — plus the committed decision-table artifact `rr-audit abs --json`
-//! writes and the golden suite compares.
+//! The rr-abs profitability certification of the three §4 decisions, the
+//! decision table rr-lint's `RRL97x` checks read, and the committed
+//! artifact `rr-audit abs --json` writes and the golden suite compares.
 //!
 //! The paper commits to three tree transformations (§4.2–§4.4) on the
 //! strength of *point* estimates measured on one afternoon's Mercury. rr-abs
 //! re-derives each decision over a parameter **box** — every calibrated rate
 //! and cost drifting ±20% independently — and certifies a three-valued
 //! verdict per decision. This module builds the three scenarios from the
-//! shipped Mercury configuration, runs the certification, converts the
-//! result into `rr_lint::AbsParams` (the linter stays dependency-free, so
-//! the one-way conversion lives here, exactly like [`crate::flow`]), and
-//! renders the decision table both as an experiment section and as the
-//! deterministic JSON artifact diffed against `tests/golden/abs-decisions.json`.
+//! shipped Mercury configuration, runs the certification, renders each
+//! result as a row of `rr_lint::AbsParams` (the decision-table format that
+//! `tests/abs-fixtures/*.abs` files also parse into), and renders the table
+//! both as an experiment section and as the deterministic JSON artifact
+//! diffed against `tests/golden/abs-decisions.json`.
 
 use rr_abs::refine::{certify, ProfitabilityMap, RefineConfig};
 use rr_abs::{ParamBox, Scenario, Verdict};
@@ -180,7 +180,7 @@ pub fn certify_decisions(config: RefineConfig) -> Vec<CertifiedDecision> {
         .collect()
 }
 
-/// Converts certified decisions into the linter's decoupled input.
+/// Renders certified decisions as the decision table `lint_abs` checks.
 pub fn abs_params(certified: &[CertifiedDecision]) -> AbsParams {
     AbsParams {
         decisions: certified

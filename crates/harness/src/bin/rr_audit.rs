@@ -34,16 +34,15 @@ use rr_core::model::FailureModel;
 use rr_core::schedule::{plan_episodes, Suspicion};
 use rr_core::tree::RestartTree;
 use rr_harness::abs::{abs_params, certify_decisions, decision_table_json, parse_abs_fixture};
-use rr_harness::flow::{builtin_scenarios, flow_params};
+use rr_harness::flow::builtin_scenarios;
 use rr_harness::golden::{golden_scenarios, lint_scenario, run_golden_scenario_telemetry};
 use rr_lint::{
-    catalog, lint_abs, lint_algebra, lint_fault_script, lint_flow, lint_model, lint_model_bounds,
-    lint_plan, lint_suspicions, AbsParams, Diagnostic, GroupClaim, MemberStat, ModelBoundsParams,
-    Report, ScriptContext,
+    catalog, lint_abs, lint_algebra, lint_fault_script, lint_model, lint_plan, lint_suspicions,
+    AbsParams, Diagnostic, GroupClaim, MemberStat, Report, ScriptContext,
 };
 use rr_model::{
-    analyze, check, hb, scenario, CheckConfig, FlowAnalysis, Model, Scenario, CHECKED_QUEUE_BOUND,
-    DEFAULT_DEPTH, DEFAULT_STATE_BUDGET,
+    analyze, check, hb, lint_flow, lint_model_bounds, scenario, CheckConfig, FlowAnalysis, Model,
+    Scenario, DEFAULT_DEPTH, DEFAULT_STATE_BUDGET,
 };
 
 /// One audit: its name on the command line, the flags it accepts, its usage
@@ -329,14 +328,12 @@ fn lint_defaults() -> Report {
                     // scenarios (two faults at the default depth) must
                     // themselves be explorable within the state budget.
                     report.merge(
-                        lint_model_bounds(&ModelBoundsParams {
-                            faults: 2,
-                            components: tree.components().len(),
-                            depth: DEFAULT_DEPTH,
-                            state_budget: DEFAULT_STATE_BUDGET,
-                            plan_queue_depth: plan.episodes.len(),
-                            checked_queue_bound: CHECKED_QUEUE_BOUND,
-                        })
+                        lint_model_bounds(
+                            2,
+                            tree.components().len(),
+                            &CheckConfig::default(),
+                            plan.episodes.len(),
+                        )
                         .prefixed(&format!("{prefix}/model")),
                     );
                 }
@@ -359,10 +356,8 @@ fn lint_defaults() -> Report {
                 let pair = format!("tree-{variant}/perfect/pair");
                 if let Some((_, sc)) = scenarios.iter().find(|(name, _)| *name == pair) {
                     match Model::new(tree.clone(), sc) {
-                        Ok(model) => report.merge(
-                            lint_flow(&flow_params(&analyze(&model)))
-                                .prefixed(&format!("{prefix}/flow")),
-                        ),
+                        Ok(model) => report
+                            .merge(lint_flow(&analyze(&model)).prefixed(&format!("{prefix}/flow"))),
                         Err(e) => report.push(Diagnostic::new(
                             &catalog::FLOW_TABLE_UNSOUND,
                             format!("{prefix}/flow"),
@@ -417,19 +412,6 @@ fn run_lint(opts: &Options) -> Result<bool, String> {
 
 // --------------------------------------------------------------- model --
 
-/// Statically checks one scenario's exploration feasibility before running
-/// it (the same RRL7xx lints `rr-audit lint` ships).
-fn bounds_report(sc: &Scenario, variant: TreeVariant, cfg: &CheckConfig) -> Report {
-    lint_model_bounds(&ModelBoundsParams {
-        faults: sc.faults.len(),
-        components: variant.components().len(),
-        depth: cfg.max_depth,
-        state_budget: cfg.state_budget,
-        plan_queue_depth: sc.faults.len(),
-        checked_queue_bound: CHECKED_QUEUE_BOUND,
-    })
-}
-
 /// Resolves one scenario's exploration config and model, running the static
 /// feasibility lints on the way.
 fn build_model(
@@ -447,7 +429,10 @@ fn build_model(
         state_budget: DEFAULT_STATE_BUDGET,
         por,
     };
-    let bounds = bounds_report(sc, variant, &cfg);
+    // The same RRL7xx lints `rr-audit lint` ships; a scenario's plan queue
+    // is at most one episode per fault.
+    let faults = sc.faults.len();
+    let bounds = lint_model_bounds(faults, variant.components().len(), &cfg, faults);
     if !bounds.is_clean() {
         print!("{}", bounds.to_human());
     }
@@ -668,7 +653,7 @@ fn audit_flow(name: &str, sc: &Scenario, quiet: bool, report: &mut Report) -> Re
     if !quiet {
         print_flow_summary(name, &analysis);
     }
-    report.merge(lint_flow(&flow_params(&analysis)).prefixed(name));
+    report.merge(lint_flow(&analysis).prefixed(name));
     Ok(())
 }
 

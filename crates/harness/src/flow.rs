@@ -1,39 +1,11 @@
-//! Bridge between rr-model's flow analysis and rr-lint's `RRL95x` checks,
-//! and the one home of the built-in audit scenarios.
-//!
-//! `rr_model::FlowAnalysis` and `rr_lint::FlowParams` describe the same
-//! report — fault chains, the action-dependence table, the fault
-//! interference graph — but the linter deliberately knows nothing about the
-//! model checker (it stays dependency-free so configuration surfaces can be
-//! linted without pulling in exploration machinery). The harness sits above
-//! both, so the one-way conversion lives here, used by `rr-audit flow` and
-//! by `rr-audit lint`'s default audit.
+//! The one home of the built-in audit scenarios that `rr-audit model` and
+//! `rr-audit flow` run, and the `por` experiment measuring rr-flow's
+//! partial-order reduction on them.
 
 use mercury::station::TreeVariant;
-use rr_lint::{FlowFault, FlowParams};
 use rr_model::{
-    check, scenario, CheckConfig, FlowAnalysis, Model, Scenario, DEFAULT_DEPTH,
-    DEFAULT_STATE_BUDGET,
+    check, scenario, CheckConfig, Model, Scenario, DEFAULT_DEPTH, DEFAULT_STATE_BUDGET,
 };
-
-/// Converts a flow-analysis report into the linter's decoupled input.
-pub fn flow_params(analysis: &FlowAnalysis) -> FlowParams {
-    FlowParams {
-        faults: analysis
-            .faults
-            .iter()
-            .zip(&analysis.chains)
-            .map(|(component, chain)| FlowFault {
-                component: component.clone(),
-                chain: chain.clone(),
-            })
-            .collect(),
-        escalation_limit: analysis.escalation_limit,
-        templates: analysis.templates.clone(),
-        dependent: analysis.dependent.clone(),
-        fault_interference: analysis.fault_interference.clone(),
-    }
-}
 
 /// The built-in audit matrix `rr-audit model` explores and `rr-audit flow`
 /// analyzes: trees I–V × both oracles × four flavours, named
@@ -222,26 +194,26 @@ pub fn experiment(_run: crate::RunConfig) -> crate::Experiment {
 mod tests {
     use super::*;
     use mercury::station::TreeVariant;
-    use rr_model::analyze;
+    use rr_model::{analyze, lint_flow};
 
     #[test]
-    fn bridged_builtin_scenarios_lint_clean() {
+    fn builtin_pair_scenarios_lint_clean() {
         for variant in TreeVariant::ALL {
-            let params = flow_params(&analyze(&pair_model(variant)));
-            assert_eq!(params.faults.len(), 2);
+            let analysis = analyze(&pair_model(variant));
+            assert_eq!(analysis.faults.len(), 2);
             assert!(
-                rr_lint::lint_flow(&params).is_clean(),
+                lint_flow(&analysis).is_clean(),
                 "tree {variant} pair scenario should lint clean"
             );
         }
     }
 
     #[test]
-    fn bridged_por_assume_override_is_denied() {
+    fn por_assume_override_is_denied() {
         let text = "tree IV\nadmission\nfault rtu\nfault ses\n\
                     por-assume suspects-independent\n";
         let model = model_of(TreeVariant::IV, text);
-        let report = rr_lint::lint_flow(&flow_params(&analyze(&model)));
+        let report = lint_flow(&analyze(&model));
         assert!(report.fired("RRL953"));
         assert!(report.has_deny());
     }

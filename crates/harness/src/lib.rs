@@ -40,6 +40,5 @@ pub use abs::{abs_params, certify_decisions, decision_table_json, parse_abs_fixt
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use checkpoint::{CheckpointConfig, CheckpointReport};
 pub use experiments::{Experiment, RunConfig};
-pub use flow::flow_params;
 pub use overload::{OverloadConfig, OverloadLoad, OverloadReport};
 pub use trial::{OracleKind, Trial};

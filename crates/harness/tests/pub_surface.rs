@@ -21,7 +21,6 @@ const ALLOWED: &[(&str, &str)] = &[
     ("BUS_LATENCY_S", CALIBRATION),
     ("DIRECT_LATENCY_S", CALIBRATION),
     ("EXEC_DELAY_S", CALIBRATION),
-    ("MIN_PASS_WINDOW_S", CALIBRATION),
     ("TIMING", CALIBRATION),
 ];
 

@@ -11,9 +11,11 @@
 //! box or interval is denied before any quantified claim is read
 //! ([`RRL973`]).
 //!
-//! The inputs mirror rr-abs's `ProfitabilityMap` but are decoupled from it
-//! (plain strings and numbers) so the linter keeps its dependency-free
-//! footprint; `rr-harness` bridges the two.
+//! The input is the decision table itself, [`AbsParams`]: the format that
+//! `rr-audit abs` renders from each certification (and writes as
+//! `abs-decisions.json`) and that hand-written `tests/abs-fixtures/*.abs`
+//! files parse into, so a fixture can state a table no certification run
+//! would produce.
 //!
 //! [`RRL971`]: catalog::ABS_PROFITABILITY_CONTRADICTION
 //! [`RRL972`]: catalog::ABS_REGION_UNREFINABLE

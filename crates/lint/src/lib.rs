@@ -21,11 +21,15 @@
 //! | [`lint_plan`] | episode-plan antichain preconditions |
 //! | [`lint_fault_script`] | fault-script sanity (targets, order, observability) |
 //! | [`lint_fd`] | failure-detector timing feasibility |
-//! | [`lint_model_bounds`] | model-checker exploration feasibility |
-//! | [`lint_deadline`] | deadline/admission-policy feasibility |
-//! | [`lint_checkpoint`] | checkpoint/rehydrate-policy feasibility |
-//! | [`lint_flow`] | action-dependence (rr-flow) soundness |
-//! | [`lint_abs`] | profitability-certification (rr-abs) soundness |
+//! | [`lint_abs`] | profitability-certification (rr-abs) decision tables |
+//!
+//! Three families are checked by the crate that owns their input, which
+//! reads its own type and emits this crate's [`Diagnostic`]s:
+//! `RRL7xx` (model-checker exploration bounds) and `RRL95x` (the rr-flow
+//! dependence table) by `rr_model::lint_model_bounds` and
+//! `rr_model::lint_flow`; `RRL8xx` (deadline/admission) and `RRL90x`
+//! (checkpoint/rehydrate) by mercury's `StationConfig::lint`, which also
+//! runs the tree, FD and policy lints above.
 //!
 //! Each returns a [`Report`]; reports merge, render human-readable text
 //! ([`Report::to_human`]) or JSON ([`Report::to_json`]), and gate execution
@@ -54,13 +58,9 @@
 
 pub mod abs;
 pub mod algebra;
-pub mod bounds;
 pub mod catalog;
-pub mod checkpoint;
-pub mod deadline;
 pub mod diag;
 pub mod fd;
-pub mod flow;
 pub mod model;
 pub mod policy;
 pub mod schedule;
@@ -69,13 +69,9 @@ pub mod tree;
 
 pub use abs::{lint_abs, AbsDecision, AbsParams};
 pub use algebra::{lint_algebra, GroupClaim, MemberStat};
-pub use bounds::{lint_model_bounds, ModelBoundsParams};
 pub use catalog::CodeInfo;
-pub use checkpoint::{lint_checkpoint, CheckpointComponent, CheckpointParams};
-pub use deadline::{lint_deadline, DeadlineParams};
 pub use diag::{Diagnostic, Report, Severity};
 pub use fd::{lint_fd, FdParams};
-pub use flow::{lint_flow, FlowFault, FlowParams};
 pub use model::{lint_model, lint_suspicions};
 pub use policy::{lint_policy, PolicyParams};
 pub use schedule::lint_plan;

@@ -38,38 +38,35 @@ pub struct PolicyParams {
 /// Lints a restart policy: escalation must be able to reach the root of
 /// `tree` ([`RRL101`]), backoff must be monotone ([`RRL102`]), the restart
 /// storm budget must be enforceable ([`RRL103`]), and quarantine should be
-/// reachable in practice ([`RRL104`]). Pass `None` for `tree` to check only
-/// the tree-independent rules.
+/// reachable in practice ([`RRL104`]).
 ///
 /// [`RRL101`]: catalog::POLICY_ESCALATION_SHORT
 /// [`RRL102`]: catalog::POLICY_BACKOFF_REGRESSIVE
 /// [`RRL103`]: catalog::POLICY_STORM_UNBOUNDED
 /// [`RRL104`]: catalog::POLICY_QUARANTINE_UNREACHABLE
-pub fn lint_policy(params: &PolicyParams, tree: Option<&RestartTree>) -> Report {
+pub fn lint_policy(params: &PolicyParams, tree: &RestartTree) -> Report {
     let mut report = Report::new();
-    if let Some(tree) = tree {
-        // The escalation chain climbs the component's restart path one cell
-        // per exhausted limit; it terminates at the root only if the limit
-        // covers the longest path.
-        let deepest = tree
-            .components()
-            .iter()
-            .filter_map(|c| tree.restart_path(c).ok())
-            .map(|path| path.len())
-            .max();
-        if let Some(deepest) = deepest {
-            if (params.escalation_limit as usize) < deepest {
-                report.push(Diagnostic::new(
-                    &catalog::POLICY_ESCALATION_SHORT,
-                    "policy.escalation_limit",
-                    format!(
-                        "escalation limit {} is below the longest restart path \
-                         ({} cells), so escalation gives up before the \
-                         whole-system restart",
-                        params.escalation_limit, deepest
-                    ),
-                ));
-            }
+    // The escalation chain climbs the component's restart path one cell per
+    // exhausted limit; it terminates at the root only if the limit covers
+    // the longest path.
+    let deepest = tree
+        .components()
+        .iter()
+        .filter_map(|c| tree.restart_path(c).ok())
+        .map(|path| path.len())
+        .max();
+    if let Some(deepest) = deepest {
+        if (params.escalation_limit as usize) < deepest {
+            report.push(Diagnostic::new(
+                &catalog::POLICY_ESCALATION_SHORT,
+                "policy.escalation_limit",
+                format!(
+                    "escalation limit {} is below the longest restart path \
+                     ({} cells), so escalation gives up before the \
+                     whole-system restart",
+                    params.escalation_limit, deepest
+                ),
+            ));
         }
     }
     let base = params.backoff_base_s;
@@ -143,8 +140,7 @@ mod tests {
 
     #[test]
     fn default_policy_is_clean_against_shipped_depths() {
-        assert!(lint_policy(&sane(), Some(&deep_tree())).is_clean());
-        assert!(lint_policy(&sane(), None).is_clean());
+        assert!(lint_policy(&sane(), &deep_tree()).is_clean());
     }
 
     #[test]
@@ -154,11 +150,9 @@ mod tests {
             escalation_limit: 2,
             ..sane()
         };
-        let report = lint_policy(&params, Some(&deep_tree()));
+        let report = lint_policy(&params, &deep_tree());
         assert_eq!(report.codes(), vec!["RRL101"]);
         assert!(report.has_deny());
-        // Without a tree the rule cannot fire.
-        assert!(lint_policy(&params, None).is_clean());
     }
 
     #[test]
@@ -168,12 +162,12 @@ mod tests {
             backoff_cap_s: 1.0,
             ..sane()
         };
-        assert_eq!(lint_policy(&params, None).codes(), vec!["RRL102"]);
+        assert_eq!(lint_policy(&params, &deep_tree()).codes(), vec!["RRL102"]);
         let nan = PolicyParams {
             backoff_cap_s: f64::NAN,
             ..sane()
         };
-        assert!(lint_policy(&nan, None).fired("RRL102"));
+        assert!(lint_policy(&nan, &deep_tree()).fired("RRL102"));
     }
 
     #[test]
@@ -182,12 +176,15 @@ mod tests {
             max_restarts_per_window: 0,
             ..sane()
         };
-        assert_eq!(lint_policy(&zero_budget, None).codes(), vec!["RRL103"]);
+        assert_eq!(
+            lint_policy(&zero_budget, &deep_tree()).codes(),
+            vec!["RRL103"]
+        );
         let zero_window = PolicyParams {
             restart_window_s: 0.0,
             ..sane()
         };
-        assert!(lint_policy(&zero_window, None).fired("RRL103"));
+        assert!(lint_policy(&zero_window, &deep_tree()).fired("RRL103"));
     }
 
     #[test]
@@ -196,7 +193,7 @@ mod tests {
             escalation_limit: 1_000_000,
             ..sane()
         };
-        let report = lint_policy(&params, None);
+        let report = lint_policy(&params, &deep_tree());
         assert_eq!(report.codes(), vec!["RRL104"]);
         assert!(!report.has_deny());
     }

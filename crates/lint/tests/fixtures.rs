@@ -5,18 +5,24 @@
 //! class nobody can trigger is dead weight, and a class whose fixture stops
 //! firing after a refactor has silently lost its teeth. The meta-test at the
 //! bottom asserts this file covers the catalog exactly, so adding a code
-//! without a fixture fails the build.
+//! without a fixture fails the build. The rules whose input another crate
+//! owns are reached through that input: a `StationConfig` for `RRL8xx` and
+//! `RRL90x`, a `CheckConfig` or `FlowAnalysis` for `RRL7xx` and `RRL95x`.
 
+use std::collections::BTreeMap;
+
+use mercury::config::{names, StationConfig};
+use mercury::station::TreeVariant;
 use rr_core::model::{FailureMode, FailureModel};
 use rr_core::schedule::{plan_episodes, EpisodePlan, PlannedEpisode, Suspicion};
 use rr_core::tree::{RestartTree, TreeSpec};
+use rr_core::RecoveryMode;
 use rr_lint::{
-    catalog, lint_abs, lint_algebra, lint_checkpoint, lint_deadline, lint_fault_script, lint_fd,
-    lint_flow, lint_model, lint_model_bounds, lint_plan, lint_policy, lint_suspicions, lint_tree,
-    lint_tree_spec, AbsDecision, AbsParams, CheckpointComponent, CheckpointParams, DeadlineParams,
-    FdParams, FlowFault, FlowParams, GroupClaim, MemberStat, ModelBoundsParams, PolicyParams,
-    Report, ScriptContext, Severity,
+    catalog, lint_abs, lint_algebra, lint_fault_script, lint_fd, lint_model, lint_plan,
+    lint_policy, lint_suspicions, lint_tree, lint_tree_spec, AbsDecision, AbsParams, FdParams,
+    GroupClaim, MemberStat, PolicyParams, Report, ScriptContext, Severity,
 };
+use rr_model::{lint_flow, lint_model_bounds, CheckConfig, FlowAnalysis};
 
 /// The code each fixture below fires, in catalog order. The meta-test
 /// compares this list against the catalog itself.
@@ -158,7 +164,7 @@ fn rrl101_policy_escalation_short() {
     };
     // small_tree has a three-cell restart path (root / R_ab / R_a): one rung
     // of escalation cannot reach the root.
-    assert_fires(&lint_policy(&params, Some(&small_tree())), "RRL101");
+    assert_fires(&lint_policy(&params, &small_tree()), "RRL101");
 }
 
 #[test]
@@ -168,7 +174,7 @@ fn rrl102_policy_backoff_regressive() {
         backoff_cap_s: 1.0,
         ..sane_policy()
     };
-    assert_fires(&lint_policy(&params, None), "RRL102");
+    assert_fires(&lint_policy(&params, &small_tree()), "RRL102");
 }
 
 #[test]
@@ -177,7 +183,7 @@ fn rrl103_policy_storm_unbounded() {
         max_restarts_per_window: 0,
         ..sane_policy()
     };
-    assert_fires(&lint_policy(&params, None), "RRL103");
+    assert_fires(&lint_policy(&params, &small_tree()), "RRL103");
 }
 
 #[test]
@@ -186,7 +192,7 @@ fn rrl104_policy_quarantine_unreachable() {
         escalation_limit: 100_000,
         ..sane_policy()
     };
-    assert_fires(&lint_policy(&params, None), "RRL104");
+    assert_fires(&lint_policy(&params, &small_tree()), "RRL104");
 }
 
 // ---- RRL2xx: failure models and oracle suspicions ------------------------
@@ -412,135 +418,105 @@ fn rrl603_fd_beacon_window_tight() {
 
 // ---- RRL7xx: model-checker exploration bounds ----------------------------
 
-fn sane_bounds() -> ModelBoundsParams {
-    ModelBoundsParams {
-        faults: 2,
-        components: 6,
-        depth: 12,
-        state_budget: 2_000_000,
-        plan_queue_depth: 5,
-        checked_queue_bound: 6,
-    }
-}
-
 #[test]
 fn rrl701_model_exploration_infeasible() {
-    let params = ModelBoundsParams {
-        faults: 8,
-        depth: 40,
-        ..sane_bounds()
+    let deep = CheckConfig {
+        max_depth: 40,
+        ..CheckConfig::default()
     };
-    assert_fires(&lint_model_bounds(&params), "RRL701");
+    assert_fires(&lint_model_bounds(8, 6, &deep, 5), "RRL701");
 }
 
 #[test]
 fn rrl702_model_queue_unchecked() {
-    let params = ModelBoundsParams {
-        plan_queue_depth: 9,
-        ..sane_bounds()
-    };
-    assert_fires(&lint_model_bounds(&params), "RRL702");
+    assert_fires(
+        &lint_model_bounds(2, 6, &CheckConfig::default(), 9),
+        "RRL702",
+    );
 }
 
 // ---- RRL8xx: deadline/admission policy -----------------------------------
 
-fn sane_deadline() -> DeadlineParams {
-    DeadlineParams {
-        admission_enabled: true,
-        admission_capacity: 2,
-        admission_window_s: 120.0,
-        admission_retry_s: 5.0,
-        defer_max_age_s: 240.0,
-        defer_queue_limit: 16,
-        min_pass_window_s: 300.0,
-        restart_deadline_s: 45.0,
-        mean_detection_s: 0.9,
-    }
-}
-
 #[test]
 fn rrl801_deadline_pass_infeasible() {
-    let params = DeadlineParams {
-        min_pass_window_s: 30.0,
-        ..sane_deadline()
-    };
-    assert_fires(&lint_deadline(&params, None), "RRL801");
+    // 256 consecutive misses to report: 255.9 s of detection plus the 45 s
+    // restart deadline overrun the 300 s minimum pass window.
+    let mut cfg = StationConfig::paper();
+    cfg.fd.suspicion_threshold = 256;
+    cfg.fd.suspicion_window = 256;
+    assert_fires(&cfg.lint(&small_tree()), "RRL801");
 }
 
 #[test]
 fn rrl802_deadline_aging_unhonorable() {
-    let params = DeadlineParams {
+    let cfg = StationConfig {
         admission_capacity: 1,
         admission_window_s: 600.0,
         defer_max_age_s: 60.0,
-        ..sane_deadline()
+        ..StationConfig::admission()
     };
-    assert_fires(&lint_deadline(&params, None), "RRL802");
+    assert_fires(&cfg.lint(&small_tree()), "RRL802");
 }
 
 #[test]
 fn rrl803_deadline_queue_underprovisioned() {
-    let params = DeadlineParams {
-        defer_queue_limit: 1,
-        ..sane_deadline()
-    };
-    assert_fires(&lint_deadline(&params, Some(&small_tree())), "RRL803");
+    // 17 components against the deferral queue's 16 entries.
+    let wide = TreeSpec::cell("root")
+        .with_components((0..17).map(|i| format!("c{i}")))
+        .build()
+        .unwrap();
+    assert_fires(&StationConfig::admission().lint(&wide), "RRL803");
 }
 
 // ---- RRL9xx: checkpoint/rehydrate policy ---------------------------------
 
-fn sane_checkpoint() -> CheckpointParams {
-    CheckpointParams {
-        session_state_kb: 256.0,
-        store_throughput_kbps: 2048.0,
-        store_update_kb: 2.0,
-        store_update_period_s: 2.0,
-        components: vec![CheckpointComponent {
-            name: "a".into(),
-            checkpoint_interval_s: 60.0,
-            cold_rederive_s: 3.35,
-        }],
+/// The restart tree of the paper's final station (tree V).
+fn station_tree() -> RestartTree {
+    TreeVariant::V.tree().unwrap()
+}
+
+/// The paper configuration with `component` alone rehydrating from a
+/// checkpoint taken every `interval_s` seconds.
+fn rehydrating(component: &str, interval_s: f64) -> StationConfig {
+    let mode = RecoveryMode::Rehydrate {
+        checkpoint_interval_s: interval_s,
+    };
+    StationConfig {
+        recovery_modes: BTreeMap::from([(component.to_string(), mode)]),
+        ..StationConfig::paper()
     }
 }
 
 #[test]
 fn rrl901_checkpoint_write_overrun() {
-    let mut params = CheckpointParams {
+    // 16 MiB through the 2 MiB/s store is an 8 s write, every 5 s.
+    let cfg = StationConfig {
         session_state_kb: 16.0 * 1024.0,
-        ..sane_checkpoint()
+        ..rehydrating(names::SES, 5.0)
     };
-    params.components[0].checkpoint_interval_s = 5.0;
-    assert_fires(&lint_checkpoint(&params, None), "RRL901");
+    assert_fires(&cfg.lint(&station_tree()), "RRL901");
 }
 
 #[test]
 fn rrl902_checkpoint_replay_regressive() {
-    let mut params = sane_checkpoint();
-    params.components[0].cold_rederive_s = 0.05;
-    assert_fires(&lint_checkpoint(&params, None), "RRL902");
+    // rtu resyncs with no peer: its cold path re-derives nothing, so no
+    // replay can beat it.
+    let cfg = rehydrating(names::RTU, 60.0);
+    assert_fires(&cfg.lint(&station_tree()), "RRL902");
 }
 
 #[test]
 fn rrl903_checkpoint_component_detached() {
-    let mut params = sane_checkpoint();
-    params.components[0].name = "ghost".into();
-    assert_fires(&lint_checkpoint(&params, Some(&small_tree())), "RRL903");
+    let cfg = rehydrating(names::SES, 60.0);
+    assert_fires(&cfg.lint(&small_tree()), "RRL903");
 }
 
 // ---- RRL95x: action-dependence (rr-flow) soundness -----------------------
 
-fn sane_flow() -> FlowParams {
-    FlowParams {
-        faults: vec![
-            FlowFault {
-                component: "a".into(),
-                chain: vec![("R_a".into(), true)],
-            },
-            FlowFault {
-                component: "b".into(),
-                chain: vec![("R_b".into(), true)],
-            },
-        ],
+fn sane_flow() -> FlowAnalysis {
+    FlowAnalysis {
+        faults: vec!["a".into(), "b".into()],
+        chains: vec![vec![("R_a".into(), true)], vec![("R_b".into(), true)]],
         escalation_limit: 3,
         templates: vec!["inject:a".into(), "inject:b".into()],
         dependent: vec![vec![true, false], vec![false, true]],
@@ -550,33 +526,31 @@ fn sane_flow() -> FlowParams {
 
 #[test]
 fn rrl951_flow_interference_cycle() {
-    let mut params = sane_flow();
-    params.faults.push(FlowFault {
-        component: "c".into(),
-        chain: vec![("R_c".into(), true)],
-    });
-    params.fault_interference = vec![vec![true; 3]; 3];
-    assert_fires(&lint_flow(&params), "RRL951");
+    let mut analysis = sane_flow();
+    analysis.faults.push("c".into());
+    analysis.chains.push(vec![("R_c".into(), true)]);
+    analysis.fault_interference = vec![vec![true; 3]; 3];
+    assert_fires(&lint_flow(&analysis), "RRL951");
 }
 
 #[test]
 fn rrl952_flow_unreachable_action() {
-    let mut params = sane_flow();
-    params.faults[0].chain = vec![
+    let mut analysis = sane_flow();
+    analysis.chains[0] = vec![
         ("R_a".into(), false),
         ("R_ab".into(), false),
         ("R_abc".into(), false),
         ("root".into(), true),
     ];
-    assert_fires(&lint_flow(&params), "RRL952");
+    assert_fires(&lint_flow(&analysis), "RRL952");
 }
 
 #[test]
 fn rrl953_flow_table_unsound() {
     // The por-assume override shape: a zeroed row whose column survives.
-    let mut params = sane_flow();
-    params.dependent = vec![vec![true, true], vec![false, true]];
-    assert_fires(&lint_flow(&params), "RRL953");
+    let mut analysis = sane_flow();
+    analysis.dependent = vec![vec![true, true], vec![false, true]];
+    assert_fires(&lint_flow(&analysis), "RRL953");
 }
 
 // ---- RRL97x: profitability-certification (rr-abs) soundness --------------
@@ -644,7 +618,7 @@ fn every_catalog_code_has_a_fixture() {
 fn sane_baselines_are_clean() {
     // The ..sane() baselines used above must themselves be clean, or the
     // fixtures could be firing on the baseline rather than the mutation.
-    assert!(lint_policy(&sane_policy(), Some(&small_tree())).is_clean());
+    assert!(lint_policy(&sane_policy(), &small_tree()).is_clean());
     assert!(lint_fd(&sane_fd()).is_clean());
     assert!(lint_tree(&small_tree()).is_clean());
     let c = comps();
@@ -654,9 +628,12 @@ fn sane_baselines_are_clean() {
     assert!(lint_suspicions(&small_tree(), &suspicions).is_clean());
     let plan = plan_episodes(&small_tree(), &suspicions).unwrap();
     assert!(lint_plan(&small_tree(), &plan).is_clean());
-    assert!(lint_model_bounds(&sane_bounds()).is_clean());
-    assert!(lint_deadline(&sane_deadline(), Some(&small_tree())).is_clean());
-    assert!(lint_checkpoint(&sane_checkpoint(), Some(&small_tree())).is_clean());
+    assert!(lint_model_bounds(2, 6, &CheckConfig::default(), 5).is_clean());
+    assert!(StationConfig::paper().lint(&small_tree()).is_clean());
+    assert!(StationConfig::admission().lint(&small_tree()).is_clean());
+    assert!(rehydrating(names::SES, 60.0)
+        .lint(&station_tree())
+        .is_clean());
     assert!(lint_flow(&sane_flow()).is_clean());
     assert!(lint_abs(&sane_abs()).is_clean());
 }

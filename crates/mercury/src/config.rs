@@ -36,6 +36,8 @@ use rr_sim::{Dist, SimDuration};
 
 use crate::orbit::{GroundSite, Satellite};
 
+mod lint;
+
 /// Unwraps a failure mode built from the literal Mercury rates, which are
 /// valid by construction.
 fn mode(m: Result<FailureMode, rr_core::ModelError>) -> FailureMode {
@@ -204,6 +206,17 @@ pub mod calib {
     /// How often a healthy journaling component appends an update record
     /// (its session state mutates), in seconds.
     pub const STORE_UPDATE_PERIOD_S: f64 = 2.0;
+
+    /// The cold re-derivation a restarted component of the ses/str pair
+    /// waits for: its *old* peer's resync service time (§4.3), which a
+    /// rehydrating component bypasses. 0 for every other component.
+    pub fn peer_resync_service_s(component: &str) -> f64 {
+        match component {
+            names::SES => STR_RESYNC_SERVICE_S,
+            names::STR => SES_RESYNC_SERVICE_S,
+            _ => 0.0,
+        }
+    }
 
     /// The [`TIMING`] entry for a component.
     ///
@@ -692,74 +705,6 @@ impl StationConfig {
             .with_mode(mode(FailureMode::solo("rtu-crash", names::RTU, 0.2)))
     }
 
-    /// The admission-control and deadline inputs of `rr_lint::lint_deadline`:
-    /// the admission knobs beside the constants and the derived detection
-    /// latency they are judged against.
-    fn deadline_params(&self) -> rr_lint::DeadlineParams {
-        rr_lint::DeadlineParams {
-            admission_enabled: self.admission_enabled,
-            admission_capacity: self.admission_capacity,
-            admission_window_s: self.admission_window_s,
-            admission_retry_s: self.admission_retry_s,
-            defer_max_age_s: self.defer_max_age_s,
-            defer_queue_limit: calib::DEFER_QUEUE_LIMIT,
-            min_pass_window_s: calib::MIN_PASS_WINDOW_S,
-            restart_deadline_s: calib::RESTART_DEADLINE_S,
-            mean_detection_s: self.fd.mean_detection_s(),
-        }
-    }
-
-    /// The checkpoint/rehydrate inputs of `rr_lint::lint_checkpoint`: one
-    /// entry per component with a `Rehydrate` recovery mode, each carrying
-    /// the cold re-derivation cost its replay competes against (for the
-    /// ses/str pair, the *peer's* resync service time — that is what the
-    /// store bypasses).
-    fn checkpoint_params(&self) -> rr_lint::CheckpointParams {
-        let components = self
-            .recovery_modes
-            .iter()
-            .filter_map(|(name, mode)| match mode {
-                RecoveryMode::Rehydrate {
-                    checkpoint_interval_s,
-                } => {
-                    let cold_rederive_s = match name.as_str() {
-                        names::SES => calib::STR_RESYNC_SERVICE_S,
-                        names::STR => calib::SES_RESYNC_SERVICE_S,
-                        _ => 0.0,
-                    };
-                    Some(rr_lint::CheckpointComponent {
-                        name: name.clone(),
-                        checkpoint_interval_s: *checkpoint_interval_s,
-                        cold_rederive_s,
-                    })
-                }
-                RecoveryMode::ColdRestart => None,
-            })
-            .collect();
-        rr_lint::CheckpointParams {
-            session_state_kb: self.session_state_kb,
-            store_throughput_kbps: calib::STORE_THROUGHPUT_KBPS,
-            store_update_kb: calib::STORE_UPDATE_KB,
-            store_update_period_s: calib::STORE_UPDATE_PERIOD_S,
-            components,
-        }
-    }
-
-    /// Statically lints this configuration against the restart tree it will
-    /// operate: tree well-formedness, FD timing feasibility, and restart
-    /// policy soundness. [`Station`](crate::station::Station) construction
-    /// refuses to run when the report carries a deny diagnostic.
-    pub fn lint(&self, tree: &rr_core::tree::RestartTree) -> rr_lint::Report {
-        rr_lint::lint_tree(tree)
-            .merged(rr_lint::lint_fd(&self.fd))
-            .merged(rr_lint::lint_policy(&self.policy, Some(tree)))
-            .merged(rr_lint::lint_deadline(&self.deadline_params(), Some(tree)))
-            .merged(rr_lint::lint_checkpoint(
-                &self.checkpoint_params(),
-                Some(tree),
-            ))
-    }
-
     /// The Table 1 failure model for the *unsplit* station (trees I/II).
     pub fn unsplit_failure_model(&self) -> FailureModel {
         FailureModel::new()
@@ -803,12 +748,7 @@ mod tests {
         ];
         for (comp, want) in cases {
             let boot = calib::timing_for(comp).boot_mean_s;
-            let resync = match comp {
-                names::SES => calib::STR_RESYNC_SERVICE_S,
-                names::STR => calib::SES_RESYNC_SERVICE_S,
-                _ => 0.0,
-            };
-            let predicted = overhead + boot + resync;
+            let predicted = overhead + boot + calib::peer_resync_service_s(comp);
             assert!(
                 (predicted - want).abs() < 0.05,
                 "{comp}: predicted {predicted:.2}, Table 2 says {want}"

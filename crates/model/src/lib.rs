@@ -60,6 +60,11 @@
 //! dropped failure report, a starved admission drain tick, a rehydration
 //! from an unverified stale checkpoint); the checker must reject them
 //! deterministically.
+//!
+//! The checker lints its own inputs before it runs ([`lint`]): exploration
+//! feasibility ([`lint_model_bounds`], `RRL7xx`) and the soundness of the
+//! rr-flow dependence table ([`lint_flow`], `RRL95x`), emitted as
+//! `rr_lint` diagnostics.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -68,12 +73,14 @@
 pub mod checker;
 pub mod flow;
 pub mod hb;
+pub mod lint;
 pub mod machine;
 pub mod scenario;
 
 pub use checker::{check, replay, CheckConfig, CheckOutcome, Counterexample};
 pub use flow::{analyze, FlowAnalysis, FlowContext};
 pub use hb::{verify, verify_registry, HbViolation};
+pub use lint::{lint_flow, lint_model_bounds};
 pub use machine::{Action, Model, ModelError, State, Violation, ViolationKind};
 pub use scenario::{FaultSpec, Mutation, OracleKind, PorAssumption, Scenario, ScenarioError};
 
@@ -90,12 +97,12 @@ pub use scenario::{FaultSpec, Mutation, OracleKind, PorAssumption, Scenario, Sce
 pub const DEFAULT_DEPTH: usize = 16;
 
 /// Default bound on states the checker will visit before declaring a run
-/// infeasible. `rr-lint`'s RRL701 flags scenarios whose estimated state
+/// infeasible. [`lint_model_bounds`]' RRL701 flags scenarios whose estimated state
 /// space exceeds this before anyone burns the CPU finding out.
 pub const DEFAULT_STATE_BUDGET: u64 = 2_000_000;
 
 /// The deepest episode-plan queue (simultaneous suspicions in one batch)
 /// the default audit exercises — the widest leaf antichain of trees I–V.
-/// `rr-lint`'s RRL702 flags configurations that can queue deeper than this,
+/// [`lint_model_bounds`]' RRL702 flags configurations that can queue deeper than this,
 /// because behaviour beyond the checked bound is unverified.
 pub const CHECKED_QUEUE_BOUND: usize = 6;
